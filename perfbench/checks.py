@@ -16,6 +16,11 @@ import numpy as np
 # Gauss-Legendre rule used on every panel of the Campbell integrals
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
 _GH_ATOMS = 32          # atoms of the tilt measure, as in the runner
+PANEL_RATIO = 1.02      # growth of the geometric panel ladder
+Z = 4.5                 # standard errors a tilted_min moment may miss by
+MEHLER_TOL = 0.005      # relative miss allowed on a control radius
+ROUNDOFF = 1e-12        # dip allowed in q_mean once a box holds all the mass
+SLOPE_TOL = 0.15        # relative miss allowed on the Lifshitz refit
 
 
 def _C(alpha: float, d: int = 1) -> float:
@@ -37,16 +42,15 @@ def _vhat(r, alpha):
     return np.maximum(np.abs(r), 1.0) ** -alpha
 
 
-def _panels(radius: float, ratio: float):
+def _panels(radius: float):
     """Breakpoints on [0, radius]: [0, 1] then a geometric ladder."""
     pts = [0.0, 1.0]
     while pts[-1] < radius:
-        pts.append(min(pts[-1] * ratio, radius))
+        pts.append(min(pts[-1] * PANEL_RATIO, radius))
     return np.asarray(pts)
 
 
-def campbell_integrals(t: float, alpha: float, radius: float, powers=(1, 2, 4),
-                       ratio: float = 1.02):
+def campbell_integrals(t: float, alpha: float, radius: float, powers=(1, 2, 4)):
     """int_{|y| <= radius} vhat(y)^k lam(y) dy for each k, where
     lam(y) = exp(-t sum_i w_i vhat(x_i - y)) is the tilted intensity.
 
@@ -56,7 +60,7 @@ def campbell_integrals(t: float, alpha: float, radius: float, powers=(1, 2, 4),
     atoms, weights = tilt_measure(t, alpha)
     far = math.isinf(radius)
     stop = (t / 1e-13) ** (1.0 / alpha) if far else radius
-    b = _panels(stop, ratio)
+    b = _panels(stop)
     a, b = b[:-1], b[1:]
     half = 0.5 * (b - a)
     y = (0.5 * (a + b))[:, None] + half[:, None] * _GL_NODES[None, :]
@@ -74,14 +78,14 @@ def campbell_integrals(t: float, alpha: float, radius: float, powers=(1, 2, 4),
     return out
 
 
-def check_tilted_min(rec: dict, z: float = 4.5) -> list[str]:
+def check_tilted_min(rec: dict) -> list[str]:
     """V at the tilt centre against Campbell's theorem, rung by rung.
 
     For the tilted Poisson process, V(0) = sum_i vhat(y_i) has mean
     int_R vhat lam (the record adds the far field beyond the box back), and
     over the sampled box variance k2 = int vhat^2 lam and fourth cumulant
-    k4 = int vhat^4 lam.  The mean may miss by z standard errors
-    sqrt(k2 / n), the sample variance by z of sqrt((k4 + 2 k2^2) / n).
+    k4 = int vhat^4 lam.  The mean may miss by Z standard errors
+    sqrt(k2 / n), the sample variance by Z of sqrt((k4 + 2 k2^2) / n).
     The record's own verdict is not used: its 5% variance tolerance is sized
     for 10^4 replicas.
     """
@@ -95,10 +99,10 @@ def check_tilted_min(rec: dict, z: float = 4.5) -> list[str]:
         k2, k4 = box[2], box[4]
         se_mean = math.sqrt(k2 / n)
         se_var = math.sqrt((k4 + 2.0 * k2 ** 2) / n)
-        if not abs(row["mc_mean"] - mean) <= z * se_mean:
+        if not abs(row["mc_mean"] - mean) <= Z * se_mean:
             fails.append(f"t={t:g}: mean {row['mc_mean']:.9g} is "
                          f"{(row['mc_mean'] - mean) / se_mean:+.2f} se from {mean:.9g}")
-        if not abs(row["mc_var"] - k2) <= z * se_var:
+        if not abs(row["mc_var"] - k2) <= Z * se_var:
             fails.append(f"t={t:g}: variance {row['mc_var']:.6g} is "
                          f"{(row['mc_var'] - k2) / se_var:+.2f} se from {k2:.6g}")
     if len(rec["tables"]["moments"]) != 3:
@@ -115,12 +119,12 @@ def mehler_median_radius(t: float, alpha: float) -> float:
     return NormalDist().inv_cdf(0.75) * math.sqrt(math.tanh(omega * t) / omega)
 
 
-def check_fk_ladder(rec: dict, rel_tol: float = 0.005, roundoff: float = 1e-12) -> list[str]:
+def check_fk_ladder(rec: dict) -> list[str]:
     """Control radii against the Mehler marginal, domain monotonicity of the
     confinement ratio in L, and the record's own verdict.
 
     q_mean is a ratio of masses that sits at 1 up to a few 1e-14 once the
-    sub-box holds all the mass, so it may dip by `roundoff` between boxes.
+    sub-box holds all the mass, so it may dip by ROUNDOFF between boxes.
     """
     fails = []
     alpha = float(rec["params"]["alpha"])
@@ -131,7 +135,7 @@ def check_fk_ladder(rec: dict, rel_tol: float = 0.005, roundoff: float = 1e-12) 
         fails.append("one control_marginal radius per horizon expected")
     for row in ctrl:
         exact = mehler_median_radius(float(row["t"]), alpha)
-        if not abs(row["radius"] / exact - 1.0) <= rel_tol:
+        if not abs(row["radius"] / exact - 1.0) <= MEHLER_TOL:
             fails.append(f"t={row['t']:g}: control radius {row['radius']:.6g} vs "
                          f"Mehler {exact:.6g}")
     by_t: dict[float, list] = {}
@@ -139,12 +143,12 @@ def check_fk_ladder(rec: dict, rel_tol: float = 0.005, roundoff: float = 1e-12) 
         by_t.setdefault(float(row["t"]), []).append((float(row["L"]), row["q_mean"]))
     for t, rows in sorted(by_t.items()):
         q = [v for _, v in sorted(rows)]
-        if any(b < a - roundoff for a, b in zip(q, q[1:])):
+        if any(b < a - ROUNDOFF for a, b in zip(q, q[1:])):
             fails.append(f"t={t:g}: q_mean decreases in L: {q}")
     return fails
 
 
-def check_ids_tail(rec: dict, rel_tol: float = 0.15) -> list[str]:
+def check_ids_tail(rec: dict) -> list[str]:
     """Positivity, monotonicity and CI of N_hat on both windows, and a refit
     of the Lifshitz exponent on the primary window."""
     fails = []
@@ -169,8 +173,8 @@ def check_ids_tail(rec: dict, rel_tol: float = 0.15) -> list[str]:
     y = np.log([-math.log(r["n_hat"]) for r in rows])
     slope = float(np.polyfit(x, y, 1)[0])
     target = d / (alpha - d)
-    if not abs(slope - target) <= rel_tol * target:
-        fails.append(f"Lifshitz refit slope {slope:.4f} outside {target:g} +- {rel_tol * target:g}")
+    if not abs(slope - target) <= SLOPE_TOL * target:
+        fails.append(f"Lifshitz refit slope {slope:.4f} outside {target:g} +- {SLOPE_TOL * target:g}")
     return fails
 
 

@@ -4,9 +4,10 @@ spans in memory, and derive the per-layer metrics from their self times.
 A span is (name, start, end, parent, info).  `parent` is the index of the
 enclosing span or -1; `info` holds the counts the wrapper read off the call's
 arguments and result (candidates, pairs, cells, eigenpairs).  A span's self
-time is its duration minus the part of it that its child spans cover; a
-layer's self time is the sum of its spans' self times.  The root span is the
-runner call itself, so the self times of all layers add up to its duration.
+time is its duration minus its child spans' durations; a layer's self time
+is the sum of its spans' self times.  The root span is the runner call
+itself, so the self times of all layers add up to its duration by
+construction.
 """
 
 from __future__ import annotations
@@ -193,28 +194,12 @@ def layer_of(name: str) -> str:
 
 
 def self_times(spans) -> list[float]:
-    """Per span: its duration minus the union of its children's intervals."""
-    children: dict[int, list[tuple[float, float]]] = {}
-    for name, start, end, parent, _ in spans:
+    """Per span: its duration minus its children's durations.  The tracer
+    keeps one stack, so children are disjoint and lie inside their parent."""
+    out = [end - start for _, start, end, _, _ in spans]
+    for _, start, end, parent, _ in spans:
         if parent >= 0:
-            children.setdefault(parent, []).append((start, end))
-    out = []
-    for i, (name, start, end, parent, _) in enumerate(spans):
-        covered = 0.0
-        lo = hi = None
-        for a, b in sorted(children.get(i, ())):
-            a, b = max(a, start), min(b, end)
-            if b <= a:
-                continue
-            if hi is None or a > hi:
-                if hi is not None:
-                    covered += hi - lo
-                lo, hi = a, b
-            else:
-                hi = max(hi, b)
-        if hi is not None:
-            covered += hi - lo
-        out.append((end - start) - covered)
+            out[parent] -= end - start
     return out
 
 

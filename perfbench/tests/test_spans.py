@@ -42,22 +42,6 @@ def test_layer_self_times_add_up_to_the_root():
     assert sum(layers.values()) == pytest.approx(10.0)
 
 
-def test_overlapping_children_cover_their_union_only():
-    tree = [_span("semigroup.step", 0, 10, -1),
-            _span("spectral.eigh_tridiagonal", 1, 5, 0),
-            _span("spectral.eigh_tridiagonal", 3, 7, 0),
-            _span("spectral.eigh_tridiagonal", 8, 9, 0)]
-    assert spans.self_times(tree) == pytest.approx([10 - 6 - 1, 4, 4, 1])
-    # overlap counts twice in the layer sums, which then exceed the root:
-    # the run's reconciliation of layer times against the wall time fails
-    assert sum(spans.layer_self_times(tree).values()) == pytest.approx(12.0)
-
-
-def test_a_child_sticking_out_of_its_parent_is_clipped():
-    tree = [_span("experiments.run", 0, 4, -1), _span("points.sample_tilted", 3, 6, 0)]
-    assert spans.self_times(tree) == pytest.approx([3.0, 3.0])
-
-
 def test_per_layer_metrics_of_a_thinning_tree():
     tree = [
         _span("experiments.run", 0, 10, -1),
@@ -99,6 +83,14 @@ def test_traced_tilted_min_counts_reconcile_and_record_is_unchanged():
     assert rec.to_json() == run_local_min_stats(**kwargs).to_json()
     m = spans.per_layer_metrics(tracer.spans(), 1.0, 1.0)
     assert m["laplace.quad_calls"] > 0 and m["points.candidates"] > 0
+
+
+def test_traced_fk_ladder_steps_reconcile_with_the_schedule():
+    from fklab.experiments import run_localization
+    kwargs = dict(workloads.inputs("fk_ladder", 5), t_ladder=(16.0, 32.0, 64.0),
+                  L_ladder=(2.0, 4.0, 8.0), n_samples=1)
+    _, tracer = _traced("fk_ladder", run_localization, kwargs)
+    assert spans.call_counts(tracer.spans())["semigroup.step"] > 0
 
 
 def test_traced_ids_counts_reconcile():

@@ -45,8 +45,14 @@ def expected_counts(name: str, inputs: dict) -> dict:
     """
     n = inputs["n_samples"]
     if name == "tilted_min":
-        # one draw per replica and rung, plus the t = 0 sampler control
-        return {"points.sample_tilted": len(inputs["t_ladder"]) * n + 1}
+        # one draw per replica and rung, plus the t = 0 sampler control; the
+        # tilted mean at the top horizon, then per rung the mean and the
+        # variance over the line and over the sampled box; one variance limit
+        rungs = len(inputs["t_ladder"])
+        return {"points.sample_tilted": rungs * n + 1,
+                "laplace.tilted_mean_V": 1 + 2 * rungs,
+                "laplace.tilted_variance_V": 2 * rungs,
+                "laplace.variance_limit_quadrature": 1}
     if name == "fk_ladder":
         from fklab.experiments import default_schedule
 
