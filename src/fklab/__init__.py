@@ -57,7 +57,6 @@ from .spectral import (
     IdsCurve,
     assemble,
     config_potential_field,
-    count_below,
     ids_estimate,
     rayleigh_quotient,
     smallest_eigs,

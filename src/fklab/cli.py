@@ -279,7 +279,8 @@ def _plot_record(record, out_dir: str) -> None:
 def _run_one(cli_name: str, cfg: dict, out_dir: str) -> "RunRecord":
     key = _RUNNER_KEY.get(cli_name, cli_name)
     record = SCENARIOS[key](**_runner_kwargs(cli_name, cfg))
-    resolved = {k: cfg[k] for k in sorted(cfg) if k not in ("out", "plots")}
+    # execution settings do not change the record, so they stay out of its hash
+    resolved = {k: cfg[k] for k in sorted(cfg) if k not in ("out", "plots", "threads")}
     settings = {**record.settings, "resolved_cli": resolved}
     record = dataclasses.replace(
         record, settings=settings,

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate, special
 
-from .model import ModelParams, constants, h_t, vhat_radial
+from .model import ModelParams, constants, h_t, vhat_radial, vhat_sum
 from .points import DiscreteMeasure
 
 
@@ -208,12 +208,6 @@ def paper_variance_constant(params: ModelParams) -> float:
 # ---------------------------------------------------------------------------
 # multi-atom machinery (d = 1 quadrature; d >= 2 falls back where possible)
 
-def _phi_1d(y: np.ndarray, atoms: np.ndarray, weights: np.ndarray, alpha: float) -> np.ndarray:
-    """Phi(y) = sum_i w_i vhat(x_i - y) for scalar atoms; y is an array."""
-    diff = np.abs(np.subtract.outer(y, atoms))
-    return vhat_radial(diff, alpha) @ weights
-
-
 def _difference_breakpoints(atoms: np.ndarray, t: float, alpha: float, H: float):
     scale = t ** (1.0 / alpha)
     pts = {-H, H, 0.0, 1.0, -1.0}
@@ -253,11 +247,11 @@ def exact_log_laplace(mu: DiscreteMeasure, params: ModelParams,
     eps_tail = max(spec.abs_tol, 1e-12)
     H = X + (t * al * max(M2, 1e-30) / eps_tail) ** (1.0 / (al + 1.0))
     H = max(H, X + 10.0, 2.0 * t ** (1.0 / al))
+    column = atoms[:, None]
 
     def g(y):
-        ya = np.asarray([y])
         one = math.exp(-t * float(vhat_radial(abs(y), al)))
-        many = math.exp(-t * float(_phi_1d(ya, atoms, w, al)[0]))
+        many = math.exp(-t * float(vhat_sum(np.array([[y]]), column, al, w)[0]))
         return one - many
 
     pts = _difference_breakpoints(atoms, t, al, H)
@@ -325,7 +319,8 @@ def _tilted_integral_1d(power: float, at: float, mu: DiscreteMeasure, t: float,
 
     def f(y):
         v = float(vhat_radial(abs(y - at), al))
-        return v ** power * math.exp(-t * float(_phi_1d(np.asarray([y]), atoms, w, al)[0]))
+        phi = float(vhat_sum(np.array([[y]]), mu.atoms, al, w)[0])
+        return v ** power * math.exp(-t * phi)
 
     X = float(np.max(np.abs(atoms)))
     if domain_radius is not None:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelParams, constants, quadratic_profile, shape_vhat
+from .model import ModelParams, constants, quadratic_profile, vhat_sum
 from .points import Box, PointConfig
 
 
@@ -94,29 +94,17 @@ class PotentialView:
         return np.full(xb.shape[0], self._far_bound)
 
 
-def evaluate_V(view: PotentialView, x, *, chunk: int = 2 ** 22):
+def evaluate_V(view: PotentialView, x):
     """V at a point (d,) or a batch (m, d) of points inside the window.
 
     Empty configurations give 0 (plus compensation if enabled).
     """
-    pts = view.config.points
     x = np.asarray(x, dtype=float)
     single = x.ndim == 0 or (x.ndim == 1 and view.config.d > 1)
-    if x.ndim == 0:
-        xb = x.reshape(1, 1)
-    elif x.ndim == 1:
-        xb = x[None, :] if view.config.d > 1 else x[:, None]
-    else:
-        xb = x
+    xb = x.reshape(-1, view.config.d)
     if not np.all(view.window.contains(xb)):
         raise ValueError("evaluation point outside the window")
-    out = np.zeros(xb.shape[0])
-    if pts.shape[0]:
-        # chunk the (m, n) pairwise sweep to bound memory
-        step = max(1, chunk // max(pts.shape[0], 1))
-        for i in range(0, xb.shape[0], step):
-            diff = xb[i:i + step, None, :] - pts[None, :, :]
-            out[i:i + step] = shape_vhat(diff, view.params).sum(axis=1)
+    out = vhat_sum(xb, view.config.points, view.params.alpha)
     if view.compensate:
         out += view.mean_far_field(xb)
     return float(out[0]) if single else out

@@ -38,7 +38,7 @@ import numpy as np
 from scipy.fft import dst, dstn
 from scipy.linalg import cho_solve_banded, cholesky_banded
 
-from .model import ModelParams, constants, scale_r
+from .model import ModelParams, constants, scale_r, vhat_sum
 from .points import Box, PointConfig, sample_homogeneous, stream
 from .potential import PotentialView, evaluate_V
 from .spectral import Grid, GridField, config_potential_field
@@ -520,20 +520,11 @@ def brownian_partition_mc(points, params: ModelParams, t: float, box_radius: flo
     """
     if params.d != 1:
         raise NotImplementedError("path oracle implemented for d = 1")
-    pts = np.asarray(points, dtype=float).reshape(-1)
+    pts = np.asarray(points, dtype=float).reshape(-1, 1)
     n_steps = round(t / dt)
     if abs(n_steps * dt - t) > 1e-9 * max(t, 1.0):
         raise ValueError("dt must divide t")
     rng = stream(seed, 901)
-    alpha = params.alpha
-
-    def V_of(x):
-        if pts.size == 0:
-            return np.zeros_like(x)
-        r = np.abs(x[:, None] - pts[None, :])
-        np.maximum(r, 1.0, out=r)
-        return np.sum(r ** (-alpha), axis=1)
-
     total = 0.0
     total_sq = 0.0
     done = 0
@@ -542,12 +533,12 @@ def brownian_partition_mc(points, params: ModelParams, t: float, box_radius: flo
         x = np.zeros(m)
         logw = np.zeros(m)
         alive = np.ones(m, dtype=bool)
-        v_prev = V_of(x)
+        v_prev = vhat_sum(x[:, None], pts, params.alpha)
         sq_dt = math.sqrt(dt)
         for _ in range(n_steps):
             x = x + sq_dt * rng.standard_normal(m)
             alive &= np.abs(x) <= box_radius
-            v_new = V_of(x)
+            v_new = vhat_sum(x[:, None], pts, params.alpha)
             logw -= 0.5 * dt * (v_prev + v_new)
             v_prev = v_new
         w = np.where(alive, np.exp(logw), 0.0)

@@ -28,6 +28,14 @@ def test_rerun_is_byte_identical(tmp_path):
         (tmp_path / "b" / "laplace.json").read_bytes()
 
 
+def test_threads_stay_out_of_the_config_hash(tmp_path):
+    assert run_cli(tmp_path / "a", "tilted", "--samples", "20", "--threads", "2") == 0
+    assert run_cli(tmp_path / "b", "tilted", "--samples", "20") == 0
+    a = json.loads((tmp_path / "a" / "tilted.json").read_text())
+    b = json.loads((tmp_path / "b" / "tilted.json").read_text())
+    assert a["config_hash"] == b["config_hash"]
+
+
 def test_failing_scenario_exits_one(tmp_path, monkeypatch):
     # exit status 1 when any verdict fails: install a runner whose record
     # carries one failed check

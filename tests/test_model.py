@@ -18,6 +18,7 @@ from fklab.model import (
     shape_vhat,
     spectral_gap,
     vhat_radial,
+    vhat_sum,
 )
 
 mpmath.mp.dps = 40
@@ -89,6 +90,29 @@ def test_shape_vhat_cap_and_tail():
     pts = np.array([[3.0, 4.0], [0.1, 0.1]])
     np.testing.assert_allclose(shape_vhat(pts, p2), [5.0 ** -3, 1.0])
     assert vhat_radial(np.array([0.5, 2.0]), 2.0) == pytest.approx([1.0, 0.25])
+
+
+@pytest.mark.parametrize("d, alpha", [(1, 1.5), (2, 2.5)])
+def test_vhat_sum_is_bit_equal_to_shape_vhat(d, alpha):
+    # rows at r = 0, r < 1, r = 1 exactly and r > 1 from one point, both sides
+    p = ModelParams(d=d, alpha=alpha, t=1.0)
+    x = np.zeros((9, d))
+    x[:, 0] = [0.0, 0.25, -0.999, 1.0, -1.0, 1.5, -3.0, 1e3, 7.123456789]
+    if d == 2:
+        x[:, 1] = [0.0, 0.5, 0.0, 0.0, 0.0, 2.0, 4.0, -1e2, 0.5]
+        x = np.vstack([x, [[0.0, 1.0], [0.0, -1.0], [0.6, 0.8]]])
+    for point in (np.zeros(d), np.full(d, 2.5)):
+        got = vhat_sum(x + point, point[None, :], alpha)
+        want = shape_vhat((x + point) - point, p)
+        assert np.array_equal(got, want)
+    # weighted sums reduce the same (m, n) block with @ weights
+    rng = np.random.default_rng(3)
+    pts = rng.uniform(-4.0, 4.0, (7, d))
+    w = rng.random(7)
+    diff = x[:, None, :] - pts[None, :, :]
+    assert np.array_equal(vhat_sum(x, pts, alpha, w), shape_vhat(diff, p) @ w)
+    assert np.array_equal(vhat_sum(x, pts, alpha), shape_vhat(diff, p).sum(axis=1))
+    assert np.array_equal(vhat_sum(x, pts[:0], alpha), np.zeros(x.shape[0]))
 
 
 def test_scales_and_profiles():

@@ -5,8 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from fklab.model import ModelParams
+from fklab import model
+from fklab.model import ModelParams, vhat_radial
 from fklab.points import (
+    SQUEEZE_ABS,
+    SQUEEZE_REL,
     Box,
     DiscreteMeasure,
     HomogeneousIntensity,
@@ -19,6 +22,7 @@ from fklab.points import (
     sample_tilted,
     save_config,
     stream,
+    thinning_keep,
     tilt_acceptance,
     tilt_log_weight,
 )
@@ -76,6 +80,44 @@ def test_tilt_weight_matches_shape():
                           weights=np.array([0.5, 0.5]))
     want = -2.0 * (0.5 * 1.0 + 0.5 * 0.25)
     assert tilt_log_weight(np.array([2.0]), mu2, params)[0] == pytest.approx(want)
+
+
+@pytest.mark.parametrize("m", [3073, 3074, 5001])
+def test_blocked_tilt_weight_equals_one_block(m, monkeypatch):
+    # 32 atoms make blocks of 1024 rows; m = 3073 would leave a one-row block
+    params = ModelParams(d=1, alpha=1.5, t=1e6)
+    mu = DiscreteMeasure.gauss_hermite(32, 40.0)
+    y = np.random.default_rng(m).uniform(-400.0, 400.0, (m, 1))
+    blocked = tilt_log_weight(y, mu, params)
+    monkeypatch.setattr(model, "PAIR_BLOCK", 2 ** 60)
+    assert np.array_equal(blocked, tilt_log_weight(y, mu, params))
+
+
+# Narrow Gauss-Hermite atoms sit within 1 of each other, and their computed
+# weights sum to 1 - 2^-52 (6 atoms) or 1 + 2^-52 (14 atoms).  So at t = 600
+# the exact acceptance on an atom differs from both bounds by about 1e-13,
+# relatively, and a squeeze without margins decides some planted u wrongly.
+@pytest.mark.parametrize("atoms, std, t", [(32, 40.0, 1e5), (32, 40.0, 1e7), (1, 0.0, 300.0),
+                                           (5, 40.0, 0.7), (6, 0.05, 600.0), (14, 0.05, 600.0)])
+def test_squeeze_decides_as_the_exact_test(atoms, std, t):
+    params = ModelParams(d=1, alpha=1.5, t=t)
+    mu = (DiscreteMeasure.delta(np.zeros(1)) if atoms == 1
+          else DiscreteMeasure.gauss_hermite(atoms, std))
+    rng = np.random.default_rng(atoms)
+    y = rng.uniform(-2000.0, 2000.0, (4000, 1))
+    y[:atoms, 0] = mu.atoms[:, 0]                # candidates on the atoms
+    lo, hi = mu.atoms.min(), mu.atoms.max()
+    near = np.maximum(np.maximum(lo - y[:, 0], y[:, 0] - hi), 0.0)
+    far = np.maximum(y[:, 0] - lo, hi - y[:, 0])
+    sure = np.exp(-t * vhat_radial(near, 1.5)) * (1.0 - SQUEEZE_REL) - SQUEEZE_ABS
+    maybe = np.exp(-t * vhat_radial(far, 1.5)) * (1.0 + SQUEEZE_REL) + SQUEEZE_ABS
+    acc = tilt_acceptance(y, mu, params)
+    # u just inside and just outside both band edges, then uniform draws
+    planted = [np.nextafter(sure, -1.0), sure, np.nextafter(maybe, -1.0), maybe,
+               np.nextafter(maybe, 2.0)]
+    for u in planted + [rng.random(y.shape[0]) for _ in range(25)]:
+        u = np.clip(u, 0.0, np.nextafter(1.0, 0.0))
+        assert np.array_equal(thinning_keep(y, u, mu, params, t), u < acc)
 
 
 def test_tilted_at_t_zero_equals_homogeneous():

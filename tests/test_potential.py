@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from fklab import model
 from fklab.model import ModelParams, constants, quadratic_profile
 from fklab.points import Box, HomogeneousIntensity, PointConfig, sample_homogeneous
 from fklab.potential import (
@@ -166,3 +167,17 @@ def test_evaluate_V_2d():
     view = PotentialView(cfg, Box.cube(2, 6.0), params)
     v = evaluate_V(view, np.array([[0.0, 0.0]]))[0]
     assert v == pytest.approx(5.0 ** -3 + 1.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_blocked_evaluate_V_equals_one_block(d, monkeypatch):
+    # 2000 points make blocks of 16 rows, so 301 nodes span 19 blocks
+    params = ModelParams(d=d, alpha=d + 0.5, t=1.0)
+    radius = 1000.0 if d == 1 else 22.37
+    cfg = sample_homogeneous(Box.cube(d, radius), 1.0, seed=4)
+    assert 1900 < cfg.n < 2100
+    view = PotentialView(cfg, Box.cube(d, 10.0), params, compensate=True)
+    x = np.random.default_rng(0).uniform(-10.0, 10.0, (301, d))
+    blocked = evaluate_V(view, x)
+    monkeypatch.setattr(model, "PAIR_BLOCK", 2 ** 60)
+    assert np.array_equal(blocked, evaluate_V(view, x))
