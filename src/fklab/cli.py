@@ -1,8 +1,11 @@
 """Command-line entry point dispatching the scenario runners.
 
 Configuration precedence: built-in runner defaults < config file < flags.
-Exit status: 0 if every requested scenario's verdicts pass, 1 if any fail
-(control failures included), 2 on configuration errors.
+Exit status: 0 if every requested scenario's verdicts pass, 1 if any fail,
+2 on configuration errors.  Control failures count as failures, and so do
+numerical failures (a quadrature, eigen-solve or FK evolution that breaks
+down): those print one line with the reason and write no record, and
+`fklab all` goes on to the next scenario.
 """
 
 from __future__ import annotations
@@ -15,8 +18,10 @@ import os
 import sys
 
 from .experiments import SCENARIOS, config_hash
-from .laplace import QuadratureSpec
+from .laplace import QuadratureError, QuadratureSpec
 from .plots import render_svg
+from .semigroup import FKInstabilityError
+from .spectral import EigenSolveError
 
 # CLI names; hyphenated aliases of the runner registry keys
 _CLI_SCENARIOS = ("constants", "mgf", "laplace", "spectrum", "ids", "tilted",
@@ -313,6 +318,10 @@ def main(argv=None) -> int:
     for name in names:
         try:
             record = _run_one(name, cfg, out_dir)
+        except (QuadratureError, EigenSolveError, FKInstabilityError) as e:
+            print(f"fklab: numerical failure in {name}: {e}", file=sys.stderr)
+            worst = 1
+            continue
         except (ValueError, TypeError) as e:
             print(f"fklab: config error in {name}: {e}", file=sys.stderr)
             return 2

@@ -5,11 +5,23 @@ absorption on the box boundary, so that for a delta initial at 0
 
     <u_t, 1> = E_0[ exp(-int_0^t V(X_s) ds) : X stays in the box ].
 
-Time stepping is operator splitting: the potential factor exp(-dt V) is exact,
-and the heat step is either the exact spectral propagator of the discrete
-Dirichlet Laplacian (sine transform; eigenvalues (1 - cos(k pi/(n+1)))/h^2)
-or an unconditionally stable Crank-Nicolson / ADI solve.  Strang order gives
-O(dt^2) splitting error; with V constant the factorization is exact.
+Time stepping is Strang splitting, exp(-dt/2 V) heat(dt) exp(-dt/2 V): the
+potential factors are exact, and the heat step is either the exact spectral
+propagator of the discrete Dirichlet Laplacian (eigenvalues
+(1 - cos(k pi/(n+1)))/h^2) or an unconditionally stable Crank-Nicolson / ADI
+solve.  The splitting error is O(dt^2); with V constant the factorization is
+exact.
+
+The spectral step is a type-I sine transform, a multiply and the same
+transform again, which is its own inverse up to the factor 2(n+1) per axis
+folded into the multiplier.  The fields have 15 to a few hundred nodes and a
+few columns, so scipy.fft's per-call dispatch (backend lookup, argument
+checks, a copy) costs more than the transform itself.  The step therefore
+calls pocketfft's DST-I binding, the routine scipy.fft.dst(type=1) ends in,
+directly: one C call per transform, both done in place.  It performs
+the same operations in the same order, so results are bit-identical to
+scipy.fft.dst / dstn; tests/test_semigroup.py checks that, so a scipy that
+moves or changes the private binding fails loudly.
 
 In d = 1 the stepper accepts a stack of fields as columns of an (n, m) array,
 evolving m independent problems in one sweep; if V is also (n, m) each column
@@ -35,15 +47,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import dst, dstn
+from scipy.fft._pocketfft.pypocketfft import dst as _pocketfft_dst
 from scipy.linalg import cho_solve_banded, cholesky_banded
 
 from .model import ModelParams, constants, scale_r, vhat_sum
 from .points import Box, PointConfig, sample_homogeneous, stream
 from .potential import PotentialView, evaluate_V
 from .spectral import Grid, GridField, config_potential_field
-
-_DST_KW = dict(type=1)
 
 
 class FKInstabilityError(RuntimeError):
@@ -53,14 +63,11 @@ class FKInstabilityError(RuntimeError):
 @dataclass(frozen=True)
 class EvolutionSpec:
     dt: float
-    splitting: str = "strang"
     heat_step: str = "spectral"
 
     def __post_init__(self):
         if not (self.dt > 0 and np.isfinite(self.dt)):
             raise ValueError("dt must be positive")
-        if self.splitting not in ("first", "strang"):
-            raise ValueError("splitting must be 'first' or 'strang'")
         if self.heat_step not in ("spectral", "implicit"):
             raise ValueError("heat_step must be 'spectral' or 'implicit'")
 
@@ -77,15 +84,27 @@ def _dirichlet_eigenvalues(n: int, h: float) -> np.ndarray:
     return (1.0 - np.cos(k * np.pi / (n + 1))) / h ** 2
 
 
+def _sine_heat(u: np.ndarray, mult: np.ndarray, axes: tuple) -> np.ndarray:
+    """DST-I over `axes`, times `mult`, DST-I again, all in place in u: the
+    exact heat propagator when `mult` holds exp(-tau lambda_k) / prod 2(n_i+1)."""
+    # positional: (a, type, axes, inorm = 0 unnormalized, out); one thread
+    _pocketfft_dst(u, 1, axes, 0, u)
+    u *= mult
+    return _pocketfft_dst(u, 1, axes, 0, u)
+
+
+# The spectral steps overwrite the field they are given (FKStepper.step hands
+# them a temporary); the implicit ones return a new array.
+
 class _SpectralHeat1D:
+    """Acts on an (n,) field or an (n, m) stack of columns."""
+
     def __init__(self, n: int, h: float, tau: float):
-        self.n = n
-        self.mult = np.exp(-tau * _dirichlet_eigenvalues(n, h)) / (2.0 * (n + 1))
+        mult = np.exp(-tau * _dirichlet_eigenvalues(n, h)) / (2.0 * (n + 1))
+        self._mult = {1: mult, 2: mult[:, None]}
 
     def apply(self, u: np.ndarray) -> np.ndarray:
-        coef = dst(u, axis=0, **_DST_KW)
-        coef *= self.mult if u.ndim == 1 else self.mult[:, None]
-        return dst(coef, axis=0, **_DST_KW)
+        return _sine_heat(u, self._mult[u.ndim], (0,))
 
 
 class _SpectralHeat2D:
@@ -93,13 +112,11 @@ class _SpectralHeat2D:
         nx, ny = shape
         lx = _dirichlet_eigenvalues(nx, h)
         ly = _dirichlet_eigenvalues(ny, h)
-        self.mult = np.exp(-tau * (lx[:, None] + ly[None, :]))
-        self.mult /= 4.0 * (nx + 1) * (ny + 1)
+        self._mult = np.exp(-tau * (lx[:, None] + ly[None, :]))
+        self._mult /= 4.0 * (nx + 1) * (ny + 1)
 
     def apply(self, u: np.ndarray) -> np.ndarray:
-        coef = dstn(u, axes=(0, 1), **_DST_KW)
-        coef *= self.mult
-        return dstn(coef, axes=(0, 1), **_DST_KW)
+        return _sine_heat(u, self._mult, (0, 1))
 
 
 class _CrankNicolson1D:
@@ -159,19 +176,13 @@ class FKStepper:
         if not np.all(np.isfinite(V)):
             raise ValueError("potential must be finite")
         self.V = V
-        dt = spec.dt
-        if spec.splitting == "strang":
-            self._expV_half = np.exp(-0.5 * dt * V)
-            self._expV_full = None
-        else:
-            self._expV_half = None
-            self._expV_full = np.exp(-dt * V)
-        self._heat = _heat_solver(grid, dt, spec.heat_step)
+        self._expV_half = np.exp(-0.5 * spec.dt * V)
+        self._heat = _heat_solver(grid, spec.dt, spec.heat_step)
 
     def step(self, u: np.ndarray) -> np.ndarray:
-        if self.spec.splitting == "strang":
-            return self._expV_half * self._heat.apply(self._expV_half * u)
-        return self._expV_full * self._heat.apply(u)
+        v = self._heat.apply(self._expV_half * u)
+        v *= self._expV_half
+        return v
 
 
 def delta_field(grid: Grid, at=0.0) -> GridField:
@@ -462,7 +473,7 @@ def groundstate_transform_check(c: float, T: float, *, h: float = 0.005,
     if c <= 0:
         raise ValueError("c must be positive")
     if spec is None:
-        spec = EvolutionSpec(dt=dt, splitting="strang", heat_step="spectral")
+        spec = EvolutionSpec(dt=dt, heat_step="spectral")
     params = ModelParams(d=1, alpha=2.0, t=max(T, 1.0))
     grid = make_grid(params, box_radius, h)
     x = grid.axis_nodes(0)

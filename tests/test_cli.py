@@ -8,6 +8,9 @@ import pytest
 
 from fklab.cli import ConfigError, _coerce, _load_config, main
 from fklab.experiments import SCENARIOS, _chk, _record
+from fklab.laplace import QuadratureError
+from fklab.semigroup import FKInstabilityError
+from fklab.spectral import EigenSolveError
 
 
 def run_cli(tmp_path, *argv):
@@ -46,6 +49,33 @@ def test_failing_scenario_exits_one(tmp_path, monkeypatch):
     assert run_cli(tmp_path, "ids") == 1
     rec = json.loads((tmp_path / "ids.json").read_text())
     assert rec["status"] == "fail"
+
+
+@pytest.mark.parametrize("error", [QuadratureError, EigenSolveError,
+                                   FKInstabilityError])
+def test_numerical_failure_is_reported_and_all_goes_on(tmp_path, monkeypatch,
+                                                       capsys, error):
+    # a numerical breakdown inside a runner is a failed scenario (exit 1)
+    # with a one-line reason, not a traceback; `all` runs the rest
+    def passing_runner(key):
+        return lambda **_ignored: _record(key, None, 0, 0, {},
+                                          [_chk("ok", True)], d=1)
+
+    def breaking_runner(**_ignored):
+        raise error("it broke down")
+
+    for key in list(SCENARIOS):
+        monkeypatch.setitem(SCENARIOS, key, passing_runner(key))
+    monkeypatch.setitem(SCENARIOS, "localization", breaking_runner)
+    assert run_cli(tmp_path, "localization") == 1
+    assert capsys.readouterr().err == \
+        "fklab: numerical failure in localization: it broke down\n"
+    assert run_cli(tmp_path, "all") == 1
+    assert "numerical failure in localization" in capsys.readouterr().err
+    assert not (tmp_path / "localization.json").exists()
+    for key in SCENARIOS:
+        if key != "localization":
+            assert json.loads((tmp_path / f"{key}.json").read_text())["status"] == "pass"
 
 
 def test_unknown_scenario_is_a_usage_error(tmp_path, capsys):

@@ -1,17 +1,23 @@
 """Feynman-Kac evolution: heat kernel, splitting order, partition functions."""
 
+import inspect
 import math
 
 import numpy as np
 import pytest
 from scipy import integrate
+from scipy.fft import dst, dstn
 
+from fklab.experiments import batched_evolve, run_localization
 from fklab.model import ModelParams, constants, nu_coordinate_variance
 from fklab.points import Box, HomogeneousIntensity, PointConfig, sample_homogeneous
 from fklab.semigroup import (
     AnnealedEstimate,
     EvolutionSpec,
+    FKInstabilityError,
+    FKStepper,
     GroundstateReport,
+    _dirichlet_eigenvalues,
     annealed_partition,
     brownian_partition_mc,
     confinement_prob,
@@ -86,13 +92,91 @@ def test_strang_splitting_is_second_order():
     assert 3.0 < e1 / e2 < 5.0
 
 
-def test_first_order_splitting_available():
+def _localization_grids():
+    # every grid of the localization ladder at the runner's defaults
+    defaults = {k: p.default for k, p in
+                inspect.signature(run_localization).parameters.items()}
+    radii = [*defaults["L_ladder"], defaults["full_radius"]]
+    return [make_grid(P12, r, defaults["h"]) for r in radii]
+
+
+def _scipy_heat(u, mult, axes):
+    """The spectral heat step written with scipy.fft's public transforms."""
+    def transform(a):
+        return dst(a, type=1, axis=0) if axes == (0,) else dstn(a, type=1, axes=axes)
+
+    coef = transform(u)
+    coef *= mult
+    return transform(coef)
+
+
+def test_heat_step_is_bit_equal_to_scipy_fft():
+    # the step calls pocketfft's private DST-I binding; it must stay the very
+    # routine scipy.fft.dst(type=1) runs, so any drift fails here
+    grids = _localization_grids()
+    assert [g.shape[0] for g in grids] == [15, 23, 31, 47, 63, 95, 127, 191,
+                                           255, 383, 511, 767]
+    rng = np.random.default_rng(5)
+    tau = 0.25
+    for grid in grids:
+        n, h = grid.shape[0], grid.h
+        mult = np.exp(-tau * _dirichlet_eigenvalues(n, h)) / (2.0 * (n + 1))
+        for m in (None, 6, 7):
+            shape = (n,) if m is None else (n, m)
+            V = rng.uniform(0.0, 3.0, shape)
+            stepper = FKStepper(grid, V, EvolutionSpec(dt=tau))
+            u = rng.uniform(0.0, 1.0, shape)
+            ref_mult = mult if m is None else mult[:, None]
+            assert np.array_equal(stepper._heat.apply(u.copy()),
+                                  _scipy_heat(u, ref_mult, (0,)))
+            # chained Strang steps from a delta, so the fields span many decades
+            half = np.exp(-0.5 * tau * V)
+            u = np.zeros(shape)
+            u[n // 2] = 1.0 / h
+            ref = u.copy()
+            for _ in range(300):
+                u = stepper.step(u)
+                ref = half * _scipy_heat(half * ref, ref_mult, (0,))
+                assert np.array_equal(u, ref)
+    grid2 = Grid(Box.cube(2, 2.0), 0.1)
+    nx, ny = grid2.shape
+    V2 = rng.uniform(0.0, 3.0, grid2.shape)
+    tau = 1e-3
+    mult2 = np.exp(-tau * (_dirichlet_eigenvalues(nx, grid2.h)[:, None]
+                           + _dirichlet_eigenvalues(ny, grid2.h)[None, :]))
+    mult2 /= 4.0 * (nx + 1) * (ny + 1)
+    stepper = FKStepper(grid2, V2, EvolutionSpec(dt=tau))
+    half = np.exp(-0.5 * tau * V2)
+    u = ref = rng.uniform(0.0, 1.0, grid2.shape)
+    for _ in range(20):
+        u = stepper.step(u)
+        ref = half * _scipy_heat(half * ref, mult2, (0, 1))
+        assert np.array_equal(u, ref)
+
+
+def test_mass_growth_raises_instability(monkeypatch):
+    # a step that gains 1% mass must be caught by both evolution drivers;
+    # in the batch only column 2 gains, and the error names it and the time
+    plain_step = FKStepper.step
+
+    def leaky_step(self, u):
+        out = plain_step(self, u)
+        if out.ndim == 2:
+            out[:, 2] *= 1.01
+        else:
+            out *= 1.01
+        return out
+
+    monkeypatch.setattr(FKStepper, "step", leaky_step)
     g = grid_1d(4.0, 0.05)
     x = g.axis_nodes(0)
-    V = GridField(g, x ** 2)
-    a = fk_evolve(V, EvolutionSpec(dt=1e-3, splitting="first"), 0.25).mass()
-    b = fk_evolve(V, EvolutionSpec(dt=1e-3, splitting="strang"), 0.25).mass()
-    assert a == pytest.approx(b, rel=1e-3)
+    with pytest.raises(FKInstabilityError):
+        fk_evolve(GridField(g, 0.01 * x ** 2), EvolutionSpec(dt=0.01), 1.0)
+    V_cols = 0.01 * np.stack([x ** 2] * 4, axis=1)
+    with pytest.raises(FKInstabilityError, match=r"column 2: .* by t = 0\.8 "):
+        batched_evolve(g, V_cols, ((1.0, 0.05),))
+    monkeypatch.setattr(FKStepper, "step", plain_step)
+    batched_evolve(g, V_cols, ((1.0, 0.05),))
 
 
 def test_implicit_heat_step_matches_spectral():
@@ -293,8 +377,6 @@ def test_jackknife_and_pairwise_sum():
 def test_spec_guards():
     with pytest.raises(ValueError):
         EvolutionSpec(dt=0.0)
-    with pytest.raises(ValueError):
-        EvolutionSpec(dt=0.01, splitting="bogus")
     with pytest.raises(ValueError):
         EvolutionSpec(dt=0.01, heat_step="bogus")
     spec = EvolutionSpec(dt=0.3)
