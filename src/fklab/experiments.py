@@ -56,7 +56,7 @@ from .semigroup import (
     occupation_evolve,
 )
 
-ARTIFACT_VERSION = 2
+ARTIFACT_VERSION = 3
 
 
 # ---------------------------------------------------------------------------

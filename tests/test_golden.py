@@ -1,0 +1,101 @@
+"""Golden records: every scenario runner at a small size, pinned by the
+SHA-256 of its canonical JSON (`RunRecord.to_json()`), and the pairwise
+kernel's output bytes at a block edge.
+
+The bytes are pinned, not the verdicts: several runners fail their checks
+at these sizes, and that is fine.  A refactor that leaves the numerics alone
+must leave every hash as it is.  Change golden.json only together with an
+ARTIFACT_VERSION bump, and list the old and new headline numbers in
+CHANGES.md.  Regenerate it with
+
+    PYTHONPATH=src python tests/test_golden.py --write
+
+Bit identity is promised only on the numpy/scipy build and machine that
+wrote golden.json, since BLAS kernels differ between builds; on another
+stack the test skips and names the mismatch.
+"""
+
+import hashlib
+import json
+import platform
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+import scipy
+
+from fklab.experiments import ARTIFACT_VERSION, SCENARIOS
+from fklab.model import vhat_sum
+
+GOLDEN = Path(__file__).with_name("golden.json")
+
+SIZES = {
+    "constants": {},
+    "mgf": {},
+    "laplace": {},
+    "spectrum": {"n_samples": 4},
+    "ids": {"n_samples": 40},
+    "tilted": {},
+    "localization": {"n_samples": 6, "t_ladder": (16.0, 32.0, 64.0)},
+    "confinement": {"n_samples": 8},
+    "occupation": {"n_samples": 6, "t_ladder": (16.0, 64.0)},
+    "local_min_stats": {"n_samples": 200},
+    "ou_limit": {"n_samples": 4},
+    "lemma5": {"n_samples": 8},
+}
+
+
+def _stack() -> dict:
+    return {"numpy": np.__version__, "scipy": scipy.__version__,
+            "machine": platform.machine()}
+
+
+def _kernel_bytes() -> bytes:
+    """Weighted vhat_sum over 32 atoms, as tilted thinning calls it, on a row
+    count one past a block edge (1024 rows a block), in d = 1 and d = 2.  The
+    records at the sizes above never meet that row count."""
+    rng = np.random.default_rng(0)
+    weights = rng.random(32)
+    weights /= weights.sum()
+    out = []
+    for d in (1, 2):
+        atoms = rng.normal(scale=3.0, size=(32, d))
+        x = rng.normal(scale=50.0, size=(3 * 1024 + 1, d))
+        out.append(vhat_sum(x, atoms, 2.0, weights))
+    return np.concatenate(out).tobytes()
+
+
+def _digest(name: str) -> str:
+    if name == "vhat_sum":
+        blob = _kernel_bytes()
+    else:
+        blob = SCENARIOS[name](**SIZES[name]).to_json().encode()
+    return hashlib.sha256(blob).hexdigest()
+
+
+NAMES = sorted(SIZES) + ["vhat_sum"]
+
+
+def test_every_runner_has_a_golden_size():
+    assert set(SIZES) == set(SCENARIOS)
+
+
+@pytest.mark.parametrize("scenario", NAMES)
+def test_golden_record(scenario):
+    golden = json.loads(GOLDEN.read_text())
+    stack = _stack()
+    if golden["stack"] != stack:
+        pytest.skip(f"golden.json was written on {golden['stack']}, this is {stack}")
+    assert golden["artifact_version"] == ARTIFACT_VERSION, \
+        "ARTIFACT_VERSION changed: regenerate golden.json"
+    assert _digest(scenario) == golden["records"][scenario], \
+        f"{scenario} record bytes changed at the golden size"
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        sys.exit("usage: python tests/test_golden.py --write")
+    data = {"artifact_version": ARTIFACT_VERSION, "stack": _stack(),
+            "records": {s: _digest(s) for s in NAMES}}
+    GOLDEN.write_text(json.dumps(data, indent=2) + "\n")

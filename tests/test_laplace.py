@@ -7,10 +7,13 @@ import pytest
 from scipy import integrate
 from scipy.stats import norm
 
+from fklab.experiments import _mu_for
 from fklab.model import ModelParams, constants, h_t
 from fklab.points import DiscreteMeasure
 from fklab.laplace import (
+    QuadratureError,
     QuadratureSpec,
+    _gk_quad,
     box_log_laplace,
     exact_log_laplace,
     exact_mgf_V0,
@@ -227,3 +230,126 @@ def test_quadrature_spec_guards():
     spec = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-10, limit=300)
     assert exact_mgf_V0(1.0, P12, spec) == pytest.approx(
         exact_mgf_V0(1.0, P12), rel=1e-9)
+
+
+def _reference_quad(f, pts, ratio=1.25):
+    """scipy quad at epsrel 1e-12 between consecutive breakpoints, each piece
+    away from 0 cut into geometric panels of |b|/|a| <= ratio."""
+    total = 0.0
+    for a, b in zip(pts[:-1], pts[1:]):
+        if b <= a:
+            continue
+        edges = [a, b]
+        if a > 0.0 or b < 0.0:
+            n = math.ceil(math.log(max(abs(a), abs(b)) / min(abs(a), abs(b)))
+                          / math.log(ratio))
+            edges = np.geomspace(a, b, max(n, 1) + 1)
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            total += integrate.quad(f, lo, hi, epsabs=0.0, epsrel=1e-12,
+                                    limit=200)[0]
+    return total
+
+
+def _line_breakpoints(kinks, far):
+    """kinks, 0 and +-geomspace(1, far), clipped to [-far, far]"""
+    g = np.geomspace(1.0, far, 60)
+    pts = set(kinks) | set(g) | set(-g) | {0.0}
+    return sorted(p for p in pts if -far <= p <= far)
+
+
+def test_quadratures_match_geometric_reference():
+    # every quadrature entry point against scipy quad on fine geometric
+    # panels: the tilted_min ladder (full line, and a box of radius 5000 like
+    # the sampled box R), the run_mgf grid, box_log_laplace, the variance
+    # limit and a two-atom Laplace functional
+    rel = 1e-7
+    for t in (1e5, 1e6, 1e7):
+        p = P12.with_t(t)
+        mu = _mu_for(p)
+        x, w = mu.atoms[:, 0], np.asarray(mu.weights)
+        far = 1e4 * math.sqrt(t)  # t Phi < 1e-8 beyond far
+        for power, moment in ((1, tilted_mean_V), (2, tilted_variance_V)):
+            def f(y, power=power):
+                phi = w @ np.maximum(np.abs(y - x), 1.0) ** -2.0
+                return max(abs(y), 1.0) ** (-2.0 * power) * math.exp(-t * phi)
+
+            for radius in (None, 5e3):
+                end = far if radius is None else radius
+                pts = _line_breakpoints(list(x - 1.0) + list(x + 1.0), end)
+                ref = _reference_quad(f, pts)
+                if radius is None:  # analytic tails, exp(-t Phi) = 1 - O(1e-8)
+                    ref += 2.0 * far ** (1.0 - 2.0 * power) / (2.0 * power - 1.0)
+                got = moment(mu, 0.0, p, t=t, domain_radius=radius)
+                assert got == pytest.approx(ref, rel=rel), (t, power, radius)
+
+    for alpha in (1.5, 2.0, 2.5):
+        params = ModelParams(d=1, alpha=alpha, t=1.0)
+        c = constants(params)
+        beta = 1.0 / alpha
+        for s in (1e2, 1e3, 1e4):
+            J = _reference_quad(lambda u: -math.expm1(-u) * u ** (-beta - 1.0),
+                                [0.0, 1e-3, s])
+            ref = -(c.omega_d * -math.expm1(-s) + c.sigma_d / alpha * s ** beta * J)
+            assert exact_mgf_V0(s, params) == pytest.approx(ref, rel=rel), (alpha, s)
+
+    p15 = ModelParams(d=1, alpha=1.5, t=1.0)
+    for s, half in ((712.0, 400.0), (40.0, 60.0), (3.0, 6.0)):
+        tail = _reference_quad(lambda y: -math.expm1(-s * y ** -1.5), [1.0, half])
+        ref = 2.0 * (-math.expm1(-s) + tail)
+        assert box_log_laplace(s, p15, half) == pytest.approx(ref, rel=rel), s
+
+    t, scale = 1e8, 1e4
+    radial = _reference_quad(lambda r: r ** -4.0 * math.exp(-t / (r * r)),
+                             [1e-3 * scale, 1e5 * scale])
+    ref = 2.0 * t ** 1.5 * (radial + (1e5 * scale) ** -3.0 / 3.0)
+    assert variance_limit_quadrature(P12) == pytest.approx(ref, rel=rel)
+
+    # the difference integral of the two-atom functional at run_laplace's t
+    t = 1e6
+    mu = DiscreteMeasure(np.array([[-1.0], [1.0]]), np.array([0.5, 0.5]))
+
+    def g(y):
+        one = math.exp(-t * max(abs(y), 1.0) ** -2.0)
+        if abs(y) <= 2.0:
+            phi = 0.5 * max(abs(y - 1.0), 1.0) ** -2.0 + 0.5 * max(abs(y + 1.0), 1.0) ** -2.0
+            return one - math.exp(-t * phi)
+        # Phi - vhat in closed form, free of cancellation in the far field
+        y2 = y * y
+        return -one * math.expm1(-t * (3.0 * y2 - 1.0) / (y2 * (y2 - 1.0) ** 2))
+
+    diff = _reference_quad(g, _line_breakpoints([-2.0, 2.0], 1e7))
+    got = exact_log_laplace(mu, P12, t=t) + exact_mgf_V0(t, P12)
+    assert got == pytest.approx(diff, rel=rel)
+
+
+def test_gk_quad_error_contract():
+    spec = QuadratureSpec()
+    kinked = lambda y: np.abs(y - 0.3)
+    exact = (0.3 ** 2 + 0.7 ** 2) / 2.0
+    with pytest.raises(QuadratureError):
+        _gk_quad(kinked, [0.0, 1.0], QuadratureSpec(limit=1))
+    with pytest.raises(ValueError):
+        QuadratureSpec(limit=0)
+    val, err = _gk_quad(kinked, [0.0, 1.0], spec)
+    assert 0.0 < err <= max(spec.abs_tol, spec.rel_tol * exact)
+    assert abs(val - exact) <= err
+    # one f call per sweep, on the 21 nodes of every new panel; a panel away
+    # from 0 is cut geometrically first, so [1, 10] starts as 4 of 6 panels
+    sizes = []
+
+    def counted(y):
+        sizes.append(y.size)
+        return np.exp(-y)
+
+    val, err = _gk_quad(counted, [-1.0, 0.0, 1.0, 10.0], spec)
+    assert sizes == [21 * 6]
+    assert val == pytest.approx(math.exp(1.0) - math.exp(-10.0), rel=1e-14)
+    assert err <= spec.rel_tol * val
+    assert _gk_quad(counted, [2.0, 2.0], spec) == (0.0, 0.0)
+    with pytest.raises(QuadratureError):
+        _gk_quad(lambda y: np.where(y < 0.5, np.inf, y), [0.0, 1.0], spec)
+    # a tolerance below the cancellation noise of the two-atom difference
+    # integrand is refused, after a bounded number of panels
+    mu = DiscreteMeasure(np.array([[-1.0], [1.0]]), np.array([0.5, 0.5]))
+    with pytest.raises(QuadratureError):
+        exact_log_laplace(mu, P12, QuadratureSpec(abs_tol=1e-14, rel_tol=1e-12), t=1e6)
