@@ -13,7 +13,7 @@ import numpy as np
 from fklab import (
     GridField,
     ModelParams,
-    assemble,
+    SchrodingerOperator,
     constants,
     ids_estimate,
     make_grid,
@@ -32,7 +32,7 @@ def oscillator():
     sigma = (8.0 * c.C) ** -0.25
     grid = make_grid(p, 10.0 * sigma, 0.01)
     x = grid.axis_nodes(0)
-    res = smallest_eigs(assemble(GridField(grid, c.C * x ** 2)), k=2)
+    res = smallest_eigs(SchrodingerOperator(GridField(grid, c.C * x ** 2)), k=2)
     print("harmonic control:")
     print(f"  lambda1 {res.lambda1:.8f}  vs  a2       {c.a2:.8f}")
     print(f"  gap     {res.lambda2 - res.lambda1:.8f}  vs  sqrt(2C) "
@@ -48,7 +48,7 @@ def random_configs(n=6, seed=0):
         cfg = sample_homogeneous(Box.cube(1, 50.0), 1.0, seed, path=(rep,))
         V = config_potential_field(cfg.points, grid, p)
         # rough random wells: the second level can stall below 1e-10
-        res = smallest_eigs(assemble(V), k=2, tol=1e-8)
+        res = smallest_eigs(SchrodingerOperator(V), k=2, tol=1e-8)
         print(f"  replica {rep}: lambda1 {res.lambda1:8.4f}   lambda2 "
               f"{res.lambda2:8.4f}   residual {res.residual1:.1e}")
     print()

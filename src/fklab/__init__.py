@@ -55,27 +55,22 @@ from .spectral import (
     Grid,
     GridField,
     IdsCurve,
-    assemble,
+    SchrodingerOperator,
     config_potential_field,
     ids_estimate,
     rayleigh_quotient,
     smallest_eigs,
 )
 from .semigroup import (
-    AnnealedEstimate,
     EvolutionSpec,
     FKStepper,
-    annealed_partition,
     brownian_partition_mc,
-    confinement_prob,
     delta_field,
     fk_evolve,
     groundstate_transform_check,
     make_grid,
     occupation_evolve,
-    occupation_functional,
     ones_field,
-    quenched_partition,
     time_marginal,
 )
 from .experiments import (

@@ -1,6 +1,9 @@
 """Command-line entry point dispatching the scenario runners.
 
 Configuration precedence: built-in runner defaults < config file < flags.
+A flag or config key that the scenario's runner does not take is a
+configuration error; under `all` each goes only to the runners that take it,
+and only those record it in their settings and config hash.
 Exit status: 0 if every requested scenario's verdicts pass, 1 if any fail,
 2 on configuration errors.  Control failures count as failures, and so do
 numerical failures (a quadrature, eigen-solve or FK evolution that breaks
@@ -13,6 +16,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import inspect
 import json
 import os
 import sys
@@ -30,7 +34,14 @@ _CLI_SCENARIOS = ("constants", "mgf", "laplace", "spectrum", "ids", "tilted",
 _RUNNER_KEY = {"local-min": "local_min_stats", "ou-check": "ou_limit"}
 
 _CONFIG_KEYS = ("d", "alpha", "t", "t_ladder", "s", "samples", "seed", "h",
-                "dt", "quad_abs", "quad_rel", "out", "threads", "plots")
+                "dt", "quad_abs", "quad_rel", "out", "plots")
+# execution settings: they set no runner parameter and stay out of the hash
+_EXECUTION_KEYS = ("out", "plots")
+# runner parameter a config key sets, where the names differ
+_PARAM = {"samples": "n_samples", "s": "s_grid", "quad_abs": "quad",
+          "quad_rel": "quad"}
+_SCENARIO_PARAM = {"mgf": {"alpha": "alphas"}, "lemma5": {"t_ladder": "t_values"},
+                   "ou-check": {"h": "h_y", "dt": "dt_y"}}
 
 
 class ConfigError(Exception):
@@ -106,7 +117,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--quad-abs", dest="quad_abs", type=float)
     p.add_argument("--quad-rel", dest="quad_rel", type=float)
     p.add_argument("--out", help="output directory (default $FKLAB_OUT or ./runs)")
-    p.add_argument("--threads", type=int)
     p.add_argument("--plots", action="store_true", default=None,
                    help="also write SVG plots for tabular outputs")
     return p
@@ -126,7 +136,7 @@ def _resolve(args: argparse.Namespace) -> dict:
             cfg["t_ladder"] = [float(x) for x in cfg["t_ladder"]]
         except (TypeError, ValueError):
             raise ConfigError("t_ladder must be a list of numbers")
-    for key in ("d", "samples", "seed", "threads"):
+    for key in ("d", "samples", "seed"):
         if key in cfg:
             try:
                 cfg[key] = int(cfg[key])
@@ -144,9 +154,8 @@ def _resolve(args: argparse.Namespace) -> dict:
     for key in ("t", "s", "h", "dt", "quad_abs", "quad_rel"):
         if key in cfg and not cfg[key] > 0:
             raise ConfigError(f"{key} must be positive, got {cfg[key]}")
-    for key in ("samples", "threads"):
-        if key in cfg and cfg[key] < 1:
-            raise ConfigError(f"{key} must be at least 1, got {cfg[key]}")
+    if "samples" in cfg and cfg["samples"] < 1:
+        raise ConfigError(f"samples must be at least 1, got {cfg['samples']}")
     if "d" in cfg and cfg["d"] < 1:
         raise ConfigError(f"d must be a positive integer, got {cfg['d']}")
     if "t_ladder" in cfg and not all(x > 0 for x in cfg["t_ladder"]):
@@ -154,29 +163,32 @@ def _resolve(args: argparse.Namespace) -> dict:
     return cfg
 
 
-def _runner_kwargs(cli_name: str, cfg: dict) -> dict:
-    kw = {}
-    for key in ("d", "alpha", "t", "seed", "threads"):
-        if key in cfg:
-            kw[key] = cfg[key]
-    if cli_name == "mgf":
-        # the mgf runner sweeps grids; a bare flag narrows to one cell
-        if "alpha" in kw:
-            kw["alphas"] = (kw.pop("alpha"),)
-        if "s" in cfg:
-            kw["s_grid"] = (cfg["s"],)
-    if "samples" in cfg:
-        kw["n_samples"] = cfg["samples"]
-    if "t_ladder" in cfg:
-        kw["t_values" if cli_name == "lemma5" else "t_ladder"] = cfg["t_ladder"]
-    if "h" in cfg:
-        kw["h_y" if cli_name == "ou-check" else "h"] = cfg["h"]
-    if "dt" in cfg:
-        kw["dt_y" if cli_name == "ou-check" else "dt"] = cfg["dt"]
-    if "quad_abs" in cfg or "quad_rel" in cfg:
+def _runner(cli_name: str):
+    return SCENARIOS[_RUNNER_KEY.get(cli_name, cli_name)]
+
+
+def _runner_kwargs(cli_name: str, cfg: dict) -> tuple[dict, list]:
+    """Keyword arguments of the scenario's runner from the config, and the
+    config keys that set none of the runner's parameters."""
+    declared = inspect.signature(_runner(cli_name)).parameters
+    names = {**_PARAM, **_SCENARIO_PARAM.get(cli_name, {})}
+    kw, unused = {}, []
+    for key in sorted(cfg):
+        if key in _EXECUTION_KEYS:
+            continue
+        name = names.get(key, key)
+        if name in declared:
+            kw[name] = cfg[key]
+        else:
+            unused.append(key)
+    # the mgf runner sweeps grids; a bare flag narrows to one cell
+    for name in ("alphas", "s_grid"):
+        if name in kw:
+            kw[name] = (kw[name],)
+    if "quad" in kw:
         kw["quad"] = QuadratureSpec(abs_tol=cfg.get("quad_abs", 1e-10),
                                     rel_tol=cfg.get("quad_rel", 1e-8))
-    return kw
+    return kw, unused
 
 
 def _provenance(record) -> str:
@@ -282,10 +294,11 @@ def _plot_record(record, out_dir: str) -> None:
 
 
 def _run_one(cli_name: str, cfg: dict, out_dir: str) -> "RunRecord":
-    key = _RUNNER_KEY.get(cli_name, cli_name)
-    record = SCENARIOS[key](**_runner_kwargs(cli_name, cfg))
-    # execution settings do not change the record, so they stay out of its hash
-    resolved = {k: cfg[k] for k in sorted(cfg) if k not in ("out", "plots", "threads")}
+    kw, unused = _runner_kwargs(cli_name, cfg)
+    record = _runner(cli_name)(**kw)
+    # the hash covers the keys this runner took
+    resolved = {k: cfg[k] for k in sorted(cfg)
+                if k not in _EXECUTION_KEYS and k not in unused}
     settings = {**record.settings, "resolved_cli": resolved}
     record = dataclasses.replace(
         record, settings=settings,
@@ -303,6 +316,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = _resolve(args)
+        if args.scenario != "all":
+            unused = _runner_kwargs(args.scenario, cfg)[1]
+            if unused:
+                raise ConfigError(f"{args.scenario} does not take " + ", ".join(
+                    "--" + k.replace("_", "-") for k in unused))
     except ConfigError as e:
         print(f"fklab: config error: {e}", file=sys.stderr)
         return 2

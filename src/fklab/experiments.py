@@ -15,8 +15,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -45,7 +44,7 @@ from .laplace import (
     two_point_bound_check,
     variance_limit_quadrature,
 )
-from .spectral import Grid, GridField, assemble, ids_estimate, smallest_eigs
+from .spectral import Grid, GridField, SchrodingerOperator, ids_estimate, smallest_eigs
 from .semigroup import (
     EvolutionSpec,
     FKInstabilityError,
@@ -230,14 +229,6 @@ def _control_failed_record(scenario, params, seed, n_samples, settings, checks,
 
 # ---------------------------------------------------------------------------
 # shared numeric machinery
-
-def _pmap(fn, items, threads: int):
-    """Order-preserving map; results always reduce in item order."""
-    if threads <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
 
 def default_schedule(t: float) -> tuple:
     """Piecewise-constant dt ladder: fine steps early when the potential term
@@ -437,7 +428,7 @@ def _compensated_columns(grid: Grid, configs, params: ModelParams) -> np.ndarray
 # closed-form and quadrature scenarios
 
 def run_constants(d: int = 1, alpha: float = 2.0, t: float = 100.0,
-                  seed: int = 0, h: float = 0.01, **_ignored) -> RunRecord:
+                  seed: int = 0, h: float = 0.01) -> RunRecord:
     """Constants bundle plus an eigensolver cross-check of the oscillator
     ground energy a2 = d sqrt(C/2) on a fine grid."""
     params = ModelParams(d=d, alpha=alpha, t=t)
@@ -468,7 +459,7 @@ def run_constants(d: int = 1, alpha: float = 2.0, t: float = 100.0,
         else:
             pts = grid.nodes().reshape(-1, dd)
             Vv = (cb.C * np.sum(pts ** 2, axis=1)).reshape(grid.shape)
-        res = smallest_eigs(assemble(GridField(grid, Vv)), k=1)
+        res = smallest_eigs(SchrodingerOperator(GridField(grid, Vv)), k=1)
         rel = abs(res.lambda1 - cb.a2) / cb.a2
         checks.append(_chk(f"oscillator_a2_d{dd}_alpha{aa:g}", rel <= 1e-3,
                            observed=rel, target=0.0, tol=1e-3))
@@ -477,8 +468,7 @@ def run_constants(d: int = 1, alpha: float = 2.0, t: float = 100.0,
 
 
 def run_mgf(d: int = 1, alphas=(1.5, 2.0, 2.5), s_grid=(1e2, 1e3, 1e4),
-            seed: int = 0, quad: QuadratureSpec = QuadratureSpec(),
-            **_ignored) -> RunRecord:
+            seed: int = 0, quad: QuadratureSpec = QuadratureSpec()) -> RunRecord:
     """Single-point exponential functional against its closed-form asymptote:
     |log E[e^{-s V(0)}] + a1 s^{d/alpha}| <= 10 e^{-s} + 1e-6."""
     settings = {"alphas": list(alphas), "s_grid": list(s_grid),
@@ -502,8 +492,7 @@ def run_mgf(d: int = 1, alphas=(1.5, 2.0, 2.5), s_grid=(1e2, 1e3, 1e4),
 
 def run_laplace(d: int = 1, alpha: float = 2.0, t: float = 1e6,
                 two_point_t: float = 1e4, separations=(1.0, 2.0, 5.0, 10.0, 20.0),
-                seed: int = 0, quad: QuadratureSpec = QuadratureSpec(),
-                **_ignored) -> RunRecord:
+                seed: int = 0, quad: QuadratureSpec = QuadratureSpec()) -> RunRecord:
     """Two-atom Laplace functional: second-order residual recovers C, and the
     pair bound with c1 = C/5 holds with positive margin over a separation sweep."""
     params = ModelParams(d=d, alpha=alpha, t=t)
@@ -540,7 +529,7 @@ def run_laplace(d: int = 1, alpha: float = 2.0, t: float = 1e6,
 
 def run_spectrum(d: int = 1, alpha: float = 2.0, t: float = 100.0,
                  n_samples: int = 3, seed: int = 0, h: float = 0.05,
-                 box_radius: float | None = None, **_ignored) -> RunRecord:
+                 box_radius: float | None = None) -> RunRecord:
     """Principal eigenpair diagnostics for sampled configurations, gated by
     the oscillator control (lambda1 = a2 within 1e-3)."""
     params = ModelParams(d=d, alpha=alpha, t=t)
@@ -551,7 +540,7 @@ def run_spectrum(d: int = 1, alpha: float = 2.0, t: float = 100.0,
     sigma = math.sqrt(1.0 / math.sqrt(8.0 * c.C))
     ctrl_grid = make_grid(params, 10.0 * sigma, 0.01)
     xs = ctrl_grid.axis_nodes(0)
-    ctrl = smallest_eigs(assemble(GridField(ctrl_grid, c.C * xs ** 2)), k=2)
+    ctrl = smallest_eigs(SchrodingerOperator(GridField(ctrl_grid, c.C * xs ** 2)), k=2)
     rel = abs(ctrl.lambda1 - c.a2) / c.a2
     gap_rel = abs((ctrl.lambda2 - ctrl.lambda1) - spectral_gap(params)) \
         / spectral_gap(params)
@@ -573,7 +562,7 @@ def run_spectrum(d: int = 1, alpha: float = 2.0, t: float = 100.0,
         view = PotentialView(cfg, grid.box, params, compensate=True,
                              max_far_bound=0.5)
         Vv = evaluate_V(view, grid.nodes()[:, None]).reshape(grid.shape)
-        res = smallest_eigs(assemble(GridField(grid, Vv)), k=2)
+        res = smallest_eigs(SchrodingerOperator(GridField(grid, Vv)), k=2)
         ok_order &= 0.0 < res.lambda1 <= res.lambda2
         ok_resid &= res.residual1 <= 1e-8
         rows.append({"replica": r, "lambda1": res.lambda1,
@@ -590,7 +579,7 @@ def run_spectrum(d: int = 1, alpha: float = 2.0, t: float = 100.0,
 
 def run_ids(d: int = 1, alpha: float = 1.5, lambda_grid=(0.4, 0.56, 0.72, 0.88, 1.04, 1.2),
             box_size: float = 40.0, n_samples: int = 1000, seed: int = 0,
-            h: float = 0.25, threads: int = 1, **_ignored) -> RunRecord:
+            h: float = 0.25) -> RunRecord:
     """Lifshitz-tail slope: fit of log(-log N(lambda)) vs log(1/lambda)
     against d/(alpha - d), judged on the primary window.
 
@@ -641,7 +630,7 @@ def run_ids(d: int = 1, alpha: float = 1.5, lambda_grid=(0.4, 0.56, 0.72, 0.88, 
 # tilted sampler diagnostics
 
 def run_tilted(d: int = 1, alpha: float = 2.0, t: float = 100.0,
-               n_samples: int = 200, seed: int = 0, **_ignored) -> RunRecord:
+               n_samples: int = 200, seed: int = 0) -> RunRecord:
     """Thinning sampler against the exact mean of the tilted intensity."""
     params = ModelParams(d=d, alpha=alpha, t=t)
     if d != 1:
@@ -689,8 +678,8 @@ def run_localization(d: int = 1, alpha: float = 2.0,
                      L_ladder=(2.0, 3.0, 4.0, 6.0, 8.0, 12.0, 16.0, 24.0,
                                32.0, 48.0, 64.0),
                      full_radius: float = 96.0, n_samples: int = 200,
-                     seed: int = 0, h: float = 0.25, config_margin: float = 60.0,
-                     threads: int = 1, **_ignored) -> RunRecord:
+                     seed: int = 0, h: float = 0.25,
+                     config_margin: float = 60.0) -> RunRecord:
     """Median confinement radius L*(t) (annealed sup-norm localization) and
     its fitted growth exponent against (alpha - d + 2)/(4 alpha).
 
@@ -842,8 +831,7 @@ def run_localization(d: int = 1, alpha: float = 2.0,
 
 def run_confinement(d: int = 1, alpha: float = 2.0,
                     t_ladder=(1e2, 1e3, 1e4), n_samples: int = 100,
-                    seed: int = 0, eps: float = 0.25, threads: int = 1,
-                    **_ignored) -> RunRecord:
+                    seed: int = 0, eps: float = 0.25) -> RunRecord:
     """Quadratic-profile deviation around the found minimum under the tilted
     environment law: the scaled deviation median decreases along the ladder
     and the minimizer stays near the tilt center.
@@ -880,21 +868,17 @@ def run_confinement(d: int = 1, alpha: float = 2.0,
         box = Box.cube(1, 5.0 * r + 70.0)
         window = Box.cube(1, 3.0 * r + 1.0)
         search = Box.cube(1, 2.0 * r)
-
-        def one(rep, params=params, r=r, mu=mu, box=box, window=window,
-                search=search, t=t, ti=ti):
+        locs = np.empty(n_samples)
+        devs = np.empty(n_samples)
+        for rep in range(n_samples):
             cfg = sample_tilted(mu, params, box, seed, path=(ti, rep))
             vs = PotentialView(cfg, search, params, compensate=True,
                                max_far_bound=0.5)
             m = find_local_min(vs, coarse_step=r / 16.0, refine_tol=1e-3)
             vd = PotentialView(cfg, window, params, compensate=True,
                                max_far_bound=0.5)
-            dev = profile_deviation(vd, m.location, r, params)
-            return float(m.location[0]), dev
-
-        results = _pmap(one, range(n_samples), threads)
-        locs = np.array([x for x, _ in results])
-        devs = np.array([dv for _, dv in results])
+            locs[rep] = m.location[0]
+            devs[rep] = profile_deviation(vd, m.location, r, params)
         scaled = t ** expo * devs
         med, lo, hi = _median_ci(scaled)
         medians.append(med)
@@ -927,8 +911,7 @@ def run_confinement(d: int = 1, alpha: float = 2.0,
 def run_local_min_stats(d: int = 1, alpha: float = 2.0,
                         t_ladder=(1e5, 1e6, 1e7), n_samples: int = 10000,
                         seed: int = 0, tail_var_fraction: float = 0.01,
-                        quad: QuadratureSpec = QuadratureSpec(),
-                        threads: int = 1, **_ignored) -> RunRecord:
+                        quad: QuadratureSpec = QuadratureSpec()) -> RunRecord:
     """Monte Carlo law of V(center) under the tilted environment against the
     exact quadrature mean/variance, plus gaussianity of the standardized law
     at the largest horizon.
@@ -986,14 +969,14 @@ def run_local_min_stats(d: int = 1, alpha: float = 2.0,
         var_trunc = tilted_variance_V(mu, 0.0, params, quad, t=t, domain_radius=R)
         comp = mean_full - mean_trunc
 
-        def one(rep, mu=mu, params=params, box=box, t=t, ti=ti, comp=comp):
+        vals = np.empty(n_samples)
+        for rep in range(n_samples):
             cfg = sample_tilted(mu, params, box, seed, path=(ti, rep))
             if cfg.n == 0:
-                return comp
-            return float(np.sum(vhat_radial(np.abs(cfg.points[:, 0]),
-                                            params.alpha))) + comp
-
-        vals = np.array(_pmap(one, range(n_samples), threads))
+                vals[rep] = comp
+            else:
+                vals[rep] = float(np.sum(vhat_radial(np.abs(cfg.points[:, 0]),
+                                                     params.alpha))) + comp
         mean, var, skew, kurt = _moments(vals)
         se_mean = math.sqrt(var / n_samples)
         ht = h_t(params)
@@ -1048,8 +1031,8 @@ def run_local_min_stats(d: int = 1, alpha: float = 2.0,
 
 def run_occupation(d: int = 1, alpha: float = 2.0,
                    t_ladder=(16.0, 64.0, 256.0, 1024.0), n_samples: int = 100,
-                   seed: int = 0, h: float = 0.25, eps: float = 0.25,
-                   threads: int = 1, **_ignored) -> RunRecord:
+                   seed: int = 0, h: float = 0.25,
+                   eps: float = 0.25) -> RunRecord:
     """Second moment of the normalized occupation measure about the found
     minimum: scaled by t^{-(alpha-d+2)/(2 alpha)} it approaches the stationary
     coordinate variance (8C)^{-1/2}, with the deviation shrinking along the
@@ -1166,8 +1149,8 @@ def _ou_cdf_distance(grid: Grid, dens: np.ndarray, mean: float, var: float) -> f
 
 def run_ou_limit(d: int = 1, alpha: float = 2.0, t_ladder=(1e2, 1e3),
                  n_samples: int = 24, seed: int = 0, T: float = 1.0,
-                 h_y: float = 0.02, dt_y: float = 5e-4, y_radius: float = 5.0,
-                 threads: int = 1, **_ignored) -> RunRecord:
+                 h_y: float = 0.02, dt_y: float = 5e-4,
+                 y_radius: float = 5.0) -> RunRecord:
     """Rescaled quenched kernel against OU transition laws centered at the
     found minimum: sup CDF distances at {T/4, T/2, T}, their median shrinking
     with the horizon, and recovery of the mean-reversion center.
@@ -1295,8 +1278,8 @@ def run_ou_limit(d: int = 1, alpha: float = 2.0, t_ladder=(1e2, 1e3),
 
 def run_lemma5(d: int = 1, alpha: float = 2.0, t_values=(4.0, 8.0, 16.0),
                n_samples: int = 100, seed: int = 0, h: float = 0.125,
-               dt: float = 0.005, config_margin: float = 30.0,
-               threads: int = 1, **_ignored) -> RunRecord:
+               dt: float = 0.005,
+               config_margin: float = 30.0) -> RunRecord:
     """Eigenvalue lower bound for the box partition function.
 
     Per config: <T_t 1, 1> >= (2 pi)^d e^{-2 lambda1} (2t)^{-d} e^{-t lambda1}
@@ -1324,11 +1307,9 @@ def run_lemma5(d: int = 1, alpha: float = 2.0, t_values=(4.0, 8.0, 16.0),
             view = PotentialView(cfg, grid.box, params, compensate=False)
             V_cols[:, j] = evaluate_V(view, nodes[:, None])
 
-        def lam1_of(j):
-            return smallest_eigs(assemble(GridField(grid, V_cols[:, j])),
-                                 k=1).lambda1
-
-        lam1 = np.array(_pmap(lam1_of, range(n_samples), threads))
+        lam1 = np.array([
+            smallest_eigs(SchrodingerOperator(GridField(grid, V_cols[:, j])), k=1).lambda1
+            for j in range(n_samples)])
         schedule = ((t, dt),)
         ones0 = np.ones((nodes.size, n_samples))
         u_ones, _, _ = batched_evolve(grid, V_cols, schedule, initial=ones0)

@@ -1,4 +1,4 @@
-"""Poisson environments: boxes, discrete measures, samplers, serialization.
+"""Poisson environments: boxes, discrete measures and samplers.
 
 Homogeneous configurations are unit-rate Poisson samples on a box.  Tilted
 configurations realize the size-biased environment whose intensity is
@@ -16,9 +16,8 @@ regardless of scheduling.
 
 from __future__ import annotations
 
-import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -145,25 +144,11 @@ class DiscreteMeasure:
 
 
 @dataclass(frozen=True)
-class HomogeneousIntensity:
-    rate: float
-
-
-@dataclass(frozen=True)
-class TiltedIntensity:
-    mu: DiscreteMeasure
-    t: float
-    ambient_rate: float = 1.0
-
-
-@dataclass(frozen=True)
 class PointConfig:
-    """A sampled point configuration together with its sampling metadata."""
+    """A sampled point configuration and the box it was sampled in."""
 
     points: np.ndarray
     box: Box
-    intensity: object
-    seed: int | None = None
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
@@ -194,7 +179,7 @@ def sample_homogeneous(box: Box, rate: float, seed: int, *, path=()) -> PointCon
     n = rng.poisson(rate * box.volume)
     u = rng.uniform(-1.0, 1.0, size=(n, box.d))
     pts = np.asarray(box.center) + u * np.asarray(box.half_widths)
-    return PointConfig(pts, box, HomogeneousIntensity(rate), seed)
+    return PointConfig(pts, box)
 
 
 def tilt_log_weight(y, mu: DiscreteMeasure, params: ModelParams, t: float | None = None):
@@ -258,93 +243,4 @@ def sample_tilted(mu: DiscreteMeasure, params: ModelParams, box: Box, seed: int,
     base = sample_homogeneous(box, 1.0, seed, path=path)
     u = stream(seed, *path, 1).random(base.n)
     keep = thinning_keep(base.points, u, mu, params, t)
-    return PointConfig(base.points[keep], box, TiltedIntensity(mu, t), seed)
-
-
-# ---------------------------------------------------------------------------
-# line-oriented text serialization
-
-_FMT = "%.17g"
-
-
-def dump_config(config: PointConfig) -> str:
-    out = io.StringIO()
-    out.write("# fklab-points 1\n")
-    out.write("# seed %s\n" % ("none" if config.seed is None else int(config.seed)))
-    out.write("# box %s | %s\n" % (
-        " ".join(_FMT % c for c in config.box.center),
-        " ".join(_FMT % h for h in config.box.half_widths)))
-    gen = config.intensity
-    if isinstance(gen, HomogeneousIntensity):
-        out.write("# intensity homogeneous %s\n" % (_FMT % gen.rate))
-    elif isinstance(gen, TiltedIntensity):
-        out.write("# intensity tilted t=%s ambient=%s atoms=%d\n"
-                  % (_FMT % gen.t, _FMT % gen.ambient_rate, gen.mu.atoms.shape[0]))
-        for w, atom in zip(gen.mu.weights, gen.mu.atoms):
-            out.write("# atom %s %s\n" % (_FMT % w, " ".join(_FMT % a for a in atom)))
-    else:
-        raise ValueError(f"unknown intensity {gen!r}")
-    out.write("%d\n" % config.n)
-    for p in config.points:
-        out.write(" ".join(_FMT % x for x in p) + "\n")
-    return out.getvalue()
-
-
-def save_config(config: PointConfig, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(dump_config(config))
-
-
-def parse_config(text: str) -> PointConfig:
-    lines = text.splitlines()
-    if not lines or lines[0].strip() != "# fklab-points 1":
-        raise ValueError("not a points file (missing header)")
-    seed = None
-    box = None
-    intensity = None
-    atoms, weights, n_atoms = [], [], 0
-    i = 1
-    while i < len(lines) and lines[i].startswith("#"):
-        parts = lines[i][1:].split()
-        if parts[0] == "seed":
-            seed = None if parts[1] == "none" else int(parts[1])
-        elif parts[0] == "box":
-            bar = parts.index("|")
-            center = [float(x) for x in parts[1:bar]]
-            hw = [float(x) for x in parts[bar + 1:]]
-            box = Box(center, hw)
-        elif parts[0] == "intensity":
-            if parts[1] == "homogeneous":
-                intensity = HomogeneousIntensity(float(parts[2]))
-            elif parts[1] == "tilted":
-                kv = dict(p.split("=") for p in parts[2:])
-                n_atoms = int(kv["atoms"])
-                intensity = ("tilted", float(kv["t"]), float(kv["ambient"]))
-            else:
-                raise ValueError(f"unknown intensity kind {parts[1]!r}")
-        elif parts[0] == "atom":
-            weights.append(float(parts[1]))
-            atoms.append([float(x) for x in parts[2:]])
-        else:
-            raise ValueError(f"unknown header line {lines[i]!r}")
-        i += 1
-    if box is None or intensity is None:
-        raise ValueError("missing box or intensity header")
-    if isinstance(intensity, tuple):
-        if len(atoms) != n_atoms:
-            raise ValueError("atom count mismatch")
-        mu = DiscreteMeasure(np.array(atoms), np.array(weights))
-        intensity = TiltedIntensity(mu, intensity[1], intensity[2])
-    n = int(lines[i])
-    pts = []
-    for row in lines[i + 1:i + 1 + n]:
-        pts.append([float(x) for x in row.split()])
-    if len(pts) != n:
-        raise ValueError(f"expected {n} points, found {len(pts)}")
-    arr = np.array(pts, dtype=float) if pts else np.empty((0, box.d))
-    return PointConfig(arr, box, intensity, seed)
-
-
-def load_config(path) -> PointConfig:
-    with open(path) as fh:
-        return parse_config(fh.read())
+    return PointConfig(base.points[keep], box)

@@ -16,7 +16,6 @@ correctable and is simply small (its variance decays like R^(d - 2 alpha)).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np

@@ -25,7 +25,8 @@ moves or changes the private binding fails loudly.
 
 In d = 1 the stepper accepts a stack of fields as columns of an (n, m) array,
 evolving m independent problems in one sweep; if V is also (n, m) each column
-carries its own potential, which is what the annealed batch drivers use.
+carries its own potential, which is how experiments.batched_evolve runs a
+batch of sampled environments.
 
 Occupation functionals use Duhamel co-evolution: along with u we advance
 w <- step(w + dt/2 f u) + dt/2 f u_new, a trapezoid rule for
@@ -50,10 +51,9 @@ import numpy as np
 from scipy.fft._pocketfft.pypocketfft import dst as _pocketfft_dst
 from scipy.linalg import cho_solve_banded, cholesky_banded
 
-from .model import ModelParams, constants, scale_r, vhat_sum
-from .points import Box, PointConfig, sample_homogeneous, stream
-from .potential import PotentialView, evaluate_V
-from .spectral import Grid, GridField, config_potential_field
+from .model import ModelParams, vhat_sum
+from .points import Box, stream
+from .spectral import Grid, GridField
 
 
 class FKInstabilityError(RuntimeError):
@@ -203,7 +203,7 @@ def ones_field(grid: Grid) -> GridField:
 
 def fk_evolve(V: GridField, spec: EvolutionSpec, t: float,
               initial: GridField | None = None,
-              snapshot_times=(), check_stability: bool = True):
+              snapshot_times=()):
     """Evolve the killed Feynman-Kac kernel to time t.
 
     Returns the final GridField, or (final, {time: GridField}) when snapshot
@@ -224,7 +224,7 @@ def fk_evolve(V: GridField, spec: EvolutionSpec, t: float,
         snap_steps[k] = ts
     stepper = FKStepper(grid, V.values, spec)
     u = initial.values.copy()
-    monitor = check_stability and float(np.min(V.values)) >= 0.0
+    monitor = float(np.min(V.values)) >= 0.0
     mass = float(np.sum(u))
     snaps = {}
     for k in range(1, n + 1):
@@ -242,43 +242,11 @@ def fk_evolve(V: GridField, spec: EvolutionSpec, t: float,
 
 
 # ---------------------------------------------------------------------------
-# quenched and annealed partition functions
-
-def default_box_radius(params: ModelParams, t: float | None = None) -> float:
-    """Evolution box radius: the model's macro box (-t, t) capped at the
-    localization scale 4 r(t) log t, below which the omitted mass is null."""
-    if t is None:
-        t = params.t
-    r = scale_r(params.with_t(t)) if t > 0 else 1.0
-    return float(min(t, max(4.0 * r * math.log(max(t, math.e)), 6.0 * r, 2.0)))
-
+# grids and replica statistics
 
 def make_grid(params: ModelParams, radius: float, h: float) -> Grid:
     half = max(round(radius / h), 2) * h
     return Grid(Box.cube(params.d, half), h)
-
-
-def quenched_partition(config: PointConfig, spec: EvolutionSpec, params: ModelParams,
-                       grid: Grid, *, t: float | None = None, far_tol: float = 0.1,
-                       compensate: bool = False, initial: GridField | None = None) -> float:
-    """<u_t, 1> for V evaluated from the config over the grid box."""
-    if t is None:
-        t = params.t
-    view = PotentialView(config, grid.box, params, compensate=compensate,
-                         max_far_bound=far_tol)
-    if grid.d == 1:
-        pts = grid.nodes()[:, None]
-    else:
-        pts = grid.nodes().reshape(-1, 2)
-    V = GridField(grid, evaluate_V(view, pts).reshape(grid.shape))
-    u = fk_evolve(V, spec, t, initial=initial)
-    return u.mass()
-
-
-def pairwise_sum(values: np.ndarray) -> float:
-    """Deterministic pairwise reduction in index order (numpy's own pairwise
-    summation already guarantees this for a fixed 1-d array)."""
-    return float(np.sum(np.asarray(values, dtype=float)))
 
 
 def jackknife_mean(values: np.ndarray):
@@ -287,105 +255,11 @@ def jackknife_mean(values: np.ndarray):
     n = x.size
     if n < 2:
         return float(x.mean()), math.inf
-    total = pairwise_sum(x)
+    total = float(np.sum(x))
     loo = (total - x) / (n - 1)
     mean = total / n
-    se = math.sqrt((n - 1) / n * pairwise_sum((loo - loo.mean()) ** 2))
+    se = math.sqrt((n - 1) / n * float(np.sum((loo - loo.mean()) ** 2)))
     return float(mean), float(se)
-
-
-def jackknife_ratio(num: np.ndarray, den: np.ndarray):
-    """(ratio of sums, standard error) by delete-one jackknife; paired arrays."""
-    num = np.asarray(num, dtype=float)
-    den = np.asarray(den, dtype=float)
-    n = num.size
-    sn, sd = pairwise_sum(num), pairwise_sum(den)
-    ratio = sn / sd
-    if n < 2:
-        return float(ratio), math.inf
-    loo = (sn - num) / (sd - den)
-    se = math.sqrt((n - 1) / n * pairwise_sum((loo - loo.mean()) ** 2))
-    return float(ratio), float(se)
-
-
-@dataclass(frozen=True)
-class AnnealedEstimate:
-    mean: float
-    se: float
-    log_mean: float
-    n_samples: int
-    t: float
-
-    @property
-    def ci_low(self) -> float:
-        return self.mean - 1.96 * self.se
-
-    @property
-    def ci_high(self) -> float:
-        return self.mean + 1.96 * self.se
-
-
-def annealed_partition(params: ModelParams, spec: EvolutionSpec, n_samples: int,
-                       seed: int, *, t: float | None = None, radius: float | None = None,
-                       h: float = 0.05, config_margin: float = 30.0,
-                       compensate: bool = True) -> AnnealedEstimate:
-    """Mean of quenched_partition over i.i.d. configs with jackknife CI.
-
-    Config boxes extend config_margin beyond the grid so the far-field error
-    is compensated by its deterministic mean; replicas use disjoint seed
-    streams indexed by replica number and are reduced in index order.
-    """
-    if n_samples < 2:
-        raise ValueError("need at least 2 samples")
-    if t is None:
-        t = params.t
-    if radius is None:
-        radius = default_box_radius(params, t)
-    grid = make_grid(params, radius, h)
-    cfg_box = Box.cube(params.d, grid.box.half_widths[0] + config_margin)
-    masses = np.empty(n_samples)
-    for r in range(n_samples):
-        cfg = sample_homogeneous(cfg_box, 1.0, seed, path=(r,))
-        masses[r] = quenched_partition(cfg, spec, params, grid, t=t,
-                                       compensate=compensate)
-    mean, se = jackknife_mean(masses)
-    return AnnealedEstimate(mean=mean, se=se, log_mean=float(math.log(mean)),
-                            n_samples=n_samples, t=float(t))
-
-
-@dataclass(frozen=True)
-class ConfinementEstimate:
-    ratio: float
-    se: float
-    L: float
-    t: float
-    n_samples: int
-
-
-def confinement_prob(params: ModelParams, spec: EvolutionSpec, L: float,
-                     n_samples: int, seed: int, *, t: float | None = None,
-                     full_radius: float | None = None, h: float = 0.05,
-                     config_margin: float = 30.0) -> ConfinementEstimate:
-    """Annealed Q_t(sup_s |X_s| <= L): ratio of killed-in-B(0,L) mass to
-    killed-in-full-box mass over paired configs (same environment in both)."""
-    if t is None:
-        t = params.t
-    if full_radius is None:
-        full_radius = default_box_radius(params, t)
-    if L > full_radius:
-        raise ValueError("L exceeds the full box radius")
-    grid_full = make_grid(params, full_radius, h)
-    grid_sub = make_grid(params, L, h)
-    cfg_box = Box.cube(params.d, grid_full.box.half_widths[0] + config_margin)
-    nums = np.empty(n_samples)
-    dens = np.empty(n_samples)
-    for r in range(n_samples):
-        cfg = sample_homogeneous(cfg_box, 1.0, seed, path=(r,))
-        dens[r] = quenched_partition(cfg, spec, params, grid_full, t=t, compensate=True)
-        nums[r] = quenched_partition(cfg, spec, params, grid_sub, t=t, compensate=True)
-    ratio, se = jackknife_ratio(nums, dens)
-    return ConfinementEstimate(ratio=ratio, se=se, L=float(L), t=float(t),
-                               n_samples=n_samples)
 
 
 # ---------------------------------------------------------------------------
@@ -420,21 +294,6 @@ def occupation_evolve(V: GridField, spec: EvolutionSpec, t: float,
     mass = float(np.sum(u) * grid.h ** grid.d)
     wmasses = [float(np.sum(w) * grid.h ** grid.d) for w in ws]
     return mass, wmasses
-
-
-def occupation_functional(f: GridField, config: PointConfig, spec: EvolutionSpec,
-                          params: ModelParams, grid: Grid, *, t: float | None = None,
-                          far_tol: float = 0.1, compensate: bool = False,
-                          initial: GridField | None = None) -> float:
-    """E_0[ e^{-int_0^t V} int_0^t f(X_s) ds : stay in box ] for a config."""
-    if t is None:
-        t = params.t
-    view = PotentialView(config, grid.box, params, compensate=compensate,
-                         max_far_bound=far_tol)
-    pts = grid.nodes()[:, None] if grid.d == 1 else grid.nodes().reshape(-1, 2)
-    V = GridField(grid, evaluate_V(view, pts).reshape(grid.shape))
-    _, (wmass,) = occupation_evolve(V, spec, t, [f])
-    return wmass
 
 
 # ---------------------------------------------------------------------------

@@ -4,14 +4,16 @@ Grids cover a box with uniform spacing h; only interior nodes are stored, so
 Dirichlet rows never enter the linear algebra.  The Laplacian is the standard
 second-order central-difference stencil, giving O(h^2) eigenvalue error.
 
-Eigenpairs come from shifted inverse power iteration with a positive-definite
-shift sigma < lambda1 (banded Cholesky in d = 1, sparse LU in d = 2); the
-second eigenpair is obtained by deflating against phi1.  The residual contract
-is ||A phi - lambda phi|| <= tol * |lambda| in the discrete l2 norm, up to a
-floating-point floor proportional to ||A||.
+SchrodingerOperator(V) is the operator on a potential field; smallest_eigs
+gives its lowest eigenpairs.  They come from shifted inverse power iteration
+with a positive-definite shift sigma < lambda1 (banded Cholesky in d = 1,
+sparse LU in d = 2); the second eigenpair is obtained by deflating against
+phi1.  The residual contract is ||A phi - lambda phi|| <= tol * |lambda| in
+the discrete l2 norm, up to a floating-point floor proportional to ||A||.
 
 The integrated density of states N(lambda) is estimated (d = 1) as the
-expected spectral mass below lambda in the unit cell at the origin, by
+expected spectral mass below lambda in the unit cell at the origin, from
+LAPACK's tridiagonal eigen-solve (eigh_tridiagonal) of each draw, by
 importance sampling from environments tilted to open a hole there, so that
 the Lifshitz tail far below 1/n_samples is reached.  Two finite-volume
 biases have opposite signs.  Points outside the sampled box would raise V,
@@ -27,8 +29,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import (cho_solve_banded, cholesky_banded, eigh, eigh_tridiagonal,
-                          eigvalsh_tridiagonal)
+from scipy.linalg import cho_solve_banded, cholesky_banded, eigh_tridiagonal
 from scipy.sparse import identity as sparse_identity
 from scipy.sparse import kron as sparse_kron
 from scipy.sparse import diags
@@ -114,16 +115,10 @@ class GridField:
         return float(np.sqrt(np.sum(self.values ** 2) * self.grid.h ** self.grid.d))
 
 
-def potential_on_grid(grid: Grid, evaluate, chunk: int = 2 ** 20) -> GridField:
+def potential_on_grid(grid: Grid, evaluate) -> GridField:
     """Evaluate a callable potential on all grid nodes; evaluate takes (m, d) points."""
-    if grid.d == 1:
-        pts = grid.nodes()[:, None]
-    else:
-        pts = grid.nodes().reshape(-1, 2)
-    out = np.empty(pts.shape[0])
-    for i in range(0, pts.shape[0], chunk):
-        out[i:i + chunk] = evaluate(pts[i:i + chunk])
-    return GridField(grid, out.reshape(grid.shape))
+    values = evaluate(grid.nodes().reshape(-1, grid.d))
+    return GridField(grid, values.reshape(grid.shape))
 
 
 def config_potential_field(points: np.ndarray, grid: Grid, params: ModelParams) -> GridField:
@@ -205,10 +200,6 @@ class SchrodingerOperator:
 
     def dense(self) -> np.ndarray:
         return self._sparse(0.0).toarray()
-
-
-def assemble(V: GridField) -> SchrodingerOperator:
-    return SchrodingerOperator(V)
 
 
 def rayleigh_quotient(op: SchrodingerOperator, f: np.ndarray | GridField) -> float:
@@ -308,19 +299,6 @@ def smallest_eigs(op: SchrodingerOperator, k: int = 1, tol: float = 1e-10,
             raise EigenSolveError("deflated eigenvalue fell below the ground state")
     return EigenResult(lambda1=float(lam1), lambda2=lam2, phi1=phi1,
                        residual1=res1, residual2=res2, iterations=iters)
-
-
-def eigenvalues_below(V: GridField, lam: float) -> np.ndarray:
-    """All Dirichlet eigenvalues below lam, ascending."""
-    op = SchrodingerOperator(V)
-    if V.grid.d == 1:
-        diag, off = op.tridiag()
-        return eigvalsh_tridiagonal(diag, off, select="v",
-                                    select_range=(-np.inf, lam))
-    n = V.grid.n_total
-    if n > 6000:
-        raise ValueError("d = 2 eigenvalue listing limited to small grids")
-    return eigh(op.dense(), eigvals_only=True, subset_by_value=(-np.inf, lam))
 
 
 @dataclass(frozen=True)

@@ -31,12 +31,38 @@ def test_rerun_is_byte_identical(tmp_path):
         (tmp_path / "b" / "laplace.json").read_bytes()
 
 
-def test_threads_stay_out_of_the_config_hash(tmp_path):
-    assert run_cli(tmp_path / "a", "tilted", "--samples", "20", "--threads", "2") == 0
-    assert run_cli(tmp_path / "b", "tilted", "--samples", "20") == 0
-    a = json.loads((tmp_path / "a" / "tilted.json").read_text())
-    b = json.loads((tmp_path / "b" / "tilted.json").read_text())
-    assert a["config_hash"] == b["config_hash"]
+def test_flags_a_scenario_does_not_take_exit_two(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(tmp_path, "tilted", "--threads", "2")
+    assert exc.value.code == 2
+    cfg = tmp_path / "threads.cfg"
+    cfg.write_text("threads = 2\n")
+    capsys.readouterr()
+    assert run_cli(tmp_path, "tilted", "--config", str(cfg)) == 2
+    assert "unknown config key: threads" in capsys.readouterr().err
+    assert run_cli(tmp_path, "constants", "--samples", "7", "--quad-abs", "1e-3") == 2
+    assert capsys.readouterr().err == \
+        "fklab: config error: constants does not take --quad-abs, --samples\n"
+    assert not list(tmp_path.glob("*.json"))
+
+
+def test_all_gives_each_flag_only_to_the_runners_that_take_it(tmp_path, monkeypatch):
+    def runner(key):
+        def with_samples(d=1, seed=0, n_samples=1):
+            return _record(key, None, seed, n_samples, {}, [_chk("ok", True)], d=d)
+
+        def without_samples(d=1, seed=0):
+            return _record(key, None, seed, 0, {}, [_chk("ok", True)], d=d)
+        return without_samples if key == "constants" else with_samples
+
+    for key in list(SCENARIOS):
+        monkeypatch.setitem(SCENARIOS, key, runner(key))
+    assert run_cli(tmp_path, "all", "--samples", "5", "--seed", "3") == 0
+    for key in SCENARIOS:
+        rec = json.loads((tmp_path / f"{key}.json").read_text())
+        taken = {"seed": 3} if key == "constants" else {"samples": 5, "seed": 3}
+        assert rec["settings"]["resolved_cli"] == taken
+        assert rec["n_samples"] == taken.get("samples", 0)
 
 
 def test_failing_scenario_exits_one(tmp_path, monkeypatch):

@@ -1,6 +1,8 @@
-"""Importing fklab stays light: scipy.integrate and scipy.optimize, which
-together cost about a quarter of a second at start-up, are never loaded."""
+"""Imports: importing fklab stays light (scipy.integrate and scipy.optimize,
+which together cost about a quarter of a second at start-up, are never
+loaded), and no fklab module imports a name it does not use."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -18,3 +20,27 @@ def test_import_leaves_out_integrate_and_optimize():
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def _unused_imports(source: str) -> list:
+    """Names a module imports but never reads, from its syntax tree."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return sorted((line, name) for name, line in imported.items() if name not in read)
+
+
+def test_no_unused_imports():
+    assert _unused_imports("import os\nfrom math import pi, tau\nprint(os.sep, tau)\n") \
+        == [(2, "pi")]
+    # __init__ imports the public names in order to re-export them
+    unused = {path.name: _unused_imports(path.read_text())
+              for path in sorted(Path(fklab.__file__).parent.glob("*.py"))
+              if path.name != "__init__.py"}
+    assert {k: v for k, v in unused.items() if v} == {}

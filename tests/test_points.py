@@ -1,4 +1,4 @@
-"""Poisson sampling, tilted measures, and config serialization."""
+"""Poisson sampling, tilted measures and thinning."""
 
 import math
 
@@ -12,15 +12,9 @@ from fklab.points import (
     SQUEEZE_REL,
     Box,
     DiscreteMeasure,
-    HomogeneousIntensity,
     PointConfig,
-    TiltedIntensity,
-    dump_config,
-    load_config,
-    parse_config,
     sample_homogeneous,
     sample_tilted,
-    save_config,
     stream,
     thinning_keep,
     tilt_acceptance,
@@ -171,39 +165,7 @@ def test_gauss_hermite_measure_moments():
     assert mu.second_moment == pytest.approx(0.49, rel=1e-10)
 
 
-def test_config_round_trip(tmp_path):
-    box = Box.cube(2, 6.0)
-    cfg = sample_homogeneous(box, 0.5, seed=3)
-    text = dump_config(cfg)
-    back = parse_config(text)
-    np.testing.assert_array_equal(cfg.points, back.points)
-    assert back.box.center == cfg.box.center
-    assert back.box.half_widths == cfg.box.half_widths
-    path = tmp_path / "cfg.txt"
-    save_config(cfg, path)
-    again = load_config(path)
-    np.testing.assert_array_equal(cfg.points, again.points)
-
-
-def test_tilted_config_round_trip(tmp_path):
-    box = Box.cube(1, 4.0)
-    params = ModelParams(d=1, alpha=2.0, t=2.0)
-    mu = DiscreteMeasure(atoms=np.array([[-1.0], [1.0]]),
-                         weights=np.array([0.5, 0.5]))
-    cfg = sample_tilted(mu, params, box, seed=9)
-    back = parse_config(dump_config(cfg))
-    np.testing.assert_array_equal(cfg.points, back.points)
-    assert isinstance(back.intensity, TiltedIntensity)
-    assert back.intensity.t == pytest.approx(2.0)
-    np.testing.assert_allclose(back.intensity.mu.atoms, mu.atoms)
-
-
-def test_parse_rejects_malformed():
-    with pytest.raises(ValueError):
-        parse_config("not a config\n")
-
-
 def test_config_rejects_dimension_mismatch():
     box = Box.cube(2, 1.0)
     with pytest.raises(ValueError):
-        PointConfig(np.array([[0.0]]), box, HomogeneousIntensity(1.0))
+        PointConfig(np.array([[0.0]]), box)

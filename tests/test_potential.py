@@ -8,7 +8,7 @@ from scipy import integrate
 
 from fklab import model
 from fklab.model import ModelParams, constants, quadratic_profile
-from fklab.points import Box, HomogeneousIntensity, PointConfig, sample_homogeneous
+from fklab.points import Box, PointConfig, sample_homogeneous
 from fklab.potential import (
     MinimizerResult,
     PotentialView,
@@ -27,7 +27,7 @@ def make_config(points, radius=50.0, d=1):
     if pts.ndim == 1:
         pts = pts[:, None]
     box = Box.cube(d, radius)
-    return PointConfig(pts, box, HomogeneousIntensity(1.0))
+    return PointConfig(pts, box)
 
 
 def test_single_point_values():
@@ -162,8 +162,7 @@ def test_profile_deviation_constant_invariance():
 def test_evaluate_V_2d():
     params = ModelParams(d=2, alpha=3.0, t=1.0)
     box = Box.cube(2, 10.0)
-    cfg = PointConfig(np.array([[3.0, 4.0], [0.0, 0.5]]), box,
-                      HomogeneousIntensity(1.0))
+    cfg = PointConfig(np.array([[3.0, 4.0], [0.0, 0.5]]), box)
     view = PotentialView(cfg, Box.cube(2, 6.0), params)
     v = evaluate_V(view, np.array([[0.0, 0.0]]))[0]
     assert v == pytest.approx(5.0 ** -3 + 1.0, rel=1e-12)

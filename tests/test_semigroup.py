@@ -8,35 +8,31 @@ import pytest
 from scipy import integrate
 from scipy.fft import dst, dstn
 
-from fklab.experiments import batched_evolve, run_localization
+from fklab.experiments import (_compensated_columns, batched_evolve, column_masses,
+                               run_localization)
 from fklab.model import ModelParams, constants, nu_coordinate_variance
-from fklab.points import Box, HomogeneousIntensity, PointConfig, sample_homogeneous
+from fklab.points import Box, sample_homogeneous
+from fklab.potential import PotentialView, evaluate_V
 from fklab.semigroup import (
-    AnnealedEstimate,
     EvolutionSpec,
     FKInstabilityError,
     FKStepper,
     GroundstateReport,
     _dirichlet_eigenvalues,
-    annealed_partition,
     brownian_partition_mc,
-    confinement_prob,
-    default_box_radius,
     delta_field,
     fk_evolve,
     groundstate_transform_check,
     jackknife_mean,
-    jackknife_ratio,
     make_grid,
     occupation_evolve,
     ones_field,
     oscillator_ground_state,
     ou_transition_density,
-    pairwise_sum,
-    quenched_partition,
     time_marginal,
 )
-from fklab.spectral import Grid, GridField, assemble, config_potential_field, smallest_eigs
+from fklab.spectral import (Grid, GridField, SchrodingerOperator, config_potential_field,
+                            potential_on_grid, smallest_eigs)
 from fklab.laplace import strategy_log_lower_bound
 
 P12 = ModelParams(d=1, alpha=2.0, t=1.0)
@@ -231,7 +227,7 @@ def test_mass_decay_rate_approaches_lambda1():
     g = grid_1d(6.0, 0.05)
     cfg = sample_homogeneous(Box.cube(1, 6.0), 1.0, seed=17)
     V = config_potential_field(cfg.points, g, P12)
-    lam1 = smallest_eigs(assemble(V)).lambda1
+    lam1 = smallest_eigs(SchrodingerOperator(V)).lambda1
     spec = EvolutionSpec(dt=0.01)
     init = ones_field(g)
     _, snaps = fk_evolve(V, spec, 40.0, initial=init,
@@ -324,54 +320,62 @@ def test_brownian_mc_agrees_with_grid_evolution():
 
 def test_quenched_partition_and_far_guard():
     grid = grid_1d(3.0, 0.05)
-    box = Box.cube(1, 40.0)
-    cfg = sample_homogeneous(box, 1.0, seed=41)
-    spec = EvolutionSpec(dt=1e-2)
-    z = quenched_partition(cfg, spec, P12, grid, t=2.0)
+    cfg = sample_homogeneous(Box.cube(1, 40.0), 1.0, seed=41)
+    view = PotentialView(cfg, grid.box, P12, max_far_bound=0.1)
+    V = potential_on_grid(grid, lambda pts: evaluate_V(view, pts))
+    z = fk_evolve(V, EvolutionSpec(dt=1e-2), 2.0).mass()
     assert 0.0 < z < 1.0
-    tight = PointConfig(cfg.points, box, HomogeneousIntensity(1.0))
     with pytest.raises(ValueError):
-        quenched_partition(tight, spec, P12, grid_1d(39.5, 0.05), t=2.0,
-                           far_tol=0.01)
+        PotentialView(cfg, grid_1d(39.5, 0.05).box, P12, max_far_bound=0.01)
+
+
+def _homogeneous_columns(grid, n, seed):
+    """Compensated potentials of n unit-rate environments on a box 30 wider
+    than the grid, one column each, as the scenario runners build them."""
+    cfg_box = Box.cube(1, grid.box.half_widths[0] + 30.0)
+    configs = [sample_homogeneous(cfg_box, 1.0, seed, path=(r,)) for r in range(n)]
+    return _compensated_columns(grid, configs, P12)
 
 
 def test_annealed_partition_deterministic_and_above_strategy_bound():
-    spec = EvolutionSpec(dt=1e-2)
     t = 2.0
-    est1 = annealed_partition(P12, spec, n_samples=12, seed=55, t=t,
-                              radius=4.0, h=0.1)
-    est2 = annealed_partition(P12, spec, n_samples=12, seed=55, t=t,
-                              radius=4.0, h=0.1)
-    assert est1.mean == est2.mean and est1.se == est2.se
-    assert isinstance(est1, AnnealedEstimate)
-    assert est1.mean < 1.0
+    grid = make_grid(P12, 4.0, 0.1)
+
+    def estimate():
+        u, _, _ = batched_evolve(grid, _homogeneous_columns(grid, 12, 55), ((t, 1e-2),))
+        return jackknife_mean(column_masses(grid, u))
+
+    (mean, se), again = estimate(), estimate()
+    assert (mean, se) == again
+    assert mean < 1.0
     bound = max(strategy_log_lower_bound(P12, rho, t=t) for rho in (1.0, 2.0, 3.0))
-    assert math.log(est1.ci_high) > bound
+    assert math.log(mean + 1.96 * se) > bound
 
 
 def test_confinement_ratio_monotone_in_L():
-    spec = EvolutionSpec(dt=1e-2)
-    t = 4.0
-    r2 = confinement_prob(P12, spec, 2.0, n_samples=6, seed=61, t=t,
-                          full_radius=6.0, h=0.1)
-    r4 = confinement_prob(P12, spec, 4.0, n_samples=6, seed=61, t=t,
-                          full_radius=6.0, h=0.1)
-    assert 0.0 < r2.ratio < r4.ratio <= 1.0 + 1e-12
-    r6 = confinement_prob(P12, spec, 6.0, n_samples=6, seed=61, t=t,
-                          full_radius=6.0, h=0.1)
-    assert r6.ratio == pytest.approx(1.0, abs=1e-12)
+    # q(L), the mass of paths kept inside (-L, L) over the mass in the full
+    # box, on the same environments, cut out of the full grid as
+    # run_localization cuts its sub-boxes
+    h, t = 0.1, 4.0
+    full = make_grid(P12, 6.0, h)
+    nodes = full.axis_nodes(0)
+    V = _homogeneous_columns(full, 6, 61)
+    schedule = ((t, 1e-2),)
+    den = column_masses(full, batched_evolve(full, V, schedule)[0])
+    q = {}
+    for L in (2.0, 4.0, 6.0):
+        sub = make_grid(P12, L, h)
+        u, _, _ = batched_evolve(sub, V[np.abs(nodes) < L - 0.5 * h], schedule)
+        q[L] = column_masses(sub, u) / den
+    assert np.all((0.0 < q[2.0]) & (q[2.0] < q[4.0]) & (q[4.0] <= 1.0 + 1e-12))
+    np.testing.assert_allclose(q[6.0], 1.0, rtol=0, atol=1e-12)
 
 
-def test_jackknife_and_pairwise_sum():
+def test_jackknife_mean():
     vals = np.array([1.0, 2.0, 3.0, 4.0])
     mean, se = jackknife_mean(vals)
     assert mean == pytest.approx(2.5)
     assert se == pytest.approx(np.std(vals, ddof=1) / 2.0, rel=1e-12)
-    num = 2.0 * vals
-    ratio, rse = jackknife_ratio(num, vals)
-    assert ratio == pytest.approx(2.0, rel=1e-12)
-    assert rse == pytest.approx(0.0, abs=1e-12)
-    assert pairwise_sum(vals) == 10.0
 
 
 def test_spec_guards():
@@ -392,7 +396,5 @@ def test_fields_and_radius_defaults():
     g = grid_1d(2.0, 0.1)
     assert delta_field(g, 0.0).mass() == pytest.approx(1.0)
     assert ones_field(g).mass() == pytest.approx(g.integrate(np.ones(g.shape)))
-    radii = [default_box_radius(P12, t) for t in (4.0, 64.0, 1024.0)]
-    assert radii[0] < radii[1] < radii[2]
     p2 = ModelParams(d=1, alpha=2.0, t=1024.0)
     assert make_grid(p2, 10.0, 0.25).box.half_widths[0] == pytest.approx(10.0)

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.linalg import eigh
+from scipy.linalg import eigh, eigh_tridiagonal
 
 from fklab.model import ModelParams, constants
 from fklab.points import Box, sample_homogeneous
@@ -14,11 +14,8 @@ from fklab.spectral import (
     GridField,
     IdsCurve,
     SchrodingerOperator,
-    assemble,
     config_potential_field,
-    eigenvalues_below,
     ids_estimate,
-    potential_on_grid,
     rayleigh_quotient,
     smallest_eigs,
     stratified_mean,
@@ -65,7 +62,8 @@ def test_grid_field_guards():
 
 def test_dirichlet_box_spectrum():
     # -1/2 Lap on (-pi/2, pi/2): lambda_k = k^2/2, so 0.5 and 2.0
-    res = smallest_eigs(assemble(zero_field(grid_1d(math.pi / 2.0, math.pi / 512.0))), k=2)
+    op = SchrodingerOperator(zero_field(grid_1d(math.pi / 2.0, math.pi / 512.0)))
+    res = smallest_eigs(op, k=2)
     assert res.lambda1 == pytest.approx(0.5, rel=1e-4)
     assert res.lambda2 == pytest.approx(2.0, rel=1e-4)
     assert res.residual1 < 1e-8
@@ -74,7 +72,8 @@ def test_dirichlet_box_spectrum():
 def test_box_spectrum_h_squared_convergence():
     lam = []
     for n in (64, 128):
-        res = smallest_eigs(assemble(zero_field(grid_1d(math.pi / 2.0, math.pi / n))), k=1)
+        op = SchrodingerOperator(zero_field(grid_1d(math.pi / 2.0, math.pi / n)))
+        res = smallest_eigs(op, k=1)
         lam.append(res.lambda1)
     err = [abs(v - 0.5) for v in lam]
     assert 3.0 < err[0] / err[1] < 5.0  # halving h divides the error by ~4
@@ -85,7 +84,7 @@ def test_harmonic_oscillator_matches_a2():
     c = constants(P12)
     g = grid_1d(6.0, 0.01)
     V = GridField(g, c.C * g.axis_nodes(0) ** 2)
-    res = smallest_eigs(assemble(V), k=2)
+    res = smallest_eigs(SchrodingerOperator(V), k=2)
     assert res.lambda1 == pytest.approx(c.a2, rel=1e-3)
     assert res.lambda2 - res.lambda1 == pytest.approx(math.sqrt(2.0 * c.C), rel=1e-3)
     # ground state is nonnegative and L2-normalized on the grid
@@ -97,7 +96,7 @@ def test_rayleigh_quotient_upper_bounds_lambda1():
     g = grid_1d(4.0, 0.05)
     cfg = sample_homogeneous(Box.cube(1, 4.0), 1.0, seed=3)
     V = config_potential_field(cfg.points, g, P12)
-    op = assemble(V)
+    op = SchrodingerOperator(V)
     res = smallest_eigs(op, k=1)
     rng = np.random.default_rng(0)
     for _ in range(5):
@@ -112,14 +111,14 @@ def test_potential_monotonicity_of_lambda1():
     cfg = sample_homogeneous(Box.cube(1, 4.0), 1.0, seed=5)
     V = config_potential_field(cfg.points, g, P12)
     bump = GridField(g, V.values + 0.5 * np.exp(-g.axis_nodes(0) ** 2))
-    lam_lo = smallest_eigs(assemble(V)).lambda1
-    lam_hi = smallest_eigs(assemble(bump)).lambda1
+    lam_lo = smallest_eigs(SchrodingerOperator(V)).lambda1
+    lam_hi = smallest_eigs(SchrodingerOperator(bump)).lambda1
     assert lam_hi > lam_lo
 
 
 def test_domain_monotonicity_of_lambda1():
-    lam_small = smallest_eigs(assemble(zero_field(grid_1d(1.0, 0.01)))).lambda1
-    lam_large = smallest_eigs(assemble(zero_field(grid_1d(2.0, 0.01)))).lambda1
+    lam_small = smallest_eigs(SchrodingerOperator(zero_field(grid_1d(1.0, 0.01)))).lambda1
+    lam_large = smallest_eigs(SchrodingerOperator(zero_field(grid_1d(2.0, 0.01)))).lambda1
     assert lam_large < lam_small
 
 
@@ -127,11 +126,14 @@ def test_count_below_matches_dense_oracle():
     g = grid_1d(5.0, 0.1)
     cfg = sample_homogeneous(Box.cube(1, 5.0), 1.0, seed=11)
     V = config_potential_field(cfg.points, g, P12)
+    # the tridiagonal solve tilted_ids_draws counts eigenvalues with
+    diag, off = SchrodingerOperator(V).tridiag()
     dense = eigh(SchrodingerOperator(V).dense(), eigvals_only=True)
     for lam in (0.5, 1.5, 3.0, 6.0):
-        assert eigenvalues_below(V, lam).size == int(np.sum(dense <= lam))
-    evs = eigenvalues_below(V, 3.0)
-    np.testing.assert_allclose(evs, dense[dense <= 3.0], atol=1e-9)
+        evs = eigh_tridiagonal(diag, off, eigvals_only=True, select="v",
+                               select_range=(-np.inf, lam))
+        assert evs.size == int(np.sum(dense <= lam))
+        np.testing.assert_allclose(evs, dense[dense <= lam], atol=1e-9)
 
 
 def test_smallest_eigs_agrees_with_dense():
@@ -139,7 +141,7 @@ def test_smallest_eigs_agrees_with_dense():
     cfg = sample_homogeneous(Box.cube(1, 5.0), 1.0, seed=13)
     V = config_potential_field(cfg.points, g, P12)
     dense = eigh(SchrodingerOperator(V).dense(), eigvals_only=True)
-    res = smallest_eigs(assemble(V), k=2)
+    res = smallest_eigs(SchrodingerOperator(V), k=2)
     assert res.lambda1 == pytest.approx(dense[0], abs=1e-9)
     assert res.lambda2 == pytest.approx(dense[1], abs=1e-8)
 
@@ -147,7 +149,7 @@ def test_smallest_eigs_agrees_with_dense():
 def test_2d_operator_ground_state():
     # product box (-pi/2, pi/2)^2 with V = 0: lambda1 = 0.5 + 0.5
     g = Grid(Box.cube(2, math.pi / 2.0), math.pi / 64.0)
-    res = smallest_eigs(assemble(GridField(g, np.zeros(g.shape))), k=1)
+    res = smallest_eigs(SchrodingerOperator(GridField(g, np.zeros(g.shape))), k=1)
     assert res.lambda1 == pytest.approx(1.0, rel=1e-3)
 
 
@@ -205,17 +207,10 @@ def test_stratified_mean_sums_strata_variances():
 
 def test_eigs_input_guards():
     g = grid_1d(1.0, 0.25)
-    op = assemble(zero_field(g))
+    op = SchrodingerOperator(zero_field(g))
     with pytest.raises(ValueError):
         smallest_eigs(op, k=3)
     with pytest.raises(ValueError):
         smallest_eigs(op, tol=-1.0)
     with pytest.raises(ValueError):
         rayleigh_quotient(op, np.zeros(g.shape))
-
-
-def test_potential_on_grid_chunking():
-    g = grid_1d(2.0, 0.125)
-    full = potential_on_grid(g, lambda x: np.sum(x ** 2, axis=1))
-    chunked = potential_on_grid(g, lambda x: np.sum(x ** 2, axis=1), chunk=7)
-    np.testing.assert_array_equal(full.values, chunked.values)
