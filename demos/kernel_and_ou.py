@@ -10,8 +10,6 @@ path measure converges to the OU stationary law as the horizon grows.
 import numpy as np
 
 from fklab import (
-    EvolutionSpec,
-    GridField,
     ModelParams,
     constants,
     groundstate_transform_check,
@@ -38,15 +36,14 @@ def marginals_settle():
     stat_var = 1.0 / (2.0 * theta)
     grid = make_grid(p, 5.0, 0.02)
     x = grid.axis_nodes(0)
-    V = GridField(grid, c * x ** 2)
     T = 2.0
     horizon = 6.0                       # keep the free right end far away
-    out = time_marginal(V, EvolutionSpec(dt=1e-3), horizon,
+    out = time_marginal(grid, (c * x ** 2)[:, None], ((horizon, 1e-3),),
                         [0.25 * T, 0.5 * T, T])
     print(f"time-s marginal of the pinned path measure vs the OU stationary")
     print(f"law (variance 1/(2 theta) = {stat_var:.6f}):")
     for s, dens in sorted(out.items()):
-        var = float(np.sum(x ** 2 * dens.values) * grid.h)
+        var = float(np.sum(x ** 2 * dens[:, 0]) * grid.h)
         print(f"  s = {s:5.2f}   variance {var:.6f}   rel gap "
               f"{abs(var / stat_var - 1.0):.2e}   (mixing e^(-2 theta s) = "
               f"{np.exp(-2.0 * theta * s):.2e})")

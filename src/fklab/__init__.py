@@ -58,19 +58,16 @@ from .spectral import (
     SchrodingerOperator,
     config_potential_field,
     ids_estimate,
-    rayleigh_quotient,
     smallest_eigs,
 )
 from .semigroup import (
     EvolutionSpec,
     FKStepper,
+    batched_evolve,
     brownian_partition_mc,
-    delta_field,
-    fk_evolve,
+    default_schedule,
     groundstate_transform_check,
     make_grid,
-    occupation_evolve,
-    ones_field,
     time_marginal,
 )
 from .experiments import (
@@ -78,9 +75,7 @@ from .experiments import (
     SCENARIOS,
     PowerLawFit,
     RunRecord,
-    batched_evolve,
     config_hash,
-    default_schedule,
     field_abs_quantile,
     fit_power_law,
     run_confinement,

@@ -46,13 +46,13 @@ from .laplace import (
 )
 from .spectral import Grid, GridField, SchrodingerOperator, ids_estimate, smallest_eigs
 from .semigroup import (
-    EvolutionSpec,
-    FKInstabilityError,
-    FKStepper,
+    batched_evolve,
+    column_masses,
+    default_schedule,
     groundstate_transform_check,
     jackknife_mean,
     make_grid,
-    occupation_evolve,
+    time_marginal,
 )
 
 ARTIFACT_VERSION = 3
@@ -229,124 +229,6 @@ def _control_failed_record(scenario, params, seed, n_samples, settings, checks,
 
 # ---------------------------------------------------------------------------
 # shared numeric machinery
-
-def default_schedule(t: float) -> tuple:
-    """Piecewise-constant dt ladder: fine steps early when the potential term
-    is stiff relative to the evolved mass, coarser once the profile settles."""
-    fine = ((4.0, 0.02), (16.0, 0.05), (64.0, 0.1))
-    segs = []
-    prev = 0.0
-    for t_end, dt in fine:
-        if t <= prev + 1e-12:
-            break
-        end = min(t_end, t)
-        segs.append((end, dt))
-        prev = end
-    if t > prev + 1e-12:
-        segs.append((float(t), 0.25))
-    return tuple(segs)
-
-
-def _check_schedule(schedule, snapshot_times=()):
-    prev = 0.0
-    for t_end, dt in schedule:
-        if not (t_end > prev and dt > 0):
-            raise ValueError("schedule segments must increase with positive dt")
-        n = round((t_end - prev) / dt)
-        if n < 1 or abs(n * dt - (t_end - prev)) > 1e-9:
-            raise ValueError(f"dt = {dt} does not divide segment ending at {t_end}")
-        prev = t_end
-    for s in snapshot_times:
-        seg_start = 0.0
-        ok = False
-        for t_end, dt in schedule:
-            if seg_start - 1e-9 <= s <= t_end + 1e-9:
-                k = round((s - seg_start) / dt)
-                if abs(seg_start + k * dt - s) <= 1e-9:
-                    ok = True
-                break
-            seg_start = t_end
-        if not ok:
-            raise ValueError(f"snapshot time {s} is off the step lattice")
-
-
-def batched_evolve(grid: Grid, V_cols: np.ndarray, schedule, *,
-                   initial: np.ndarray | None = None, snapshot_times=(), fs=()):
-    """Evolve m column problems (per-column 1-d potentials) through a
-    piecewise-dt schedule with optional Duhamel co-accumulators.
-
-    V_cols: (n, m).  initial: (n, m), default a discrete delta at the node
-    nearest 0 in every column.  fs: integrand arrays broadcastable to (n, m);
-    each accumulator w approximates the kernel of e^{-int V} int_0^t f(X_s) ds
-    and is advanced alongside u exactly as in occupation_evolve, so changing
-    dt across segments never breaks the quadrature.  Returns
-    (u_final, {time: u copy}, [w_final ...]).  With V_cols >= 0 every column's
-    mass must be nonincreasing, as in fk_evolve; growth raises
-    FKInstabilityError.
-    """
-    if grid.d != 1:
-        raise ValueError("column batching is 1-d only")
-    V_cols = np.asarray(V_cols, dtype=float)
-    if V_cols.ndim != 2 or V_cols.shape[0] != grid.shape[0]:
-        raise ValueError("V_cols must be (n_nodes, m)")
-    _check_schedule(schedule, snapshot_times)
-    n, m = V_cols.shape
-    if initial is None:
-        u = np.zeros((n, m))
-        i0 = int(np.argmin(np.abs(grid.axis_nodes(0))))
-        u[i0, :] = 1.0 / grid.h
-    else:
-        u = np.array(initial, dtype=float)
-        if u.shape != (n, m):
-            raise ValueError("initial must match V_cols shape")
-    f_vals = [np.broadcast_to(np.asarray(f, dtype=float), (n, m)) for f in fs]
-    ws = [np.zeros((n, m)) for _ in f_vals]
-    snaps = {}
-    want = sorted(float(s) for s in snapshot_times)
-    monitor = float(np.min(V_cols)) >= 0.0
-    # column sums as one matrix-vector product: on these narrow (n, m) arrays
-    # it is several times faster than u.sum(axis=0)
-    ones = np.ones(n)
-    mass = ones @ u
-    steps = 0
-    seg_start = 0.0
-    for t_end, dt in schedule:
-        stepper = FKStepper(grid, V_cols, EvolutionSpec(dt=dt))
-        n_steps = round((t_end - seg_start) / dt)
-        snap_at = {round((s - seg_start) / dt): s for s in want
-                   if seg_start - 1e-9 < s <= t_end + 1e-9}
-        if 0 in snap_at:           # snapshot exactly at a segment boundary
-            snaps[snap_at.pop(0)] = u.copy()
-        half = 0.5 * dt
-        for k in range(1, n_steps + 1):
-            if f_vals:
-                stacked = [w + half * fv * u for w, fv in zip(ws, f_vals)]
-                u = stepper.step(u)
-                ws = [stepper.step(s) + half * fv * u
-                      for s, fv in zip(stacked, f_vals)]
-            else:
-                u = stepper.step(u)
-            steps += 1
-            if monitor and steps % 16 == 0:
-                m_new = ones @ u
-                grew = np.flatnonzero(m_new > mass * (1.0 + 1e-8) + 1e-300)
-                if grew.size:
-                    j = int(grew[0])
-                    raise FKInstabilityError(
-                        f"column {j}: mass grew from {mass[j]:.6e} to "
-                        f"{m_new[j]:.6e} by t = {seg_start + k * dt:g} with V >= 0")
-                mass = m_new
-            if k in snap_at:
-                snaps[snap_at[k]] = u.copy()
-        if not np.all(np.isfinite(u)):
-            raise FKInstabilityError("batched evolution lost stability")
-        seg_start = t_end
-    return u, snaps, ws
-
-
-def column_masses(grid: Grid, arr: np.ndarray) -> np.ndarray:
-    return arr.sum(axis=0) * grid.h ** grid.d
-
 
 def field_abs_quantile(nodes: np.ndarray, values: np.ndarray, q: float) -> float:
     """|x|-quantile of a nonnegative density given by node values."""
@@ -923,6 +805,9 @@ def run_local_min_stats(d: int = 1, alpha: float = 2.0,
     """
     if d != 1:
         raise ValueError("local-min statistics are 1-d")
+    if n_samples < 2:
+        raise ValueError("n_samples must be at least 2: the CI needs a "
+                         "variance across replicas")
     t_ladder = [float(t) for t in t_ladder]
     settings = {"t_ladder": t_ladder, "n_samples": n_samples,
                 "tail_var_fraction": tail_var_fraction,
@@ -1043,6 +928,9 @@ def run_occupation(d: int = 1, alpha: float = 2.0,
     """
     if d != 1:
         raise ValueError("occupation scenario is 1-d")
+    if n_samples < 2:
+        raise ValueError("n_samples must be at least 2: the CI needs a "
+                         "variance across replicas")
     t_ladder = [float(t) for t in t_ladder]
     params_top = ModelParams(d=d, alpha=alpha, t=t_ladder[-1])
     cC = constants(params_top).C
@@ -1054,10 +942,10 @@ def run_occupation(d: int = 1, alpha: float = 2.0,
     ctrl_params = ModelParams(d=1, alpha=alpha, t=24.0)
     ctrl_grid = make_grid(ctrl_params, 3.0, 0.02)
     xs = ctrl_grid.axis_nodes(0)
-    Vc = GridField(ctrl_grid, cC * xs ** 2)
-    mass_c, (w2_c,) = occupation_evolve(Vc, EvolutionSpec(dt=2e-3), 24.0,
-                                        [GridField(ctrl_grid, xs ** 2)])
-    m2_ctrl = w2_c / (24.0 * mass_c)
+    u_c, _, (w2_c,) = batched_evolve(ctrl_grid, (cC * xs ** 2)[:, None],
+                                     ((24.0, 2e-3),), fs=((xs ** 2)[:, None],))
+    m2_ctrl = float(column_masses(ctrl_grid, w2_c)[0]
+                    / (24.0 * column_masses(ctrl_grid, u_c)[0]))
     ctrl_rel = abs(m2_ctrl / nu_var - 1.0)
     checks = [_chk("control_ou_second_moment", ctrl_rel <= 0.02,
                    observed=m2_ctrl, target=nu_var, tol=0.02, control=True,
@@ -1183,25 +1071,7 @@ def run_ou_limit(d: int = 1, alpha: float = 2.0, t_ladder=(1e2, 1e3),
     ys = grid_y.axis_nodes(0)
     schedule_y = ((horizon, dt_y),)
 
-    def marginals(W_cols, y0s):
-        """Normalized time-s marginals of the horizon-2T path measure."""
-        n, m = W_cols.shape
-        init = np.zeros((n, m))
-        for j, y0 in enumerate(y0s):
-            init[int(np.argmin(np.abs(ys - y0))), j] = 1.0 / h_y
-        _, fwd, _ = batched_evolve(grid_y, W_cols, schedule_y, initial=init,
-                                   snapshot_times=s_list)
-        _, bwd, _ = batched_evolve(grid_y, W_cols, schedule_y,
-                                   initial=np.ones((n, m)),
-                                   snapshot_times=[horizon - s for s in s_list])
-        out = {}
-        for s in s_list:
-            dens = fwd[s] * bwd[horizon - s]
-            out[s] = dens / (dens.sum(axis=0) * h_y)
-        return out
-
-    W_ctrl = (cC * ys ** 2)[:, None]
-    ctrl_marg = marginals(W_ctrl, [0.0])
+    ctrl_marg = time_marginal(grid_y, (cC * ys ** 2)[:, None], schedule_y, s_list)
     d_ctrl = max(_ou_cdf_distance(grid_y, ctrl_marg[s][:, 0], 0.0,
                                   (1.0 - math.exp(-2 * theta * s)) / (2 * theta))
                  for s in s_list)
@@ -1235,7 +1105,9 @@ def run_ou_limit(d: int = 1, alpha: float = 2.0, t_ladder=(1e2, 1e3),
             vm = float(evaluate_V(vw, np.array([[m]]))[0])
             W_cols[:, rep] = r ** 2 * (evaluate_V(vw, pts) - vm)
             y0s[rep] = -m / r
-        margs = marginals(W_cols, y0s)
+        init = np.zeros(W_cols.shape)       # a delta at each column's y0
+        init[np.argmin(np.abs(ys[:, None] - y0s), axis=0), np.arange(n_samples)] = 1.0 / h_y
+        margs = time_marginal(grid_y, W_cols, schedule_y, s_list, init)
         dists = np.zeros(n_samples)
         centers = np.empty(n_samples)
         for rep in range(n_samples):

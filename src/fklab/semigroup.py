@@ -25,8 +25,10 @@ moves or changes the private binding fails loudly.
 
 In d = 1 the stepper accepts a stack of fields as columns of an (n, m) array,
 evolving m independent problems in one sweep; if V is also (n, m) each column
-carries its own potential, which is how experiments.batched_evolve runs a
-batch of sampled environments.
+carries its own potential.  batched_evolve is the one driver: it runs such a
+batch (a single problem is one column) through a piecewise-dt schedule, with
+snapshots, per-column mass monitoring and occupation accumulators.  The
+ground-state check and time_marginal are built on it.
 
 Occupation functionals use Duhamel co-evolution: along with u we advance
 w <- step(w + dt/2 f u) + dt/2 f u_new, a trapezoid rule for
@@ -53,7 +55,7 @@ from scipy.linalg import cho_solve_banded, cholesky_banded
 
 from .model import ModelParams, vhat_sum
 from .points import Box, stream
-from .spectral import Grid, GridField
+from .spectral import Grid
 
 
 class FKInstabilityError(RuntimeError):
@@ -70,12 +72,6 @@ class EvolutionSpec:
             raise ValueError("dt must be positive")
         if self.heat_step not in ("spectral", "implicit"):
             raise ValueError("heat_step must be 'spectral' or 'implicit'")
-
-    def n_steps(self, t: float) -> int:
-        n = round(t / self.dt)
-        if n < 1 or abs(n * self.dt - t) > 1e-9 * max(t, 1.0):
-            raise ValueError(f"dt = {self.dt} does not divide t = {t}")
-        return n
 
 
 def _dirichlet_eigenvalues(n: int, h: float) -> np.ndarray:
@@ -185,60 +181,149 @@ class FKStepper:
         return v
 
 
-def delta_field(grid: Grid, at=0.0) -> GridField:
-    """Discrete delta: 1/h^d at the node nearest `at`, zero elsewhere."""
-    vals = np.zeros(grid.shape)
-    at = np.atleast_1d(np.asarray(at, dtype=float))
-    idx = []
-    for axis in range(grid.d):
-        nodes = grid.axis_nodes(axis)
-        idx.append(int(np.argmin(np.abs(nodes - at[axis]))))
-    vals[tuple(idx)] = grid.h ** (-grid.d)
-    return GridField(grid, vals)
+# ---------------------------------------------------------------------------
+# the Strang driver: piecewise-dt schedules over batches of columns
+
+def default_schedule(t: float) -> tuple:
+    """Piecewise-constant dt ladder: fine steps early when the potential term
+    is stiff relative to the evolved mass, coarser once the profile settles."""
+    fine = ((4.0, 0.02), (16.0, 0.05), (64.0, 0.1))
+    segs = []
+    prev = 0.0
+    for t_end, dt in fine:
+        if t <= prev + 1e-12:
+            break
+        end = min(t_end, t)
+        segs.append((end, dt))
+        prev = end
+    if t > prev + 1e-12:
+        segs.append((float(t), 0.25))
+    return tuple(segs)
 
 
-def ones_field(grid: Grid) -> GridField:
-    return GridField(grid, np.ones(grid.shape))
+def _check_schedule(schedule, snapshot_times=()):
+    prev = 0.0
+    for t_end, dt in schedule:
+        if not (t_end > prev and dt > 0):
+            raise ValueError("schedule segments must increase with positive dt")
+        n = round((t_end - prev) / dt)
+        if n < 1 or abs(n * dt - (t_end - prev)) > 1e-9:
+            raise ValueError(f"dt = {dt} does not divide segment ending at {t_end}")
+        prev = t_end
+    for s in snapshot_times:
+        seg_start = 0.0
+        ok = False
+        for t_end, dt in schedule:
+            if seg_start - 1e-9 <= s <= t_end + 1e-9:
+                k = round((s - seg_start) / dt)
+                if abs(seg_start + k * dt - s) <= 1e-9:
+                    ok = True
+                break
+            seg_start = t_end
+        if not ok:
+            raise ValueError(f"snapshot time {s} is off the step lattice")
 
 
-def fk_evolve(V: GridField, spec: EvolutionSpec, t: float,
-              initial: GridField | None = None,
-              snapshot_times=()):
-    """Evolve the killed Feynman-Kac kernel to time t.
+def batched_evolve(grid: Grid, V_cols: np.ndarray, schedule, *,
+                   initial: np.ndarray | None = None, snapshot_times=(), fs=()):
+    """Evolve m column problems (per-column 1-d potentials) through a
+    piecewise-dt schedule ((t_end, dt), ...) with optional Duhamel
+    co-accumulators.
 
-    Returns the final GridField, or (final, {time: GridField}) when snapshot
-    times are requested.  With V >= 0 the total mass must be nonincreasing;
-    growth raises FKInstabilityError.
+    V_cols: (n, m); one problem is one column.  initial: (n, m), default a
+    discrete delta (1/h at the node nearest 0) in every column.  fs:
+    integrand arrays broadcastable to (n, m); each accumulator w approximates
+    the kernel of e^{-int V} int_0^t f(X_s) ds by the trapezoid co-evolution
+    of the module docstring, so changing dt across segments never breaks the
+    quadrature.  Returns (u_final, {time: u copy}, [w_final ...]).  With
+    V_cols >= 0 every column's mass must be nonincreasing; growth raises
+    FKInstabilityError.
     """
-    grid = V.grid
+    if grid.d != 1:
+        raise ValueError("column batching is 1-d only")
+    V_cols = np.asarray(V_cols, dtype=float)
+    if V_cols.ndim != 2 or V_cols.shape[0] != grid.shape[0]:
+        raise ValueError("V_cols must be (n_nodes, m)")
+    _check_schedule(schedule, snapshot_times)
+    n, m = V_cols.shape
     if initial is None:
-        initial = delta_field(grid)
-    if t == 0:
-        return (initial, {}) if snapshot_times else initial
-    n = spec.n_steps(t)
-    snap_steps = {}
-    for ts in snapshot_times:
-        k = round(ts / spec.dt)
-        if abs(k * spec.dt - ts) > 1e-9 * max(t, 1.0) or not (0 < k <= n):
-            raise ValueError(f"snapshot time {ts} not on the dt lattice within (0, t]")
-        snap_steps[k] = ts
-    stepper = FKStepper(grid, V.values, spec)
-    u = initial.values.copy()
-    monitor = float(np.min(V.values)) >= 0.0
-    mass = float(np.sum(u))
+        u = np.zeros((n, m))
+        i0 = int(np.argmin(np.abs(grid.axis_nodes(0))))
+        u[i0, :] = 1.0 / grid.h
+    else:
+        u = np.array(initial, dtype=float)
+        if u.shape != (n, m):
+            raise ValueError("initial must match V_cols shape")
+    f_vals = [np.broadcast_to(np.asarray(f, dtype=float), (n, m)) for f in fs]
+    ws = [np.zeros((n, m)) for _ in f_vals]
     snaps = {}
-    for k in range(1, n + 1):
-        u = stepper.step(u)
-        if monitor and k % 16 == 0:
-            m_new = float(np.sum(u))
-            if m_new > mass * (1.0 + 1e-8) + 1e-300:
-                raise FKInstabilityError(
-                    f"mass grew from {mass:.6e} to {m_new:.6e} with V >= 0")
-            mass = m_new
-        if k in snap_steps:
-            snaps[snap_steps[k]] = GridField(grid, u.copy())
-    final = GridField(grid, u)
-    return (final, snaps) if snapshot_times else final
+    want = sorted(float(s) for s in snapshot_times)
+    monitor = float(np.min(V_cols)) >= 0.0
+    # column sums as one matrix-vector product: on these narrow (n, m) arrays
+    # it is several times faster than u.sum(axis=0)
+    ones = np.ones(n)
+    mass = ones @ u
+    steps = 0
+    seg_start = 0.0
+    for t_end, dt in schedule:
+        stepper = FKStepper(grid, V_cols, EvolutionSpec(dt=dt))
+        n_steps = round((t_end - seg_start) / dt)
+        snap_at = {round((s - seg_start) / dt): s for s in want
+                   if seg_start - 1e-9 < s <= t_end + 1e-9}
+        if 0 in snap_at:           # snapshot exactly at a segment boundary
+            snaps[snap_at.pop(0)] = u.copy()
+        half = 0.5 * dt
+        for k in range(1, n_steps + 1):
+            if f_vals:
+                stacked = [w + half * fv * u for w, fv in zip(ws, f_vals)]
+                u = stepper.step(u)
+                ws = [stepper.step(s) + half * fv * u
+                      for s, fv in zip(stacked, f_vals)]
+            else:
+                u = stepper.step(u)
+            steps += 1
+            if monitor and steps % 16 == 0:
+                m_new = ones @ u
+                grew = np.flatnonzero(m_new > mass * (1.0 + 1e-8) + 1e-300)
+                if grew.size:
+                    j = int(grew[0])
+                    raise FKInstabilityError(
+                        f"column {j}: mass grew from {mass[j]:.6e} to "
+                        f"{m_new[j]:.6e} by t = {seg_start + k * dt:g} with V >= 0")
+                mass = m_new
+            if k in snap_at:
+                snaps[snap_at[k]] = u.copy()
+        if not np.all(np.isfinite(u)):
+            raise FKInstabilityError("batched evolution lost stability")
+        seg_start = t_end
+    return u, snaps, ws
+
+
+def column_masses(grid: Grid, arr: np.ndarray) -> np.ndarray:
+    return arr.sum(axis=0) * grid.h ** grid.d
+
+
+def time_marginal(grid: Grid, W_cols: np.ndarray, schedule, s_list,
+                  initial: np.ndarray | None = None) -> dict:
+    """Normalized law of X_s under the path measure of each column on
+    [0, horizon], horizon the schedule's end: marginal_s(x) is proportional
+    to u_s(x) (T_{horizon-s} 1)(x).  u starts from `initial` (default the
+    delta at 0), the backward factor from ones; both run on `schedule`.
+    Returns {s: (n, m) densities}, each column integrating to 1.
+    """
+    horizon = schedule[-1][0]
+    if any(not (0 < s < horizon) for s in s_list):
+        raise ValueError("marginal times must lie strictly inside (0, horizon)")
+    _, fwd, _ = batched_evolve(grid, W_cols, schedule, initial=initial,
+                               snapshot_times=s_list)
+    _, bwd, _ = batched_evolve(grid, W_cols, schedule,
+                               initial=np.ones(np.shape(W_cols)),
+                               snapshot_times=[horizon - s for s in s_list])
+    out = {}
+    for s in s_list:
+        dens = fwd[s] * bwd[horizon - s]
+        out[s] = dens / (dens.sum(axis=0) * grid.h)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -260,40 +345,6 @@ def jackknife_mean(values: np.ndarray):
     mean = total / n
     se = math.sqrt((n - 1) / n * float(np.sum((loo - loo.mean()) ** 2)))
     return float(mean), float(se)
-
-
-# ---------------------------------------------------------------------------
-# occupation functionals (Duhamel co-evolution)
-
-def occupation_evolve(V: GridField, spec: EvolutionSpec, t: float,
-                      fs, initial: GridField | None = None):
-    """Advance u and the Duhamel accumulators for each f in fs.
-
-    Returns (mass, [<w_t^f, 1> ...]) where <w_t^f, 1> approximates
-    E[ e^{-int V} int_0^t f(X_s) ds : stay ]; exact for constant f.
-    """
-    grid = V.grid
-    if initial is None:
-        initial = delta_field(grid)
-    f_vals = [np.asarray(f.values if isinstance(f, GridField) else f, dtype=float)
-              for f in fs]
-    for fv in f_vals:
-        if fv.shape != grid.shape:
-            raise ValueError("f shape mismatch")
-        if not np.all(np.isfinite(fv)):
-            raise ValueError("f must be bounded")
-    n = spec.n_steps(t)
-    stepper = FKStepper(grid, V.values, spec)
-    u = initial.values.copy()
-    ws = [np.zeros(grid.shape) for _ in f_vals]
-    half = 0.5 * spec.dt
-    for _ in range(n):
-        stacked = [w + half * fv * u for w, fv in zip(ws, f_vals)]
-        u = stepper.step(u)
-        ws = [stepper.step(s) + half * fv * u for s, fv in zip(stacked, f_vals)]
-    mass = float(np.sum(u) * grid.h ** grid.d)
-    wmasses = [float(np.sum(w) * grid.h ** grid.d) for w in ws]
-    return mass, wmasses
 
 
 # ---------------------------------------------------------------------------
@@ -323,21 +374,18 @@ class GroundstateReport:
 
 
 def groundstate_transform_check(c: float, T: float, *, h: float = 0.005,
-                                dt: float = 1e-4, box_radius: float = 4.0,
-                                spec: EvolutionSpec | None = None) -> GroundstateReport:
-    """Compare the evolved kernel for V = c x^2 with the analytic identity
-    u_T(y) = e^{-lambda1 T} psi(0) q_T(0, y) / psi(y), plus the mass identity
-    <u_T, 1> = e^{-lambda1 T} psi(0) E[1/psi(Y_T)] (OU expectation, quadrature).
+                                dt: float = 1e-4) -> GroundstateReport:
+    """Compare the evolved kernel for V = c x^2 on [-4, 4] with the analytic
+    identity u_T(y) = e^{-lambda1 T} psi(0) q_T(0, y) / psi(y), plus the mass
+    identity <u_T, 1> = e^{-lambda1 T} psi(0) E[1/psi(Y_T)] (OU expectation,
+    quadrature).
     """
     if c <= 0:
         raise ValueError("c must be positive")
-    if spec is None:
-        spec = EvolutionSpec(dt=dt, heat_step="spectral")
     params = ModelParams(d=1, alpha=2.0, t=max(T, 1.0))
-    grid = make_grid(params, box_radius, h)
+    grid = make_grid(params, 4.0, h)
     x = grid.axis_nodes(0)
-    V = GridField(grid, c * x ** 2)
-    u = fk_evolve(V, spec, T)
+    u = batched_evolve(grid, (c * x ** 2)[:, None], ((T, dt),))[0][:, 0]
     theta = math.sqrt(2.0 * c)
     lam1 = math.sqrt(c / 2.0)
     psi = oscillator_ground_state(x, c)
@@ -345,36 +393,16 @@ def groundstate_transform_check(c: float, T: float, *, h: float = 0.005,
         * ou_transition_density(x, 0.0, T, theta) / psi
     scale = float(np.max(analytic))
     mask = analytic > 1e-6 * scale
-    sup_rel = float(np.max(np.abs(u.values[mask] - analytic[mask]) / analytic[mask]))
+    sup_rel = float(np.max(np.abs(u[mask] - analytic[mask]) / analytic[mask]))
     # mass identity via Gauss-Hermite quadrature over the OU Gaussian
     var = (1.0 - math.exp(-2.0 * theta * T)) / (2.0 * theta)
     nodes, weights = np.polynomial.hermite.hermgauss(120)
     ys = nodes * math.sqrt(2.0 * var)
     expectation = float(np.sum(weights / oscillator_ground_state(ys, c)) / math.sqrt(math.pi))
     mass_rhs = math.exp(-lam1 * T) * float(oscillator_ground_state(0.0, c)) * expectation
-    mass_rel = abs(u.mass() - mass_rhs) / mass_rhs
+    mass_rel = abs(grid.integrate(u) - mass_rhs) / mass_rhs
     return GroundstateReport(sup_rel_err=sup_rel, mass_rel_err=mass_rel,
                              lambda1=lam1, theta=theta, T=T)
-
-
-def time_marginal(V: GridField, spec: EvolutionSpec, t: float, s_list,
-                  initial: GridField | None = None):
-    """Normalized law of X_s under the t-horizon quenched path measure:
-    marginal_s(x) is proportional to u_s(x) * (T_{t-s} 1)(x)."""
-    grid = V.grid
-    s_list = sorted(s_list)
-    if any(not (0 < s < t) for s in s_list):
-        raise ValueError("marginal times must lie strictly inside (0, t)")
-    _, fwd = fk_evolve(V, spec, t, initial=initial, snapshot_times=s_list)
-    back_times = sorted({t - s for s in s_list})
-    _, bwd = fk_evolve(V, spec, t, initial=ones_field(grid),
-                       snapshot_times=back_times)
-    out = {}
-    for s in s_list:
-        dens = fwd[s].values * bwd[t - s].values
-        z = float(np.sum(dens) * grid.h ** grid.d)
-        out[s] = GridField(grid, dens / z)
-    return out
 
 
 # ---------------------------------------------------------------------------

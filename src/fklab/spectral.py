@@ -111,9 +111,6 @@ class GridField:
     def mass(self) -> float:
         return self.grid.integrate(self.values)
 
-    def l2_norm(self) -> float:
-        return float(np.sqrt(np.sum(self.values ** 2) * self.grid.h ** self.grid.d))
-
 
 def potential_on_grid(grid: Grid, evaluate) -> GridField:
     """Evaluate a callable potential on all grid nodes; evaluate takes (m, d) points."""
@@ -200,16 +197,6 @@ class SchrodingerOperator:
 
     def dense(self) -> np.ndarray:
         return self._sparse(0.0).toarray()
-
-
-def rayleigh_quotient(op: SchrodingerOperator, f: np.ndarray | GridField) -> float:
-    vals = f.values if isinstance(f, GridField) else np.asarray(f, dtype=float)
-    vals = vals.reshape(op.grid.shape)
-    den = float(np.sum(vals ** 2))
-    if den == 0.0:
-        raise ValueError("Rayleigh quotient of the zero field")
-    num = float(np.sum(vals * op.apply(vals)))
-    return num / den
 
 
 @dataclass(frozen=True)

@@ -123,6 +123,16 @@ def test_out_of_range_values_exit_two(tmp_path, capsys):
     assert run_cli(tmp_path, "lemma5", "--t-ladder", "4,-4") == 2
 
 
+def test_one_sample_is_a_config_error(tmp_path, capsys):
+    # both runners need a variance across replicas for their CIs
+    for scenario in ("local-min", "occupation"):
+        assert run_cli(tmp_path, scenario, "--samples", "1") == 2
+        err = capsys.readouterr().err
+        assert "n_samples must be at least 2" in err
+        assert "Traceback" not in err
+    assert not list(tmp_path.iterdir())
+
+
 def test_alpha_equal_d_names_the_regime(tmp_path, capsys):
     assert run_cli(tmp_path, "laplace", "--d", "1", "--alpha", "1") == 2
     assert "d < alpha < d + 2" in capsys.readouterr().err

@@ -8,8 +8,7 @@ import pytest
 from scipy import integrate
 from scipy.fft import dst, dstn
 
-from fklab.experiments import (_compensated_columns, batched_evolve, column_masses,
-                               run_localization)
+from fklab.experiments import _compensated_columns, run_localization
 from fklab.model import ModelParams, constants, nu_coordinate_variance
 from fklab.points import Box, sample_homogeneous
 from fklab.potential import PotentialView, evaluate_V
@@ -19,19 +18,17 @@ from fklab.semigroup import (
     FKStepper,
     GroundstateReport,
     _dirichlet_eigenvalues,
+    batched_evolve,
     brownian_partition_mc,
-    delta_field,
-    fk_evolve,
+    column_masses,
     groundstate_transform_check,
     jackknife_mean,
     make_grid,
-    occupation_evolve,
-    ones_field,
     oscillator_ground_state,
     ou_transition_density,
     time_marginal,
 )
-from fklab.spectral import (Grid, GridField, SchrodingerOperator, config_potential_field,
+from fklab.spectral import (Grid, SchrodingerOperator, config_potential_field,
                             potential_on_grid, smallest_eigs)
 from fklab.laplace import strategy_log_lower_bound
 
@@ -42,45 +39,43 @@ def grid_1d(half, h):
     return Grid(Box.cube(1, half), h)
 
 
+def evolve(g, V, t, dt, initial=None, **kw):
+    """One problem as one column of batched_evolve on a single-dt schedule:
+    (u_t, {time: u}, [w ...]) with the column axis dropped."""
+    if initial is not None:
+        initial = np.asarray(initial)[:, None]
+    u, snaps, ws = batched_evolve(g, np.asarray(V)[:, None], ((t, dt),),
+                                  initial=initial, **kw)
+    return u[:, 0], {s: v[:, 0] for s, v in snaps.items()}, [w[:, 0] for w in ws]
+
+
 def test_heat_kernel_matches_gaussian():
     g = grid_1d(6.0, 0.01)
-    V = GridField(g, np.zeros(g.shape))
-    spec = EvolutionSpec(dt=1e-3)
     t = 0.25
-    u = fk_evolve(V, spec, t)
+    u = evolve(g, np.zeros(g.shape), t, 1e-3)[0]
     x = g.axis_nodes(0)
     gauss = np.exp(-x ** 2 / (2.0 * t)) / math.sqrt(2.0 * math.pi * t)
-    assert float(np.max(np.abs(u.values - gauss))) < 1e-4
-    assert u.mass() == pytest.approx(1.0, abs=1e-8)
+    assert float(np.max(np.abs(u - gauss))) < 1e-4
+    assert g.integrate(u) == pytest.approx(1.0, abs=1e-8)
 
 
 def test_constant_potential_factorizes():
     g = grid_1d(4.0, 0.02)
-    spec = EvolutionSpec(dt=1e-3)
     t = 0.5
-    free = fk_evolve(GridField(g, np.zeros(g.shape)), spec, t)
+    free = evolve(g, np.zeros(g.shape), t, 1e-3)[0]
     c = 1.7
-    killed = fk_evolve(GridField(g, np.full(g.shape, c)), spec, t)
-    np.testing.assert_allclose(killed.values, math.exp(-c * t) * free.values,
+    killed = evolve(g, np.full(g.shape, c), t, 1e-3)[0]
+    np.testing.assert_allclose(killed, math.exp(-c * t) * free,
                                rtol=1e-12, atol=1e-14)
-
-
-def test_zero_time_returns_initial():
-    g = grid_1d(2.0, 0.1)
-    V = GridField(g, np.zeros(g.shape))
-    init = delta_field(g, 0.3)
-    out = fk_evolve(V, EvolutionSpec(dt=0.01), 0.0, initial=init)
-    np.testing.assert_array_equal(out.values, init.values)
 
 
 def test_strang_splitting_is_second_order():
     g = grid_1d(4.0, 0.02)
     x = g.axis_nodes(0)
-    V = GridField(g, x ** 2)
     t = 0.5
 
     def mass_at(dt):
-        return fk_evolve(V, EvolutionSpec(dt=dt), t).mass()
+        return g.integrate(evolve(g, x ** 2, t, dt)[0])
 
     ref = mass_at(1.0 / 2048.0)
     e1 = abs(mass_at(1.0 / 32.0) - ref)
@@ -151,23 +146,18 @@ def test_heat_step_is_bit_equal_to_scipy_fft():
 
 
 def test_mass_growth_raises_instability(monkeypatch):
-    # a step that gains 1% mass must be caught by both evolution drivers;
-    # in the batch only column 2 gains, and the error names it and the time
+    # a step that gains 1% mass must be caught; only column 2 gains, and
+    # the error names it and the time
     plain_step = FKStepper.step
 
     def leaky_step(self, u):
         out = plain_step(self, u)
-        if out.ndim == 2:
-            out[:, 2] *= 1.01
-        else:
-            out *= 1.01
+        out[:, 2] *= 1.01
         return out
 
     monkeypatch.setattr(FKStepper, "step", leaky_step)
     g = grid_1d(4.0, 0.05)
     x = g.axis_nodes(0)
-    with pytest.raises(FKInstabilityError):
-        fk_evolve(GridField(g, 0.01 * x ** 2), EvolutionSpec(dt=0.01), 1.0)
     V_cols = 0.01 * np.stack([x ** 2] * 4, axis=1)
     with pytest.raises(FKInstabilityError, match=r"column 2: .* by t = 0\.8 "):
         batched_evolve(g, V_cols, ((1.0, 0.05),))
@@ -178,47 +168,48 @@ def test_mass_growth_raises_instability(monkeypatch):
 def test_implicit_heat_step_matches_spectral():
     g = grid_1d(4.0, 0.02)
     x = g.axis_nodes(0)
-    V = GridField(g, np.minimum(np.abs(x - 0.5), 1.0))
-    spec_a = EvolutionSpec(dt=2e-4, heat_step="spectral")
-    spec_b = EvolutionSpec(dt=2e-4, heat_step="implicit")
-    ua = fk_evolve(V, spec_a, 0.2)
-    ub = fk_evolve(V, spec_b, 0.2)
-    assert float(np.max(np.abs(ua.values - ub.values))) < 1e-3 * float(np.max(ua.values))
+    V = np.minimum(np.abs(x - 0.5), 1.0)
+    out = {}
+    for heat_step in ("spectral", "implicit"):
+        stepper = FKStepper(g, V, EvolutionSpec(dt=2e-4, heat_step=heat_step))
+        u = np.where(np.abs(x) == np.min(np.abs(x)), 1.0 / g.h, 0.0)
+        for _ in range(1000):           # to t = 0.2
+            u = stepper.step(u)
+        out[heat_step] = u
+    ua, ub = out["spectral"], out["implicit"]
+    assert float(np.max(np.abs(ua - ub))) < 1e-3 * float(np.max(ua))
 
 
 def test_positivity_and_mass_decay():
     g = grid_1d(5.0, 0.05)
     cfg = sample_homogeneous(Box.cube(1, 5.0), 1.0, seed=3)
     V = config_potential_field(cfg.points, g, P12)
-    spec = EvolutionSpec(dt=1e-3)
-    final, snaps = fk_evolve(V, spec, 1.0, snapshot_times=(0.25, 0.5, 0.75))
-    peak = float(np.max(final.values))
-    assert np.all(final.values >= -1e-12 * peak)
-    masses = [snaps[s].mass() for s in (0.25, 0.5, 0.75)] + [final.mass()]
+    final, snaps, _ = evolve(g, V.values, 1.0, 1e-3,
+                             snapshot_times=(0.25, 0.5, 0.75))
+    peak = float(np.max(final))
+    assert np.all(final >= -1e-12 * peak)
+    masses = [g.integrate(snaps[s]) for s in (0.25, 0.5, 0.75)] + [g.integrate(final)]
     assert all(b < a for a, b in zip(masses, masses[1:]))
 
 
 def test_monotone_in_potential():
     g = grid_1d(4.0, 0.05)
     x = g.axis_nodes(0)
-    V = GridField(g, np.abs(np.sin(x)))
-    W = GridField(g, V.values + 0.3 * np.exp(-x ** 2))
-    spec = EvolutionSpec(dt=1e-3)
-    uv = fk_evolve(V, spec, 0.5)
-    uw = fk_evolve(W, spec, 0.5)
-    assert np.all(uv.values >= uw.values - 1e-14)
+    V = np.abs(np.sin(x))
+    W = V + 0.3 * np.exp(-x ** 2)
+    uv = evolve(g, V, 0.5, 1e-3)[0]
+    uw = evolve(g, W, 0.5, 1e-3)[0]
+    assert np.all(uv >= uw - 1e-14)
 
 
 def test_semigroup_property():
     g = grid_1d(4.0, 0.05)
     cfg = sample_homogeneous(Box.cube(1, 4.0), 1.0, seed=9)
-    V = config_potential_field(cfg.points, g, P12)
-    spec = EvolutionSpec(dt=1e-3)
-    one_shot = fk_evolve(V, spec, 1.5)
-    stage1 = fk_evolve(V, spec, 1.0)
-    stage2 = fk_evolve(V, spec, 0.5, initial=stage1)
-    np.testing.assert_allclose(stage2.values, one_shot.values, rtol=1e-12,
-                               atol=1e-300)
+    V = config_potential_field(cfg.points, g, P12).values
+    one_shot = evolve(g, V, 1.5, 1e-3)[0]
+    stage1 = evolve(g, V, 1.0, 1e-3)[0]
+    stage2 = evolve(g, V, 0.5, 1e-3, initial=stage1)[0]
+    np.testing.assert_allclose(stage2, one_shot, rtol=1e-12, atol=1e-300)
 
 
 def test_mass_decay_rate_approaches_lambda1():
@@ -228,11 +219,9 @@ def test_mass_decay_rate_approaches_lambda1():
     cfg = sample_homogeneous(Box.cube(1, 6.0), 1.0, seed=17)
     V = config_potential_field(cfg.points, g, P12)
     lam1 = smallest_eigs(SchrodingerOperator(V)).lambda1
-    spec = EvolutionSpec(dt=0.01)
-    init = ones_field(g)
-    _, snaps = fk_evolve(V, spec, 40.0, initial=init,
+    _, snaps, _ = evolve(g, V.values, 40.0, 0.01, initial=np.ones(g.shape),
                          snapshot_times=(10.0, 20.0, 40.0))
-    gaps = [abs(-math.log(snaps[t].mass()) / t - lam1) for t in (10.0, 20.0, 40.0)]
+    gaps = [abs(-math.log(g.integrate(snaps[t])) / t - lam1) for t in (10.0, 20.0, 40.0)]
     assert gaps[0] > gaps[1] > gaps[2]
     assert gaps[2] < 0.08
 
@@ -241,19 +230,16 @@ def test_occupation_constant_f_is_exact():
     g = grid_1d(4.0, 0.05)
     cfg = sample_homogeneous(Box.cube(1, 4.0), 1.0, seed=21)
     V = config_potential_field(cfg.points, g, P12)
-    spec = EvolutionSpec(dt=1e-3)
     t = 0.75
-    mass, (w1,) = occupation_evolve(V, spec, t, [np.ones(g.shape)])
-    assert w1 == pytest.approx(t * mass, rel=1e-12)
+    u, _, (w1,) = evolve(g, V.values, t, 1e-3, fs=(np.ones((g.shape[0], 1)),))
+    assert g.integrate(w1) == pytest.approx(t * g.integrate(u), rel=1e-12)
 
 
 def test_occupation_odd_f_vanishes_by_symmetry():
     g = grid_1d(4.0, 0.05)
     x = g.axis_nodes(0)
-    V = GridField(g, x ** 2)
-    spec = EvolutionSpec(dt=1e-3)
-    mass, (wx,) = occupation_evolve(V, spec, 1.0, [x])
-    assert abs(wx) < 1e-12 * mass
+    u, _, (wx,) = evolve(g, x ** 2, 1.0, 1e-3, fs=(x[:, None],))
+    assert abs(g.integrate(wx)) < 1e-12 * g.integrate(u)
 
 
 def test_occupation_second_moment_matches_ou():
@@ -262,11 +248,9 @@ def test_occupation_second_moment_matches_ou():
     c = constants(P12).C
     g = grid_1d(3.0, 0.02)
     x = g.axis_nodes(0)
-    V = GridField(g, c * x ** 2)
-    spec = EvolutionSpec(dt=2e-3)
     t = 24.0
-    mass, (wx2,) = occupation_evolve(V, spec, t, [x ** 2])
-    second = wx2 / (t * mass)
+    u, _, (wx2,) = evolve(g, c * x ** 2, t, 2e-3, fs=((x ** 2)[:, None],))
+    second = g.integrate(wx2) / (t * g.integrate(u))
     want = 1.0 / (2.0 * math.sqrt(2.0 * c))
     assert second == pytest.approx(want, rel=1e-3)
     assert want == pytest.approx(nu_coordinate_variance(P12), rel=1e-12)
@@ -292,18 +276,18 @@ def test_ou_transition_density_normalizes():
 
 def test_time_marginal_free_motion():
     g = grid_1d(8.0, 0.02)
-    V = GridField(g, np.zeros(g.shape))
-    spec = EvolutionSpec(dt=1e-3)
-    marg = time_marginal(V, spec, 1.0, [0.5])
+    V = np.zeros((g.shape[0], 1))
+    schedule = ((1.0, 1e-3),)
+    marg = time_marginal(g, V, schedule, [0.5])
     x = g.axis_nodes(0)
-    dens = marg[0.5].values
+    dens = marg[0.5][:, 0]
     assert np.sum(dens) * 0.02 == pytest.approx(1.0, rel=1e-10)
     mean = np.sum(x * dens) * 0.02
     var = np.sum(x ** 2 * dens) * 0.02 - mean ** 2
     assert abs(mean) < 1e-8
     assert var == pytest.approx(0.5, rel=1e-3)
     with pytest.raises(ValueError):
-        time_marginal(V, spec, 1.0, [1.5])
+        time_marginal(g, V, schedule, [1.5])
 
 
 def test_brownian_mc_agrees_with_grid_evolution():
@@ -314,7 +298,7 @@ def test_brownian_mc_agrees_with_grid_evolution():
                                            seed=33, dt=1e-3)
     g = grid_1d(R, 0.01)
     V = config_potential_field(pts[:, None], g, P12)
-    grid_val = fk_evolve(V, EvolutionSpec(dt=2.5e-4), t).mass()
+    grid_val = g.integrate(evolve(g, V.values, t, 2.5e-4)[0])
     assert abs(mc_mean - grid_val) < 3.0 * mc_se + 2e-3
 
 
@@ -323,7 +307,7 @@ def test_quenched_partition_and_far_guard():
     cfg = sample_homogeneous(Box.cube(1, 40.0), 1.0, seed=41)
     view = PotentialView(cfg, grid.box, P12, max_far_bound=0.1)
     V = potential_on_grid(grid, lambda pts: evaluate_V(view, pts))
-    z = fk_evolve(V, EvolutionSpec(dt=1e-2), 2.0).mass()
+    z = grid.integrate(evolve(grid, V.values, 2.0, 1e-2)[0])
     assert 0.0 < z < 1.0
     with pytest.raises(ValueError):
         PotentialView(cfg, grid_1d(39.5, 0.05).box, P12, max_far_bound=0.01)
@@ -383,18 +367,20 @@ def test_spec_guards():
         EvolutionSpec(dt=0.0)
     with pytest.raises(ValueError):
         EvolutionSpec(dt=0.01, heat_step="bogus")
-    spec = EvolutionSpec(dt=0.3)
-    with pytest.raises(ValueError):
-        spec.n_steps(1.0)  # dt does not divide t
     g = grid_1d(2.0, 0.1)
-    V = GridField(g, np.zeros(g.shape))
     with pytest.raises(ValueError):
-        fk_evolve(V, EvolutionSpec(dt=0.01), 1.0, snapshot_times=(0.005,))
+        evolve(g, np.zeros(g.shape), 1.0, 0.3)  # dt does not divide t
+    with pytest.raises(ValueError):
+        evolve(g, np.zeros(g.shape), 1.0, 0.01, snapshot_times=(0.005,))
 
 
 def test_fields_and_radius_defaults():
+    # the default initial field is a unit-mass delta at the origin, per column
     g = grid_1d(2.0, 0.1)
-    assert delta_field(g, 0.0).mass() == pytest.approx(1.0)
-    assert ones_field(g).mass() == pytest.approx(g.integrate(np.ones(g.shape)))
+    _, snaps, _ = batched_evolve(g, np.zeros((g.shape[0], 2)), ((0.1, 0.1),),
+                                 snapshot_times=[0.0])
+    assert np.array_equal(np.flatnonzero(snaps[0.0][:, 0]),
+                          [np.argmin(np.abs(g.axis_nodes(0)))])
+    np.testing.assert_allclose(column_masses(g, snaps[0.0]), 1.0, rtol=1e-12)
     p2 = ModelParams(d=1, alpha=2.0, t=1024.0)
     assert make_grid(p2, 10.0, 0.25).box.half_widths[0] == pytest.approx(10.0)
