@@ -47,8 +47,7 @@ def random_configs(n=6, seed=0):
     for rep in range(n):
         cfg = sample_homogeneous(Box.cube(1, 50.0), 1.0, seed, path=(rep,))
         V = config_potential_field(cfg.points, grid, p)
-        # rough random wells: the second level can stall below 1e-10
-        res = smallest_eigs(SchrodingerOperator(V), k=2, tol=1e-8)
+        res = smallest_eigs(SchrodingerOperator(V), k=2)
         print(f"  replica {rep}: lambda1 {res.lambda1:8.4f}   lambda2 "
               f"{res.lambda2:8.4f}   residual {res.residual1:.1e}")
     print()

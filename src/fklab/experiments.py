@@ -55,7 +55,7 @@ from .semigroup import (
     time_marginal,
 )
 
-ARTIFACT_VERSION = 3
+ARTIFACT_VERSION = 4
 
 
 # ---------------------------------------------------------------------------

@@ -305,8 +305,10 @@ def exact_log_laplace(mu: DiscreteMeasure, params: ModelParams,
                       t: float | None = None) -> float:
     """int (1 - exp(-t Phi_mu(y))) dy = -log E[exp(-t <mu, V>)], nonnegative.
 
-    Computed as the single-atom value plus a centered difference integral; the
-    truncated tail is bounded analytically and kept below tolerance.
+    Computed as the single-atom value plus a centered difference integral on
+    [-H, H].  Beyond H the difference is t (Phi - vhat) to leading order, so
+    its tail t alpha M2 H^-(alpha+1) is added back; H keeps that tail below
+    tolerance, which leaves a higher-order remainder.
     """
     if t is None:
         t = params.t
@@ -337,7 +339,7 @@ def exact_log_laplace(mu: DiscreteMeasure, params: ModelParams,
 
     pts = _difference_breakpoints(atoms, t, al, H)
     diff, _ = _gk_quad(g, pts, spec)
-    return base + diff
+    return base + diff + t * al * M2 * H ** -(al + 1.0)
 
 
 def predicted_log_laplace(mu: DiscreteMeasure, params: ModelParams,

@@ -5,11 +5,12 @@ Dirichlet rows never enter the linear algebra.  The Laplacian is the standard
 second-order central-difference stencil, giving O(h^2) eigenvalue error.
 
 SchrodingerOperator(V) is the operator on a potential field; smallest_eigs
-gives its lowest eigenpairs.  They come from shifted inverse power iteration
-with a positive-definite shift sigma < lambda1 (banded Cholesky in d = 1,
-sparse LU in d = 2); the second eigenpair is obtained by deflating against
-phi1.  The residual contract is ||A phi - lambda phi|| <= tol * |lambda| in
-the discrete l2 norm, up to a floating-point floor proportional to ||A||.
+gives its lowest one or two eigenpairs from library solvers: LAPACK's
+tridiagonal eigen-solve (eigh_tridiagonal, by index) in d = 1, and ARPACK's
+shift-invert Lanczos (eigsh, shift min V - 1, fixed start vector) in d = 2.
+Each result carries the residual ||A v - lambda v|| of its unit-norm
+eigenvector v, so callers can hold it to a threshold; a solver failure or a
+non-finite eigenvalue raises EigenSolveError.
 
 The integrated density of states N(lambda) is estimated (d = 1) as the
 expected spectral mass below lambda in the unit cell at the origin, from
@@ -29,11 +30,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve_banded, cholesky_banded, eigh_tridiagonal
+from scipy.linalg import eigh_tridiagonal
 from scipy.sparse import identity as sparse_identity
 from scipy.sparse import kron as sparse_kron
 from scipy.sparse import diags
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg import ArpackError, eigsh
 from scipy.special import logsumexp
 
 from .laplace import box_log_laplace
@@ -153,10 +154,7 @@ class SchrodingerOperator:
             out[:, :-1] -= c * x[:, 1:]
         return out
 
-    def norm_bound(self) -> float:
-        return float(np.max(np.abs(self.V)) + 2.0 * self.grid.d / self.h ** 2)
-
-    # -- factorized shifted solves ------------------------------------------
+    # -- assembled matrices --------------------------------------------------
     def tridiag(self):
         """(diagonal, off-diagonal) of the d=1 matrix."""
         if self.grid.d != 1:
@@ -166,37 +164,22 @@ class SchrodingerOperator:
         off = np.full(n - 1, -self._inv2h2)
         return diag, off
 
-    def _sparse(self, sigma: float = 0.0):
+    def _sparse(self):
         g = self.grid
         c = self._inv2h2
         if g.d == 1:
-            n = g.n_total
-            return diags(
-                [np.full(n - 1, -c), self.V + 2.0 * c - sigma, np.full(n - 1, -c)],
-                offsets=[-1, 0, 1], format="csc")
+            diag, off = self.tridiag()
+            return diags([off, diag, off], offsets=[-1, 0, 1], format="csc")
         nx, ny = g.shape
         lap1x = diags([np.full(nx - 1, -c), np.full(nx, 2.0 * c), np.full(nx - 1, -c)],
                       offsets=[-1, 0, 1])
         lap1y = diags([np.full(ny - 1, -c), np.full(ny, 2.0 * c), np.full(ny - 1, -c)],
                       offsets=[-1, 0, 1])
         lap = sparse_kron(lap1x, sparse_identity(ny)) + sparse_kron(sparse_identity(nx), lap1y)
-        return (lap + diags(self.V.ravel() - sigma)).tocsc()
-
-    def shifted_solver(self, sigma: float):
-        """Returns solve(b) for (A - sigma I) x = b; requires A - sigma positive definite
-        in d = 1 (Cholesky); d = 2 uses LU and tolerates indefinite shifts."""
-        if self.grid.d == 1:
-            diag, off = self.tridiag()
-            ab = np.zeros((2, diag.size))
-            ab[0, 1:] = off
-            ab[1, :] = diag - sigma
-            factor = cholesky_banded(ab, lower=False)
-            return lambda b: cho_solve_banded((factor, False), b)
-        lu = splu(self._sparse(sigma))
-        return lambda b: lu.solve(b)
+        return (lap + diags(self.V.ravel())).tocsc()
 
     def dense(self) -> np.ndarray:
-        return self._sparse(0.0).toarray()
+        return self._sparse().toarray()
 
 
 @dataclass(frozen=True)
@@ -206,86 +189,43 @@ class EigenResult:
     phi1: GridField
     residual1: float
     residual2: float | None
-    iterations: int
 
 
 class EigenSolveError(RuntimeError):
     pass
 
 
-def _iterate(op: SchrodingerOperator, x0: np.ndarray, sigma0: float, tol: float,
-             max_iter: int, project=None):
-    """Inverse power iteration with guarded shift updates; returns (lam, x, res, iters)."""
-    flat_shape = op.grid.n_total
-    x = x0.ravel().astype(float).copy()
-    if project is not None:
-        x = project(x)
-    x /= np.linalg.norm(x)
-    sigma = sigma0
-    solve = op.shifted_solver(sigma)
-    # floating-point floor: residuals cannot beat eps * ||A|| no matter the tol
-    scale_floor = 100.0 * np.finfo(float).eps * op.norm_bound()
-    lam, res = math.inf, math.inf
-    for it in range(1, max_iter + 1):
-        y = solve(x.reshape(-1) if op.grid.d == 2 else x)
-        y = np.asarray(y).ravel()
-        if project is not None:
-            y = project(y)
-        ny = np.linalg.norm(y)
-        if not np.isfinite(ny) or ny == 0.0:
-            raise EigenSolveError("inverse iteration produced a degenerate vector")
-        x = y / ny
-        Ax = op.apply(x.reshape(op.grid.shape)).ravel()
-        lam = float(x @ Ax)
-        res = float(np.linalg.norm(Ax - lam * x))
-        if res <= tol * abs(lam) + scale_floor:
-            return lam, x, res, it
-        # shift acceleration: once roughly converged, move the shift close to
-        # the Rayleigh value (kept strictly below it so Cholesky stays valid)
-        if res < 0.05 * max(abs(lam - sigma), 1.0) and it % 4 == 0:
-            new_sigma = lam - max(4.0 * res, 1e-8 * (1.0 + abs(lam)))
-            if new_sigma > sigma:
-                try:
-                    solve = op.shifted_solver(new_sigma)
-                    sigma = new_sigma
-                except np.linalg.LinAlgError:
-                    pass
-    raise EigenSolveError(
-        f"no convergence after {max_iter} iterations; residual {res:.3e}, "
-        f"target {tol * abs(lam) + scale_floor:.3e}")
-
-
-def smallest_eigs(op: SchrodingerOperator, k: int = 1, tol: float = 1e-10,
-                  max_iter: int = 600, seed: int = 7) -> EigenResult:
+def smallest_eigs(op: SchrodingerOperator, k: int = 1) -> EigenResult:
     """Lowest k in {1, 2} eigenpairs; phi1 is nonnegative with unit discrete L2 norm."""
     if k not in (1, 2):
         raise ValueError("k must be 1 or 2")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     g = op.grid
-    sigma0 = float(np.min(op.V)) - 1.0
-    rng = np.random.default_rng(seed)
-    x0 = np.ones(g.n_total) + 0.01 * rng.standard_normal(g.n_total)
-    lam1, v1, res1, it1 = _iterate(op, x0, sigma0, tol, max_iter)
+    try:
+        if g.d == 1:
+            lams, vecs = eigh_tridiagonal(*op.tridiag(), select="i",
+                                          select_range=(0, k - 1))
+        else:
+            # the fixed start vector makes repeated solves bit-identical
+            lams, vecs = eigsh(op._sparse(), k=k, sigma=float(np.min(op.V)) - 1.0,
+                               which="LM", v0=np.ones(g.n_total))
+            order = np.argsort(lams)
+            lams, vecs = lams[order], vecs[:, order]
+    except (ArpackError, np.linalg.LinAlgError) as e:
+        raise EigenSolveError(f"eigen-solve failed: {e}") from e
+    if not np.all(np.isfinite(lams)):
+        raise EigenSolveError("eigen-solve returned non-finite eigenvalues")
+    res = [float(np.linalg.norm(op.apply(v).ravel() - lam * v))
+           for lam, v in zip(lams, vecs.T)]
+    v1 = vecs[:, 0]
     if np.sum(v1) < 0:
         v1 = -v1
-    # Perron ground state: clip tiny negative overshoot from finite tolerance
+    # Perron ground state: clip round-off negatives in the far tails
     v1 = np.where(v1 < 0, 0.0, v1)
     v1 /= np.linalg.norm(v1)
-    phi1_vals = v1.reshape(g.shape) / math.sqrt(g.h ** g.d)
-    phi1 = GridField(g, phi1_vals)
-    lam2 = res2 = None
-    iters = it1
-    if k == 2:
-        def project(y):
-            return y - (v1 @ y) * v1
-        x1 = rng.standard_normal(g.n_total)
-        lam2, _, res2, it2 = _iterate(op, x1, sigma0, tol, max_iter, project=project)
-        iters += it2
-        if lam2 < lam1:
-            raise EigenSolveError("deflated eigenvalue fell below the ground state")
-    return EigenResult(lambda1=float(lam1), lambda2=lam2, phi1=phi1,
-                       residual1=res1, residual2=res2, iterations=iters)
+    phi1 = GridField(g, v1.reshape(g.shape) / math.sqrt(g.h ** g.d))
+    return EigenResult(lambda1=float(lams[0]), phi1=phi1, residual1=res[0],
+                       lambda2=float(lams[1]) if k == 2 else None,
+                       residual2=res[1] if k == 2 else None)
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,8 @@ def test_constants_exits_zero_and_writes_record(tmp_path):
     rec = json.loads((tmp_path / "constants.json").read_text())
     assert rec["status"] == "pass"
     assert rec["settings"]["resolved_cli"] == {}
+    # seed 2 holds a near-twin second eigenvalue (tests/test_spectral.py)
+    assert run_cli(tmp_path, "spectrum", "--seed", "2") == 0
 
 
 def test_rerun_is_byte_identical(tmp_path):

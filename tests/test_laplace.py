@@ -319,7 +319,8 @@ def test_quadratures_match_geometric_reference():
 
     diff = _reference_quad(g, _line_breakpoints([-2.0, 2.0], 1e7))
     got = exact_log_laplace(mu, P12, t=t) + exact_mgf_V0(t, P12)
-    assert got == pytest.approx(diff, rel=rel)
+    # the known tail beyond the cut-off H is added back, so this is tighter
+    assert got == pytest.approx(diff, rel=2e-9)
 
 
 def test_gk_quad_error_contract():
