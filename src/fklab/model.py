@@ -116,11 +116,11 @@ def _sq_norm(x, d: int):
 
 
 def vhat_radial(r, alpha: float):
-    """Radial shape min(r^-alpha, 1) for r >= 0, with vhat(0) = 1."""
-    r = np.asarray(r, dtype=float)
-    out = np.ones_like(r)
-    far = r > 1.0
-    out[far] = r[far] ** (-alpha)
+    """Radial shape min(r^-alpha, 1) for r >= 0, with vhat(0) = 1.
+
+    max(r, 1)^-alpha needs no mask: 1^-alpha is exactly 1.
+    """
+    out = np.maximum(np.asarray(r, dtype=float), 1.0) ** (-alpha)
     if out.ndim == 0:
         return float(out)
     return out

@@ -9,6 +9,17 @@ for a finitely supported probability measure mu.  Since the exponent is
 nonnegative, the tilted process is an exact thinning of a homogeneous sample:
 a candidate point y survives with probability exp(-t * sum_i w_i vhat(x_i - y)).
 
+In d = 1, thinning_keep squeezes that sum in two stages before it computes
+it: first between vhat of the distances to the atom hull, then, for the
+candidates still undecided, with the core of the atoms (the innermost
+quarter by distance to the barycentre) bounded through its own, narrower
+hull.  For the 32-atom Gauss-Hermite tilts of the local-minimum statistics
+a core of a quarter leaves the fewest candidates undecided: 2, 4, 6, 8, 10,
+12 or 16 core atoms leave 15.8, 10.0, 7.0, 6.3, 7.1, 8.5 or 11.6% of them
+at t = 1e7; a larger core holds more weight but has a wider hull.  When the
+first stage decides every candidate, as it does for a single atom, the
+second is skipped.  Every decision equals the exact test's.
+
 Randomness comes from counter-based Philox streams keyed by (seed, path...),
 so replica r of an experiment always draws from stream (base_seed, r)
 regardless of scheduling.
@@ -207,25 +218,62 @@ SQUEEZE_REL = 1e-9
 SQUEEZE_ABS = 1e-300
 
 
+def _hull_distances(x, lo: float, hi: float):
+    """Distances from points x to the interval [lo, hi] and to its farther end."""
+    near = np.maximum(np.maximum(lo - x, x - hi), 0.0)
+    far = np.maximum(x - lo, hi - x)
+    return near, far
+
+
+def _squeeze(u, phi_up, phi_lo, t: float):
+    """Candidates surely kept, and those still undecided, for Phi in [phi_lo, phi_up]."""
+    keep = u < np.exp(-t * phi_up) * (1.0 - SQUEEZE_REL) - SQUEEZE_ABS
+    return keep, ~keep & (u < np.exp(-t * phi_lo) * (1.0 + SQUEEZE_REL) + SQUEEZE_ABS)
+
+
+def squeeze_core(mu: DiscreteMeasure):
+    """Hull (lo, hi) and weight of the core of a 1-d measure: the innermost
+    quarter of its atoms by distance to the barycentre, at least one atom."""
+    a = mu.atoms[:, 0]
+    core = np.argsort(np.abs(a - mu.barycenter[0]), kind="stable")[:max(1, a.size // 4)]
+    return float(a[core].min()), float(a[core].max()), float(mu.weights[core].sum())
+
+
 def thinning_keep(y, u, mu: DiscreteMeasure, params: ModelParams, t: float) -> np.ndarray:
     """The thinning decisions u < tilt_acceptance(y) for candidates y (m, d).
 
-    In d = 1 a squeeze decides most candidates without the pairwise sum Phi.
-    As the weights sum to 1 and vhat falls with distance, Phi(y) lies between
-    vhat of the distances to the atom hull and to its farther end.  Only the
-    candidates whose u falls between the two acceptances, widened by the
-    margins, go to the exact test, so every decision is the exact one.
+    In d = 1 a squeeze in two stages decides most candidates without the
+    pairwise sum Phi.  As the weights sum to 1 and vhat falls with distance,
+    Phi(y) lies between vhat of the distances to the atom hull and to its
+    farther end (stage 1).  The candidates whose u falls between the two
+    acceptances go to stage 2, which splits the atoms into the core of
+    squeeze_core, with weight W, and the rest:
+
+        W vhat(far_core) + (1 - W) vhat(far)  <=  Phi
+            <=  W vhat(near_core) + (1 - W) vhat(near).
+
+    Only the candidates still undecided go to the exact test, so every
+    decision is the exact one; both stages widen their thresholds by the
+    margins.  When stage 1 leaves none, as with a single atom (near = far),
+    stage 2 is skipped.
     """
     if mu.d != 1:
         return u < tilt_acceptance(y, mu, params, t)
-    lo, hi = float(mu.atoms.min()), float(mu.atoms.max())
-    near = np.maximum(np.maximum(lo - y[:, 0], y[:, 0] - hi), 0.0)
-    far = np.maximum(y[:, 0] - lo, hi - y[:, 0])
-    sure = np.exp(-t * vhat_radial(near, params.alpha)) * (1.0 - SQUEEZE_REL) - SQUEEZE_ABS
-    maybe = np.exp(-t * vhat_radial(far, params.alpha)) * (1.0 + SQUEEZE_REL) + SQUEEZE_ABS
-    keep = u < sure
-    undecided = ~keep & (u < maybe)
-    keep[undecided] = u[undecided] < tilt_acceptance(y[undecided], mu, params, t)
+    x = y[:, 0]
+    near, far = _hull_distances(x, float(mu.atoms.min()), float(mu.atoms.max()))
+    v_near, v_far = vhat_radial(near, params.alpha), vhat_radial(far, params.alpha)
+    keep, undecided = _squeeze(u, v_near, v_far, t)
+    rows = np.flatnonzero(undecided)
+    if rows.size == 0:
+        return keep
+    lo, hi, w = squeeze_core(mu)
+    near_core, far_core = _hull_distances(x[rows], lo, hi)
+    phi_up = w * vhat_radial(near_core, params.alpha) + (1.0 - w) * v_near[rows]
+    phi_lo = w * vhat_radial(far_core, params.alpha) + (1.0 - w) * v_far[rows]
+    keep_rows, undecided = _squeeze(u[rows], phi_up, phi_lo, t)
+    rest = rows[undecided]
+    keep_rows[undecided] = u[rest] < tilt_acceptance(y[rest], mu, params, t)
+    keep[rows] = keep_rows
     return keep
 
 

@@ -90,6 +90,13 @@ def test_shape_vhat_cap_and_tail():
     pts = np.array([[3.0, 4.0], [0.1, 0.1]])
     np.testing.assert_allclose(shape_vhat(pts, p2), [5.0 ** -3, 1.0])
     assert vhat_radial(np.array([0.5, 2.0]), 2.0) == pytest.approx([1.0, 0.25])
+    # bit for bit the masked form, from the cap edge to overflow
+    r = np.array([0.0, 0.5, 1.0, np.nextafter(1.0, 2.0), 2.0, 1e300, np.inf])
+    for alpha in (1.5, 2.0, 2.5):
+        masked = np.ones_like(r)
+        masked[r > 1.0] = r[r > 1.0] ** -alpha
+        assert np.array_equal(vhat_radial(r, alpha), masked)
+    assert type(vhat_radial(2.0, 2.0)) is float and vhat_radial(2.0, 2.0) == 0.25
 
 
 @pytest.mark.parametrize("d, alpha", [(1, 1.5), (2, 2.5)])

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from fklab import model
-from fklab.model import ModelParams, vhat_radial
+from fklab.experiments import _mu_for
+from fklab.model import ModelParams, vhat_radial, vhat_sum
 from fklab.points import (
     SQUEEZE_ABS,
     SQUEEZE_REL,
@@ -15,6 +16,7 @@ from fklab.points import (
     PointConfig,
     sample_homogeneous,
     sample_tilted,
+    squeeze_core,
     stream,
     thinning_keep,
     tilt_acceptance,
@@ -89,29 +91,65 @@ def test_blocked_tilt_weight_equals_one_block(m, monkeypatch):
 
 # Narrow Gauss-Hermite atoms sit within 1 of each other, and their computed
 # weights sum to 1 - 2^-52 (6 atoms) or 1 + 2^-52 (14 atoms).  So at t = 600
-# the exact acceptance on an atom differs from both bounds by about 1e-13,
-# relatively, and a squeeze without margins decides some planted u wrongly.
+# the exact acceptance on an atom differs from the bounds of both stages by
+# about 1e-13, relatively, and a squeeze without margins in either stage
+# decides some planted u wrongly.  A negative std stands for skewed atoms,
+# spread uniformly over [std, -std] with random weights, whose core hull
+# does not sit in the middle of the whole hull.
 @pytest.mark.parametrize("atoms, std, t", [(32, 40.0, 1e5), (32, 40.0, 1e7), (1, 0.0, 300.0),
-                                           (5, 40.0, 0.7), (6, 0.05, 600.0), (14, 0.05, 600.0)])
+                                           (5, 40.0, 0.7), (6, 0.05, 600.0), (14, 0.05, 600.0),
+                                           (12, -50.0, 1e4)])
 def test_squeeze_decides_as_the_exact_test(atoms, std, t):
     params = ModelParams(d=1, alpha=1.5, t=t)
-    mu = (DiscreteMeasure.delta(np.zeros(1)) if atoms == 1
-          else DiscreteMeasure.gauss_hermite(atoms, std))
+    if atoms == 1:
+        mu = DiscreteMeasure.delta(np.zeros(1))
+    elif std > 0:
+        mu = DiscreteMeasure.gauss_hermite(atoms, std)
+    else:
+        spread = np.random.default_rng(0)
+        mu = DiscreteMeasure(spread.uniform(std, -std, (atoms, 1)),
+                             spread.dirichlet(np.ones(atoms)))
     rng = np.random.default_rng(atoms)
     y = rng.uniform(-2000.0, 2000.0, (4000, 1))
     y[:atoms, 0] = mu.atoms[:, 0]                # candidates on the atoms
     lo, hi = mu.atoms.min(), mu.atoms.max()
     near = np.maximum(np.maximum(lo - y[:, 0], y[:, 0] - hi), 0.0)
     far = np.maximum(y[:, 0] - lo, hi - y[:, 0])
-    sure = np.exp(-t * vhat_radial(near, 1.5)) * (1.0 - SQUEEZE_REL) - SQUEEZE_ABS
-    maybe = np.exp(-t * vhat_radial(far, 1.5)) * (1.0 + SQUEEZE_REL) + SQUEEZE_ABS
+    # stage 2: the core's share W of Phi is bounded through the core's hull
+    core_lo, core_hi, w = squeeze_core(mu)
+    core_near = np.maximum(np.maximum(core_lo - y[:, 0], y[:, 0] - core_hi), 0.0)
+    core_far = np.maximum(y[:, 0] - core_lo, core_hi - y[:, 0])
+    up = w * vhat_radial(core_near, 1.5) + (1.0 - w) * vhat_radial(near, 1.5)
+    down = w * vhat_radial(core_far, 1.5) + (1.0 - w) * vhat_radial(far, 1.5)
+    phi = vhat_sum(y, mu.atoms, 1.5, mu.weights)
+    assert np.all(down * (1.0 - 1e-12) <= phi) and np.all(phi <= up * (1.0 + 1e-12))
+    edges = [np.exp(-t * vhat_radial(near, 1.5)) * (1.0 - SQUEEZE_REL) - SQUEEZE_ABS,
+             np.exp(-t * vhat_radial(far, 1.5)) * (1.0 + SQUEEZE_REL) + SQUEEZE_ABS,
+             np.exp(-t * up), np.exp(-t * down),
+             np.exp(-t * up) * (1.0 - SQUEEZE_REL) - SQUEEZE_ABS,
+             np.exp(-t * down) * (1.0 + SQUEEZE_REL) + SQUEEZE_ABS]
     acc = tilt_acceptance(y, mu, params)
-    # u just inside and just outside both band edges, then uniform draws
-    planted = [np.nextafter(sure, -1.0), sure, np.nextafter(maybe, -1.0), maybe,
-               np.nextafter(maybe, 2.0)]
+    # u on and next to every band edge of both stages, and on the stage-2
+    # bounds without margins, then uniform draws
+    planted = [np.nextafter(e, s) for e in edges for s in (-1.0, 2.0)] + edges
     for u in planted + [rng.random(y.shape[0]) for _ in range(25)]:
         u = np.clip(u, 0.0, np.nextafter(1.0, 0.0))
         assert np.array_equal(thinning_keep(y, u, mu, params, t), u < acc)
+
+
+# Criterion 05's tilt: the 32-atom measure of run_local_min_stats at alpha = 2
+# and the box radii its 1% far-field variance rule gives on each rung.
+@pytest.mark.parametrize("t, radius", [(1e5, 1401.0), (1e6, 4333.0), (1e7, 13544.0)])
+def test_criterion_05_tilt_thins_exactly(t, radius):
+    params = ModelParams(d=1, alpha=2.0, t=t)
+    mu = _mu_for(params)
+    box = Box.cube(1, radius)
+    for seed, rep in [(0, 0), (0, 1), (5, 7), (1101, 3)]:
+        base = sample_homogeneous(box, 1.0, seed, path=(2, rep))
+        u = stream(seed, 2, rep, 1).random(base.n)
+        want = base.points[u < tilt_acceptance(base.points, mu, params)]
+        got = sample_tilted(mu, params, box, seed, path=(2, rep)).points
+        assert np.array_equal(got, want)
 
 
 def test_tilted_at_t_zero_equals_homogeneous():
