@@ -46,6 +46,7 @@ from .laplace import (
 )
 from .spectral import Grid, GridField, SchrodingerOperator, ids_estimate, smallest_eigs
 from .semigroup import (
+    FKInstabilityError,
     batched_evolve,
     column_masses,
     default_schedule,
@@ -555,6 +556,42 @@ def run_tilted(d: int = 1, alpha: float = 2.0, t: float = 100.0,
 # ---------------------------------------------------------------------------
 # localization ladder: median confinement radius exponent
 
+def _retired_control(grid: Grid, V_cols: np.ndarray, horizons) -> np.ndarray:
+    """(n, m) array whose column k is column k of V_cols evolved from the
+    delta at 0 to horizons[k] on default_schedule(max(horizons)).
+
+    The schedule runs in links between successive distinct horizons, each
+    the schedule's own stretch, so every step keeps its dt; a column rides
+    only the links up to its horizon.  The stepper moves each column as it
+    would alone, so this is bit for bit the diagonal of batched_evolve with
+    snapshot_times=horizons, and column_masses sums it as it would those
+    snapshots (lone columns would sum in another order).  An instability
+    names its absolute time and its column in V_cols.
+    """
+    horizons = np.asarray(horizons, dtype=float)
+    schedule = default_schedule(float(horizons.max()))
+    out = np.empty(V_cols.shape)
+    live = np.arange(horizons.size)
+    u, start = None, 0.0
+    for end in np.unique(horizons):
+        link, prev = [], 0.0
+        for t_end, dt in schedule:
+            if t_end > start and prev < end:
+                link.append((min(t_end, end) - start, dt))
+            prev = t_end
+        try:
+            u, _, _ = batched_evolve(grid, V_cols[:, live], link, initial=u)
+        except FKInstabilityError as e:
+            if e.column is None:
+                raise
+            raise FKInstabilityError(e.detail, column=int(live[e.column]),
+                                     t=start + e.t) from e
+        done = horizons[live] == end
+        out[:, live[done]] = u[:, done]
+        live, u, start = live[~done], u[:, ~done], end
+    return out
+
+
 def run_localization(d: int = 1, alpha: float = 2.0,
                      t_ladder=(16.0, 32.0, 64.0, 128.0, 256.0, 512.0, 1024.0),
                      L_ladder=(2.0, 3.0, 4.0, 6.0, 8.0, 12.0, 16.0, 24.0,
@@ -578,25 +615,23 @@ def run_localization(d: int = 1, alpha: float = 2.0,
     target = (alpha - d + 2.0) / (4.0 * alpha)
     t_ladder = [float(t) for t in t_ladder]
     L_ladder = [float(L) for L in L_ladder]
-    t_max = t_ladder[-1]
+    t_max = max(t_ladder)
     settings = {"t_ladder": t_ladder, "L_ladder": L_ladder,
                 "full_radius": full_radius, "h": h, "n_samples": n_samples,
                 "config_margin": config_margin,
                 "schedule": [list(s) for s in default_schedule(t_max)]}
     grid_full = make_grid(params0, full_radius, h)
     nodes = grid_full.axis_nodes(0)
-    schedule = default_schedule(t_max)
 
-    # --- control: per-horizon quadratic wells as columns, snapshot each at
-    # its own horizon (diagonal extraction)
+    # --- control: per-horizon quadratic wells as columns, each evolved to
+    # its own horizon
     V_ctrl = np.stack([quadratic_profile(nodes, params0.with_t(tk))
                        for tk in t_ladder], axis=1)
-    _, snaps, _ = batched_evolve(grid_full, V_ctrl, schedule,
-                                 snapshot_times=t_ladder)
+    ctrl_full = _retired_control(grid_full, V_ctrl, t_ladder)
     ctrl_rows = []
     ctrl_pts = []
     for k, tk in enumerate(t_ladder):
-        dens = snaps[tk][:, k]
+        dens = ctrl_full[:, k]
         rad = field_abs_quantile(nodes, dens, 0.5)
         ctrl_pts.append((tk, rad))
         ctrl_rows.append({"t": tk, "kind": "control_marginal", "radius": rad})
@@ -613,16 +648,12 @@ def run_localization(d: int = 1, alpha: float = 2.0,
     # control sup-norm radius through the sub-box machinery (recorded only)
     masks = {L: np.abs(nodes) < L - 0.5 * h for L in L_ladder}
     grids = {L: make_grid(params0, L, h) for L in L_ladder}
-    ctrl_sub_masses = {}
-    for L in L_ladder:
-        g = grids[L]
-        _, s_sub, _ = batched_evolve(g, V_ctrl[masks[L], :], schedule,
-                                     snapshot_times=t_ladder)
-        ctrl_sub_masses[L] = {tk: column_masses(g, s_sub[tk]) for tk in t_ladder}
-    ctrl_full_masses = {tk: column_masses(grid_full, snaps[tk]) for tk in t_ladder}
+    ctrl_sub_masses = {L: column_masses(grids[L], _retired_control(
+        grids[L], V_ctrl[masks[L], :], t_ladder)) for L in L_ladder}
+    ctrl_full_masses = column_masses(grid_full, ctrl_full)
     ctrl_sup_pts = []
     for k, tk in enumerate(t_ladder):
-        q = np.array([ctrl_sub_masses[L][tk][k] / ctrl_full_masses[tk][k]
+        q = np.array([ctrl_sub_masses[L][k] / ctrl_full_masses[k]
                       for L in L_ladder])
         Lstar = _crossing_log(np.array(L_ladder), q, 0.5)
         ctrl_sup_pts.append((tk, Lstar))

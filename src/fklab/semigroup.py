@@ -30,6 +30,14 @@ batch (a single problem is one column) through a piecewise-dt schedule, with
 snapshots, per-column mass monitoring and occupation accumulators.  The
 ground-state check and time_marginal are built on it.
 
+The heat multiplier is built at V's shape when the stepper is, so each step
+multiplies two full arrays and broadcasts nothing.  Every column is stepped
+bit for bit as it would be alone: pocketfft transforms the columns in SIMD
+pairs and an odd last column on its own, with the same arithmetic either
+way, and the other factors are elementwise.  A caller may therefore drop
+columns between steps, or batch them differently, without changing a bit;
+tests/test_semigroup.py checks this on the localization grids.
+
 Occupation functionals use Duhamel co-evolution: along with u we advance
 w <- step(w + dt/2 f u) + dt/2 f u_new, a trapezoid rule for
 w_t = int_0^t T_{t-s}(f u_s) ds that is exact for f = 1 (giving <w_t, 1> =
@@ -59,7 +67,14 @@ from .spectral import Grid
 
 
 class FKInstabilityError(RuntimeError):
-    pass
+    """Mass growth under V >= 0, naming the first column that grew and the
+    time t by which it was seen; or, with column None, a non-finite field."""
+
+    def __init__(self, detail: str, column: int | None = None,
+                 t: float | None = None):
+        self.detail, self.column, self.t = detail, column, t
+        super().__init__(detail if column is None else
+                         f"column {column}: {detail} by t = {t:g} with V >= 0")
 
 
 @dataclass(frozen=True)
@@ -80,39 +95,34 @@ def _dirichlet_eigenvalues(n: int, h: float) -> np.ndarray:
     return (1.0 - np.cos(k * np.pi / (n + 1))) / h ** 2
 
 
-def _sine_heat(u: np.ndarray, mult: np.ndarray, axes: tuple) -> np.ndarray:
-    """DST-I over `axes`, times `mult`, DST-I again, all in place in u: the
-    exact heat propagator when `mult` holds exp(-tau lambda_k) / prod 2(n_i+1)."""
-    # positional: (a, type, axes, inorm = 0 unnormalized, out); one thread
-    _pocketfft_dst(u, 1, axes, 0, u)
-    u *= mult
-    return _pocketfft_dst(u, 1, axes, 0, u)
+# The spectral step overwrites the field it is given (FKStepper.step hands it
+# a temporary); the implicit ones return a new array.
 
+class _SpectralHeat:
+    """Exact heat propagator on fields of a fixed shape, the grid's or in
+    d = 1 an (n, m) stack of columns: DST-I over the grid axes, times
+    exp(-tau lambda_k) / prod 2(n_i + 1), DST-I again, all in place.  The
+    multiplier is built at the full field shape, so the product is a plain
+    elementwise loop rather than an (n, 1) broadcast run as m-element inner
+    loops; the bits are the same."""
 
-# The spectral steps overwrite the field they are given (FKStepper.step hands
-# them a temporary); the implicit ones return a new array.
-
-class _SpectralHeat1D:
-    """Acts on an (n,) field or an (n, m) stack of columns."""
-
-    def __init__(self, n: int, h: float, tau: float):
-        mult = np.exp(-tau * _dirichlet_eigenvalues(n, h)) / (2.0 * (n + 1))
-        self._mult = {1: mult, 2: mult[:, None]}
-
-    def apply(self, u: np.ndarray) -> np.ndarray:
-        return _sine_heat(u, self._mult[u.ndim], (0,))
-
-
-class _SpectralHeat2D:
-    def __init__(self, shape, h: float, tau: float):
-        nx, ny = shape
-        lx = _dirichlet_eigenvalues(nx, h)
-        ly = _dirichlet_eigenvalues(ny, h)
-        self._mult = np.exp(-tau * (lx[:, None] + ly[None, :]))
-        self._mult /= 4.0 * (nx + 1) * (ny + 1)
+    def __init__(self, grid: Grid, tau: float, shape: tuple):
+        lam = _dirichlet_eigenvalues(grid.shape[0], grid.h)
+        norm = 2.0 * (grid.shape[0] + 1)
+        if grid.d == 2:
+            ny = grid.shape[1]
+            lam = lam[:, None] + _dirichlet_eigenvalues(ny, grid.h)[None, :]
+            norm *= 2.0 * (ny + 1)
+        mult = np.exp(-tau * lam) / norm
+        mult = mult.reshape(mult.shape + (1,) * (len(shape) - grid.d))
+        self._mult = np.broadcast_to(mult, shape).copy()
+        self._axes = tuple(range(grid.d))
 
     def apply(self, u: np.ndarray) -> np.ndarray:
-        return _sine_heat(u, self._mult, (0, 1))
+        # positional: (a, type, axes, inorm = 0 unnormalized, out); one thread
+        _pocketfft_dst(u, 1, self._axes, 0, u)
+        u *= self._mult
+        return _pocketfft_dst(u, 1, self._axes, 0, u)
 
 
 class _CrankNicolson1D:
@@ -149,13 +159,12 @@ class _ADI2D:
         return u
 
 
-def _heat_solver(grid: Grid, tau: float, method: str):
+def _heat_solver(grid: Grid, tau: float, method: str, shape: tuple):
+    if method == "spectral":
+        return _SpectralHeat(grid, tau, shape)
     if grid.d == 1:
-        n = grid.shape[0]
-        return _SpectralHeat1D(n, grid.h, tau) if method == "spectral" \
-            else _CrankNicolson1D(n, grid.h, tau)
-    return _SpectralHeat2D(grid.shape, grid.h, tau) if method == "spectral" \
-        else _ADI2D(grid.shape, grid.h, tau)
+        return _CrankNicolson1D(grid.shape[0], grid.h, tau)
+    return _ADI2D(grid.shape, grid.h, tau)
 
 
 class FKStepper:
@@ -173,7 +182,7 @@ class FKStepper:
             raise ValueError("potential must be finite")
         self.V = V
         self._expV_half = np.exp(-0.5 * spec.dt * V)
-        self._heat = _heat_solver(grid, spec.dt, spec.heat_step)
+        self._heat = _heat_solver(grid, spec.dt, spec.heat_step, V.shape)
 
     def step(self, u: np.ndarray) -> np.ndarray:
         v = self._heat.apply(self._expV_half * u)
@@ -284,12 +293,12 @@ def batched_evolve(grid: Grid, V_cols: np.ndarray, schedule, *,
             steps += 1
             if monitor and steps % 16 == 0:
                 m_new = ones @ u
-                grew = np.flatnonzero(m_new > mass * (1.0 + 1e-8) + 1e-300)
-                if grew.size:
-                    j = int(grew[0])
+                grew = m_new > mass * (1.0 + 1e-8) + 1e-300
+                if grew.any():
+                    j = int(np.argmax(grew))
                     raise FKInstabilityError(
-                        f"column {j}: mass grew from {mass[j]:.6e} to "
-                        f"{m_new[j]:.6e} by t = {seg_start + k * dt:g} with V >= 0")
+                        f"mass grew from {mass[j]:.6e} to {m_new[j]:.6e}",
+                        column=j, t=seg_start + k * dt)
                 mass = m_new
             if k in snap_at:
                 snaps[snap_at[k]] = u.copy()

@@ -31,10 +31,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
-from scipy.sparse import identity as sparse_identity
-from scipy.sparse import kron as sparse_kron
-from scipy.sparse import diags
-from scipy.sparse.linalg import ArpackError, eigsh
 from scipy.special import logsumexp
 
 from .laplace import box_log_laplace
@@ -165,6 +161,10 @@ class SchrodingerOperator:
         return diag, off
 
     def _sparse(self):
+        # scipy.sparse is imported only where it is used, so that
+        # `import fklab` never loads it
+        from scipy.sparse import diags, identity as sparse_identity, kron as sparse_kron
+
         g = self.grid
         c = self._inv2h2
         if g.d == 1:
@@ -200,6 +200,13 @@ def smallest_eigs(op: SchrodingerOperator, k: int = 1) -> EigenResult:
     if k not in (1, 2):
         raise ValueError("k must be 1 or 2")
     g = op.grid
+    if g.d == 1:
+        solver_errors = (np.linalg.LinAlgError,)
+    else:
+        # imported here, like scipy.sparse in _sparse, to keep it out of
+        # `import fklab`
+        from scipy.sparse.linalg import ArpackError, eigsh
+        solver_errors = (ArpackError, np.linalg.LinAlgError)
     try:
         if g.d == 1:
             lams, vecs = eigh_tridiagonal(*op.tridiag(), select="i",
@@ -210,7 +217,7 @@ def smallest_eigs(op: SchrodingerOperator, k: int = 1) -> EigenResult:
                                which="LM", v0=np.ones(g.n_total))
             order = np.argsort(lams)
             lams, vecs = lams[order], vecs[:, order]
-    except (ArpackError, np.linalg.LinAlgError) as e:
+    except solver_errors as e:
         raise EigenSolveError(f"eigen-solve failed: {e}") from e
     if not np.all(np.isfinite(lams)):
         raise EigenSolveError("eigen-solve returned non-finite eigenvalues")

@@ -11,6 +11,7 @@ from fklab.experiments import (
     SCENARIOS,
     RunRecord,
     _record,
+    _retired_control,
     config_hash,
     field_abs_quantile,
     fit_power_law,
@@ -23,9 +24,10 @@ from fklab.experiments import (
     run_spectrum,
     run_tilted,
 )
-from fklab.model import ModelParams
+from fklab.model import ModelParams, quadratic_profile
 from fklab.points import Box
-from fklab.semigroup import batched_evolve, column_masses, default_schedule, make_grid
+from fklab.semigroup import (FKStepper, batched_evolve, column_masses,
+                             default_schedule, make_grid)
 
 P = ModelParams(d=1, alpha=2.0, t=100.0)
 
@@ -163,6 +165,66 @@ def test_batched_evolve_rejects_bad_schedules():
         batched_evolve(grid, V, ((4.0, -0.1),))
     with pytest.raises(ValueError):
         batched_evolve(grid, V[:, 0], ((4.0, 0.1),))
+
+
+def _schedule_steps(t):
+    """Steps of default_schedule(t), which are also the steps of any longer
+    default schedule up to time t."""
+    steps, prev = 0, 0.0
+    for t_end, dt in default_schedule(t):
+        steps += round((t_end - prev) / dt)
+        prev = t_end
+    return steps
+
+
+@pytest.mark.parametrize("horizons", [
+    (16.0, 32.0, 64.0, 128.0, 256.0, 512.0, 1024.0),   # the stated ladder
+    (256.0, 16.0, 64.0, 1024.0, 32.0),                  # unsorted
+    (33.0, 8.0, 33.0, 100.0),    # a repeated horizon; 33 on the dt = 0.1 stretch
+])
+def test_retired_control_is_the_snapshot_diagonal(monkeypatch, horizons):
+    # localization's control, column k retired at horizons[k]: the same bits
+    # as the diagonal of a full snapshot run, in the schedule's own steps,
+    # with each column stepped only until its horizon
+    params = ModelParams(d=1, alpha=2.0, t=16.0)
+    grid = make_grid(params, 8.0, 0.25)
+    n = grid.shape[0]
+    nodes = grid.axis_nodes(0)
+    V = np.stack([quadratic_profile(nodes, params.with_t(t)) for t in horizons],
+                 axis=1)
+    plain_step = FKStepper.step
+    calls = []
+
+    def counted_step(self, u):
+        calls.append(u.size)
+        return plain_step(self, u)
+
+    monkeypatch.setattr(FKStepper, "step", counted_step)
+    out = _retired_control(grid, V, horizons)
+    monkeypatch.setattr(FKStepper, "step", plain_step)
+
+    t_max = max(horizons)
+    _, snaps, _ = batched_evolve(grid, V, default_schedule(t_max),
+                                 snapshot_times=horizons)
+    assert out.shape == V.shape
+    for k, t in enumerate(horizons):
+        assert np.array_equal(out[:, k], snaps[t][:, k])
+        # masses summed over the (n, m) result, as localization sums them
+        assert column_masses(grid, out)[k] == column_masses(grid, snaps[t])[k]
+    assert len(calls) == _schedule_steps(t_max)
+    cells, prev = 0, 0
+    for t in sorted(set(horizons)):
+        live = sum(h >= t for h in horizons)
+        cells += (_schedule_steps(t) - prev) * live * n
+        prev = _schedule_steps(t)
+    assert sum(calls) == cells
+
+
+def test_retired_control_rejects_a_horizon_off_the_step_lattice():
+    grid = make_grid(P, 4.0, 0.25)
+    V = np.zeros((grid.shape[0], 2))
+    with pytest.raises(ValueError):
+        _retired_control(grid, V, (16.0, 33.03))
 
 
 def test_field_abs_quantile_half_normal_median():

@@ -1,6 +1,7 @@
 """Imports: importing fklab stays light (scipy.integrate and scipy.optimize,
 which together cost about a quarter of a second at start-up, are never
-loaded), and no fklab module imports a name it does not use."""
+loaded, nor are scipy.sparse and its ARPACK solver, which only the d = 2
+eigen-solve uses), and no fklab module imports a name it does not use."""
 
 import ast
 import os
@@ -16,7 +17,8 @@ def test_import_leaves_out_integrate_and_optimize():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     code = ("import sys, fklab; print([m for m in ('scipy.integrate', "
-            "'scipy.optimize') if m in sys.modules])")
+            "'scipy.optimize', 'scipy.sparse', 'scipy.sparse.linalg') "
+            "if m in sys.modules])")
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"

@@ -8,7 +8,7 @@ import pytest
 from scipy import integrate
 from scipy.fft import dst, dstn
 
-from fklab.experiments import _compensated_columns, run_localization
+from fklab.experiments import _compensated_columns, _retired_control, run_localization
 from fklab.model import ModelParams, constants, nu_coordinate_variance
 from fklab.points import Box, sample_homogeneous
 from fklab.potential import PotentialView, evaluate_V
@@ -118,6 +118,10 @@ def test_heat_step_is_bit_equal_to_scipy_fft():
             stepper = FKStepper(grid, V, EvolutionSpec(dt=tau))
             u = rng.uniform(0.0, 1.0, shape)
             ref_mult = mult if m is None else mult[:, None]
+            # the multiplier is built at V's shape; the reference broadcasts
+            assert stepper._heat._mult.shape == shape
+            assert np.array_equal(stepper._heat._mult,
+                                  np.broadcast_to(ref_mult, shape))
             assert np.array_equal(stepper._heat.apply(u.copy()),
                                   _scipy_heat(u, ref_mult, (0,)))
             # chained Strang steps from a delta, so the fields span many decades
@@ -137,12 +141,35 @@ def test_heat_step_is_bit_equal_to_scipy_fft():
                            + _dirichlet_eigenvalues(ny, grid2.h)[None, :]))
     mult2 /= 4.0 * (nx + 1) * (ny + 1)
     stepper = FKStepper(grid2, V2, EvolutionSpec(dt=tau))
+    assert np.array_equal(stepper._heat._mult, mult2)
     half = np.exp(-0.5 * tau * V2)
     u = ref = rng.uniform(0.0, 1.0, grid2.shape)
     for _ in range(20):
         u = stepper.step(u)
         ref = half * _scipy_heat(half * ref, mult2, (0, 1))
         assert np.array_equal(u, ref)
+
+
+def test_columns_step_as_if_alone():
+    # a column of an (n, m) stepper gets the very bits a one-column stepper
+    # gives it: pocketfft transforms columns in SIMD pairs, so odd m also
+    # sends a last column through the scalar tail.  Retiring control columns
+    # and the full-shape heat multiplier both rest on this.
+    rng = np.random.default_rng(12)
+    for grid in _localization_grids():
+        n = grid.shape[0]
+        for m in range(1, 8):
+            V = rng.uniform(0.0, 3.0, (n, m))
+            spec = EvolutionSpec(dt=float(rng.choice([0.02, 0.05, 0.1, 0.25])))
+            batch = FKStepper(grid, V, spec)
+            alone = [FKStepper(grid, V[:, [j]], spec) for j in range(m)]
+            u = np.zeros((n, m))
+            u[n // 2] = 1.0 / grid.h
+            cols = [u[:, [j]].copy() for j in range(m)]
+            for _ in range(50):
+                u = batch.step(u)
+                cols = [s.step(c) for s, c in zip(alone, cols)]
+                assert np.array_equal(u, np.hstack(cols))
 
 
 def test_mass_growth_raises_instability(monkeypatch):
@@ -163,6 +190,31 @@ def test_mass_growth_raises_instability(monkeypatch):
         batched_evolve(g, V_cols, ((1.0, 0.05),))
     monkeypatch.setattr(FKStepper, "step", plain_step)
     batched_evolve(g, V_cols, ((1.0, 0.05),))
+
+
+def test_instability_in_a_later_link_names_absolute_time(monkeypatch):
+    # the retired control runs the schedule in links between horizons; an
+    # error in the second link names the time since 0 and the column of the
+    # caller's batch, not the link's own clock and column
+    plain_step = FKStepper.step
+    calls = []
+
+    def leaky_after_first_link(self, u):
+        calls.append(None)
+        out = plain_step(self, u)
+        if len(calls) > 50:              # default_schedule(2.0): dt = 0.02
+            out[:, -1] *= 1.01
+        return out
+
+    monkeypatch.setattr(FKStepper, "step", leaky_after_first_link)
+    g = grid_1d(4.0, 0.05)
+    x = g.axis_nodes(0)
+    V_cols = 0.01 * np.stack([x ** 2] * 3, axis=1)
+    # link 1 runs all three columns to t = 1; link 2 runs columns 1 and 2,
+    # and the mass check at its 16th step sees column 2 grow
+    with pytest.raises(FKInstabilityError, match=r"column 2: .* by t = 1\.32 ") as e:
+        _retired_control(g, V_cols, (1.0, 2.0, 2.0))
+    assert (e.value.column, e.value.t) == (2, pytest.approx(1.32))
 
 
 def test_implicit_heat_step_matches_spectral():

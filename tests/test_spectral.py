@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 from scipy.linalg import eigh, eigh_tridiagonal
 from scipy.sparse.linalg import ArpackNoConvergence
 
@@ -255,6 +256,8 @@ def test_solver_failures_raise_eigen_solve_error(monkeypatch, d):
     # the CLI reports EigenSolveError as a numerical failure; a bare LAPACK
     # or ARPACK exception would escape as a traceback
     op = SchrodingerOperator(zero_field(Grid(Box.cube(d, 1.0), 0.25)))
+    # smallest_eigs imports eigsh from scipy.sparse.linalg when it is called
+    module = fklab.spectral if d == 1 else scipy.sparse.linalg
     name = "eigh_tridiagonal" if d == 1 else "eigsh"
 
     def breaks(*args, **kwargs):
@@ -266,6 +269,6 @@ def test_solver_failures_raise_eigen_solve_error(monkeypatch, d):
         return np.array([np.nan]), np.ones((op.grid.n_total, 1))
 
     for fake in (breaks, non_finite):
-        monkeypatch.setattr(fklab.spectral, name, fake)
+        monkeypatch.setattr(module, name, fake)
         with pytest.raises(EigenSolveError):
             smallest_eigs(op, k=1)
