@@ -8,6 +8,10 @@ is byte-identical across re-runs of the same configuration.
 Control runs drive exact quadratic potentials through the same machinery as
 the Monte Carlo; a scenario whose control fails aborts with the distinct
 status "control_failed" and its MC output is not interpreted.
+
+DECLARED states once, per scenario, what the CLI accepts, runs and reports:
+its name, runner, the d values and least n_samples it runs with, its
+parameter renames, its summary lines and its plot.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -146,7 +150,9 @@ class RunRecord:
     Every numeric estimate carries a CI or a tolerance; checks and fits carry
     the verdict they were judged by.  status is "pass", "fail", or
     "control_failed" (controls are gating: on control failure the MC portion
-    is not interpreted).
+    is not interpreted).  When a runner raises under the CLI, its record has
+    status "fail", no tables, and one failed check, "run_completed", whose
+    note gives the exception's type and message.
     """
 
     scenario: str
@@ -305,6 +311,22 @@ def _compensated_columns(grid: Grid, configs, params: ModelParams) -> np.ndarray
                              max_far_bound=0.5)
         cols[:, j] = evaluate_V(view, nodes)
     return cols
+
+
+def _tilted_minima(mu, params: ModelParams, box: Box, search: Box, seed,
+                   ti: int, n_samples: int):
+    """Tilted draws on the streams (ti, rep), rep < n_samples, and the
+    location of each one's local minimum of the compensated V in `search`."""
+    coarse = scale_r(params) / 16.0
+    configs, mins = [], np.empty(n_samples)
+    for rep in range(n_samples):
+        cfg = sample_tilted(mu, params, box, seed, path=(ti, rep))
+        view = PotentialView(cfg, search, params, compensate=True,
+                             max_far_bound=0.5)
+        mins[rep] = find_local_min(view, coarse_step=coarse,
+                                   refine_tol=1e-3).location[0]
+        configs.append(cfg)
+    return configs, mins
 
 
 # ---------------------------------------------------------------------------
@@ -516,8 +538,6 @@ def run_tilted(d: int = 1, alpha: float = 2.0, t: float = 100.0,
                n_samples: int = 200, seed: int = 0) -> RunRecord:
     """Thinning sampler against the exact mean of the tilted intensity."""
     params = ModelParams(d=d, alpha=alpha, t=t)
-    if d != 1:
-        raise ValueError("tilted diagnostics are 1-d")
     mu = _mu_for(params)
     r = scale_r(params)
     box = Box.cube(1, 5.0 * r + 40.0)
@@ -609,8 +629,6 @@ def run_localization(d: int = 1, alpha: float = 2.0,
     also recorded (no verdict) and runs systematically above the target
     because the running maximum adds a slowly varying factor.
     """
-    if d != 1:
-        raise ValueError("localization ladder is 1-d")
     params0 = ModelParams(d=d, alpha=alpha, t=float(t_ladder[0]))
     target = (alpha - d + 2.0) / (4.0 * alpha)
     t_ladder = [float(t) for t in t_ladder]
@@ -752,8 +770,6 @@ def run_confinement(d: int = 1, alpha: float = 2.0,
     Control: injecting the exact quadratic profile (plus a constant) into the
     same deviation evaluation returns 0 identically.
     """
-    if d != 1:
-        raise ValueError("confinement scenario is 1-d")
     t_ladder = [float(t) for t in t_ladder]
     expo = (alpha - d + 2.0) / (2.0 * alpha)
     settings = {"t_ladder": t_ladder, "n_samples": n_samples, "eps": eps,
@@ -778,20 +794,13 @@ def run_confinement(d: int = 1, alpha: float = 2.0,
         params = ModelParams(d=d, alpha=alpha, t=t)
         r = scale_r(params)
         mu = _mu_for(params)
-        box = Box.cube(1, 5.0 * r + 70.0)
         window = Box.cube(1, 3.0 * r + 1.0)
-        search = Box.cube(1, 2.0 * r)
-        locs = np.empty(n_samples)
-        devs = np.empty(n_samples)
-        for rep in range(n_samples):
-            cfg = sample_tilted(mu, params, box, seed, path=(ti, rep))
-            vs = PotentialView(cfg, search, params, compensate=True,
-                               max_far_bound=0.5)
-            m = find_local_min(vs, coarse_step=r / 16.0, refine_tol=1e-3)
-            vd = PotentialView(cfg, window, params, compensate=True,
-                               max_far_bound=0.5)
-            locs[rep] = m.location[0]
-            devs[rep] = profile_deviation(vd, m.location, r, params)
+        configs, locs = _tilted_minima(mu, params, Box.cube(1, 5.0 * r + 70.0),
+                                       Box.cube(1, 2.0 * r), seed, ti, n_samples)
+        devs = np.array([profile_deviation(
+            PotentialView(cfg, window, params, compensate=True,
+                          max_far_bound=0.5), m, r, params)
+            for cfg, m in zip(configs, locs)])
         scaled = t ** expo * devs
         med, lo, hi = _median_ci(scaled)
         medians.append(med)
@@ -834,11 +843,6 @@ def run_local_min_stats(d: int = 1, alpha: float = 2.0,
     back exactly (difference of the full and truncated quadrature means), so
     the MC mean estimates the full-space quantity with no truncation bias.
     """
-    if d != 1:
-        raise ValueError("local-min statistics are 1-d")
-    if n_samples < 2:
-        raise ValueError("n_samples must be at least 2: the CI needs a "
-                         "variance across replicas")
     t_ladder = [float(t) for t in t_ladder]
     settings = {"t_ladder": t_ladder, "n_samples": n_samples,
                 "tail_var_fraction": tail_var_fraction,
@@ -957,11 +961,6 @@ def run_occupation(d: int = 1, alpha: float = 2.0,
     Control: the unit-scale quadratic well reproduces the stationary second
     moment within 2% through the same Duhamel accumulation.
     """
-    if d != 1:
-        raise ValueError("occupation scenario is 1-d")
-    if n_samples < 2:
-        raise ValueError("n_samples must be at least 2: the CI needs a "
-                         "variance across replicas")
     t_ladder = [float(t) for t in t_ladder]
     params_top = ModelParams(d=d, alpha=alpha, t=t_ladder[-1])
     cC = constants(params_top).C
@@ -995,16 +994,9 @@ def run_occupation(d: int = 1, alpha: float = 2.0,
         radius = round((3.26 * r + 8.0) / h) * h
         grid = make_grid(params, radius, h)
         nodes = grid.axis_nodes(0)
-        cfg_box = Box.cube(1, grid.box.half_widths[0] + 40.0)
-        configs = [sample_tilted(mu, params, cfg_box, seed, path=(ti, rep))
-                   for rep in range(n_samples)]
-        search = Box.cube(1, min(2.0 * r, radius - 2.0))
-        mins = np.empty(n_samples)
-        for rep, cfg in enumerate(configs):
-            vs = PotentialView(cfg, search, params, compensate=True,
-                               max_far_bound=0.5)
-            mins[rep] = find_local_min(vs, coarse_step=r / 16.0,
-                                       refine_tol=1e-3).location[0]
+        configs, mins = _tilted_minima(
+            mu, params, Box.cube(1, grid.box.half_widths[0] + 40.0),
+            Box.cube(1, min(2.0 * r, radius - 2.0)), seed, ti, n_samples)
         V_cols = _compensated_columns(grid, configs, params)
         f_x = np.broadcast_to(nodes[:, None], V_cols.shape)
         f_sq = (nodes[:, None] - mins[None, :]) ** 2
@@ -1077,8 +1069,6 @@ def run_ou_limit(d: int = 1, alpha: float = 2.0, t_ladder=(1e2, 1e3),
     Controls (exact quadratic at unit scale): the ground-state identity at
     the stated step sizes, and the marginal-vs-OU CDF distance, both at 1e-3.
     """
-    if d != 1:
-        raise ValueError("kernel comparison is 1-d")
     t_ladder = [float(t) for t in t_ladder]
     params_top = ModelParams(d=d, alpha=alpha, t=t_ladder[-1])
     cC = constants(params_top).C
@@ -1119,23 +1109,16 @@ def run_ou_limit(d: int = 1, alpha: float = 2.0, t_ladder=(1e2, 1e3),
         params = ModelParams(d=d, alpha=alpha, t=t)
         r = scale_r(params)
         mu = _mu_for(params)
-        box = Box.cube(1, 7.0 * r + 70.0)
-        search = Box.cube(1, 2.0 * r)
+        configs, mins = _tilted_minima(mu, params, Box.cube(1, 7.0 * r + 70.0),
+                                       Box.cube(1, 2.0 * r), seed, ti, n_samples)
         W_cols = np.empty((ys.size, n_samples))
-        y0s = np.empty(n_samples)
-        for rep in range(n_samples):
-            cfg = sample_tilted(mu, params, box, seed, path=(ti, rep))
-            vs = PotentialView(cfg, search, params, compensate=True,
-                               max_far_bound=0.5)
-            m = float(find_local_min(vs, coarse_step=r / 16.0,
-                                     refine_tol=1e-3).location[0])
+        for rep, (cfg, m) in enumerate(zip(configs, mins)):
             window = Box.cube(1, abs(m) + y_radius * r + 1.0)
             vw = PotentialView(cfg, window, params, compensate=True,
                                max_far_bound=0.5)
-            pts = (m + r * ys)[:, None]
             vm = float(evaluate_V(vw, np.array([[m]]))[0])
-            W_cols[:, rep] = r ** 2 * (evaluate_V(vw, pts) - vm)
-            y0s[rep] = -m / r
+            W_cols[:, rep] = r ** 2 * (evaluate_V(vw, (m + r * ys)[:, None]) - vm)
+        y0s = -mins / r
         init = np.zeros(W_cols.shape)       # a delta at each column's y0
         init[np.argmin(np.abs(ys[:, None] - y0s), axis=0), np.arange(n_samples)] = 1.0 / h_y
         margs = time_marginal(grid_y, W_cols, schedule_y, s_list, init)
@@ -1191,8 +1174,6 @@ def run_lemma5(d: int = 1, alpha: float = 2.0, t_values=(4.0, 8.0, 16.0),
     Z_t (delta start) >= (2 pi)^d e^{-2} (2t)^{-2d} E[e^{-t lambda1};
     lambda1 <= 1], allowing jackknife CI slack on both sides.
     """
-    if d != 1:
-        raise ValueError("the bound runner is 1-d")
     t_values = [float(t) for t in t_values]
     params_top = ModelParams(d=d, alpha=alpha, t=t_values[-1])
     settings = {"t_values": t_values, "n_samples": n_samples, "h": h,
@@ -1254,17 +1235,99 @@ def run_lemma5(d: int = 1, alpha: float = 2.0, t_values=(4.0, 8.0, 16.0),
                    estimates=estimates, tables={"bound": rows})
 
 
-SCENARIOS = {
-    "constants": run_constants,
-    "mgf": run_mgf,
-    "laplace": run_laplace,
-    "spectrum": run_spectrum,
-    "ids": run_ids,
-    "tilted": run_tilted,
-    "localization": run_localization,
-    "confinement": run_confinement,
-    "occupation": run_occupation,
-    "local_min_stats": run_local_min_stats,
-    "ou_limit": run_ou_limit,
-    "lemma5": run_lemma5,
-}
+# ---------------------------------------------------------------------------
+# scenario declarations: what the CLI accepts, runs and reports
+
+class Plot(NamedTuple):
+    """An SVG of a record, named <scenario>.<tables[0]>.svg.
+
+    Each y column is drawn against x, one curve per table, or with `by` one
+    per value of that column; a curve is labelled by its group, else by its
+    table when there are several, else by its y column.  `band` names the
+    (low, high) columns of a per-point error band.
+    """
+
+    tables: tuple
+    x: str
+    ys: tuple
+    title: str
+    xlabel: str
+    ylabel: str
+    band: tuple = ()
+    by: str | None = None
+    logx: bool = False
+    logy: bool = False
+
+
+class Scenario(NamedTuple):
+    """One scenario as the CLI sees it: its name there, the registry key of
+    its runner (also the record's name), the d values and the least
+    n_samples it runs with, the config keys its runner takes under another
+    name, the extra lines it prints from a record, and its plot."""
+
+    cli: str
+    key: str
+    runner: Callable
+    dims: tuple = (1,)
+    min_samples: int = 1
+    renames: dict = {}
+    summary: Callable | None = None
+    plot: Plot | None = None
+
+
+_CI = ("ci_low", "ci_high")
+
+DECLARED = (
+    Scenario("constants", "constants", run_constants, dims=(1, 2),
+             summary=lambda rec: [json.dumps(
+                 {e["name"]: e["value"] for e in rec.estimates
+                  if e["name"] in ("a1", "C", "a2", "l1", "l2")}, sort_keys=True)]),
+    Scenario("mgf", "mgf", run_mgf, dims=(1, 2), renames={"alpha": "alphas"},
+             summary=lambda rec: [
+                 f"  alpha={r['alpha']:g} s={r['s']:g}  exact={r['exact']:.12g}  "
+                 f"predicted={r['predicted']:.12g}  residual={r['abs_err']:.3e}"
+                 for r in rec.tables.get("errors", ())],
+             plot=Plot(("errors",), "s", ("abs_err",), "asymptote error of the "
+                       "single-point functional", "s", "|error|", by="alpha",
+                       logx=True, logy=True)),
+    Scenario("laplace", "laplace", run_laplace,
+             plot=Plot(("two_point",), "separation", ("margin",),
+                       "pair bound margin", "separation", "margin", logx=True)),
+    Scenario("spectrum", "spectrum", run_spectrum,
+             plot=Plot(("eigen",), "replica", ("lambda1", "lambda2"),
+                       "principal eigenvalues by replica", "replica", "lambda")),
+    Scenario("ids", "ids", run_ids,
+             plot=Plot(("ids", "ids_auxiliary"), "lambda", ("n_hat",),
+                       "integrated density of states", "lambda", "N(lambda)",
+                       band=_CI, logy=True)),
+    Scenario("tilted", "tilted", run_tilted),
+    Scenario("localization", "localization", run_localization,
+             plot=Plot(("radius", "control_radius"), "t", ("radius",),
+                       "confinement radius", "t", "L*", by="kind",
+                       logx=True, logy=True)),
+    Scenario("confinement", "confinement", run_confinement,
+             plot=Plot(("deviation",), "t", ("scaled_median",),
+                       "scaled profile deviation about the minimum", "t",
+                       "median", band=_CI, logx=True, logy=True)),
+    # both CIs need a variance across replicas
+    Scenario("occupation", "occupation", run_occupation, min_samples=2,
+             plot=Plot(("occupation",), "t", ("scaled_m2", "target"),
+                       "occupation second moment", "t",
+                       "t^{-(alpha-d+2)/(2 alpha)} m2", logx=True)),
+    Scenario("local-min", "local_min_stats", run_local_min_stats, min_samples=2,
+             plot=Plot(("moments",), "t", ("mc_var", "quad_var_truncated"),
+                       "variance of V at the tilt center", "t", "variance",
+                       logx=True, logy=True)),
+    Scenario("ou-check", "ou_limit", run_ou_limit,
+             renames={"h": "h_y", "dt": "dt_y"},
+             plot=Plot(("kernel",), "t", ("median_cdf_distance",),
+                       "rescaled kernel vs OU", "t", "distance", band=_CI,
+                       logx=True)),
+    Scenario("lemma5", "lemma5", run_lemma5, renames={"t_ladder": "t_values"},
+             plot=Plot(("bound",), "t", ("z_mean", "bound_mean"),
+                       "partition function lower bound", "t", "value",
+                       logy=True)),
+)
+
+# runners by key; the CLI calls them through this mapping
+SCENARIOS = {s.key: s.runner for s in DECLARED}

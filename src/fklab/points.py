@@ -120,11 +120,6 @@ class DiscreteMeasure:
         return cls(pt[None, :], np.array([1.0]))
 
     @classmethod
-    def from_unnormalized(cls, atoms, weights) -> "DiscreteMeasure":
-        weights = np.asarray(weights, dtype=float)
-        return cls(atoms, weights / weights.sum())
-
-    @classmethod
     def gauss_hermite(cls, n: int, std: float, center: float = 0.0) -> "DiscreteMeasure":
         """n-atom Gauss-Hermite discretization of N(center, std^2) on the line.
 

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from fklab.cli import ConfigError, _coerce, _load_config, main
-from fklab.experiments import SCENARIOS, _chk, _record
+from fklab.experiments import SCENARIOS, _chk, _record, config_hash
 from fklab.laplace import QuadratureError
 from fklab.semigroup import FKInstabilityError
 from fklab.spectral import EigenSolveError
@@ -84,7 +84,8 @@ def test_failing_scenario_exits_one(tmp_path, monkeypatch):
 def test_numerical_failure_is_reported_and_all_goes_on(tmp_path, monkeypatch,
                                                        capsys, error):
     # a numerical breakdown inside a runner is a failed scenario (exit 1)
-    # with a one-line reason, not a traceback; `all` runs the rest
+    # with a one-line reason and a failed record, not a traceback; `all`
+    # runs the rest
     def passing_runner(key):
         return lambda **_ignored: _record(key, None, 0, 0, {},
                                           [_chk("ok", True)], d=1)
@@ -97,13 +98,61 @@ def test_numerical_failure_is_reported_and_all_goes_on(tmp_path, monkeypatch,
     monkeypatch.setitem(SCENARIOS, "localization", breaking_runner)
     assert run_cli(tmp_path, "localization") == 1
     assert capsys.readouterr().err == \
-        "fklab: numerical failure in localization: it broke down\n"
+        f"fklab: localization failed: {error.__name__}: it broke down\n"
     assert run_cli(tmp_path, "all") == 1
-    assert "numerical failure in localization" in capsys.readouterr().err
-    assert not (tmp_path / "localization.json").exists()
+    assert "localization failed" in capsys.readouterr().err
+    rec = json.loads((tmp_path / "localization.json").read_text())
+    assert rec["status"] == "fail"
+    assert rec["checks"][0]["note"] == f"{error.__name__}: it broke down"
     for key in SCENARIOS:
         if key != "localization":
             assert json.loads((tmp_path / f"{key}.json").read_text())["status"] == "pass"
+
+
+def test_error_mid_run_writes_a_failed_record(tmp_path, monkeypatch, capsys):
+    # any exception a runner raises after validation is a failed record
+    # (exit 1) that names it; `all` goes on to the next scenario
+    def raising_runner(seed=0, n_samples=3):
+        raise ValueError("step 0.3 is off the lattice")
+
+    monkeypatch.setitem(SCENARIOS, "tilted", raising_runner)
+    assert run_cli(tmp_path, "tilted", "--seed", "4") == 1
+    assert capsys.readouterr().err == ("fklab: tilted failed: ValueError: "
+                                       "step 0.3 is off the lattice\n")
+    rec = json.loads((tmp_path / "tilted.json").read_text())
+    assert rec["status"] == "fail" and rec["seed"] == 4 and rec["n_samples"] == 3
+    assert [(c["name"], c["passed"], c["note"]) for c in rec["checks"]] == \
+        [("run_completed", False, "ValueError: step 0.3 is off the lattice")]
+    assert rec["settings"] == {"resolved_cli": {"seed": 4}}
+    assert rec["config_hash"] == config_hash("tilted", rec["params"], 4,
+                                             rec["settings"])
+    monkeypatch.setitem(SCENARIOS, "localization",
+                        lambda **_ignored: _record("localization", None, 0, 0, {},
+                                                   [_chk("ok", True)], d=1))
+    for key in ("constants", "mgf", "laplace", "spectrum", "ids"):
+        monkeypatch.setitem(SCENARIOS, key, lambda **_ignored: 1 / 0)
+    for key in ("confinement", "occupation", "local_min_stats", "ou_limit",
+                "lemma5"):
+        monkeypatch.setitem(SCENARIOS, key, raising_runner)
+    assert run_cli(tmp_path, "all") == 1
+    assert "tilted failed: ValueError" in capsys.readouterr().err
+    assert json.loads((tmp_path / "localization.json").read_text())["status"] \
+        == "pass"
+    assert json.loads((tmp_path / "mgf.json").read_text())["checks"][0]["note"] \
+        == "ZeroDivisionError: division by zero"
+
+
+def test_step_off_the_lattice_is_a_failed_record(tmp_path, capsys):
+    # batched_evolve rejects a dt that does not divide the horizon; that is a
+    # failed run with its reason, not a config error
+    assert run_cli(tmp_path, "lemma5", "--dt", "0.3", "--t-ladder", "4",
+                   "--samples", "2") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("fklab: lemma5 failed: ValueError: ")
+    assert "Traceback" not in err
+    rec = json.loads((tmp_path / "lemma5.json").read_text())
+    assert rec["status"] == "fail"
+    assert rec["checks"][0]["note"].startswith("ValueError: ")
 
 
 def test_unknown_scenario_is_a_usage_error(tmp_path, capsys):
@@ -121,6 +170,8 @@ def test_out_of_range_values_exit_two(tmp_path, capsys):
     assert run_cli(tmp_path, "laplace", "--quad-abs=-1e-10") == 2
     assert "quad_abs must be positive" in capsys.readouterr().err
     assert run_cli(tmp_path, "laplace", "--h", "0") == 2
+    assert run_cli(tmp_path, "laplace", "--t", "inf") == 2
+    assert run_cli(tmp_path, "localization", "--t-ladder", "16,inf") == 2
     assert run_cli(tmp_path, "lemma5", "--samples", "0") == 2
     assert run_cli(tmp_path, "lemma5", "--t-ladder", "4,-4") == 2
 
@@ -132,6 +183,24 @@ def test_one_sample_is_a_config_error(tmp_path, capsys):
         err = capsys.readouterr().err
         assert "n_samples must be at least 2" in err
         assert "Traceback" not in err
+    assert not list(tmp_path.iterdir())
+
+
+def test_all_with_one_sample_fails_before_any_run(tmp_path, capsys):
+    assert run_cli(tmp_path, "all", "--samples", "1") == 2
+    err = capsys.readouterr().err
+    assert "n_samples must be at least 2" in err
+    assert "Traceback" not in err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("scenario", ["laplace", "all"])
+def test_d_two_outside_constants_and_mgf_is_a_config_error(tmp_path, capsys,
+                                                           scenario):
+    assert run_cli(tmp_path, scenario, "--d", "2", "--alpha", "3") == 2
+    err = capsys.readouterr().err
+    assert "laplace: runs only in d = 1, got d = 2" in err
+    assert "Traceback" not in err
     assert not list(tmp_path.iterdir())
 
 

@@ -10,6 +10,9 @@ CHANGES.md.  Regenerate it with
 
     PYTHONPATH=src python tests/test_golden.py --write
 
+Each record's test also checks that the scenario's declared plot names
+tables and columns the record has, on any stack.
+
 Bit identity is promised only on the numpy/scipy build and machine that
 wrote golden.json, since BLAS kernels differ between builds; on another
 stack the test skips and names the mismatch.
@@ -25,7 +28,7 @@ import numpy as np
 import pytest
 import scipy
 
-from fklab.experiments import ARTIFACT_VERSION, SCENARIOS
+from fklab.experiments import ARTIFACT_VERSION, DECLARED, SCENARIOS
 from fklab.model import vhat_sum
 
 GOLDEN = Path(__file__).with_name("golden.json")
@@ -70,8 +73,22 @@ def _digest(name: str) -> str:
     if name == "vhat_sum":
         blob = _kernel_bytes()
     else:
-        blob = SCENARIOS[name](**SIZES[name]).to_json().encode()
+        record = SCENARIOS[name](**SIZES[name])
+        _check_plot(record)
+        blob = record.to_json().encode()
     return hashlib.sha256(blob).hexdigest()
+
+
+def _check_plot(record) -> None:
+    """The scenario's declared plot names tables the record has and, where
+    they have rows, columns those rows have."""
+    plot = next(s.plot for s in DECLARED if s.key == record.scenario)
+    for table in plot.tables if plot else ():
+        assert table in record.tables, f"{record.scenario} has no table {table}"
+        columns = {plot.x, *plot.ys, *plot.band, *([plot.by] if plot.by else [])}
+        for row in record.tables[table]:
+            assert columns <= set(row), f"{record.scenario}.{table} lacks " \
+                f"{sorted(columns - set(row))}"
 
 
 NAMES = sorted(SIZES) + ["vhat_sum"]
@@ -83,13 +100,14 @@ def test_every_runner_has_a_golden_size():
 
 @pytest.mark.parametrize("scenario", NAMES)
 def test_golden_record(scenario):
+    digest = _digest(scenario)   # checks the declared plot on any stack
     golden = json.loads(GOLDEN.read_text())
     stack = _stack()
     if golden["stack"] != stack:
         pytest.skip(f"golden.json was written on {golden['stack']}, this is {stack}")
     assert golden["artifact_version"] == ARTIFACT_VERSION, \
         "ARTIFACT_VERSION changed: regenerate golden.json"
-    assert _digest(scenario) == golden["records"][scenario], \
+    assert digest == golden["records"][scenario], \
         f"{scenario} record bytes changed at the golden size"
 
 
