@@ -128,8 +128,13 @@ def _resolve(args: argparse.Namespace) -> dict:
             raise ConfigError("t_ladder entries must be positive and finite")
     for key, kind, _ in _KEYS:
         if key in cfg and kind in (int, float):
+            value = cfg[key]
             try:
-                cfg[key] = kind(cfg[key])
+                # no bools, and no integer key that int() would truncate
+                if isinstance(value, bool) or (kind is int and isinstance(value, float)
+                                               and not value.is_integer()):
+                    raise ValueError
+                cfg[key] = kind(value)
             except (TypeError, ValueError):
                 raise ConfigError(f"{key} must be "
                                   + ("an integer" if kind is int else "a number"))

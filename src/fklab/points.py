@@ -9,16 +9,9 @@ for a finitely supported probability measure mu.  Since the exponent is
 nonnegative, the tilted process is an exact thinning of a homogeneous sample:
 a candidate point y survives with probability exp(-t * sum_i w_i vhat(x_i - y)).
 
-In d = 1, thinning_keep squeezes that sum in two stages before it computes
-it: first between vhat of the distances to the atom hull, then, for the
-candidates still undecided, with the core of the atoms (the innermost
-quarter by distance to the barycentre) bounded through its own, narrower
-hull.  For the 32-atom Gauss-Hermite tilts of the local-minimum statistics
-a core of a quarter leaves the fewest candidates undecided: 2, 4, 6, 8, 10,
-12 or 16 core atoms leave 15.8, 10.0, 7.0, 6.3, 7.1, 8.5 or 11.6% of them
-at t = 1e7; a larger core holds more weight but has a wider hull.  When the
-first stage decides every candidate, as it does for a single atom, the
-second is skipped.  Every decision equals the exact test's.
+In d = 1, thinning_keep decides most candidates from per-cell bounds on that
+sum, tabulated once per (alpha, t, box) and kept on the measure; the rest go
+to the exact test, so every decision equals the exact test's.
 
 Randomness comes from counter-based Philox streams keyed by (seed, path...),
 so replica r of an experiment always draws from stream (base_seed, r)
@@ -32,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelParams, vhat_radial, vhat_sum
+from .model import PAIR_BLOCK, ModelParams, vhat_radial, vhat_sum
 
 
 def stream(seed: int, *path: int) -> np.random.Generator:
@@ -113,6 +106,8 @@ class DiscreteMeasure:
             raise ValueError(f"weights must sum to 1 (got {s!r}); normalize explicitly")
         object.__setattr__(self, "atoms", _readonly(atoms))
         object.__setattr__(self, "weights", _readonly(weights / s))
+        # thinning tables by (alpha, t, box), built on first use
+        object.__setattr__(self, "_tables", {})
 
     @classmethod
     def delta(cls, point) -> "DiscreteMeasure":
@@ -206,69 +201,74 @@ def tilt_acceptance(y, mu: DiscreteMeasure, params: ModelParams, t: float | None
     return np.exp(tilt_log_weight(y, mu, params, t))
 
 
-# Margins of the squeeze in thinning_keep.  The relative one is 50 times the
+# Margins of the thinning thresholds.  The relative one is 50 times the
 # rounding of exp(-t Phi) in the exact test (a few dozen ulp of t Phi < 745,
 # about 2e-11); the absolute one keeps subnormal thresholds out.
 SQUEEZE_REL = 1e-9
 SQUEEZE_ABS = 1e-300
+# cells of the thinning table per unit length: about one candidate each
+TABLE_CELLS = 1.0
 
 
-def _hull_distances(x, lo: float, hi: float):
-    """Distances from points x to the interval [lo, hi] and to its farther end."""
-    near = np.maximum(np.maximum(lo - x, x - hi), 0.0)
-    far = np.maximum(x - lo, hi - x)
-    return near, far
+def thinning_table(mu: DiscreteMeasure, alpha: float, t: float, box: Box):
+    """Thresholds (lo, delta, sure, maybe) of the 1-d thinning on a box.
+
+    The box is split into n cells of width delta from its lower end lo.
+    Entry k + 1 of sure and maybe holds cell k's thresholds, from bounds
+    Phi_lo <= Phi(y) <= Phi_up over the cell widened by eta on both sides:
+    since vhat does not increase with distance, Phi_up sums w_i vhat of the
+    nearest distances from the atoms to that interval and Phi_lo of the
+    farthest.  Entries 0 and n + 1, (-inf, inf), send candidates beyond the
+    box to the exact test.  Blocks of about PAIR_BLOCK pairs bound memory.
+    """
+    hw = box.half_widths[0]
+    lo = box.center[0] - hw
+    n = max(1, math.ceil(2.0 * hw * TABLE_CELLS))
+    delta = 2.0 * hw / n
+    a, w = mu.atoms[:, 0], mu.weights
+    # About 4500 ulp of the largest coordinate involved: far above the
+    # rounding of the cell index, of the cell ends and of the distances
+    # (each a few ulp), yet only 1.4e-8 wide at coordinates of 1.4e4.
+    eta = 1e-12 * max(1.0, abs(lo), abs(lo + 2.0 * hw), float(np.abs(a).max()))
+    sure, maybe = np.full(n + 2, -np.inf), np.full(n + 2, np.inf)
+    step = max(1, PAIR_BLOCK // a.size)
+    for i in range(0, n, step):
+        k = np.arange(i, min(i + step, n))[:, None]
+        left, right = lo + k * delta - eta, lo + (k + 1) * delta + eta
+        near = np.maximum(np.maximum(left - a, a - right), 0.0)
+        far = np.maximum(a - left, right - a)
+        phi_up, phi_lo = vhat_radial(near, alpha) @ w, vhat_radial(far, alpha) @ w
+        sure[i + 1:i + 1 + k.size] = np.exp(-t * phi_up) * (1.0 - SQUEEZE_REL) - SQUEEZE_ABS
+        maybe[i + 1:i + 1 + k.size] = np.exp(-t * phi_lo) * (1.0 + SQUEEZE_REL) + SQUEEZE_ABS
+    return lo, delta, sure, maybe
 
 
-def _squeeze(u, phi_up, phi_lo, t: float):
-    """Candidates surely kept, and those still undecided, for Phi in [phi_lo, phi_up]."""
-    keep = u < np.exp(-t * phi_up) * (1.0 - SQUEEZE_REL) - SQUEEZE_ABS
-    return keep, ~keep & (u < np.exp(-t * phi_lo) * (1.0 + SQUEEZE_REL) + SQUEEZE_ABS)
-
-
-def squeeze_core(mu: DiscreteMeasure):
-    """Hull (lo, hi) and weight of the core of a 1-d measure: the innermost
-    quarter of its atoms by distance to the barycentre, at least one atom."""
-    a = mu.atoms[:, 0]
-    core = np.argsort(np.abs(a - mu.barycenter[0]), kind="stable")[:max(1, a.size // 4)]
-    return float(a[core].min()), float(a[core].max()), float(mu.weights[core].sum())
-
-
-def thinning_keep(y, u, mu: DiscreteMeasure, params: ModelParams, t: float) -> np.ndarray:
+def thinning_keep(y, u, mu: DiscreteMeasure, params: ModelParams, t: float,
+                  box: Box) -> np.ndarray:
     """The thinning decisions u < tilt_acceptance(y) for candidates y (m, d).
 
-    In d = 1 a squeeze in two stages decides most candidates without the
-    pairwise sum Phi.  As the weights sum to 1 and vhat falls with distance,
-    Phi(y) lies between vhat of the distances to the atom hull and to its
-    farther end (stage 1).  The candidates whose u falls between the two
-    acceptances go to stage 2, which splits the atoms into the core of
-    squeeze_core, with weight W, and the rest:
+    In d = 1 the candidate's cell k = floor((y - lo) / delta) in mu's
+    thinning_table for (alpha, t, box) keeps it when u falls below the
+    cell's sure threshold and rejects it when u reaches the maybe one.  The
+    rest, and every candidate outside the box, go to the exact test.
 
-        W vhat(far_core) + (1 - W) vhat(far)  <=  Phi
-            <=  W vhat(near_core) + (1 - W) vhat(near).
-
-    Only the candidates still undecided go to the exact test, so every
-    decision is the exact one; both stages widen their thresholds by the
-    margins.  When stage 1 leaves none, as with a single atom (near = far),
-    stage 2 is skipped.
+    Why the table agrees with the exact test: a computed index k puts y
+    within a few ulp of cell k, so inside the cell widened by eta; the
+    distances the exact test computes then lie between the cell's nearest
+    and farthest ones, and its Phi between Phi_lo and Phi_up up to the
+    rounding of the sums and powers, which the SQUEEZE_REL and SQUEEZE_ABS
+    margins on exp(-t Phi) absorb.
     """
     if mu.d != 1:
         return u < tilt_acceptance(y, mu, params, t)
-    x = y[:, 0]
-    near, far = _hull_distances(x, float(mu.atoms.min()), float(mu.atoms.max()))
-    v_near, v_far = vhat_radial(near, params.alpha), vhat_radial(far, params.alpha)
-    keep, undecided = _squeeze(u, v_near, v_far, t)
-    rows = np.flatnonzero(undecided)
-    if rows.size == 0:
-        return keep
-    lo, hi, w = squeeze_core(mu)
-    near_core, far_core = _hull_distances(x[rows], lo, hi)
-    phi_up = w * vhat_radial(near_core, params.alpha) + (1.0 - w) * v_near[rows]
-    phi_lo = w * vhat_radial(far_core, params.alpha) + (1.0 - w) * v_far[rows]
-    keep_rows, undecided = _squeeze(u[rows], phi_up, phi_lo, t)
-    rest = rows[undecided]
-    keep_rows[undecided] = u[rest] < tilt_acceptance(y[rest], mu, params, t)
-    keep[rows] = keep_rows
+    key = (params.alpha, t, box)
+    if key not in mu._tables:
+        mu._tables[key] = thinning_table(mu, params.alpha, t, box)
+    lo, delta, sure, maybe = mu._tables[key]
+    k = np.clip(np.floor((y[:, 0] - lo) / delta) + 1.0, 0.0, sure.size - 1).astype(np.intp)
+    keep = u < sure[k]
+    rest = np.flatnonzero(~keep & (u < maybe[k]))
+    keep[rest] = u[rest] < tilt_acceptance(y[rest], mu, params, t)
     return keep
 
 
@@ -285,5 +285,5 @@ def sample_tilted(mu: DiscreteMeasure, params: ModelParams, box: Box, seed: int,
         raise ValueError("measure dimension does not match box dimension")
     base = sample_homogeneous(box, 1.0, seed, path=path)
     u = stream(seed, *path, 1).random(base.n)
-    keep = thinning_keep(base.points, u, mu, params, t)
+    keep = thinning_keep(base.points, u, mu, params, t, box)
     return PointConfig(base.points[keep], box)

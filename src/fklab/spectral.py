@@ -274,12 +274,11 @@ def tilted_ids_draws(lambdas, tilts, params: ModelParams, grid: Grid,
     cell = (x >= -0.5) & (x < 0.5)
     cell_volume = float(np.count_nonzero(cell)) * grid.h
     origin = DiscreteMeasure.delta(np.zeros(params.d))
-    weight = np.empty(n_samples)
+    v0 = np.empty(n_samples)
     score = np.empty((n_samples, lambdas.size))
     for r, j in enumerate(np.repeat(np.arange(tilts.size), n_per)):
         cfg = sample_tilted(origin, params, sample_box, seed, t=float(tilts[j]), path=(r,))
-        v0 = float(vhat_sum(np.zeros((1, 1)), cfg.points, params.alpha)[0])
-        weight[r] = math.exp(-logsumexp(log_norm - tilts * v0, b=n_per / n_samples))
+        v0[r] = vhat_sum(np.zeros((1, 1)), cfg.points, params.alpha)[0]
         view = PotentialView(cfg, grid.box, params, compensate=True)
         V = potential_on_grid(grid, lambda pts: evaluate_V(view, pts))
         diag, off = SchrodingerOperator(V).tridiag()
@@ -288,7 +287,9 @@ def tilted_ids_draws(lambdas, tilts, params: ModelParams, grid: Grid,
         # unit-norm eigenvectors: the cell mass of phi_k^2 is a sum of v_k^2
         below = np.concatenate([[0.0], np.cumsum(np.sum(vecs[cell] ** 2, axis=0))])
         score[r] = below[np.searchsorted(evs, lambdas, side="right")] / cell_volume
-    return weight, score, n_per
+    # math.exp of each row's logsumexp: np.exp may differ in the last bit
+    lse = logsumexp(log_norm - tilts * v0[:, None], b=n_per / n_samples, axis=1)
+    return np.array([math.exp(-x) for x in lse]), score, n_per
 
 
 def stratified_mean(values, n_per):

@@ -230,6 +230,33 @@ def test_json_config_and_unknown_key(tmp_path):
     assert run_cli(tmp_path, "laplace", "--config", str(bad)) == 2
 
 
+@pytest.mark.parametrize("text", ["samples = 2.9\nseed = 1.7\n", "seed = 1.7\n",
+                                  "seed = true\n", "samples = 1e999\n"])
+def test_fractional_integer_key_value_is_a_config_error(tmp_path, capsys, text):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    assert run_cli(tmp_path, "tilted", "--config", str(cfg)) == 2
+    err = capsys.readouterr().err
+    assert "must be an integer" in err and "Traceback" not in err
+    assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
+
+
+def test_fractional_integer_in_json_is_a_config_error(tmp_path, capsys):
+    for i, text in enumerate(['{"samples": 2.9, "seed": 1.7}', '{"seed": 1.5}',
+                              '{"samples": false}', '{"alpha": true}']):
+        cfg = tmp_path / f"{i}.json"
+        cfg.write_text(text)
+        assert run_cli(tmp_path, "tilted", "--config", str(cfg)) == 2
+        assert "config error" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == [f"{i}.json" for i in range(4)]
+    # an integral float is still an integer
+    good = tmp_path / "good.json"
+    good.write_text('{"seed": 7.0}')
+    assert run_cli(tmp_path, "laplace", "--config", str(good)) == 0
+    rec = json.loads((tmp_path / "laplace.json").read_text())
+    assert rec["seed"] == 7 and isinstance(rec["settings"]["resolved_cli"]["seed"], int)
+
+
 def test_out_dir_from_environment(tmp_path, monkeypatch):
     monkeypatch.setenv("FKLAB_OUT", str(tmp_path / "envout"))
     assert main(["laplace"]) == 0

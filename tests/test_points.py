@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from fklab import model
-from fklab.experiments import _mu_for
+from fklab import model, points
+from fklab.experiments import _mu_for, run_local_min_stats
 from fklab.model import ModelParams, vhat_radial, vhat_sum
 from fklab.points import (
     SQUEEZE_ABS,
@@ -16,9 +16,9 @@ from fklab.points import (
     PointConfig,
     sample_homogeneous,
     sample_tilted,
-    squeeze_core,
     stream,
     thinning_keep,
+    thinning_table,
     tilt_acceptance,
     tilt_log_weight,
 )
@@ -90,12 +90,12 @@ def test_blocked_tilt_weight_equals_one_block(m, monkeypatch):
 
 
 # Narrow Gauss-Hermite atoms sit within 1 of each other, and their computed
-# weights sum to 1 - 2^-52 (6 atoms) or 1 + 2^-52 (14 atoms).  So at t = 600
-# the exact acceptance on an atom differs from the bounds of both stages by
-# about 1e-13, relatively, and a squeeze without margins in either stage
+# weights sum to 1 - 2^-52 (6 atoms) or 1 + 2^-52 (14 atoms).  The box below
+# puts them all in the cell around 0, where the farthest distance is under 1
+# and Phi_lo = Phi_up, so at t = 600 the exact acceptance on an atom differs
+# from the cell's bounds only by rounding, and a table without margins
 # decides some planted u wrongly.  A negative std stands for skewed atoms,
-# spread uniformly over [std, -std] with random weights, whose core hull
-# does not sit in the middle of the whole hull.
+# spread uniformly over [std, -std] with random weights.
 @pytest.mark.parametrize("atoms, std, t", [(32, 40.0, 1e5), (32, 40.0, 1e7), (1, 0.0, 300.0),
                                            (5, 40.0, 0.7), (6, 0.05, 600.0), (14, 0.05, 600.0),
                                            (12, -50.0, 1e4)])
@@ -109,32 +109,47 @@ def test_squeeze_decides_as_the_exact_test(atoms, std, t):
         spread = np.random.default_rng(0)
         mu = DiscreteMeasure(spread.uniform(std, -std, (atoms, 1)),
                              spread.dirichlet(np.ones(atoms)))
+    box = Box((0.0,), (2000.37,))                # cells of width 0.999935...
+    lo, delta, sure, maybe = thinning_table(mu, 1.5, t, box)
+    n = sure.size - 2
+    assert lo == -2000.37 and n == 4001 and delta == 4000.74 / 4001
+    edges = lo + np.arange(n + 1) * delta
     rng = np.random.default_rng(atoms)
-    y = rng.uniform(-2000.0, 2000.0, (4000, 1))
-    y[:atoms, 0] = mu.atoms[:, 0]                # candidates on the atoms
-    lo, hi = mu.atoms.min(), mu.atoms.max()
-    near = np.maximum(np.maximum(lo - y[:, 0], y[:, 0] - hi), 0.0)
-    far = np.maximum(y[:, 0] - lo, hi - y[:, 0])
-    # stage 2: the core's share W of Phi is bounded through the core's hull
-    core_lo, core_hi, w = squeeze_core(mu)
-    core_near = np.maximum(np.maximum(core_lo - y[:, 0], y[:, 0] - core_hi), 0.0)
-    core_far = np.maximum(y[:, 0] - core_lo, core_hi - y[:, 0])
-    up = w * vhat_radial(core_near, 1.5) + (1.0 - w) * vhat_radial(near, 1.5)
-    down = w * vhat_radial(core_far, 1.5) + (1.0 - w) * vhat_radial(far, 1.5)
+    x = np.concatenate([
+        rng.uniform(-2000.0, 2000.0, 2000), mu.atoms[:, 0],
+        edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
+        [lo, 2000.37, -2000.5, 2000.5]])         # both box ends, and beyond them
+    y = x[:, None]
+    # each candidate's cell, and bounds on Phi over it without the widening
+    k = np.floor((x - lo) / delta)
+    cell = np.clip(k, 0, n - 1).astype(int)
+    left, right = edges[cell][:, None], edges[cell + 1][:, None]
+    a = mu.atoms[:, 0]
+    up = vhat_radial(np.maximum(np.maximum(left - a, a - right), 0.0), 1.5) @ mu.weights
+    down = vhat_radial(np.maximum(a - left, right - a), 1.5) @ mu.weights
     phi = vhat_sum(y, mu.atoms, 1.5, mu.weights)
-    assert np.all(down * (1.0 - 1e-12) <= phi) and np.all(phi <= up * (1.0 + 1e-12))
-    edges = [np.exp(-t * vhat_radial(near, 1.5)) * (1.0 - SQUEEZE_REL) - SQUEEZE_ABS,
-             np.exp(-t * vhat_radial(far, 1.5)) * (1.0 + SQUEEZE_REL) + SQUEEZE_ABS,
-             np.exp(-t * up), np.exp(-t * down),
-             np.exp(-t * up) * (1.0 - SQUEEZE_REL) - SQUEEZE_ABS,
-             np.exp(-t * down) * (1.0 + SQUEEZE_REL) + SQUEEZE_ABS]
+    inside = (k >= 0) & (k < n)
+    assert np.all(down[inside] * (1.0 - 1e-12) <= phi[inside])
+    assert np.all(phi[inside] <= up[inside] * (1.0 + 1e-12))
+    # the stored thresholds carry the margins; beyond the box, none decides
+    row = np.clip(k + 1, 0, n + 1).astype(int)
+    np.testing.assert_allclose(sure[row][inside], np.exp(-t * up[inside]) * (1.0 - SQUEEZE_REL)
+                               - SQUEEZE_ABS, rtol=1e-5)
+    np.testing.assert_allclose(maybe[row][inside], np.exp(-t * down[inside]) * (1.0 + SQUEEZE_REL)
+                               + SQUEEZE_ABS, rtol=1e-5)
+    assert np.all(sure[row][~inside] == -np.inf) and np.all(maybe[row][~inside] == np.inf)
     acc = tilt_acceptance(y, mu, params)
-    # u on and next to every band edge of both stages, and on the stage-2
-    # bounds without margins, then uniform draws
-    planted = [np.nextafter(e, s) for e in edges for s in (-1.0, 2.0)] + edges
-    for u in planted + [rng.random(y.shape[0]) for _ in range(25)]:
+    # the thresholds leave room for 1e-10 of rounding, five times that of
+    # exp(-t Phi), on either side of the exact acceptance
+    assert np.all(sure[row][inside] <= acc[inside] * (1.0 - 1e-10))
+    assert np.all(maybe[row][inside] >= acc[inside] * (1.0 + 1e-10))
+    # u on and next to each candidate's thresholds, with and without the
+    # margins, then uniform draws
+    bounds = [sure[row], maybe[row], np.exp(-t * up), np.exp(-t * down)]
+    planted = [np.nextafter(e, s) for e in bounds for s in (-1.0, 2.0)] + bounds
+    for u in planted + [rng.random(x.size) for _ in range(25)]:
         u = np.clip(u, 0.0, np.nextafter(1.0, 0.0))
-        assert np.array_equal(thinning_keep(y, u, mu, params, t), u < acc)
+        assert np.array_equal(thinning_keep(y, u, mu, params, t, box), u < acc)
 
 
 # Criterion 05's tilt: the 32-atom measure of run_local_min_stats at alpha = 2
@@ -150,6 +165,57 @@ def test_criterion_05_tilt_thins_exactly(t, radius):
         want = base.points[u < tilt_acceptance(base.points, mu, params)]
         got = sample_tilted(mu, params, box, seed, path=(2, rep)).points
         assert np.array_equal(got, want)
+
+
+# One atom at coordinates near 1.4e4, where an ulp is 1.8e-12: at distance
+# about 1 and t = 700 that moves exp(-t Phi) by 2e-9 relatively, more than
+# the margins hold, so the cells must be widened to cover the rounding of
+# the cell index, of the cell ends and of the distances.
+@pytest.mark.parametrize("atom", [9000.1, 13000.7])
+def test_table_widening_covers_index_rounding(atom):
+    params = ModelParams(d=1, alpha=2.0, t=700.0)
+    mu = DiscreteMeasure.delta(np.array([atom]))
+    box = Box.cube(1, 14000.0)
+    lo, delta, sure, maybe = thinning_table(mu, 2.0, 700.0, box)
+    edges = lo + np.arange(sure.size - 1) * delta
+    x = np.concatenate([edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf)])
+    row = np.clip(np.floor((x - lo) / delta) + 1, 0, sure.size - 1).astype(int)
+    acc = tilt_acceptance(x[:, None], mu, params)
+    assert np.all(sure[row] <= acc * (1.0 - 1e-10))
+    assert np.all(maybe[row] >= acc * (1.0 + 1e-10))
+
+
+def test_thinning_table_is_built_once_per_rung(monkeypatch):
+    built = []
+    build = points.thinning_table
+
+    def counted(mu, alpha, t, box):
+        built.append(t)
+        return build(mu, alpha, t, box)
+
+    monkeypatch.setattr(points, "thinning_table", counted)
+    run_local_min_stats(n_samples=8)
+    # one table for each rung's 8 draws, and one for the t = 0 sampler control
+    assert sorted(built) == [0.0, 1e5, 1e6, 1e7]
+
+
+@pytest.mark.parametrize("t, radius", [(1e5, 1401.0), (1e6, 4333.0), (1e7, 13544.0)])
+def test_criterion_05_table_leaves_few_candidates_undecided(t, radius, monkeypatch):
+    params = ModelParams(d=1, alpha=2.0, t=t)
+    mu = _mu_for(params)
+    box = Box.cube(1, radius)
+    exact = []
+
+    def counted(y, *args):
+        exact.append(len(y))
+        return tilt_acceptance(y, *args)
+
+    monkeypatch.setattr(points, "tilt_acceptance", counted)
+    drawn = 0
+    for rep in range(20):
+        drawn += sample_homogeneous(box, 1.0, 0, path=(2, rep)).n
+        sample_tilted(mu, params, box, 0, path=(2, rep))
+    assert sum(exact) < 0.005 * drawn
 
 
 def test_tilted_at_t_zero_equals_homogeneous():
