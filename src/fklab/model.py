@@ -168,6 +168,85 @@ def vhat_sum(x, points, alpha: float, weights=None) -> np.ndarray:
     return out
 
 
+# width of the cells of evaluation points in vhat_sum_local, on the lattice
+# LOCAL_CELL * Z; an even integer, so cell centres and reach ends are exact
+LOCAL_CELL = 32.0
+
+
+@lru_cache(maxsize=None)
+def local_order(alpha: float) -> int:
+    """Order q of vhat_sum_local's expansion: the smallest q with
+
+        (5/4)^alpha * a_(q+1) 4^-(q+1) / (1 - (alpha + q + 1) / (4 (q + 2))) <= 2^-53,
+
+    a_k = |binom(-alpha, k)|.  A far point p of the cell with centre c has
+    |x - c| / |p - c| <= 1/4, so term k of the binomial series of
+    |x - p|^-alpha is at most |p - c|^-alpha a_k 4^-k.  The ratio
+    (alpha + k) / (4 (k + 1)) of successive terms falls with k, so the terms
+    past q sum to at most |p - c|^-alpha times the geometric tail above.  As
+    |x - p|^-alpha >= (5/4)^-alpha |p - c|^-alpha, each far point is summed
+    to 2^-53 relative.  q is 27, 28, 29 and 31 at alpha = 1.05, 1.5, 2, 2.95.
+    """
+    q, term = 0, alpha / 4.0                # term = a_(q+1) 4^-(q+1)
+    while 1.25 ** alpha * term / (1.0 - (alpha + q + 1) / (4.0 * (q + 2))) > 2.0 ** -53:
+        q += 1
+        term *= (alpha + q) / (4.0 * (q + 1))
+    return q
+
+
+def vhat_sum_local(x, points, alpha: float) -> np.ndarray:
+    """sum_j vhat(x_i - p_j) in d = 1, for x (m, 1) and points (n, 1).
+
+    The rows of x fall into cells [kW, (k + 1)W) of width W = LOCAL_CELL.
+    For a cell with centre c, the points with |p - c| < 2W are summed pair by
+    pair through vhat_sum.  The farther ones enter through the moments
+
+        M_k = binom(-alpha, k) sum_p s^k |p - c|^(-alpha - k),   k <= q,
+
+    s = -1 right of c and +1 left of it, and x takes sum_k M_k (x - c)^k by
+    Horner's rule: the local expansion of Greengard & Rokhlin, J. Comput.
+    Phys. 73 (1987).  A far point is at least 1.5W >= 1 from x, where vhat
+    is uncapped, and q = local_order(alpha) sums it to 2^-53 relative.
+    Moments are built for blocks of about PAIR_BLOCK cell-point pairs.  A
+    row's value depends only on the row and the points, never on the other
+    rows of x.
+    """
+    x = np.asarray(x, dtype=float).reshape(-1)
+    p = np.sort(np.asarray(points, dtype=float).reshape(-1))
+    width = LOCAL_CELL
+    cells, where = np.unique(np.floor(x / width), return_inverse=True)
+    centre = (cells + 0.5) * width
+    lo = np.searchsorted(p, centre - 2.0 * width, side="right")
+    hi = np.searchsorted(p, centre + 2.0 * width, side="left")
+    out = np.empty(x.size)
+    rows = np.argsort(where, kind="stable")
+    ends = np.cumsum(np.bincount(where, minlength=cells.size))
+    for r, a, b in zip(np.split(rows, ends[:-1]), lo, hi):
+        out[r] = vhat_sum(x[r, None], p[a:b, None], alpha)
+    if np.all((lo == 0) & (hi == p.size)):
+        return out
+    q = local_order(alpha)
+    coef = np.cumprod(np.concatenate([[1.0], (-alpha - np.arange(q)) / np.arange(1, q + 1)]))
+    moments = np.empty((q + 1, cells.size))
+    step = max(1, PAIR_BLOCK // p.size)
+    for i in range(0, cells.size, step):
+        u = p[None, :] - centre[i:i + step, None]
+        u[np.abs(u) < 2.0 * width] = np.inf         # near points weigh 0 here
+        w = np.abs(u) ** -alpha
+        ratio = -1.0 / u                             # s / |p - c|
+        for k in range(q + 1):
+            np.add.reduce(w, axis=1, out=moments[k, i:i + step])
+            w *= ratio
+    moments *= coef[:, None]
+    delta = x - centre[where]
+    m = moments[:, where]
+    acc = m[q].copy()
+    for k in range(q - 1, -1, -1):
+        acc *= delta
+        acc += m[k]
+    return out + acc
+
+
 def h_t(params: ModelParams) -> float:
     """Typical potential depth a1 * (d/alpha) * t^(-(alpha-d)/alpha)."""
     c = constants(params)

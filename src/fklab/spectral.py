@@ -242,7 +242,6 @@ class IdsCurve:
     ci_low: np.ndarray
     ci_high: np.ndarray
     n_samples: int
-    box_volume: float          # volume of the box the points were sampled in
 
     def rows(self):
         for i, lam in enumerate(self.lambdas):
@@ -348,4 +347,4 @@ def ids_estimate(lambda_grid, params: ModelParams, box_size: float,
     mean, half_w = stratified_mean(weight[:, None] * score, n_per)
     return IdsCurve(lambdas=lambdas, n_hat=mean,
                     ci_low=np.maximum(mean - half_w, 0.0), ci_high=mean + half_w,
-                    n_samples=n_samples, box_volume=sample_box.volume)
+                    n_samples=n_samples)

@@ -1,6 +1,7 @@
 """Golden records: every scenario runner at a small size, pinned by the
-SHA-256 of its canonical JSON (`RunRecord.to_json()`), and the pairwise
-kernel's output bytes at a block edge.
+SHA-256 of its canonical JSON (`RunRecord.to_json()`), the pairwise
+kernel's output bytes at a block edge, and the d = 1 potential's bytes on
+criterion 08's primary grid.
 
 The bytes are pinned, not the verdicts: several runners fail their checks
 at these sizes, and that is fine.  A refactor that leaves the numerics alone
@@ -29,7 +30,9 @@ import pytest
 import scipy
 
 from fklab.experiments import ARTIFACT_VERSION, DECLARED, SCENARIOS
-from fklab.model import vhat_sum
+from fklab.model import ModelParams, constants, vhat_sum
+from fklab.points import Box, DiscreteMeasure, sample_tilted
+from fklab.potential import PotentialView, evaluate_V
 
 GOLDEN = Path(__file__).with_name("golden.json")
 
@@ -69,9 +72,29 @@ def _kernel_bytes() -> bytes:
     return np.concatenate(out).tobytes()
 
 
+def _potential_bytes() -> bytes:
+    """Compensated evaluate_V on criterion 08's primary grid (955 nodes of
+    spacing 0.25) for one draw at its steepest tilt, as tilted_ids_draws
+    makes it.  The records above meet the local expansion's far field too
+    (ids, spectrum, confinement, localization, occupation, ou_limit), but
+    only through their summaries."""
+    params = ModelParams(d=1, alpha=1.5, t=1.0)
+    tilt = (constants(params).a1 / (1.5 * 0.4)) ** 3.0
+    hole = tilt ** (1.0 / 1.5)
+    half = round(1.5 * hole / 0.25) * 0.25
+    x = (-half + 0.25 * np.arange(1, round(8.0 * half)))[:, None]
+    cfg = sample_tilted(DiscreteMeasure.delta(np.zeros(1)), params,
+                        Box.cube(1, half + 3.5 * hole), 201, t=tilt, path=(0,))
+    view = PotentialView(cfg, Box.cube(1, half), params, compensate=True)
+    assert x.shape[0] == 955
+    return evaluate_V(view, x).tobytes()
+
+
 def _digest(name: str) -> str:
     if name == "vhat_sum":
         blob = _kernel_bytes()
+    elif name == "evaluate_V":
+        blob = _potential_bytes()
     else:
         record = SCENARIOS[name](**SIZES[name])
         _check_plot(record)
@@ -91,7 +114,7 @@ def _check_plot(record) -> None:
                 f"{sorted(columns - set(row))}"
 
 
-NAMES = sorted(SIZES) + ["vhat_sum"]
+NAMES = sorted(SIZES) + ["vhat_sum", "evaluate_V"]
 
 
 def test_every_runner_has_a_golden_size():

@@ -6,11 +6,14 @@ import mpmath
 import numpy as np
 import pytest
 
+from fklab import model
 from fklab.model import (
+    LOCAL_CELL,
     ModelParams,
     constants,
     groundstate_phi1,
     h_t,
+    local_order,
     nu_coordinate_variance,
     nu_density,
     quadratic_profile,
@@ -19,6 +22,7 @@ from fklab.model import (
     spectral_gap,
     vhat_radial,
     vhat_sum,
+    vhat_sum_local,
 )
 
 mpmath.mp.dps = 40
@@ -120,6 +124,94 @@ def test_vhat_sum_is_bit_equal_to_shape_vhat(d, alpha):
     assert np.array_equal(vhat_sum(x, pts, alpha, w), shape_vhat(diff, p) @ w)
     assert np.array_equal(vhat_sum(x, pts, alpha), shape_vhat(diff, p).sum(axis=1))
     assert np.array_equal(vhat_sum(x, pts[:0], alpha), np.zeros(x.shape[0]))
+
+
+LOCAL_ALPHAS = (1.05, 1.5, 2.0, 2.95)
+
+
+def _order_bound(alpha, q):
+    """vhat_sum_local's remainder bound at order q, from lgamma."""
+    a = math.exp(math.lgamma(alpha + q + 1) - math.lgamma(alpha) - math.lgamma(q + 2))
+    return 1.25 ** alpha * a * 4.0 ** -(q + 1) / (1 - (alpha + q + 1) / (4.0 * (q + 2)))
+
+
+@pytest.mark.parametrize("alpha, q", zip(LOCAL_ALPHAS, (27, 28, 29, 31)))
+def test_local_order_is_the_least_that_meets_its_bound(alpha, q):
+    assert local_order(alpha) == q
+    assert _order_bound(alpha, q) <= 2.0 ** -53 < _order_bound(alpha, q - 1)
+    # the geometric bound covers the series' exact tail at the worst ratio 1/4
+    tail = mpmath.nsum(lambda k: abs(mpmath.binomial(-alpha, k)) * mpmath.mpf(4) ** -k,
+                       [q + 1, mpmath.inf])
+    assert float(tail * mpmath.mpf(1.25) ** alpha) <= _order_bound(alpha, q)
+
+
+def _assert_local_matches_pairwise(x, pts, alpha):
+    x = np.asarray(x, dtype=float).reshape(-1, 1)
+    pts = np.asarray(pts, dtype=float).reshape(-1, 1)
+    want = vhat_sum(x, pts, alpha)
+    got = vhat_sum_local(x, pts, alpha)
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want) <= 1e-14 * want)
+
+
+@pytest.mark.parametrize("alpha", LOCAL_ALPHAS)
+def test_vhat_sum_local_matches_pairwise_on_ids_windows(alpha):
+    # criterion 08's primary grid, 955 nodes of spacing 0.25, in a box of
+    # half width 398.6 at rate 1, with and without a hole at the origin
+    x = -119.5 + 0.25 * np.arange(1, 956)
+    rng = np.random.default_rng(int(100 * alpha))
+    for seed in range(3):
+        pts = rng.uniform(-398.6, 398.6, rng.poisson(797.2))
+        _assert_local_matches_pairwise(x, pts, alpha)
+        _assert_local_matches_pairwise(x, pts[np.abs(pts) > 12.0 * seed], alpha)
+
+
+@pytest.mark.parametrize("alpha", LOCAL_ALPHAS)
+def test_vhat_sum_local_matches_pairwise_on_planted_cases(alpha):
+    w = LOCAL_CELL
+    c = 0.5 * w                              # centre of the cell [0, w)
+    edges = [0.0, np.nextafter(w, 0.0), w, -w, 2.0 * w]
+    reach = [c - 2.0 * w, c + 2.0 * w]       # exactly 2W from the centre
+    rng = np.random.default_rng(7)
+    x = np.concatenate([edges, rng.uniform(-3.0 * w, 4.0 * w, 40), [c]])
+    cases = {
+        "on nodes": np.concatenate([x[:8], rng.uniform(-300.0, 300.0, 200)]),
+        "on cell edges": np.concatenate([edges, rng.uniform(-300.0, 300.0, 200)]),
+        "at reach": reach,
+        "at reach, beside others": np.concatenate([reach, np.nextafter(reach, c),
+                                                   rng.uniform(-300.0, 300.0, 200)]),
+        "none beyond reach": rng.uniform(c - 1.5 * w, c + 1.5 * w, 50),
+        "single point": [5.0 * w + 0.3],
+    }
+    for pts in cases.values():
+        _assert_local_matches_pairwise(x, pts, alpha)
+    # each worst-ratio pair alone, an edge of the cell against a point at
+    # reach, is summed to within 1e-15 of the exact |x - p|^-alpha; the
+    # expansion cut 4 orders early is off by 4e-15 to 8e-15 here
+    for xe in (0.0, np.nextafter(w, 0.0)):
+        for p in reach:
+            exact = mpmath.mpf(abs(xe - p)) ** -alpha
+            got = vhat_sum_local(np.array([[xe]]), np.array([[p]]), alpha)[0]
+            assert abs(got - exact) <= 1e-15 * exact
+    # a window with no point beyond reach of any of its cells
+    _assert_local_matches_pairwise([1.0, 2.0, 31.0], cases["none beyond reach"], alpha)
+    assert np.array_equal(vhat_sum_local(x[:, None], np.zeros((0, 1)), alpha),
+                          np.zeros(x.size))
+    assert vhat_sum_local(np.zeros((0, 1)), np.ones((3, 1)), alpha).shape == (0,)
+
+
+def test_vhat_sum_local_rows_do_not_depend_on_the_batch(monkeypatch):
+    rng = np.random.default_rng(11)
+    pts = rng.uniform(-400.0, 400.0, (800, 1))
+    x = rng.uniform(-120.0, 120.0, (300, 1))
+    batch = vhat_sum_local(x, pts, 1.5)
+    perm = rng.permutation(x.shape[0])
+    assert np.array_equal(vhat_sum_local(x[perm], pts, 1.5), batch[perm])
+    one_by_one = [vhat_sum_local(x[i:i + 1], pts, 1.5)[0] for i in range(x.shape[0])]
+    assert np.array_equal(one_by_one, batch)
+    # moment blocks of one cell each give the same moments
+    monkeypatch.setattr(model, "PAIR_BLOCK", 1)
+    assert np.array_equal(vhat_sum_local(x, pts, 1.5), batch)
 
 
 def test_scales_and_profiles():

@@ -8,7 +8,7 @@ from scipy import integrate
 
 from fklab import model
 from fklab.model import ModelParams, constants, quadratic_profile
-from fklab.points import Box, PointConfig, sample_homogeneous
+from fklab.points import Box, DiscreteMeasure, PointConfig, sample_homogeneous, sample_tilted
 from fklab.potential import (
     MinimizerResult,
     PotentialView,
@@ -57,12 +57,42 @@ def test_empty_config_is_zero():
 
 def test_far_field_bound_matches_quadrature():
     params = ModelParams(d=1, alpha=2.0, t=1.0)
-    for dist in (1.0, 3.0, 10.0):
-        # two one-sided tails: 2 * int_dist^inf r^-alpha dr
-        exact, _ = integrate.quad(lambda r: 2.0 * r ** -2.0, dist, np.inf)
-        assert far_field_bound(params, dist) == pytest.approx(exact, rel=1e-10)
+    for dist in (0.0, 0.5, 1.0, 3.0, 10.0):
+        # two one-sided tails: 2 * int_dist^inf min(r^-alpha, 1) dr
+        cap = 2.0 * max(1.0 - dist, 0.0)
+        exact, _ = integrate.quad(lambda r: 2.0 * r ** -2.0, max(dist, 1.0), np.inf)
+        assert far_field_bound(params, dist) == pytest.approx(cap + exact, rel=1e-10)
     with pytest.raises(ValueError):
-        far_field_bound(params, 0.5)
+        far_field_bound(params, -0.5)
+
+
+@pytest.mark.parametrize("d, alpha", [(1, 1.5), (1, 2.0), (2, 2.5), (2, 3.5)])
+def test_far_field_bound_below_distance_one(d, alpha):
+    # the capped shell R <= |y| < 1 adds sigma_d (1 - R^d) / d to the tail
+    params = ModelParams(d=d, alpha=alpha, t=1.0)
+    c = constants(params)
+    for dist in (0.0, 0.25, 0.5, 0.9):
+        want = c.sigma_d * (1.0 - dist ** d) / d + c.sigma_d / (alpha - d)
+        assert far_field_bound(params, dist) == pytest.approx(want, rel=1e-14)
+    # continuous at R = 1, where the shell is empty
+    below = far_field_bound(params, np.nextafter(1.0, 0.0))
+    assert below == pytest.approx(far_field_bound(params, 1.0), rel=1e-14)
+    assert below >= far_field_bound(params, 1.0)
+
+
+def test_window_near_the_box_edge_is_judged_by_its_own_margin():
+    # config box (-1, 1), window (-0.5, 0.5): margin 0.5.  At x = 0.5 the
+    # omitted mean is 1.5 to the right (the cap from 0.5 to 1, then 1) and
+    # 2/3 to the left, 2.17 in all, so a tolerance of 2.1 must reject it.
+    params = ModelParams(d=1, alpha=2.0, t=1.0)
+    cfg = make_config([[0.0]], radius=1.0)
+    omitted = 0.5 + 1.0 + 1.0 / 1.5
+    assert far_field_bound(params, 0.5) == pytest.approx(3.0)
+    assert far_field_bound(params, 0.5) >= omitted > 2.1
+    view = PotentialView(cfg, Box.cube(1, 0.5), params)
+    assert view.far_bound == pytest.approx(3.0)
+    with pytest.raises(ValueError, match="exceeds tolerance"):
+        PotentialView(cfg, Box.cube(1, 0.5), params, max_far_bound=2.1)
 
 
 def test_window_margin_and_guards():
@@ -180,3 +210,36 @@ def test_blocked_evaluate_V_equals_one_block(d, monkeypatch):
     blocked = evaluate_V(view, x)
     monkeypatch.setattr(model, "PAIR_BLOCK", 2 ** 60)
     assert np.array_equal(blocked, evaluate_V(view, x))
+
+
+def _ids_draw(seed, r=0):
+    """Criterion 08's primary grid (955 nodes) and one tilted draw of its
+    environment at the steepest tilt, as tilted_ids_draws makes them."""
+    params = ModelParams(d=1, alpha=1.5, t=1.0)
+    tilt = (constants(params).a1 / (1.5 * 0.4)) ** 3.0
+    hole = tilt ** (1.0 / 1.5)
+    half = round(1.5 * hole / 0.25) * 0.25
+    nodes = -half + 0.25 * np.arange(1, round(8.0 * half))
+    origin = DiscreteMeasure.delta(np.zeros(1))
+    cfg = sample_tilted(origin, params, Box.cube(1, half + 3.5 * hole), seed,
+                        t=tilt, path=(r,))
+    return params, Box.cube(1, half), nodes[:, None], cfg
+
+
+def test_evaluate_V_d1_is_within_1e14_of_the_pairwise_sum():
+    for r in range(4):
+        params, window, x, cfg = _ids_draw(5, r)
+        assert x.shape[0] == 955
+        view = PotentialView(cfg, window, params)
+        want = model.vhat_sum(x, cfg.points, params.alpha)
+        assert np.all(np.abs(evaluate_V(view, x) - want) <= 1e-14 * want)
+
+
+def test_evaluate_V_d1_does_not_depend_on_the_batch():
+    params, window, x, cfg = _ids_draw(6)
+    view = PotentialView(cfg, window, params, compensate=True)
+    perm = np.random.default_rng(1).permutation(x.shape[0])
+    shuffled = evaluate_V(view, x[perm])
+    one_by_one = np.array([evaluate_V(view, x[i, 0]) for i in perm])
+    assert np.array_equal(shuffled, one_by_one)
+    assert np.array_equal(shuffled, evaluate_V(view, x)[perm])
