@@ -7,13 +7,10 @@ from .model import (
     ConstantsBundle,
     ModelParams,
     constants,
-    groundstate_phi1,
     h_t,
     nu_coordinate_variance,
-    nu_density,
     quadratic_profile,
     scale_r,
-    shape_vhat,
     spectral_gap,
     vhat_radial,
 )
@@ -40,14 +37,10 @@ from .laplace import (
     QuadratureSpec,
     exact_log_laplace,
     exact_mgf_V0,
-    predicted_log_laplace,
     predicted_tilted_mean,
-    stay_probability,
-    strategy_log_lower_bound,
     tilted_mean_V,
     tilted_variance_V,
     two_point_bound_check,
-    variance_limit_closed_form,
     variance_limit_quadrature,
 )
 from .spectral import (
@@ -61,10 +54,8 @@ from .spectral import (
     smallest_eigs,
 )
 from .semigroup import (
-    EvolutionSpec,
     FKStepper,
     batched_evolve,
-    brownian_partition_mc,
     default_schedule,
     groundstate_transform_check,
     make_grid,

@@ -251,13 +251,6 @@ def _single_atom_var(t: float, params: ModelParams):
     return c.omega_d * math.exp(-t) + far
 
 
-def variance_limit_closed_form(params: ModelParams) -> float:
-    """lim_t t^((2 alpha - d)/alpha) * Var_t[V(atom)] = (sigma_d/alpha) Gamma((2 alpha - d)/alpha)."""
-    c = constants(params)
-    a = (2.0 * params.alpha - params.d) / params.alpha
-    return (c.sigma_d / params.alpha) * special.gamma(a)
-
-
 def variance_limit_quadrature(params: ModelParams, t: float | None = None,
                               spec: QuadratureSpec = QuadratureSpec()) -> float:
     """Direct radial quadrature of t^((2a-d)/a) int |y|^(-2 alpha) e^{-t |y|^-alpha} dy.
@@ -340,25 +333,6 @@ def exact_log_laplace(mu: DiscreteMeasure, params: ModelParams,
     pts = _difference_breakpoints(atoms, t, al, H)
     diff, _ = _gk_quad(g, pts, spec)
     return base + diff + t * al * M2 * H ** -(al + 1.0)
-
-
-def predicted_log_laplace(mu: DiscreteMeasure, params: ModelParams,
-                          t: float | None = None, support_eps: float = 0.02) -> float:
-    """Second-order prediction -a1 t^(d/alpha) - C t^((d-2)/alpha) * M2(mu).
-
-    Requires supp(mu) inside B(barycenter excluded -- the origin ball)
-    B(0, t^(1/alpha - support_eps)); violations raise ValueError.
-    """
-    if t is None:
-        t = params.t
-    c = constants(params)
-    radius = t ** (1.0 / params.alpha - support_eps)
-    rmax = float(np.max(np.sqrt(np.sum(mu.atoms ** 2, axis=1))))
-    if rmax > radius:
-        raise ValueError(
-            f"support radius {rmax:.3g} exceeds t^(1/alpha - eps) = {radius:.3g}")
-    return -(c.a1 * t ** (params.d / params.alpha)
-             + c.C * t ** ((params.d - 2.0) / params.alpha) * mu.second_moment)
 
 
 @dataclass(frozen=True)
@@ -479,53 +453,3 @@ def predicted_tilted_mean(mu: DiscreteMeasure, params: ModelParams, t: float | N
     p = params.with_t(t)
     expo = (params.alpha - params.d + 2.0) / params.alpha
     return h_t(p) - expo * c.C * t ** (-expo) * mu.second_moment
-
-
-# ---------------------------------------------------------------------------
-# explicit annealed lower bound used by the partition-function tests
-
-def stay_probability(rho: float, t: float) -> float:
-    """P_0(|B_s| < rho for s <= t) for 1-d Brownian motion.
-
-    Two dual series: Dirichlet eigenfunctions converge fast for t >> rho^2,
-    image charges for t << rho^2; the modular parameter picks the branch.
-    """
-    if rho <= 0:
-        return 0.0
-    tau = t / (rho * rho)
-    if tau >= 0.4:
-        s = 0.0
-        for k in range(1, 401, 2):
-            term = (4.0 / (math.pi * k)) * (-1.0) ** ((k - 1) // 2) \
-                * math.exp(-k * k * math.pi ** 2 * tau / 8.0)
-            s += term
-            if abs(term) < 1e-18:
-                break
-        return min(max(s, 0.0), 1.0)
-    # reflection series: sum_k (-1)^k [Phi((2k+1)a) - Phi((2k-1)a)], a = rho/sqrt(t)
-    a = 1.0 / math.sqrt(tau)
-    phi = lambda x: 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
-    kmax = int(math.sqrt(2.0 * 45.0) / a) + 2
-    s = 0.0
-    for k in range(-kmax, kmax + 1):
-        s += (-1.0) ** k * (phi((2 * k + 1) * a) - phi((2 * k - 1) * a))
-    return min(max(s, 0.0), 1.0)
-
-
-def strategy_log_lower_bound(params: ModelParams, rho: float,
-                             spec: QuadratureSpec = QuadratureSpec(),
-                             t: float | None = None) -> float:
-    """log of a rigorous lower bound for the annealed partition function Z_t:
-
-        Z_t >= P_0(stay in B_rho) * exp(-int (1 - e^{-t sup_{|x|<rho} vhat(x-y)}) dy)
-
-    obtained by confining the path to B(0, rho) and enlarging the shape to its
-    sup over the ball (d = 1).
-    """
-    if params.d != 1:
-        raise NotImplementedError("strategy bound implemented for d = 1")
-    if t is None:
-        t = params.t
-    mgf = exact_mgf_V0(t, params, spec)  # = -int (1 - e^{-t vhat})
-    enlarged = 2.0 * rho * (-np.expm1(-t)) + (-mgf)
-    return math.log(stay_probability(rho, t)) - enlarged

@@ -126,16 +126,6 @@ def vhat_radial(r, alpha: float):
     return out
 
 
-def shape_vhat(x, params: ModelParams):
-    """Potential shape vhat(x) = min(|x|^-alpha, 1).
-
-    x may be a scalar (d = 1 only), an array of shape (d,), or a batch of
-    points with shape (..., d).
-    """
-    r = np.sqrt(_sq_norm(x, params.d))
-    return vhat_radial(r, params.alpha)
-
-
 # pair elements per block of the pairwise sweep in vhat_sum
 PAIR_BLOCK = 2 ** 15
 
@@ -146,7 +136,8 @@ def vhat_sum(x, points, alpha: float, weights=None) -> np.ndarray:
     points is (n, d).  Blocks of about PAIR_BLOCK pairs stay in cache and keep
     OpenBLAS gemv on one thread.  They take a multiple of 4 rows, gemv's row
     group, and never leave a last block of one row, which numpy sends to dot;
-    so the sums equal one-block sums, and shape_vhat's, bit for bit.
+    so the sums equal one-block sums, and sums of vhat_radial(|x - p|), bit
+    for bit.
     """
     x = np.asarray(x, dtype=float)
     points = np.asarray(points, dtype=float)
@@ -261,35 +252,12 @@ def scale_r(params: ModelParams) -> float:
 def quadratic_profile(x, params: ModelParams):
     """Parabolic confinement profile p_t(x) = C * t^(-(alpha-d+2)/alpha) * |x|^2.
 
-    x as in shape_vhat.  Satisfies p_t(r(t) y) = C * t^(-(alpha-d+2)/(2 alpha)) |y|^2.
+    x is a scalar (d = 1 only), a point (d,) or a batch (..., d).  Satisfies
+    p_t(r(t) y) = C * t^(-(alpha-d+2)/(2 alpha)) |y|^2.
     """
     c = constants(params)
     r2 = _sq_norm(x, params.d)
     return c.C * params.t ** (-(params.alpha - params.d + 2.0) / params.alpha) * r2
-
-
-def groundstate_phi1(x, params: ModelParams):
-    """Ground state of -(1/2) Laplacian + C |x|^2:
-
-        phi1(x) = (sqrt(2 C) / pi)^(d/4) * exp(-sqrt(C/2) |x|^2),
-
-    normalized in L^2(R^d).
-    """
-    c = constants(params)
-    r2 = _sq_norm(x, params.d)
-    w = math.sqrt(2.0 * c.C)
-    return (w / math.pi) ** (params.d / 4.0) * np.exp(-0.5 * w * r2)
-
-
-def nu_density(x, m, params: ModelParams):
-    """Limit occupation density nu_m(x) = phi1(x - m)^2.
-
-    This is the Gaussian with per-coordinate variance 1 / (2 sqrt(2 C))
-    centered at m; nu_m(m) = (sqrt(2 C) / pi)^(d/2).
-    """
-    x = np.asarray(x, dtype=float)
-    m = np.asarray(m, dtype=float)
-    return groundstate_phi1(x - m, params) ** 2
 
 
 def nu_coordinate_variance(params: ModelParams) -> float:

@@ -78,10 +78,6 @@ class Box:
         h = np.asarray(self.half_widths)
         return np.all(np.abs(pts - c) <= h + 1e-12, axis=-1)
 
-    def shifted(self, vec) -> "Box":
-        vec = np.atleast_1d(np.asarray(vec, dtype=float))
-        return Box(tuple(np.asarray(self.center) + vec), self.half_widths)
-
 
 @dataclass(frozen=True)
 class DiscreteMeasure:
@@ -138,10 +134,6 @@ class DiscreteMeasure:
         """Centered second moment int |x - m|^2 mu(dx)."""
         delta = self.atoms - self.barycenter
         return float(self.weights @ np.sum(delta * delta, axis=1))
-
-    def translated(self, vec) -> "DiscreteMeasure":
-        vec = np.atleast_1d(np.asarray(vec, dtype=float))
-        return DiscreteMeasure(self.atoms + vec, self.weights)
 
 
 @dataclass(frozen=True)

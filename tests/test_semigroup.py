@@ -6,20 +6,18 @@ import math
 import numpy as np
 import pytest
 from scipy import integrate
-from scipy.fft import dst, dstn
+from scipy.fft import dst
 
 from fklab.experiments import _compensated_columns, _retired_control, run_localization
 from fklab.model import ModelParams, constants, nu_coordinate_variance
 from fklab.points import Box, sample_homogeneous
 from fklab.potential import PotentialView, evaluate_V
 from fklab.semigroup import (
-    EvolutionSpec,
     FKInstabilityError,
     FKStepper,
     GroundstateReport,
     _dirichlet_eigenvalues,
     batched_evolve,
-    brownian_partition_mc,
     column_masses,
     groundstate_transform_check,
     jackknife_mean,
@@ -30,7 +28,7 @@ from fklab.semigroup import (
 )
 from fklab.spectral import (Grid, SchrodingerOperator, config_potential_field,
                             potential_on_grid, smallest_eigs)
-from fklab.laplace import strategy_log_lower_bound
+from reference import brownian_partition_mc, strategy_log_lower_bound
 
 P12 = ModelParams(d=1, alpha=2.0, t=1.0)
 
@@ -91,14 +89,11 @@ def _localization_grids():
     return [make_grid(P12, r, defaults["h"]) for r in radii]
 
 
-def _scipy_heat(u, mult, axes):
-    """The spectral heat step written with scipy.fft's public transforms."""
-    def transform(a):
-        return dst(a, type=1, axis=0) if axes == (0,) else dstn(a, type=1, axes=axes)
-
-    coef = transform(u)
+def _scipy_heat(u, mult):
+    """The spectral heat step written with scipy.fft's public transform."""
+    coef = dst(u, type=1, axis=0)
     coef *= mult
-    return transform(coef)
+    return dst(coef, type=1, axis=0)
 
 
 def test_heat_step_is_bit_equal_to_scipy_fft():
@@ -115,7 +110,7 @@ def test_heat_step_is_bit_equal_to_scipy_fft():
         for m in (None, 6, 7):
             shape = (n,) if m is None else (n, m)
             V = rng.uniform(0.0, 3.0, shape)
-            stepper = FKStepper(grid, V, EvolutionSpec(dt=tau))
+            stepper = FKStepper(grid, V, tau)
             u = rng.uniform(0.0, 1.0, shape)
             ref_mult = mult if m is None else mult[:, None]
             # the multiplier is built at V's shape; the reference broadcasts
@@ -123,7 +118,7 @@ def test_heat_step_is_bit_equal_to_scipy_fft():
             assert np.array_equal(stepper._heat._mult,
                                   np.broadcast_to(ref_mult, shape))
             assert np.array_equal(stepper._heat.apply(u.copy()),
-                                  _scipy_heat(u, ref_mult, (0,)))
+                                  _scipy_heat(u, ref_mult))
             # chained Strang steps from a delta, so the fields span many decades
             half = np.exp(-0.5 * tau * V)
             u = np.zeros(shape)
@@ -131,23 +126,8 @@ def test_heat_step_is_bit_equal_to_scipy_fft():
             ref = u.copy()
             for _ in range(300):
                 u = stepper.step(u)
-                ref = half * _scipy_heat(half * ref, ref_mult, (0,))
+                ref = half * _scipy_heat(half * ref, ref_mult)
                 assert np.array_equal(u, ref)
-    grid2 = Grid(Box.cube(2, 2.0), 0.1)
-    nx, ny = grid2.shape
-    V2 = rng.uniform(0.0, 3.0, grid2.shape)
-    tau = 1e-3
-    mult2 = np.exp(-tau * (_dirichlet_eigenvalues(nx, grid2.h)[:, None]
-                           + _dirichlet_eigenvalues(ny, grid2.h)[None, :]))
-    mult2 /= 4.0 * (nx + 1) * (ny + 1)
-    stepper = FKStepper(grid2, V2, EvolutionSpec(dt=tau))
-    assert np.array_equal(stepper._heat._mult, mult2)
-    half = np.exp(-0.5 * tau * V2)
-    u = ref = rng.uniform(0.0, 1.0, grid2.shape)
-    for _ in range(20):
-        u = stepper.step(u)
-        ref = half * _scipy_heat(half * ref, mult2, (0, 1))
-        assert np.array_equal(u, ref)
 
 
 def test_columns_step_as_if_alone():
@@ -160,9 +140,9 @@ def test_columns_step_as_if_alone():
         n = grid.shape[0]
         for m in range(1, 8):
             V = rng.uniform(0.0, 3.0, (n, m))
-            spec = EvolutionSpec(dt=float(rng.choice([0.02, 0.05, 0.1, 0.25])))
-            batch = FKStepper(grid, V, spec)
-            alone = [FKStepper(grid, V[:, [j]], spec) for j in range(m)]
+            dt = float(rng.choice([0.02, 0.05, 0.1, 0.25]))
+            batch = FKStepper(grid, V, dt)
+            alone = [FKStepper(grid, V[:, [j]], dt) for j in range(m)]
             u = np.zeros((n, m))
             u[n // 2] = 1.0 / grid.h
             cols = [u[:, [j]].copy() for j in range(m)]
@@ -217,19 +197,17 @@ def test_instability_in_a_later_link_names_absolute_time(monkeypatch):
     assert (e.value.column, e.value.t) == (2, pytest.approx(1.32))
 
 
-def test_implicit_heat_step_matches_spectral():
-    g = grid_1d(4.0, 0.02)
-    x = g.axis_nodes(0)
-    V = np.minimum(np.abs(x - 0.5), 1.0)
-    out = {}
-    for heat_step in ("spectral", "implicit"):
-        stepper = FKStepper(g, V, EvolutionSpec(dt=2e-4, heat_step=heat_step))
-        u = np.where(np.abs(x) == np.min(np.abs(x)), 1.0 / g.h, 0.0)
-        for _ in range(1000):           # to t = 0.2
-            u = stepper.step(u)
-        out[heat_step] = u
-    ua, ub = out["spectral"], out["implicit"]
-    assert float(np.max(np.abs(ua - ub))) < 1e-3 * float(np.max(ua))
+def test_mass_below_round_off_may_wobble_without_raising():
+    # lemma5's seed-3 column 91 at t = 16: delta-start mass decays to about
+    # -2.6e-24, far below 64 eps of its starting 8, where round-off moves it
+    # up by 3%; that is not growth under V >= 0
+    params = ModelParams(1, 2.0, 16.0)
+    grid = make_grid(params, 16.0, 0.125)
+    cfg = sample_homogeneous(Box.cube(1, 46.0), 1.0, 3, path=(16, 91))
+    view = PotentialView(cfg, grid.box, params, compensate=False)
+    V = evaluate_V(view, grid.axis_nodes(0)[:, None])
+    u, _, _ = batched_evolve(grid, V[:, None], ((16.0, 0.005),))
+    assert abs(u.sum()) < 64.0 * np.finfo(float).eps / grid.h
 
 
 def test_positivity_and_mass_decay():
@@ -415,11 +393,14 @@ def test_jackknife_mean():
 
 
 def test_spec_guards():
-    with pytest.raises(ValueError):
-        EvolutionSpec(dt=0.0)
-    with pytest.raises(ValueError):
-        EvolutionSpec(dt=0.01, heat_step="bogus")
     g = grid_1d(2.0, 0.1)
+    with pytest.raises(ValueError, match="dt must be positive"):
+        FKStepper(g, np.zeros(g.shape), 0.0)
+    # a 2-d V would broadcast against the 1-d multiplier and diffuse along
+    # x only, so the stepper refuses a 2-d grid
+    g2 = Grid(Box.cube(2, 1.0), 0.1)
+    with pytest.raises(ValueError, match="1-d only"):
+        FKStepper(g2, np.zeros(g2.shape), 0.01)
     with pytest.raises(ValueError):
         evolve(g, np.zeros(g.shape), 1.0, 0.3)  # dt does not divide t
     with pytest.raises(ValueError):

@@ -24,6 +24,7 @@ from fklab.spectral import (
     stratified_mean,
     tilted_ids_draws,
 )
+from reference import dense_1d
 
 P12 = ModelParams(d=1, alpha=2.0, t=1.0)
 
@@ -135,7 +136,7 @@ def test_count_below_matches_dense_oracle():
     V = config_potential_field(cfg.points, g, P12)
     # the tridiagonal solve tilted_ids_draws counts eigenvalues with
     diag, off = SchrodingerOperator(V).tridiag()
-    dense = eigh(SchrodingerOperator(V).dense(), eigvals_only=True)
+    dense = eigh(dense_1d(SchrodingerOperator(V)), eigvals_only=True)
     for lam in (0.5, 1.5, 3.0, 6.0):
         evs = eigh_tridiagonal(diag, off, eigvals_only=True, select="v",
                                select_range=(-np.inf, lam))
@@ -147,7 +148,7 @@ def test_smallest_eigs_agrees_with_dense():
     g = grid_1d(5.0, 0.1)
     cfg = sample_homogeneous(Box.cube(1, 5.0), 1.0, seed=13)
     V = config_potential_field(cfg.points, g, P12)
-    dense = eigh(SchrodingerOperator(V).dense(), eigvals_only=True)
+    dense = eigh(dense_1d(SchrodingerOperator(V)), eigvals_only=True)
     res = smallest_eigs(SchrodingerOperator(V), k=2)
     assert res.lambda1 == pytest.approx(dense[0], abs=1e-9)
     assert res.lambda2 == pytest.approx(dense[1], abs=1e-8)
@@ -164,7 +165,7 @@ def test_smallest_eigs_near_degenerate_second_pair():
     V = evaluate_V(view, grid.nodes()[:, None]).reshape(grid.shape)
     op = SchrodingerOperator(GridField(grid, V))
     assert grid.n_total == 1599
-    dense = eigh(op.dense(), eigvals_only=True, subset_by_index=(0, 2))
+    dense = eigh(dense_1d(op), eigvals_only=True, subset_by_index=(0, 2))
     assert dense[2] - dense[1] < 5e-3
     res = smallest_eigs(op, k=2)
     assert res.lambda1 == pytest.approx(dense[0], abs=1e-9)
