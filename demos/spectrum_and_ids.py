@@ -21,7 +21,8 @@ from fklab import (
     smallest_eigs,
     spectral_gap,
     Box,
-    config_potential_field,
+    PotentialView,
+    evaluate_V,
     fit_power_law,
 )
 
@@ -46,7 +47,8 @@ def random_configs(n=6, seed=0):
     print("Poisson configurations on a box of size 40:")
     for rep in range(n):
         cfg = sample_homogeneous(Box.cube(1, 50.0), 1.0, seed, path=(rep,))
-        V = config_potential_field(cfg.points, grid, p)
+        V = GridField(grid, evaluate_V(PotentialView(cfg, grid.box, p),
+                                       grid.nodes()[:, None]))
         res = smallest_eigs(SchrodingerOperator(V), k=2)
         print(f"  replica {rep}: lambda1 {res.lambda1:8.4f}   lambda2 "
               f"{res.lambda2:8.4f}   residual {res.residual1:.1e}")

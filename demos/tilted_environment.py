@@ -16,11 +16,12 @@ from fklab import (
     ModelParams,
     PotentialView,
     constants,
+    evaluate_V,
+    field_deviation,
     find_local_min,
     h_t,
     nu_coordinate_variance,
     predicted_tilted_mean,
-    profile_deviation,
     sample_tilted,
     scale_r,
 )
@@ -57,7 +58,7 @@ def well_shape(t, seed=0):
         m = find_local_min(vs, coarse_step=r / 16.0, refine_tol=1e-3)
         window = Box.cube(1, 3.0 * r + 1.0)
         vw = PotentialView(cfg, window, p, compensate=True, max_far_bound=0.5)
-        devs.append(profile_deviation(vw, m.location, r, p))
+        devs.append(field_deviation(lambda pts: evaluate_V(vw, pts), m.location, r, p))
         v_at_min.append(m.value)
     scale = t ** (3.0 / 4.0)   # (alpha - d + 2) / (2 alpha) = 3/4 here
     print(f"  t = {t:7.0f}   scaled quadratic deviation "

@@ -29,8 +29,8 @@ from .potential import (
     PotentialView,
     evaluate_V,
     far_field_bound,
+    field_deviation,
     find_local_min,
-    profile_deviation,
     window_margin,
 )
 from .laplace import (
@@ -49,7 +49,6 @@ from .spectral import (
     GridField,
     IdsCurve,
     SchrodingerOperator,
-    config_potential_field,
     ids_estimate,
     smallest_eigs,
 )

@@ -124,6 +124,8 @@ def _resolve(args: argparse.Namespace) -> dict:
                 ladder if isinstance(ladder, list) else [ladder])]
         except (TypeError, ValueError):
             raise ConfigError("t_ladder must be a list of numbers")
+        if not cfg["t_ladder"]:
+            raise ConfigError("t_ladder must hold at least one horizon")
         if not all(0 < x < float("inf") for x in cfg["t_ladder"]):
             raise ConfigError("t_ladder entries must be positive and finite")
     for key, kind, _ in _KEYS:

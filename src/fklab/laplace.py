@@ -230,22 +230,16 @@ def box_log_laplace(s: float, params: ModelParams, half_width: float,
     return 2.0 * val
 
 
-def _single_atom_mean(at_same_atom: bool, t: float, params: ModelParams):
-    """int vhat(x - y) e^{-t vhat(y)} dy when x equals the (single) atom.
+def _single_atom_moment(power: int, t: float, params: ModelParams):
+    """int vhat(y)^power e^{-t vhat(y)} dy, the tilted moment at the single
+    atom.
 
-    Cap region: omega_d e^-t.  Far region via u = t r^-alpha:
-    (sigma_d/alpha) t^(-(alpha-d)/alpha) * int_0^t u^(-d/alpha) e^-u du.
+    Cap region: omega_d e^-t.  Far region via u = t r^-alpha, with
+    a = (power alpha - d) / alpha:
+    (sigma_d/alpha) t^-a * int_0^t u^(a-1) e^-u du.
     """
     c = constants(params)
-    a = 1.0 - params.d / params.alpha
-    lower = special.gammainc(a, t) * special.gamma(a)
-    far = (c.sigma_d / params.alpha) * t ** (-(params.alpha - params.d) / params.alpha) * lower
-    return c.omega_d * math.exp(-t) + far
-
-
-def _single_atom_var(t: float, params: ModelParams):
-    c = constants(params)
-    a = (2.0 * params.alpha - params.d) / params.alpha
+    a = (power * params.alpha - params.d) / params.alpha
     lower = special.gammainc(a, t) * special.gamma(a)
     far = (c.sigma_d / params.alpha) * t ** (-a) * lower
     return c.omega_d * math.exp(-t) + far
@@ -366,17 +360,29 @@ def two_point_bound_check(x, y, params: ModelParams,
                            lhs_log=float(lhs), bound_log=float(bound), separation=sep)
 
 
-def _tilted_integral_1d(power: float, at: float, mu: DiscreteMeasure, t: float,
-                        params: ModelParams, spec: QuadratureSpec,
-                        domain_radius: float | None):
-    """int vhat(at - y)^power exp(-t Phi(y)) dy on (-H, H) or |y| <= domain_radius."""
-    al = params.alpha
+def _tilted_moment(power: int, mu: DiscreteMeasure, at, params: ModelParams,
+                   spec: QuadratureSpec, t: float | None,
+                   domain_radius: float | None) -> float:
+    """int vhat(at - y)^power exp(-t Phi(y)) dy over the whole space, or over
+    |y| <= domain_radius: in closed form at a single atom, else by d = 1
+    quadrature."""
+    if t is None:
+        t = params.t
+    if t < 0:
+        raise ValueError("t must be nonnegative")
+    at_arr = np.atleast_1d(np.asarray(at, dtype=float))
+    if mu.atoms.shape[0] == 1 and domain_radius is None \
+            and np.allclose(at_arr, mu.atoms[0]) and t > 0:
+        return float(_single_atom_moment(power, t, params))
+    if params.d != 1:
+        raise NotImplementedError("off-atom tilted moments implemented for d = 1")
+    at, p, al = float(at_arr[0]), float(power), params.alpha
     atoms = mu.atoms[:, 0]
     w = np.asarray(mu.weights)
 
     def f(y):
         v = vhat_radial(np.abs(y - at), al)
-        return v ** power * np.exp(-t * vhat_sum(y[:, None], mu.atoms, al, w))
+        return v ** p * np.exp(-t * vhat_sum(y[:, None], mu.atoms, al, w))
 
     X = float(np.max(np.abs(atoms)))
     if domain_radius is not None:
@@ -387,7 +393,7 @@ def _tilted_integral_1d(power: float, at: float, mu: DiscreteMeasure, t: float,
         # H - |at| >= 1.5 keeps the cap region inside the quadrature window,
         # so beyond H the integrand is the pure power (times exp factor ~ 1)
         H = max(abs(at), X) + max(1.5, (t * (1.0 + 1e-3) / eps) ** (1.0 / al))
-        q = power * al - 1.0
+        q = p * al - 1.0
         tail = ((H - at) ** (-q) + (H + at) ** (-q)) / q
     pts = {at, at - 1.0, at + 1.0, -H, H}
     for x in atoms:
@@ -395,9 +401,9 @@ def _tilted_integral_1d(power: float, at: float, mu: DiscreteMeasure, t: float,
     scale = t ** (1.0 / al)
     for m in (0.5, 1.0, 2.0, 4.0):
         pts.update((m * scale, -m * scale))
-    pts = sorted(p for p in pts if -H <= p <= H)
+    pts = sorted(z for z in pts if -H <= z <= H)
     val, _ = _gk_quad(f, pts, spec)
-    return val + tail
+    return float(val + tail)
 
 
 def tilted_mean_V(mu: DiscreteMeasure, at, params: ModelParams,
@@ -409,17 +415,7 @@ def tilted_mean_V(mu: DiscreteMeasure, at, params: ModelParams,
     and large t the value approaches h_t from below at second order:
     h_t - ((alpha-d+2)/alpha) C t^(-(alpha-d+2)/alpha) M2(mu).
     """
-    if t is None:
-        t = params.t
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    at_arr = np.atleast_1d(np.asarray(at, dtype=float))
-    if mu.atoms.shape[0] == 1 and domain_radius is None \
-            and np.allclose(at_arr, mu.atoms[0]) and t > 0:
-        return float(_single_atom_mean(True, t, params))
-    if params.d != 1:
-        raise NotImplementedError("off-atom tilted mean implemented for d = 1")
-    return float(_tilted_integral_1d(1.0, float(at_arr[0]), mu, t, params, spec, domain_radius))
+    return _tilted_moment(1, mu, at, params, spec, t, domain_radius)
 
 
 def tilted_variance_V(mu: DiscreteMeasure, at, params: ModelParams,
@@ -431,17 +427,7 @@ def tilted_variance_V(mu: DiscreteMeasure, at, params: ModelParams,
     t^((2 alpha - d)/alpha) Var converges to the quadrature limit (see
     variance_limit_quadrature).
     """
-    if t is None:
-        t = params.t
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    at_arr = np.atleast_1d(np.asarray(at, dtype=float))
-    if mu.atoms.shape[0] == 1 and domain_radius is None \
-            and np.allclose(at_arr, mu.atoms[0]) and t > 0:
-        return float(_single_atom_var(t, params))
-    if params.d != 1:
-        raise NotImplementedError("off-atom tilted variance implemented for d = 1")
-    return float(_tilted_integral_1d(2.0, float(at_arr[0]), mu, t, params, spec, domain_radius))
+    return _tilted_moment(2, mu, at, params, spec, t, domain_radius)
 
 
 def predicted_tilted_mean(mu: DiscreteMeasure, params: ModelParams, t: float | None = None) -> float:

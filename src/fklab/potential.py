@@ -179,9 +179,11 @@ def field_deviation(eval_fn, m, radius: float, params: ModelParams,
     """sup over a grid of B(m, radius) of |f(x) - f(m) - p_t(x - m)|.
 
     eval_fn maps an (n, d) array of points to n field values.  Invariant
-    under adding a constant to f; injecting the exact quadratic profile
-    (plus any constant) returns 0 identically, which the scenario controls
-    use as a harness check.
+    under adding a constant to f; for a compensated potential the f(m)
+    subtraction also cancels the far-field compensation up to its negligible
+    variation over the ball.  Injecting the exact quadratic profile (plus any
+    constant) returns 0 identically, which the scenario controls use as a
+    harness check.
     """
     m = np.atleast_1d(np.asarray(m, dtype=float))
     if step is None:
@@ -197,12 +199,3 @@ def field_deviation(eval_fn, m, radius: float, params: ModelParams,
     prof = quadratic_profile(nodes - m, params)
     return float(np.max(np.abs(v - vm - prof)))
 
-
-def profile_deviation(view: PotentialView, m, radius: float, params: ModelParams,
-                      step: float | None = None) -> float:
-    """sup over a grid of B(m, radius) of |V(x) - V(m) - p_t(x - m)|.
-
-    Invariant under adding a constant to V; the V(m) subtraction also cancels
-    the far-field compensation up to its negligible variation over the ball.
-    """
-    return field_deviation(lambda pts: evaluate_V(view, pts), m, radius, params, step)

@@ -109,18 +109,6 @@ class GridField:
         return self.grid.integrate(self.values)
 
 
-def potential_on_grid(grid: Grid, evaluate) -> GridField:
-    """Evaluate a callable potential on all grid nodes; evaluate takes (m, d) points."""
-    values = evaluate(grid.nodes().reshape(-1, grid.d))
-    return GridField(grid, values.reshape(grid.shape))
-
-
-def config_potential_field(points: np.ndarray, grid: Grid, params: ModelParams) -> GridField:
-    """V(x) = sum_i vhat(x - point_i) evaluated on the grid, no compensation."""
-    pts = np.asarray(points, dtype=float).reshape(-1, grid.d)
-    return potential_on_grid(grid, lambda x: vhat_sum(x, pts, params.alpha))
-
-
 class SchrodingerOperator:
     """Handle for A = -1/2 discrete Laplacian + diag(V), Dirichlet walls."""
 
@@ -272,7 +260,7 @@ def tilted_ids_draws(lambdas, tilts, params: ModelParams, grid: Grid,
         cfg = sample_tilted(origin, params, sample_box, seed, t=float(tilts[j]), path=(r,))
         v0[r] = vhat_sum(np.zeros((1, 1)), cfg.points, params.alpha)[0]
         view = PotentialView(cfg, grid.box, params, compensate=True)
-        V = potential_on_grid(grid, lambda pts: evaluate_V(view, pts))
+        V = GridField(grid, evaluate_V(view, x[:, None]))
         diag, off = SchrodingerOperator(V).tridiag()
         evs, vecs = eigh_tridiagonal(diag, off, select="v",
                                      select_range=(-np.inf, float(lambdas.max())))

@@ -1,0 +1,121 @@
+"""Seed sweep: run scenarios at their stated sizes over a range of seeds.
+
+For each (scenario, seed) it prints the record's status, the names of its
+failed checks and fits, the exception if the runner raised, the wall time,
+and the SHA-256 of the record's canonical JSON (`RunRecord.to_json()`, what
+tests/golden.json pins).  For each scenario it then prints the spread across
+seeds (least, median, greatest) of every judged statistic: each check's
+observed value where it is one finite number, and each judged fit's slope.
+--json writes all of it
+as one summary.  The sweep only reports, and its exit status is 0 whatever
+the records say.
+
+    PYTHONPATH=src python tests/seed_sweep.py tilted lemma5 --seeds 0-9 \\
+        --json sweep.json
+
+Scenarios go by CLI name or record name (`ou-check` or `ou_limit`).  With
+another checkout's src on PYTHONPATH the same script sweeps that checkout,
+so two sweeps compare record hashes seed by seed.  pytest does not collect
+this file; tests/test_seed_sweep.py runs it on `tilted` at two seeds.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import math
+import numbers
+import statistics
+import sys
+import time
+
+from fklab.experiments import ARTIFACT_VERSION, DECLARED
+
+SCENARIOS = {**{s.cli: s for s in DECLARED}, **{s.key: s for s in DECLARED}}
+
+
+def parse_seeds(text: str) -> list:
+    """"0-9" or "0,3,7-9" as a list of seeds."""
+    seeds = []
+    for part in text.split(","):
+        lo, _, hi = part.partition("-")
+        seeds.extend(range(int(lo), int(hi or lo) + 1))
+    return seeds
+
+
+def judged_statistics(record) -> dict:
+    """Each check's observed value, where it is one finite number, and each
+    judged fit's finite slope, keyed "check:<name>" and "fit:<name>"."""
+    stats = {f"check:{c['name']}": float(c["observed"]) for c in record.checks
+             if isinstance(c["observed"], numbers.Real)
+             and not isinstance(c["observed"], bool)}
+    stats.update((f"fit:{f['name']}", float(f["slope"])) for f in record.fits
+                 if f["passed"] is not None)
+    return {k: v for k, v in stats.items() if math.isfinite(v)}
+
+
+def run_one(scenario, seed: int) -> dict:
+    start = time.perf_counter()
+    try:
+        record = scenario.runner(seed=seed)
+    except Exception as e:
+        return {"seed": seed, "status": "raised", "failed": [],
+                "error": f"{type(e).__name__}: {e}", "sha256": None,
+                "wall_s": round(time.perf_counter() - start, 3), "stats": {}}
+    return {"seed": seed, "status": record.status,
+            "failed": [c["name"] for c in record.checks if not c["passed"]]
+            + [f["name"] for f in record.fits if f["passed"] is False],
+            "error": None,
+            "sha256": hashlib.sha256(record.to_json().encode()).hexdigest(),
+            "wall_s": round(time.perf_counter() - start, 3),
+            "stats": judged_statistics(record)}
+
+
+def spread(runs) -> dict:
+    """Least, median and greatest value of each statistic over runs."""
+    values = {}
+    for run in runs:
+        for name, v in run["stats"].items():
+            values.setdefault(name, []).append(v)
+    return {name: {"n": len(v), "min": min(v), "median": statistics.median(v),
+                   "max": max(v)} for name, v in sorted(values.items())}
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("scenarios", nargs="+", metavar="scenario")
+    p.add_argument("--seeds", default="0-9", help='e.g. "0-9" or "0,3,7-9"')
+    p.add_argument("--json", help="write the summary to this file")
+    args = p.parse_args(argv)
+    unknown = [n for n in args.scenarios if n not in SCENARIOS]
+    if unknown:
+        p.error("unknown scenario: " + ", ".join(unknown))
+    seeds = parse_seeds(args.seeds)
+    summary = {"artifact_version": ARTIFACT_VERSION, "seeds": seeds,
+               "scenarios": {}}
+    for name in args.scenarios:
+        sc = SCENARIOS[name]
+        runs = []
+        for seed in seeds:
+            run = run_one(sc, seed)
+            runs.append(run)
+            print(f"{sc.key} seed {seed}: {run['status']}  {run['wall_s']:.2f} s  "
+                  f"sha256 {run['sha256'] or '-'}  "
+                  f"failed {', '.join(run['failed']) or '-'}"
+                  + (f"  raised {run['error']}" if run["error"] else ""),
+                  flush=True)
+        stats = spread(runs)
+        for stat, s in stats.items():
+            print(f"  {stat}: {s['min']:.6g} .. {s['median']:.6g} .. "
+                  f"{s['max']:.6g}  (n = {s['n']})")
+        summary["scenarios"][sc.key] = {"runs": runs, "spread": stats}
+    if args.json:
+        with open(args.json, "w") as fh:
+            json.dump(summary, fh, indent=1, sort_keys=True)
+            fh.write("\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

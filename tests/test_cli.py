@@ -177,13 +177,24 @@ def test_out_of_range_values_exit_two(tmp_path, capsys):
 
 
 def test_one_sample_is_a_config_error(tmp_path, capsys):
-    # both runners need a variance across replicas for their CIs
-    for scenario in ("local-min", "occupation"):
+    # each runner needs a variance across replicas for its CIs or its slack
+    for scenario in ("local-min", "occupation", "lemma5"):
         assert run_cli(tmp_path, scenario, "--samples", "1") == 2
         err = capsys.readouterr().err
         assert "n_samples must be at least 2" in err
         assert "Traceback" not in err
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("scenario", ["confinement", "lemma5", "all"])
+def test_empty_t_ladder_is_a_config_error(tmp_path, capsys, scenario):
+    # all() over no entries is true, so emptiness needs its own check
+    cfg = tmp_path / "empty.json"
+    cfg.write_text('{"t_ladder": []}')
+    assert run_cli(tmp_path, scenario, "--config", str(cfg)) == 2
+    err = capsys.readouterr().err
+    assert "t_ladder" in err and "Traceback" not in err
+    assert [p.name for p in tmp_path.iterdir()] == ["empty.json"]
 
 
 def test_all_with_one_sample_fails_before_any_run(tmp_path, capsys):

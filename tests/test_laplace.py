@@ -144,12 +144,16 @@ def test_tilted_moments_at_t_zero():
 def test_tilted_mean_radial_and_quadrature_routes_agree():
     mu = DiscreteMeasure.delta(np.zeros(1))
     t = 100.0
-    fast = tilted_mean_V(mu, 0.0, P12, t=t)
-    R = 1e6
-    slow = tilted_mean_V(mu, 1e-14, P12, t=t, domain_radius=R)
-    # the domain-limited route omits exactly the far tail ~ 2/R
-    assert fast - slow == pytest.approx(2.0 / R, rel=1e-4)
-    assert fast == pytest.approx(slow + 2.0 / R, rel=1e-10)
+    # the closed form at the atom against quadrature out to R, off the atom;
+    # the domain-limited route omits the far tail 2 R^(1 - p alpha)/(p alpha - 1)
+    # of vhat^p, p = 1 for the mean and 2 for the variance, where t vhat is
+    # at most 1e-6
+    for moment, R, tail in ((tilted_mean_V, 1e6, 2.0 / 1e6),
+                            (tilted_variance_V, 1e4, 2.0 / 3.0 * 1e4 ** -3)):
+        fast = moment(mu, 0.0, P12, t=t)
+        slow = moment(mu, 1e-14, P12, t=t, domain_radius=R)
+        assert fast - slow == pytest.approx(tail, rel=1e-4), moment
+        assert fast == pytest.approx(slow + tail, rel=1e-10), moment
 
 
 def test_predicted_tilted_mean_matches_quadrature():

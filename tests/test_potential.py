@@ -14,8 +14,8 @@ from fklab.potential import (
     PotentialView,
     evaluate_V,
     far_field_bound,
+    field_deviation,
     find_local_min,
-    profile_deviation,
     window_margin,
 )
 
@@ -171,7 +171,8 @@ def test_profile_deviation_zero_for_exact_quadratic():
     np.testing.assert_allclose(prof, c.C * 64.0 ** -1.5 * x ** 2, rtol=1e-14)
     # empty config: V == 0, so deviation equals max of the profile
     view = PotentialView(make_config(np.zeros((0, 1))), Box.cube(1, 3.0), params)
-    dev = profile_deviation(view, 0.0, radius=1.0, params=params)
+    dev = field_deviation(lambda pts: evaluate_V(view, pts), 0.0, radius=1.0,
+                          params=params)
     assert dev == pytest.approx(c.C * 64.0 ** -1.5, rel=1e-6)
 
 
@@ -184,8 +185,10 @@ def test_profile_deviation_constant_invariance():
     plain = PotentialView(cfg, window, params)
     comp = PotentialView(cfg, window, params, compensate=True)
     m = find_local_min(plain, 0.1, 1e-6).location
-    d_plain = profile_deviation(plain, m, radius=2.0, params=params)
-    d_comp = profile_deviation(comp, m, radius=2.0, params=params)
+    d_plain = field_deviation(lambda pts: evaluate_V(plain, pts), m, radius=2.0,
+                              params=params)
+    d_comp = field_deviation(lambda pts: evaluate_V(comp, pts), m, radius=2.0,
+                             params=params)
     assert d_comp == pytest.approx(d_plain, abs=5e-4)
 
 

@@ -1,0 +1,50 @@
+"""The seed-sweep script (tests/seed_sweep.py) runs and reports: `tilted` at
+two seeds in a fresh interpreter, and a runner that raises, in process."""
+
+import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import seed_sweep
+from fklab.experiments import run_tilted
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_sweep_of_tilted_at_two_seeds(tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    out = tmp_path / "sweep.json"
+    proc = subprocess.run([sys.executable, str(ROOT / "tests" / "seed_sweep.py"),
+                           "tilted", "--seeds", "0-1", "--json", str(out)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    summary = json.loads(out.read_text())
+    assert summary["seeds"] == [0, 1]
+    runs = summary["scenarios"]["tilted"]["runs"]
+    for seed, run in zip((0, 1), runs, strict=True):
+        want = hashlib.sha256(run_tilted(seed=seed).to_json().encode()).hexdigest()
+        assert (run["seed"], run["status"], run["failed"], run["error"],
+                run["sha256"]) == (seed, "pass", [], None, want)
+        assert f"tilted seed {seed}: pass" in proc.stdout and want in proc.stdout
+    count = summary["scenarios"]["tilted"]["spread"]["check:count_mean"]
+    assert count["n"] == 2
+    assert count["min"] <= count["median"] <= count["max"]
+    assert count["min"] == min(r["stats"]["check:count_mean"] for r in runs)
+
+
+def test_a_runner_that_raises_is_reported(monkeypatch, capsys):
+    def broken(seed):
+        raise FloatingPointError(f"seed {seed}")
+
+    monkeypatch.setitem(seed_sweep.SCENARIOS, "tilted",
+                        seed_sweep.SCENARIOS["tilted"]._replace(runner=broken))
+    assert seed_sweep.main(["tilted", "--seeds", "3,5"]) == 0
+    out = capsys.readouterr().out
+    assert "tilted seed 3: raised" in out
+    assert "raised FloatingPointError: seed 5" in out
+    assert seed_sweep.parse_seeds("0,3,7-9") == [0, 3, 7, 8, 9]

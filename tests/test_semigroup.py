@@ -9,7 +9,7 @@ from scipy import integrate
 from scipy.fft import dst
 
 from fklab.experiments import _compensated_columns, _retired_control, run_localization
-from fklab.model import ModelParams, constants, nu_coordinate_variance
+from fklab.model import ModelParams, constants, nu_coordinate_variance, vhat_sum
 from fklab.points import Box, sample_homogeneous
 from fklab.potential import PotentialView, evaluate_V
 from fklab.semigroup import (
@@ -26,8 +26,7 @@ from fklab.semigroup import (
     ou_transition_density,
     time_marginal,
 )
-from fklab.spectral import (Grid, SchrodingerOperator, config_potential_field,
-                            potential_on_grid, smallest_eigs)
+from fklab.spectral import Grid, GridField, SchrodingerOperator, smallest_eigs
 from reference import brownian_partition_mc, strategy_log_lower_bound
 
 P12 = ModelParams(d=1, alpha=2.0, t=1.0)
@@ -213,7 +212,7 @@ def test_mass_below_round_off_may_wobble_without_raising():
 def test_positivity_and_mass_decay():
     g = grid_1d(5.0, 0.05)
     cfg = sample_homogeneous(Box.cube(1, 5.0), 1.0, seed=3)
-    V = config_potential_field(cfg.points, g, P12)
+    V = GridField(g, vhat_sum(g.nodes()[:, None], cfg.points, P12.alpha))
     final, snaps, _ = evolve(g, V.values, 1.0, 1e-3,
                              snapshot_times=(0.25, 0.5, 0.75))
     peak = float(np.max(final))
@@ -235,7 +234,7 @@ def test_monotone_in_potential():
 def test_semigroup_property():
     g = grid_1d(4.0, 0.05)
     cfg = sample_homogeneous(Box.cube(1, 4.0), 1.0, seed=9)
-    V = config_potential_field(cfg.points, g, P12).values
+    V = vhat_sum(g.nodes()[:, None], cfg.points, P12.alpha)
     one_shot = evolve(g, V, 1.5, 1e-3)[0]
     stage1 = evolve(g, V, 1.0, 1e-3)[0]
     stage2 = evolve(g, V, 0.5, 1e-3, initial=stage1)[0]
@@ -247,7 +246,7 @@ def test_mass_decay_rate_approaches_lambda1():
     # same discrete operator; the offset -log <phi1, 1>^2 / t decays like 1/t
     g = grid_1d(6.0, 0.05)
     cfg = sample_homogeneous(Box.cube(1, 6.0), 1.0, seed=17)
-    V = config_potential_field(cfg.points, g, P12)
+    V = GridField(g, vhat_sum(g.nodes()[:, None], cfg.points, P12.alpha))
     lam1 = smallest_eigs(SchrodingerOperator(V)).lambda1
     _, snaps, _ = evolve(g, V.values, 40.0, 0.01, initial=np.ones(g.shape),
                          snapshot_times=(10.0, 20.0, 40.0))
@@ -259,7 +258,7 @@ def test_mass_decay_rate_approaches_lambda1():
 def test_occupation_constant_f_is_exact():
     g = grid_1d(4.0, 0.05)
     cfg = sample_homogeneous(Box.cube(1, 4.0), 1.0, seed=21)
-    V = config_potential_field(cfg.points, g, P12)
+    V = GridField(g, vhat_sum(g.nodes()[:, None], cfg.points, P12.alpha))
     t = 0.75
     u, _, (w1,) = evolve(g, V.values, t, 1e-3, fs=(np.ones((g.shape[0], 1)),))
     assert g.integrate(w1) == pytest.approx(t * g.integrate(u), rel=1e-12)
@@ -327,7 +326,7 @@ def test_brownian_mc_agrees_with_grid_evolution():
     mc_mean, mc_se = brownian_partition_mc(pts, P12, t, R, n_paths=20000,
                                            seed=33, dt=1e-3)
     g = grid_1d(R, 0.01)
-    V = config_potential_field(pts[:, None], g, P12)
+    V = GridField(g, vhat_sum(g.nodes()[:, None], pts[:, None], P12.alpha))
     grid_val = g.integrate(evolve(g, V.values, t, 2.5e-4)[0])
     assert abs(mc_mean - grid_val) < 3.0 * mc_se + 2e-3
 
@@ -336,7 +335,7 @@ def test_quenched_partition_and_far_guard():
     grid = grid_1d(3.0, 0.05)
     cfg = sample_homogeneous(Box.cube(1, 40.0), 1.0, seed=41)
     view = PotentialView(cfg, grid.box, P12, max_far_bound=0.1)
-    V = potential_on_grid(grid, lambda pts: evaluate_V(view, pts))
+    V = GridField(grid, evaluate_V(view, grid.nodes()[:, None]))
     z = grid.integrate(evolve(grid, V.values, 2.0, 1e-2)[0])
     assert 0.0 < z < 1.0
     with pytest.raises(ValueError):

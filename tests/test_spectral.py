@@ -9,7 +9,7 @@ from scipy.linalg import eigh, eigh_tridiagonal
 from scipy.sparse.linalg import ArpackNoConvergence
 
 import fklab.spectral
-from fklab.model import ModelParams, constants
+from fklab.model import ModelParams, constants, vhat_sum
 from fklab.points import Box, sample_homogeneous
 from fklab.potential import PotentialView, evaluate_V
 from fklab.spectral import (
@@ -18,7 +18,6 @@ from fklab.spectral import (
     GridField,
     IdsCurve,
     SchrodingerOperator,
-    config_potential_field,
     ids_estimate,
     smallest_eigs,
     stratified_mean,
@@ -99,7 +98,7 @@ def test_harmonic_oscillator_matches_a2():
 def test_rayleigh_quotient_upper_bounds_lambda1():
     g = grid_1d(4.0, 0.05)
     cfg = sample_homogeneous(Box.cube(1, 4.0), 1.0, seed=3)
-    V = config_potential_field(cfg.points, g, P12)
+    V = GridField(g, vhat_sum(g.nodes()[:, None], cfg.points, P12.alpha))
     op = SchrodingerOperator(V)
     res = smallest_eigs(op, k=1)
 
@@ -117,7 +116,7 @@ def test_rayleigh_quotient_upper_bounds_lambda1():
 def test_potential_monotonicity_of_lambda1():
     g = grid_1d(4.0, 0.05)
     cfg = sample_homogeneous(Box.cube(1, 4.0), 1.0, seed=5)
-    V = config_potential_field(cfg.points, g, P12)
+    V = GridField(g, vhat_sum(g.nodes()[:, None], cfg.points, P12.alpha))
     bump = GridField(g, V.values + 0.5 * np.exp(-g.axis_nodes(0) ** 2))
     lam_lo = smallest_eigs(SchrodingerOperator(V)).lambda1
     lam_hi = smallest_eigs(SchrodingerOperator(bump)).lambda1
@@ -133,7 +132,7 @@ def test_domain_monotonicity_of_lambda1():
 def test_count_below_matches_dense_oracle():
     g = grid_1d(5.0, 0.1)
     cfg = sample_homogeneous(Box.cube(1, 5.0), 1.0, seed=11)
-    V = config_potential_field(cfg.points, g, P12)
+    V = GridField(g, vhat_sum(g.nodes()[:, None], cfg.points, P12.alpha))
     # the tridiagonal solve tilted_ids_draws counts eigenvalues with
     diag, off = SchrodingerOperator(V).tridiag()
     dense = eigh(dense_1d(SchrodingerOperator(V)), eigvals_only=True)
@@ -147,7 +146,7 @@ def test_count_below_matches_dense_oracle():
 def test_smallest_eigs_agrees_with_dense():
     g = grid_1d(5.0, 0.1)
     cfg = sample_homogeneous(Box.cube(1, 5.0), 1.0, seed=13)
-    V = config_potential_field(cfg.points, g, P12)
+    V = GridField(g, vhat_sum(g.nodes()[:, None], cfg.points, P12.alpha))
     dense = eigh(dense_1d(SchrodingerOperator(V)), eigvals_only=True)
     res = smallest_eigs(SchrodingerOperator(V), k=2)
     assert res.lambda1 == pytest.approx(dense[0], abs=1e-9)
