@@ -44,7 +44,7 @@ def median_radius(t, n_samples, seed, h=0.25):
         view = PotentialView(cfg, grid.box, p, compensate=True,
                              max_far_bound=0.5)
         cols[:, r] = evaluate_V(view, nodes[:, None])
-    u, _, _ = batched_evolve(grid, cols, default_schedule(t))
+    u, _ = batched_evolve(grid, cols, default_schedule(t))
     radii = [field_abs_quantile(nodes, u[:, r], 0.5) for r in range(n_samples)]
     return float(np.median(radii))
 

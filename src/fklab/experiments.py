@@ -1,9 +1,10 @@
 """Scenario runners producing reproducible, verdict-bearing run records.
 
-Every runner is a pure function of its parameters and seed: randomness comes
-from seed-indexed streams keyed by (ladder index, replica), replicas reduce
-in index order, and the resulting RunRecord serializes to canonical JSON that
-is byte-identical across re-runs of the same configuration.
+Every runner is a pure function of its parameters, its seed among them if it
+samples (constants, mgf and laplace record seed 0): randomness comes from
+seed-indexed streams keyed by (ladder index, replica), replicas reduce in
+index order, and the resulting RunRecord serializes to canonical JSON that is
+byte-identical across re-runs of the same configuration.
 
 Control runs drive exact quadratic potentials through the same machinery as
 the Monte Carlo; a scenario whose control fails aborts with the distinct
@@ -49,7 +50,7 @@ from .laplace import (
 )
 from .spectral import Grid, GridField, SchrodingerOperator, ids_estimate, smallest_eigs
 from .semigroup import (
-    FKInstabilityError,
+    _retired_control,
     batched_evolve,
     column_masses,
     default_schedule,
@@ -326,7 +327,7 @@ def _tilted_minima(params: ModelParams, box: Box, search: Box, seed,
 # closed-form and quadrature scenarios
 
 def run_constants(d: int = 1, alpha: float = 2.0, t: float = 100.0,
-                  seed: int = 0, h: float = 0.01) -> RunRecord:
+                  h: float = 0.01) -> RunRecord:
     """Constants bundle plus an eigensolver cross-check of the oscillator
     ground energy a2 = d sqrt(C/2) on a fine grid."""
     params = ModelParams(d=d, alpha=alpha, t=t)
@@ -361,12 +362,12 @@ def run_constants(d: int = 1, alpha: float = 2.0, t: float = 100.0,
         rel = abs(res.lambda1 - cb.a2) / cb.a2
         checks.append(_chk(f"oscillator_a2_d{dd}_alpha{aa:g}", rel <= 1e-3,
                            observed=rel, target=0.0, tol=1e-3))
-    return _record("constants", params, seed, 0, settings, checks,
+    return _record("constants", params, 0, 0, settings, checks,
                    estimates=estimates)
 
 
 def run_mgf(d: int = 1, alphas=(1.5, 2.0, 2.5), s_grid=(1e2, 1e3, 1e4),
-            seed: int = 0, quad: QuadratureSpec = QuadratureSpec()) -> RunRecord:
+            quad: QuadratureSpec = QuadratureSpec()) -> RunRecord:
     """Single-point exponential functional against its closed-form asymptote:
     |log E[e^{-s V(0)}] + a1 s^{d/alpha}| <= 10 e^{-s} + 1e-6."""
     settings = {"alphas": list(alphas), "s_grid": list(s_grid),
@@ -384,13 +385,13 @@ def run_mgf(d: int = 1, alphas=(1.5, 2.0, 2.5), s_grid=(1e2, 1e3, 1e4),
                                observed=err, target=0.0, tol=tol))
             rows.append({"alpha": float(alpha), "s": float(s), "exact": exact,
                          "predicted": predicted, "abs_err": err, "tol": tol})
-    return _record("mgf", None, seed, 0, settings, checks,
+    return _record("mgf", None, 0, 0, settings, checks,
                    tables={"errors": rows}, d=d, alpha=float(alphas[0]))
 
 
 def run_laplace(d: int = 1, alpha: float = 2.0, t: float = 1e6,
                 two_point_t: float = 1e4, separations=(1.0, 2.0, 5.0, 10.0, 20.0),
-                seed: int = 0, quad: QuadratureSpec = QuadratureSpec()) -> RunRecord:
+                quad: QuadratureSpec = QuadratureSpec()) -> RunRecord:
     """Two-atom Laplace functional: second-order residual recovers C, and the
     pair bound with c1 = C/5 holds with positive margin over a separation sweep."""
     params = ModelParams(d=d, alpha=alpha, t=t)
@@ -421,7 +422,7 @@ def run_laplace(d: int = 1, alpha: float = 2.0, t: float = 1e6,
                      "lhs_log": rep.lhs_log, "bound_log": rep.bound_log})
     checks.append(_chk("two_point_margin_monotone", margins_increasing,
                        note="margin grows with separation"))
-    return _record("laplace", params, seed, 0, settings, checks,
+    return _record("laplace", params, 0, 0, settings, checks,
                    estimates=estimates, tables={"two_point": rows})
 
 
@@ -566,40 +567,14 @@ def run_tilted(d: int = 1, alpha: float = 2.0, t: float = 100.0,
 # ---------------------------------------------------------------------------
 # localization ladder: median confinement radius exponent
 
-def _retired_control(grid: Grid, V_cols: np.ndarray, horizons) -> np.ndarray:
-    """(n, m) array whose column k is column k of V_cols evolved from the
-    delta at 0 to horizons[k] on default_schedule(max(horizons)).
-
-    The schedule runs in links between successive distinct horizons, each
-    the schedule's own stretch, so every step keeps its dt; a column rides
-    only the links up to its horizon.  The stepper moves each column as it
-    would alone, so this is bit for bit the diagonal of batched_evolve with
-    snapshot_times=horizons, and column_masses sums it as it would those
-    snapshots (lone columns would sum in another order).  An instability
-    names its absolute time and its column in V_cols.
-    """
-    horizons = np.asarray(horizons, dtype=float)
-    schedule = default_schedule(float(horizons.max()))
-    out = np.empty(V_cols.shape)
-    live = np.arange(horizons.size)
-    u, start = None, 0.0
-    for end in np.unique(horizons):
-        link, prev = [], 0.0
-        for t_end, dt in schedule:
-            if t_end > start and prev < end:
-                link.append((min(t_end, end) - start, dt))
-            prev = t_end
-        try:
-            u, _, _ = batched_evolve(grid, V_cols[:, live], link, initial=u)
-        except FKInstabilityError as e:
-            if e.column is None:
-                raise
-            raise FKInstabilityError(e.detail, column=int(live[e.column]),
-                                     t=start + e.t) from e
-        done = horizons[live] == end
-        out[:, live[done]] = u[:, done]
-        live, u, start = live[~done], u[:, ~done], end
-    return out
+def _subbox_ratios(grid_full: Grid, subs, V_cols: np.ndarray, horizons):
+    """Each column's full-box field at its horizon, and q[j, k]: the mass
+    column k keeps inside sub-box j over its full-box mass.  subs is
+    [(grid, mask)] per sub-box, mask its nodes on the full grid."""
+    full = _retired_control(grid_full, V_cols, horizons)
+    num = np.array([column_masses(g, _retired_control(g, V_cols[mask, :], horizons))
+                    for g, mask in subs])
+    return full, num / column_masses(grid_full, full)[None, :]
 
 
 def run_localization(d: int = 1, alpha: float = 2.0,
@@ -635,12 +610,12 @@ def run_localization(d: int = 1, alpha: float = 2.0,
     # its own horizon
     V_ctrl = np.stack([quadratic_profile(nodes, params0.with_t(tk))
                        for tk in t_ladder], axis=1)
-    ctrl_full = _retired_control(grid_full, V_ctrl, t_ladder)
-    ctrl_rows = []
-    ctrl_pts = []
+    subs = [(make_grid(params0, L, h), np.abs(nodes) < L - 0.5 * h)
+            for L in L_ladder]
+    ctrl_full, ctrl_q = _subbox_ratios(grid_full, subs, V_ctrl, t_ladder)
+    ctrl_rows, ctrl_pts = [], []
     for k, tk in enumerate(t_ladder):
-        dens = ctrl_full[:, k]
-        rad = field_abs_quantile(nodes, dens, 0.5)
+        rad = field_abs_quantile(nodes, ctrl_full[:, k], 0.5)
         ctrl_pts.append((tk, rad))
         ctrl_rows.append({"t": tk, "kind": "control_marginal", "radius": rad})
     ctrl_fit = fit_power_law(ctrl_pts)
@@ -654,16 +629,9 @@ def run_localization(d: int = 1, alpha: float = 2.0,
                  tol=0.02, judged=False)]
 
     # control sup-norm radius through the sub-box machinery (recorded only)
-    masks = {L: np.abs(nodes) < L - 0.5 * h for L in L_ladder}
-    grids = {L: make_grid(params0, L, h) for L in L_ladder}
-    ctrl_sub_masses = {L: column_masses(grids[L], _retired_control(
-        grids[L], V_ctrl[masks[L], :], t_ladder)) for L in L_ladder}
-    ctrl_full_masses = column_masses(grid_full, ctrl_full)
     ctrl_sup_pts = []
     for k, tk in enumerate(t_ladder):
-        q = np.array([ctrl_sub_masses[L][k] / ctrl_full_masses[k]
-                      for L in L_ladder])
-        Lstar = _crossing_log(np.array(L_ladder), q, 0.5)
+        Lstar = _crossing_log(np.array(L_ladder), ctrl_q[:, k], 0.5)
         ctrl_sup_pts.append((tk, Lstar))
         ctrl_rows.append({"t": tk, "kind": "control_sup", "radius": Lstar})
     if all(math.isfinite(p[1]) for p in ctrl_sup_pts):
@@ -686,18 +654,11 @@ def run_localization(d: int = 1, alpha: float = 2.0,
     conf_rows, radius_rows, mc_pts, mc_w = [], [], [], []
     censored_any = 0
     for ti, tk in enumerate(t_ladder):
-        sched_k = default_schedule(tk)
         mu_k = _mu_for(params0.with_t(tk))
         configs = [sample_tilted(mu_k, params0.with_t(tk), cfg_box, seed,
                                  path=(ti, r)) for r in range(n_samples)]
         V_cols = _compensated_columns(grid_full, configs, params0)
-        u_full, _, _ = batched_evolve(grid_full, V_cols, sched_k)
-        den = column_masses(grid_full, u_full)
-        num = np.empty((len(L_ladder), n_samples))
-        for j, L in enumerate(L_ladder):
-            u_sub, _, _ = batched_evolve(grids[L], V_cols[masks[L], :], sched_k)
-            num[j] = column_masses(grids[L], u_sub)
-        q = num / den[None, :]
+        _, q = _subbox_ratios(grid_full, subs, V_cols, [tk] * n_samples)
         Lstar = np.empty(n_samples)
         lo_cens = hi_cens = 0
         for rep in range(n_samples):
@@ -801,7 +762,8 @@ def run_confinement(d: int = 1, alpha: float = 2.0,
         rows.append({"t": t, "scaled_median": med, "ci_low": lo, "ci_high": hi,
                      "frac_close": frac_close, "mean_abs_m_over_r":
                      float(np.mean(np.abs(locs)) / r)})
-    decreasing = all(medians[k + 1] < medians[k] for k in range(len(medians) - 1))
+    decreasing = len(medians) > 1 and all(      # one rung shows no trend
+        b < a for a, b in zip(medians, medians[1:]))
     checks.append(_chk("scaled_deviation_decreasing", decreasing,
                        observed=medians,
                        note="median of t^((alpha-d+2)/(2 alpha)) * deviation "
@@ -955,8 +917,8 @@ def run_occupation(d: int = 1, alpha: float = 2.0,
     ctrl_params = ModelParams(d=1, alpha=alpha, t=24.0)
     ctrl_grid = make_grid(ctrl_params, 3.0, 0.02)
     xs = ctrl_grid.axis_nodes(0)
-    u_c, _, (w2_c,) = batched_evolve(ctrl_grid, (cC * xs ** 2)[:, None],
-                                     ((24.0, 2e-3),), fs=((xs ** 2)[:, None],))
+    u_c, (w2_c,) = batched_evolve(ctrl_grid, (cC * xs ** 2)[:, None],
+                                  ((24.0, 2e-3),), fs=((xs ** 2)[:, None],))
     m2_ctrl = float(column_masses(ctrl_grid, w2_c)[0]
                     / (24.0 * column_masses(ctrl_grid, u_c)[0]))
     ctrl_rel = abs(m2_ctrl / nu_var - 1.0)
@@ -981,8 +943,8 @@ def run_occupation(d: int = 1, alpha: float = 2.0,
         V_cols = _compensated_columns(grid, configs, params)
         f_x = np.broadcast_to(nodes[:, None], V_cols.shape)
         f_sq = (nodes[:, None] - mins[None, :]) ** 2
-        u, _, (wx, wsq) = batched_evolve(grid, V_cols, default_schedule(t),
-                                         fs=(f_x, f_sq))
+        u, (wx, wsq) = batched_evolve(grid, V_cols, default_schedule(t),
+                                      fs=(f_x, f_sq))
         mass = column_masses(grid, u)
         wx_m = column_masses(grid, wx)
         wsq_m = column_masses(grid, wsq)
@@ -1174,8 +1136,8 @@ def run_lemma5(d: int = 1, alpha: float = 2.0, t_values=(4.0, 8.0, 16.0),
             for j in range(n_samples)])
         schedule = ((t, dt),)
         ones0 = np.ones((nodes.size, n_samples))
-        u_ones, _, _ = batched_evolve(grid, V_cols, schedule, initial=ones0)
-        u_delta, _, _ = batched_evolve(grid, V_cols, schedule)
+        u_ones, _ = batched_evolve(grid, V_cols, schedule, initial=ones0)
+        u_delta, _ = batched_evolve(grid, V_cols, schedule)
         lhs_ones = column_masses(grid, u_ones)        # <T_t 1, 1>
         z_delta = column_masses(grid, u_delta)        # Z_t from the origin
         sharp = (2.0 * math.pi) ** d * np.exp(-2.0 * lam1) \

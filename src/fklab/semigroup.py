@@ -26,10 +26,14 @@ The stepper accepts a stack of fields as columns of an (n, m) array,
 evolving m independent problems in one sweep; if V is also (n, m) each column
 carries its own potential.  batched_evolve is the one driver: it runs such a
 batch (a single problem is one column) through a piecewise-dt schedule, with
-snapshots, per-column mass monitoring and occupation accumulators.  The
-ground-state check and time_marginal are built on it.  A column whose mass
+per-column mass monitoring and occupation accumulators.  A column whose mass
 has decayed below 64 eps of its starting mass is round-off, so the monitor
 lets it wobble there; growth above that floor still raises.
+
+Fields at several times come from running the schedule in links between
+them (time_marginal, _retired_control), each link one batched_evolve call in
+the schedule's own steps, so each field has the bits of a run that stops
+there; the round-off floor is then 64 eps of a column's mass at link start.
 
 The heat multiplier is built at V's shape when the stepper is, so each step
 multiplies two full arrays and broadcasts nothing.  Every column is stepped
@@ -148,7 +152,7 @@ def default_schedule(t: float) -> tuple:
     return tuple(segs)
 
 
-def _check_schedule(schedule, snapshot_times=()):
+def _check_schedule(schedule):
     prev = 0.0
     for t_end, dt in schedule:
         if not (t_end > prev and dt > 0):
@@ -157,22 +161,10 @@ def _check_schedule(schedule, snapshot_times=()):
         if n < 1 or abs(n * dt - (t_end - prev)) > 1e-9:
             raise ValueError(f"dt = {dt} does not divide segment ending at {t_end}")
         prev = t_end
-    for s in snapshot_times:
-        seg_start = 0.0
-        ok = False
-        for t_end, dt in schedule:
-            if seg_start - 1e-9 <= s <= t_end + 1e-9:
-                k = round((s - seg_start) / dt)
-                if abs(seg_start + k * dt - s) <= 1e-9:
-                    ok = True
-                break
-            seg_start = t_end
-        if not ok:
-            raise ValueError(f"snapshot time {s} is off the step lattice")
 
 
 def batched_evolve(grid: Grid, V_cols: np.ndarray, schedule, *,
-                   initial: np.ndarray | None = None, snapshot_times=(), fs=()):
+                   initial: np.ndarray | None = None, fs=()):
     """Evolve m column problems (per-column 1-d potentials) through a
     piecewise-dt schedule ((t_end, dt), ...) with optional Duhamel
     co-accumulators.
@@ -182,16 +174,16 @@ def batched_evolve(grid: Grid, V_cols: np.ndarray, schedule, *,
     integrand arrays broadcastable to (n, m); each accumulator w approximates
     the kernel of e^{-int V} int_0^t f(X_s) ds by the trapezoid co-evolution
     of the module docstring, so changing dt across segments never breaks the
-    quadrature.  Returns (u_final, {time: u copy}, [w_final ...]).  With
-    V_cols >= 0 every column's mass must be nonincreasing; growth raises
-    FKInstabilityError.
+    quadrature.  Returns (u_final, [w_final ...]).  With V_cols >= 0, a mass
+    that grows to above 64 eps of its column's mass at the call's start (a
+    link's start, for runs in links) raises FKInstabilityError.
     """
     if grid.d != 1:
         raise ValueError("column batching is 1-d only")
     V_cols = np.asarray(V_cols, dtype=float)
     if V_cols.ndim != 2 or V_cols.shape[0] != grid.shape[0]:
         raise ValueError("V_cols must be (n_nodes, m)")
-    _check_schedule(schedule, snapshot_times)
+    _check_schedule(schedule)
     n, m = V_cols.shape
     if initial is None:
         u = np.zeros((n, m))
@@ -203,8 +195,6 @@ def batched_evolve(grid: Grid, V_cols: np.ndarray, schedule, *,
             raise ValueError("initial must match V_cols shape")
     f_vals = [np.broadcast_to(np.asarray(f, dtype=float), (n, m)) for f in fs]
     ws = [np.zeros((n, m)) for _ in f_vals]
-    snaps = {}
-    want = sorted(float(s) for s in snapshot_times)
     monitor = float(np.min(V_cols)) >= 0.0
     # column sums as one matrix-vector product: on these narrow (n, m) arrays
     # it is several times faster than u.sum(axis=0)
@@ -217,10 +207,6 @@ def batched_evolve(grid: Grid, V_cols: np.ndarray, schedule, *,
     for t_end, dt in schedule:
         stepper = FKStepper(grid, V_cols, dt)
         n_steps = round((t_end - seg_start) / dt)
-        snap_at = {round((s - seg_start) / dt): s for s in want
-                   if seg_start - 1e-9 < s <= t_end + 1e-9}
-        if 0 in snap_at:           # snapshot exactly at a segment boundary
-            snaps[snap_at.pop(0)] = u.copy()
         half = 0.5 * dt
         for k in range(1, n_steps + 1):
             if f_vals:
@@ -242,12 +228,56 @@ def batched_evolve(grid: Grid, V_cols: np.ndarray, schedule, *,
                             f"mass grew from {mass[j]:.6e} to {m_new[j]:.6e}",
                             column=j, t=seg_start + k * dt)
                 mass = m_new
-            if k in snap_at:
-                snaps[snap_at[k]] = u.copy()
         if not np.all(np.isfinite(u)):
             raise FKInstabilityError("batched evolution lost stability")
         seg_start = t_end
-    return u, snaps, ws
+    return u, ws
+
+
+def _evolve_link(grid: Grid, V_cols: np.ndarray, schedule, start: float,
+                 end: float, u: np.ndarray | None) -> np.ndarray:
+    """u at time start evolved to time end in the steps the schedule takes
+    between them (u None: the delta at 0).  An instability names the time
+    since 0."""
+    link, prev = [], 0.0
+    for t_end, dt in schedule:
+        if t_end > start and prev < end:
+            link.append((min(t_end, end) - start, dt))
+        prev = t_end
+    try:
+        return batched_evolve(grid, V_cols, link, initial=u)[0]
+    except FKInstabilityError as e:
+        if e.column is None:
+            raise
+        raise FKInstabilityError(e.detail, column=e.column, t=start + e.t) from e
+
+
+def _retired_control(grid: Grid, V_cols: np.ndarray, horizons) -> np.ndarray:
+    """(n, m) array whose column k is column k of V_cols evolved from the
+    delta at 0 to horizons[k] on default_schedule(max(horizons)), a column
+    riding only the links up to its horizon.  Columns step as if alone, so
+    column k has the bits of a batched_evolve run of the whole batch to
+    horizons[k], and column_masses sums it in that run's order.  An
+    instability names its column in V_cols."""
+    horizons = np.asarray(horizons, dtype=float)
+    schedule = default_schedule(float(horizons.max()))
+    out = np.empty(V_cols.shape)
+    live, V, u, start = np.arange(horizons.size), V_cols, None, 0.0
+    for end in np.unique(horizons):
+        try:
+            u = _evolve_link(grid, V, schedule, start, end, u)
+        except FKInstabilityError as e:
+            if e.column is None:
+                raise
+            raise FKInstabilityError(e.detail, column=int(live[e.column]),
+                                     t=e.t) from e
+        done = horizons[live] == end
+        out[:, live[done]] = u[:, done]
+        # compress, unlike u[:, ~done], keeps the survivors C-ordered, and
+        # C-ordered fields step faster
+        live, start = live[~done], end
+        V, u = V.compress(~done, 1), u.compress(~done, 1)
+    return out
 
 
 def column_masses(grid: Grid, arr: np.ndarray) -> np.ndarray:
@@ -258,18 +288,25 @@ def time_marginal(grid: Grid, W_cols: np.ndarray, schedule, s_list,
                   initial: np.ndarray | None = None) -> dict:
     """Normalized law of X_s under the path measure of each column on
     [0, horizon], horizon the schedule's end: marginal_s(x) is proportional
-    to u_s(x) (T_{horizon-s} 1)(x).  u starts from `initial` (default the
-    delta at 0), the backward factor from ones; both run on `schedule`.
-    Returns {s: (n, m) densities}, each column integrating to 1.
+    to u_s(x) (T_{horizon-s} 1)(x).  u runs in links through the sorted s
+    from `initial` (default the delta at 0), the backward factor through the
+    sorted horizon - s from ones.  Returns {s: (n, m) densities}, each
+    column integrating to 1.
     """
+    _check_schedule(schedule)       # the links check only what they run
     horizon = schedule[-1][0]
     if any(not (0 < s < horizon) for s in s_list):
         raise ValueError("marginal times must lie strictly inside (0, horizon)")
-    _, fwd, _ = batched_evolve(grid, W_cols, schedule, initial=initial,
-                               snapshot_times=s_list)
-    _, bwd, _ = batched_evolve(grid, W_cols, schedule,
-                               initial=np.ones(np.shape(W_cols)),
-                               snapshot_times=[horizon - s for s in s_list])
+
+    def fields_at(times, u):
+        out, start = {}, 0.0
+        for end in sorted(set(times)):
+            u = out[end] = _evolve_link(grid, W_cols, schedule, start, end, u)
+            start = end
+        return out
+
+    fwd = fields_at(s_list, initial)
+    bwd = fields_at([horizon - s for s in s_list], np.ones(np.shape(W_cols)))
     out = {}
     for s in s_list:
         dens = fwd[s] * bwd[horizon - s]

@@ -1,5 +1,6 @@
 """End-to-end checks of the command-line interface."""
 
+import inspect
 import json
 import subprocess
 import sys
@@ -27,10 +28,24 @@ def test_constants_exits_zero_and_writes_record(tmp_path):
 
 
 def test_rerun_is_byte_identical(tmp_path):
-    assert run_cli(tmp_path / "a", "laplace", "--seed", "3") == 0
-    assert run_cli(tmp_path / "b", "laplace", "--seed", "3") == 0
-    assert (tmp_path / "a" / "laplace.json").read_bytes() == \
-        (tmp_path / "b" / "laplace.json").read_bytes()
+    assert run_cli(tmp_path / "a", "spectrum", "--seed", "3") == 0
+    assert run_cli(tmp_path / "b", "spectrum", "--seed", "3") == 0
+    assert (tmp_path / "a" / "spectrum.json").read_bytes() == \
+        (tmp_path / "b" / "spectrum.json").read_bytes()
+
+
+@pytest.mark.parametrize("scenario", ["constants", "mgf", "laplace"])
+def test_seed_on_a_runner_that_draws_nothing_exits_two(tmp_path, capsys,
+                                                       scenario):
+    # these runners would only write the seed into the record, so it is a
+    # setting that does nothing; under `all` it reaches the other nine
+    assert run_cli(tmp_path, scenario, "--seed", "3") == 2
+    assert capsys.readouterr().err == \
+        f"fklab: config error: {scenario} does not take --seed\n"
+    assert not list(tmp_path.iterdir())
+    seeded = [k for k, r in SCENARIOS.items()
+              if "seed" in inspect.signature(r).parameters]
+    assert len(seeded) == 9 and scenario not in seeded
 
 
 def test_flags_a_scenario_does_not_take_exit_two(tmp_path, capsys):
@@ -224,9 +239,9 @@ def test_config_file_and_flag_precedence(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("# comment\nseed = 3\nalpha = 2.0\n")
     out = tmp_path / "out"
-    assert main(["laplace", "--config", str(cfg), "--seed", "5",
+    assert main(["spectrum", "--config", str(cfg), "--seed", "5",
                  "--out", str(out)]) == 0
-    rec = json.loads((out / "laplace.json").read_text())
+    rec = json.loads((out / "spectrum.json").read_text())
     assert rec["seed"] == 5
     assert rec["settings"]["resolved_cli"]["alpha"] == 2.0
 
@@ -234,11 +249,11 @@ def test_config_file_and_flag_precedence(tmp_path):
 def test_json_config_and_unknown_key(tmp_path):
     good = tmp_path / "g.json"
     good.write_text('{"seed": 11}')
-    assert run_cli(tmp_path, "laplace", "--config", str(good)) == 0
-    assert json.loads((tmp_path / "laplace.json").read_text())["seed"] == 11
+    assert run_cli(tmp_path, "spectrum", "--config", str(good)) == 0
+    assert json.loads((tmp_path / "spectrum.json").read_text())["seed"] == 11
     bad = tmp_path / "b.cfg"
     bad.write_text("bogus = 1\n")
-    assert run_cli(tmp_path, "laplace", "--config", str(bad)) == 2
+    assert run_cli(tmp_path, "spectrum", "--config", str(bad)) == 2
 
 
 @pytest.mark.parametrize("text", ["samples = 2.9\nseed = 1.7\n", "seed = 1.7\n",
@@ -263,8 +278,8 @@ def test_fractional_integer_in_json_is_a_config_error(tmp_path, capsys):
     # an integral float is still an integer
     good = tmp_path / "good.json"
     good.write_text('{"seed": 7.0}')
-    assert run_cli(tmp_path, "laplace", "--config", str(good)) == 0
-    rec = json.loads((tmp_path / "laplace.json").read_text())
+    assert run_cli(tmp_path, "spectrum", "--config", str(good)) == 0
+    rec = json.loads((tmp_path / "spectrum.json").read_text())
     assert rec["seed"] == 7 and isinstance(rec["settings"]["resolved_cli"]["seed"], int)
 
 

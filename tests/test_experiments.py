@@ -11,7 +11,6 @@ from fklab.experiments import (
     SCENARIOS,
     RunRecord,
     _record,
-    _retired_control,
     config_hash,
     field_abs_quantile,
     fit_power_law,
@@ -26,8 +25,9 @@ from fklab.experiments import (
 )
 from fklab.model import ModelParams, quadratic_profile
 from fklab.points import Box
-from fklab.semigroup import (FKStepper, batched_evolve, column_masses,
-                             default_schedule, make_grid)
+from fklab.semigroup import (FKStepper, _evolve_link, _retired_control,
+                             batched_evolve, column_masses, default_schedule,
+                             make_grid, time_marginal)
 
 P = ModelParams(d=1, alpha=2.0, t=100.0)
 
@@ -137,19 +137,24 @@ def test_batched_evolve_columns_are_independent():
     x = grid.axis_nodes(0)
     V = 0.3 * x ** 2 + np.sin(x)
     ref = batched_evolve(grid, V[:, None], ((4.0, 0.02),))[0][:, 0]
-    out, snaps, _ = batched_evolve(grid, np.stack([V, 2.0 * V], axis=1),
-                                   ((4.0, 0.02),), snapshot_times=[2.0, 4.0])
+    V2 = np.stack([V, 2.0 * V], axis=1)
+    out, _ = batched_evolve(grid, V2, ((4.0, 0.02),))
     assert np.max(np.abs(out[:, 0] - ref)) <= 1e-12 * np.max(ref)
-    assert set(snaps) == {2.0, 4.0}
-    assert np.array_equal(snaps[4.0], out)
+    # and a run in links ends on the bits of the one-shot run
+    fields, u, start = {}, None, 0.0
+    for end in (2.0, 4.0):
+        u = fields[end] = _evolve_link(grid, V2, ((4.0, 0.02),), start, end, u)
+        start = end
+    assert set(fields) == {2.0, 4.0}
+    assert np.array_equal(fields[4.0], out)
 
 
 def test_batched_evolve_duhamel_constant_f_is_t_times_mass():
     grid = make_grid(P, 6.0, 0.05)
     x = grid.axis_nodes(0)
     V = np.stack([0.3 * x ** 2, 0.1 * x ** 2 + 1.0], axis=1)
-    out, _, (w,) = batched_evolve(grid, V, ((2.0, 0.02), (4.0, 0.05)),
-                                  fs=(np.ones_like(V),))
+    out, (w,) = batched_evolve(grid, V, ((2.0, 0.02), (4.0, 0.05)),
+                               fs=(np.ones_like(V),))
     assert column_masses(grid, w) == pytest.approx(
         4.0 * column_masses(grid, out), rel=1e-12)
 
@@ -159,8 +164,10 @@ def test_batched_evolve_rejects_bad_schedules():
     V = np.zeros((grid.shape[0], 1))
     with pytest.raises(ValueError):
         batched_evolve(grid, V, ((4.0, 0.02), (16.0, 0.07)))
-    with pytest.raises(ValueError):
-        batched_evolve(grid, V, ((4.0, 0.02),), snapshot_times=[0.03])
+    with pytest.raises(ValueError):   # a time off the step lattice
+        time_marginal(grid, V, ((4.0, 0.02),), [0.03])
+    with pytest.raises(ValueError):   # the links, to 14.5 and to 1.5, divide
+        time_marginal(grid, V, ((4.0, 0.02), (16.0, 0.07)), [14.5])
     with pytest.raises(ValueError):
         batched_evolve(grid, V, ((4.0, -0.1),))
     with pytest.raises(ValueError):
@@ -184,8 +191,8 @@ def _schedule_steps(t):
 ])
 def test_retired_control_is_the_snapshot_diagonal(monkeypatch, horizons):
     # localization's control, column k retired at horizons[k]: the same bits
-    # as the diagonal of a full snapshot run, in the schedule's own steps,
-    # with each column stepped only until its horizon
+    # as column k of a run of the whole batch to horizons[k], in the
+    # schedule's own steps, with each column stepped only until its horizon
     params = ModelParams(d=1, alpha=2.0, t=16.0)
     grid = make_grid(params, 8.0, 0.25)
     n = grid.shape[0]
@@ -204,13 +211,12 @@ def test_retired_control_is_the_snapshot_diagonal(monkeypatch, horizons):
     monkeypatch.setattr(FKStepper, "step", plain_step)
 
     t_max = max(horizons)
-    _, snaps, _ = batched_evolve(grid, V, default_schedule(t_max),
-                                 snapshot_times=horizons)
     assert out.shape == V.shape
     for k, t in enumerate(horizons):
-        assert np.array_equal(out[:, k], snaps[t][:, k])
+        ref, _ = batched_evolve(grid, V, default_schedule(t))
+        assert np.array_equal(out[:, k], ref[:, k])
         # masses summed over the (n, m) result, as localization sums them
-        assert column_masses(grid, out)[k] == column_masses(grid, snaps[t])[k]
+        assert column_masses(grid, out)[k] == column_masses(grid, ref)[k]
     assert len(calls) == _schedule_steps(t_max)
     cells, prev = 0, 0
     for t in sorted(set(horizons)):
@@ -316,3 +322,11 @@ def test_run_confinement_small_ladder():
     assert ctrl["observed"] <= 1e-12
     meds = [r["scaled_median"] for r in rec.tables["deviation"]]
     assert meds[1] < meds[0]
+
+
+def test_run_confinement_one_rung_fails_its_trend_check():
+    # a single median shows no trend; all() over no pairs must not pass it
+    rec = run_confinement(t_ladder=(1e3,), n_samples=20)
+    trend = next(c for c in rec.checks
+                 if c["name"] == "scaled_deviation_decreasing")
+    assert trend["passed"] is False and len(trend["observed"]) == 1

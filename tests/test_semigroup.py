@@ -8,7 +8,7 @@ import pytest
 from scipy import integrate
 from scipy.fft import dst
 
-from fklab.experiments import _compensated_columns, _retired_control, run_localization
+from fklab.experiments import _compensated_columns, run_localization
 from fklab.model import ModelParams, constants, nu_coordinate_variance, vhat_sum
 from fklab.points import Box, sample_homogeneous
 from fklab.potential import PotentialView, evaluate_V
@@ -17,6 +17,8 @@ from fklab.semigroup import (
     FKStepper,
     GroundstateReport,
     _dirichlet_eigenvalues,
+    _evolve_link,
+    _retired_control,
     batched_evolve,
     column_masses,
     groundstate_transform_check,
@@ -38,12 +40,23 @@ def grid_1d(half, h):
 
 def evolve(g, V, t, dt, initial=None, **kw):
     """One problem as one column of batched_evolve on a single-dt schedule:
-    (u_t, {time: u}, [w ...]) with the column axis dropped."""
+    (u_t, [w ...]) with the column axis dropped."""
     if initial is not None:
         initial = np.asarray(initial)[:, None]
-    u, snaps, ws = batched_evolve(g, np.asarray(V)[:, None], ((t, dt),),
-                                  initial=initial, **kw)
-    return u[:, 0], {s: v[:, 0] for s, v in snaps.items()}, [w[:, 0] for w in ws]
+    u, ws = batched_evolve(g, np.asarray(V)[:, None], ((t, dt),),
+                           initial=initial, **kw)
+    return u[:, 0], [w[:, 0] for w in ws]
+
+
+def evolve_links(g, V, t, dt, times, initial=None):
+    """One problem run in links on ((t, dt),) through the sorted times:
+    {time: u}, the column axis dropped."""
+    u = None if initial is None else np.asarray(initial)[:, None]
+    out, start = {}, 0.0
+    for end in sorted(times):
+        u = _evolve_link(g, np.asarray(V)[:, None], ((t, dt),), start, end, u)
+        out[end], start = u[:, 0], end
+    return out
 
 
 def test_heat_kernel_matches_gaussian():
@@ -205,7 +218,7 @@ def test_mass_below_round_off_may_wobble_without_raising():
     cfg = sample_homogeneous(Box.cube(1, 46.0), 1.0, 3, path=(16, 91))
     view = PotentialView(cfg, grid.box, params, compensate=False)
     V = evaluate_V(view, grid.axis_nodes(0)[:, None])
-    u, _, _ = batched_evolve(grid, V[:, None], ((16.0, 0.005),))
+    u, _ = batched_evolve(grid, V[:, None], ((16.0, 0.005),))
     assert abs(u.sum()) < 64.0 * np.finfo(float).eps / grid.h
 
 
@@ -213,11 +226,11 @@ def test_positivity_and_mass_decay():
     g = grid_1d(5.0, 0.05)
     cfg = sample_homogeneous(Box.cube(1, 5.0), 1.0, seed=3)
     V = GridField(g, vhat_sum(g.nodes()[:, None], cfg.points, P12.alpha))
-    final, snaps, _ = evolve(g, V.values, 1.0, 1e-3,
-                             snapshot_times=(0.25, 0.5, 0.75))
+    fields = evolve_links(g, V.values, 1.0, 1e-3, (0.25, 0.5, 0.75, 1.0))
+    final = fields[1.0]
     peak = float(np.max(final))
     assert np.all(final >= -1e-12 * peak)
-    masses = [g.integrate(snaps[s]) for s in (0.25, 0.5, 0.75)] + [g.integrate(final)]
+    masses = [g.integrate(fields[s]) for s in (0.25, 0.5, 0.75, 1.0)]
     assert all(b < a for a, b in zip(masses, masses[1:]))
 
 
@@ -248,9 +261,9 @@ def test_mass_decay_rate_approaches_lambda1():
     cfg = sample_homogeneous(Box.cube(1, 6.0), 1.0, seed=17)
     V = GridField(g, vhat_sum(g.nodes()[:, None], cfg.points, P12.alpha))
     lam1 = smallest_eigs(SchrodingerOperator(V)).lambda1
-    _, snaps, _ = evolve(g, V.values, 40.0, 0.01, initial=np.ones(g.shape),
-                         snapshot_times=(10.0, 20.0, 40.0))
-    gaps = [abs(-math.log(g.integrate(snaps[t])) / t - lam1) for t in (10.0, 20.0, 40.0)]
+    fields = evolve_links(g, V.values, 40.0, 0.01, (10.0, 20.0, 40.0),
+                          initial=np.ones(g.shape))
+    gaps = [abs(-math.log(g.integrate(fields[t])) / t - lam1) for t in (10.0, 20.0, 40.0)]
     assert gaps[0] > gaps[1] > gaps[2]
     assert gaps[2] < 0.08
 
@@ -260,14 +273,14 @@ def test_occupation_constant_f_is_exact():
     cfg = sample_homogeneous(Box.cube(1, 4.0), 1.0, seed=21)
     V = GridField(g, vhat_sum(g.nodes()[:, None], cfg.points, P12.alpha))
     t = 0.75
-    u, _, (w1,) = evolve(g, V.values, t, 1e-3, fs=(np.ones((g.shape[0], 1)),))
+    u, (w1,) = evolve(g, V.values, t, 1e-3, fs=(np.ones((g.shape[0], 1)),))
     assert g.integrate(w1) == pytest.approx(t * g.integrate(u), rel=1e-12)
 
 
 def test_occupation_odd_f_vanishes_by_symmetry():
     g = grid_1d(4.0, 0.05)
     x = g.axis_nodes(0)
-    u, _, (wx,) = evolve(g, x ** 2, 1.0, 1e-3, fs=(x[:, None],))
+    u, (wx,) = evolve(g, x ** 2, 1.0, 1e-3, fs=(x[:, None],))
     assert abs(g.integrate(wx)) < 1e-12 * g.integrate(u)
 
 
@@ -278,7 +291,7 @@ def test_occupation_second_moment_matches_ou():
     g = grid_1d(3.0, 0.02)
     x = g.axis_nodes(0)
     t = 24.0
-    u, _, (wx2,) = evolve(g, c * x ** 2, t, 2e-3, fs=((x ** 2)[:, None],))
+    u, (wx2,) = evolve(g, c * x ** 2, t, 2e-3, fs=((x ** 2)[:, None],))
     second = g.integrate(wx2) / (t * g.integrate(u))
     want = 1.0 / (2.0 * math.sqrt(2.0 * c))
     assert second == pytest.approx(want, rel=1e-3)
@@ -319,6 +332,96 @@ def test_time_marginal_free_motion():
         time_marginal(g, V, schedule, [1.5])
 
 
+def _truncated(schedule, t):
+    """The schedule's segments up to time t, ending at t."""
+    out, prev = [], 0.0
+    for t_end, dt in schedule:
+        if prev < t:
+            out.append((min(t_end, t), dt))
+        prev = t_end
+    return tuple(out)
+
+
+def _schedule_steps(schedule):
+    steps, prev = 0, 0.0
+    for t_end, dt in schedule:
+        steps += round((t_end - prev) / dt)
+        prev = t_end
+    return steps
+
+
+# unsorted times, one repeated; s = 1 and horizon - s = 1 fall on the
+# boundary between the two segments
+MARGINAL_SCHEDULE = ((1.0, 0.02), (3.0, 0.05))
+MARGINAL_TIMES = [2.2, 0.5, 1.0, 2.0, 0.5]
+
+
+def _marginal_problem():
+    g = grid_1d(3.0, 0.05)
+    x = g.axis_nodes(0)
+    rng = np.random.default_rng(4)
+    V = np.stack([0.5 * x ** 2, np.abs(np.sin(3.0 * x)), rng.uniform(0, 2, x.size)],
+                 axis=1)
+    init = np.zeros(V.shape)
+    init[[50, 60, 70], [0, 1, 2]] = 1.0 / g.h
+    return g, V, init
+
+
+def test_time_marginal_is_bit_equal_to_one_shot_runs():
+    # each link chain ends on the bits of one batched_evolve run that stops
+    # at s (forward) or at horizon - s (backward)
+    g, V, init = _marginal_problem()
+    horizon = MARGINAL_SCHEDULE[-1][0]
+    marg = time_marginal(g, V, MARGINAL_SCHEDULE, MARGINAL_TIMES, init)
+    assert set(marg) == set(MARGINAL_TIMES)
+    for s in MARGINAL_TIMES:
+        fwd = batched_evolve(g, V, _truncated(MARGINAL_SCHEDULE, s), initial=init)[0]
+        bwd = batched_evolve(g, V, _truncated(MARGINAL_SCHEDULE, horizon - s),
+                             initial=np.ones(V.shape))[0]
+        dens = fwd * bwd
+        assert np.array_equal(marg[s], dens / (dens.sum(axis=0) * g.h))
+
+
+def test_time_marginal_steps_only_to_the_last_times(monkeypatch):
+    # forward to max(s), backward to horizon - min(s), and no further
+    plain_step = FKStepper.step
+    calls = []
+
+    def counted_step(self, u):
+        calls.append(None)
+        return plain_step(self, u)
+
+    monkeypatch.setattr(FKStepper, "step", counted_step)
+    g, V, init = _marginal_problem()
+    horizon = MARGINAL_SCHEDULE[-1][0]
+    time_marginal(g, V, MARGINAL_SCHEDULE, MARGINAL_TIMES, init)
+    want = (_schedule_steps(_truncated(MARGINAL_SCHEDULE, max(MARGINAL_TIMES)))
+            + _schedule_steps(_truncated(MARGINAL_SCHEDULE,
+                                         horizon - min(MARGINAL_TIMES))))
+    assert len(calls) == want == 74 + 80
+
+
+def test_time_marginal_instability_names_time_since_zero(monkeypatch):
+    # the forward pass's first link takes 10 steps; column 1 grows from the
+    # second link on, whose check at its 16th step names t = 0.5 + 16 dt
+    plain_step = FKStepper.step
+    calls = []
+
+    def leaky_after_first_link(self, u):
+        calls.append(None)
+        out = plain_step(self, u)
+        if len(calls) > 10:
+            out[:, 1] *= 1.01
+        return out
+
+    monkeypatch.setattr(FKStepper, "step", leaky_after_first_link)
+    g = grid_1d(4.0, 0.05)
+    V = 0.01 * np.stack([g.axis_nodes(0) ** 2] * 3, axis=1)
+    with pytest.raises(FKInstabilityError, match=r"column 1: .* by t = 1\.3 ") as e:
+        time_marginal(g, V, ((2.0, 0.05),), [0.5, 1.5])
+    assert (e.value.column, e.value.t) == (1, pytest.approx(1.3))
+
+
 def test_brownian_mc_agrees_with_grid_evolution():
     pts = np.array([-0.5, 1.0])
     t = 2.0
@@ -355,7 +458,7 @@ def test_annealed_partition_deterministic_and_above_strategy_bound():
     grid = make_grid(P12, 4.0, 0.1)
 
     def estimate():
-        u, _, _ = batched_evolve(grid, _homogeneous_columns(grid, 12, 55), ((t, 1e-2),))
+        u, _ = batched_evolve(grid, _homogeneous_columns(grid, 12, 55), ((t, 1e-2),))
         return jackknife_mean(column_masses(grid, u))
 
     (mean, se), again = estimate(), estimate()
@@ -378,7 +481,7 @@ def test_confinement_ratio_monotone_in_L():
     q = {}
     for L in (2.0, 4.0, 6.0):
         sub = make_grid(P12, L, h)
-        u, _, _ = batched_evolve(sub, V[np.abs(nodes) < L - 0.5 * h], schedule)
+        u, _ = batched_evolve(sub, V[np.abs(nodes) < L - 0.5 * h], schedule)
         q[L] = column_masses(sub, u) / den
     assert np.all((0.0 < q[2.0]) & (q[2.0] < q[4.0]) & (q[4.0] <= 1.0 + 1e-12))
     np.testing.assert_allclose(q[6.0], 1.0, rtol=0, atol=1e-12)
@@ -402,17 +505,18 @@ def test_spec_guards():
         FKStepper(g2, np.zeros(g2.shape), 0.01)
     with pytest.raises(ValueError):
         evolve(g, np.zeros(g.shape), 1.0, 0.3)  # dt does not divide t
-    with pytest.raises(ValueError):
-        evolve(g, np.zeros(g.shape), 1.0, 0.01, snapshot_times=(0.005,))
+    with pytest.raises(ValueError):   # a time off the step lattice
+        time_marginal(g, np.zeros((g.shape[0], 1)), ((1.0, 0.01),), [0.005])
 
 
 def test_fields_and_radius_defaults():
     # the default initial field is a unit-mass delta at the origin, per column
     g = grid_1d(2.0, 0.1)
-    _, snaps, _ = batched_evolve(g, np.zeros((g.shape[0], 2)), ((0.1, 0.1),),
-                                 snapshot_times=[0.0])
-    assert np.array_equal(np.flatnonzero(snaps[0.0][:, 0]),
-                          [np.argmin(np.abs(g.axis_nodes(0)))])
-    np.testing.assert_allclose(column_masses(g, snaps[0.0]), 1.0, rtol=1e-12)
+    delta = np.zeros((g.shape[0], 2))
+    delta[np.argmin(np.abs(g.axis_nodes(0)))] = 1.0 / g.h
+    np.testing.assert_allclose(column_masses(g, delta), 1.0, rtol=1e-12)
+    V = np.stack([g.axis_nodes(0) ** 2, np.ones(g.shape[0])], axis=1)
+    assert np.array_equal(batched_evolve(g, V, ((0.1, 0.1),))[0],
+                          batched_evolve(g, V, ((0.1, 0.1),), initial=delta)[0])
     p2 = ModelParams(d=1, alpha=2.0, t=1024.0)
     assert make_grid(p2, 10.0, 0.25).box.half_widths[0] == pytest.approx(10.0)
