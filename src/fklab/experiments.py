@@ -60,7 +60,7 @@ from .semigroup import (
     time_marginal,
 )
 
-ARTIFACT_VERSION = 5
+ARTIFACT_VERSION = 6
 
 
 # ---------------------------------------------------------------------------

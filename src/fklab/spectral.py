@@ -16,7 +16,9 @@ The integrated density of states N(lambda) is estimated (d = 1) as the
 expected spectral mass below lambda in the unit cell at the origin, from
 LAPACK's tridiagonal eigen-solve (eigh_tridiagonal) of each draw, by
 importance sampling from environments tilted to open a hole there, so that
-the Lifshitz tail far below 1/n_samples is reached.  Two finite-volume
+the Lifshitz tail far below 1/n_samples is reached.  The solve bisects each
+eigenvalue only to an absolute 1e-6, and an eigenvalue that close to a grid
+lambda is placed against it by an exact Sturm count.  Two finite-volume
 biases have opposite signs.  Points outside the sampled box would raise V,
 so leaving them out would bias N high; their mean is added back by far-field
 compensation.  The Dirichlet walls of the eigen grid bias N low; the grid is
@@ -37,6 +39,8 @@ from .laplace import box_log_laplace
 from .model import ModelParams, constants, vhat_sum
 from .points import Box, DiscreteMeasure, sample_tilted
 from .potential import PotentialView, evaluate_V
+
+_IDS_EIG_TOL = 1e-6   # absolute; see tilted_ids_draws
 
 
 @dataclass(frozen=True)
@@ -176,6 +180,19 @@ class EigenSolveError(RuntimeError):
     pass
 
 
+def _sturm_count(diag, off, lam: float) -> int:
+    """Eigenvalues of the tridiagonal (diag, off) below lam: the nonpositive
+    LDL^T pivots of T - lam, those under pivmin taken as -pivmin (dlaebz)."""
+    off2 = (off ** 2).tolist()
+    pivmin = np.finfo(float).tiny * max([1.0] + off2)
+    count, piv = 0, 1.0
+    for d_k, e2 in zip(diag.tolist(), [0.0] + off2):
+        piv = d_k - e2 / piv - lam
+        piv = -pivmin if abs(piv) < pivmin else piv
+        count += piv <= 0.0
+    return count
+
+
 def smallest_eigs(op: SchrodingerOperator, k: int = 1) -> EigenResult:
     """Lowest k in {1, 2} eigenpairs; phi1 is nonnegative with unit discrete L2 norm."""
     if k not in (1, 2):
@@ -243,6 +260,12 @@ def tilted_ids_draws(lambdas, tilts, params: ModelParams, grid: Grid,
     of each draw, its spectral mass below each lambda in the unit cell at
     the origin, per unit volume, and the number of draws per tilt.  V_B(0)
     is the potential at the origin of the points in the sampled box B only.
+
+    Scores read eigenvalues only to place them against the lambdas, and the
+    grid's O(h^2) error (about 1e-2 at h = 0.25) dwarfs bisection error, so
+    eigenvalues are bisected to _IDS_EIG_TOL (about half the halvings of full
+    precision) and a lambda that close to one is placed by _sturm_count.  A
+    failed solve raises EigenSolveError naming the draw and its tilt.
     """
     lambdas = np.asarray(lambdas, dtype=float)
     tilts = np.asarray(tilts, dtype=float)
@@ -262,11 +285,18 @@ def tilted_ids_draws(lambdas, tilts, params: ModelParams, grid: Grid,
         view = PotentialView(cfg, grid.box, params, compensate=True)
         V = GridField(grid, evaluate_V(view, x[:, None]))
         diag, off = SchrodingerOperator(V).tridiag()
-        evs, vecs = eigh_tridiagonal(diag, off, select="v",
-                                     select_range=(-np.inf, float(lambdas.max())))
+        try:
+            evs, vecs = eigh_tridiagonal(diag, off, select="v", tol=_IDS_EIG_TOL,
+                                         select_range=(-np.inf, float(lambdas.max())))
+        except np.linalg.LinAlgError as e:
+            raise EigenSolveError(f"eigen-solve failed on draw {r} "
+                                  f"(tilt {tilts[j]:g}): {e}") from e
         # unit-norm eigenvectors: the cell mass of phi_k^2 is a sum of v_k^2
         below = np.concatenate([[0.0], np.cumsum(np.sum(vecs[cell] ** 2, axis=0))])
-        score[r] = below[np.searchsorted(evs, lambdas, side="right")] / cell_volume
+        idx = np.searchsorted(evs, lambdas, side="right")
+        close = np.any(np.abs(evs - lambdas[:, None]) <= _IDS_EIG_TOL, axis=1)
+        idx[close] = [_sturm_count(diag, off, lam) for lam in lambdas[close]]
+        score[r] = below[idx] / cell_volume
     # math.exp of each row's logsumexp: np.exp may differ in the last bit
     lse = logsumexp(log_norm - tilts * v0[:, None], b=n_per / n_samples, axis=1)
     return np.array([math.exp(-x) for x in lse]), score, n_per

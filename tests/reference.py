@@ -9,11 +9,12 @@ import math
 
 import numpy as np
 from scipy import special
+from scipy.linalg import eigh_tridiagonal
 
 from fklab.laplace import QuadratureSpec, exact_mgf_V0
 from fklab.model import ModelParams, _sq_norm, constants, vhat_radial, vhat_sum
 from fklab.points import stream
-from fklab.spectral import SchrodingerOperator
+from fklab.spectral import Grid, SchrodingerOperator
 
 
 def shape_vhat(x, params: ModelParams):
@@ -43,6 +44,20 @@ def dense_1d(op: SchrodingerOperator) -> np.ndarray:
     """The d = 1 operator as a dense matrix, from its tridiagonal bands."""
     diag, off = op.tridiag()
     return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+
+
+def exact_ids_scores(diag, off, grid: Grid, lambdas) -> np.ndarray:
+    """One IDS draw's unit-cell scores (spectral.tilted_ids_draws) from its
+    tridiagonal operator, with every eigenvalue bisected to full precision
+    (LAPACK's default tolerance) and placed against the lambdas directly."""
+    lambdas = np.asarray(lambdas, dtype=float)
+    x = grid.axis_nodes(0)
+    cell = (x >= -0.5) & (x < 0.5)
+    evs, vecs = eigh_tridiagonal(diag, off, select="v",
+                                 select_range=(-np.inf, float(lambdas.max())))
+    below = np.concatenate([[0.0], np.cumsum(np.sum(vecs[cell] ** 2, axis=0))])
+    return below[np.searchsorted(evs, lambdas, side="right")] \
+        / (np.count_nonzero(cell) * grid.h)
 
 
 def variance_limit_closed_form(params: ModelParams) -> float:

@@ -5,9 +5,9 @@ failed checks and fits, the exception if the runner raised, the wall time,
 and the SHA-256 of the record's canonical JSON (`RunRecord.to_json()`, what
 tests/golden.json pins).  For each scenario it then prints the spread across
 seeds (least, median, greatest) of every judged statistic: each check's
-observed value where it is one finite number, and each judged fit's slope.
---json writes all of it
-as one summary.  The sweep only reports, and its exit status is 0 whatever
+observed value where it is one finite number, the least gap between
+successive entries where it is a list of numbers, and each judged fit's
+slope.  --json writes all of it as one summary.  The sweep only reports, and its exit status is 0 whatever
 the records say.
 
     PYTHONPATH=src python tests/seed_sweep.py tilted lemma5 --seeds 0-9 \\
@@ -44,12 +44,25 @@ def parse_seeds(text: str) -> list:
     return seeds
 
 
+def _is_number(x) -> bool:
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
 def judged_statistics(record) -> dict:
-    """Each check's observed value, where it is one finite number, and each
-    judged fit's finite slope, keyed "check:<name>" and "fit:<name>"."""
-    stats = {f"check:{c['name']}": float(c["observed"]) for c in record.checks
-             if isinstance(c["observed"], numbers.Real)
-             and not isinstance(c["observed"], bool)}
+    """Each check's observed value where it is one number, keyed
+    "check:<name>"; where it is a list of numbers (the per-rung values of a
+    trend check), the least gap a[i] - a[i + 1] between successive entries,
+    keyed "check:<name>:least_gap", which is how far the list came from not
+    strictly decreasing; and each judged fit's slope, keyed "fit:<name>".
+    Only finite values are kept."""
+    stats = {}
+    for c in record.checks:
+        obs = c["observed"]
+        if _is_number(obs):
+            stats[f"check:{c['name']}"] = float(obs)
+        elif isinstance(obs, list) and len(obs) > 1 and all(map(_is_number, obs)):
+            stats[f"check:{c['name']}:least_gap"] = float(
+                min(a - b for a, b in zip(obs, obs[1:])))
     stats.update((f"fit:{f['name']}", float(f["slope"])) for f in record.fits
                  if f["passed"] is not None)
     return {k: v for k, v in stats.items() if math.isfinite(v)}

@@ -1,5 +1,6 @@
 """The seed-sweep script (tests/seed_sweep.py) runs and reports: `tilted` at
-two seeds in a fresh interpreter, and a runner that raises, in process."""
+two seeds in a fresh interpreter, a runner that raises, in process, and the
+statistics it reads off a synthetic record."""
 
 import hashlib
 import json
@@ -7,6 +8,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import seed_sweep
 from fklab.experiments import run_tilted
@@ -48,3 +50,27 @@ def test_a_runner_that_raises_is_reported(monkeypatch, capsys):
     assert "tilted seed 3: raised" in out
     assert "raised FloatingPointError: seed 5" in out
     assert seed_sweep.parse_seeds("0,3,7-9") == [0, 3, 7, 8, 9]
+
+
+def test_judged_statistics_of_a_synthetic_record():
+    def check(name, observed):
+        return {"name": name, "passed": True, "observed": observed}
+
+    record = SimpleNamespace(
+        checks=[check("one_number", 0.25),
+                check("trend", [3.0, 2.5, 2.4, 1.0]),      # least gap 0.1
+                check("rises_once", [1.0, 0.5, 0.75]),     # least gap -0.25
+                check("one_rung", [2.0]),
+                check("flag", True),
+                check("pairs", [[1.0, 2.0], [3.0, 4.0]]),
+                check("none", None),
+                check("non_finite", [1.0, float("inf")])],
+        fits=[{"name": "judged", "passed": False, "slope": 1.8},
+              {"name": "diagnostic", "passed": None, "slope": 1.5}])
+    stats = seed_sweep.judged_statistics(record)
+    assert stats.keys() == {"check:one_number", "check:trend:least_gap",
+                            "check:rises_once:least_gap", "fit:judged"}
+    assert stats["check:one_number"] == 0.25
+    assert abs(stats["check:trend:least_gap"] - 0.1) < 1e-12
+    assert stats["check:rises_once:least_gap"] == -0.25
+    assert stats["fit:judged"] == 1.8

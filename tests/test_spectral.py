@@ -22,8 +22,10 @@ from fklab.spectral import (
     smallest_eigs,
     stratified_mean,
     tilted_ids_draws,
+    _IDS_EIG_TOL,
+    _sturm_count,
 )
-from reference import dense_1d
+from reference import dense_1d, exact_ids_scores
 
 P12 = ModelParams(d=1, alpha=2.0, t=1.0)
 
@@ -133,7 +135,9 @@ def test_count_below_matches_dense_oracle():
     g = grid_1d(5.0, 0.1)
     cfg = sample_homogeneous(Box.cube(1, 5.0), 1.0, seed=11)
     V = GridField(g, vhat_sum(g.nodes()[:, None], cfg.points, P12.alpha))
-    # the tridiagonal solve tilted_ids_draws counts eigenvalues with
+    # the tridiagonal solve by value that tilted_ids_draws counts eigenvalues
+    # with returns those up to lam, and the Sturm count that places a lambda
+    # near one of them agrees with the dense count
     diag, off = SchrodingerOperator(V).tridiag()
     dense = eigh(dense_1d(SchrodingerOperator(V)), eigvals_only=True)
     for lam in (0.5, 1.5, 3.0, 6.0):
@@ -141,6 +145,11 @@ def test_count_below_matches_dense_oracle():
                                select_range=(-np.inf, lam))
         assert evs.size == int(np.sum(dense <= lam))
         np.testing.assert_allclose(evs, dense[dense <= lam], atol=1e-9)
+        assert _sturm_count(diag, off, lam) == evs.size
+    # exact even within 1e-9 of an eigenvalue
+    for k in (0, 1, 7, 30, g.n_total - 1):
+        assert _sturm_count(diag, off, dense[k] - 1e-9) == k
+        assert _sturm_count(diag, off, dense[k] + 1e-9) == k + 1
 
 
 def test_smallest_eigs_agrees_with_dense():
@@ -231,6 +240,80 @@ def test_ids_tilted_weights_are_unbiased():
     plain, plain_hw = stratified_mean(plain_score, plain_per)
     assert plain[0] > 0.0
     assert abs(tilted[0] - plain[0]) <= tilted_hw[0] + plain_hw[0]
+
+
+def _record_ids_operators(monkeypatch) -> list:
+    """Pass tilted_ids_draws' eigen-solves through, keeping each (diag, off)."""
+    ops = []
+
+    def recording(diag, off, **kwargs):
+        ops.append((diag, off))
+        return eigh_tridiagonal(diag, off, **kwargs)
+
+    monkeypatch.setattr(fklab.spectral, "eigh_tridiagonal", recording)
+    return ops
+
+
+IDS_GRID = Grid(Box.cube(1, 8.0), 0.25)
+IDS_BOX = Box.cube(1, 14.0)
+
+
+def test_ids_scores_match_exact_bisection(monkeypatch):
+    # bisecting only to _IDS_EIG_TOL moves no score beyond round-off
+    ops = _record_ids_operators(monkeypatch)
+    lambdas = [0.6, 1.0, 1.5, 2.5]
+    _, score, _ = tilted_ids_draws(lambdas, [4.0, 16.0], P12, IDS_GRID, IDS_BOX,
+                                   24, seed=5)
+    assert len(ops) == 24
+    exact = np.array([exact_ids_scores(d, e, IDS_GRID, lambdas) for d, e in ops])
+    assert np.all(np.count_nonzero(exact, axis=0) >= 8)
+    np.testing.assert_allclose(score, exact, rtol=1e-10, atol=0.0)
+
+
+def test_ids_placement_near_an_eigenvalue_is_exact(monkeypatch):
+    # put lambda within _IDS_EIG_TOL / 4 of the eigenvalue that weighs most
+    # in the unit cell, between it and its coarse value: searchsorted on the
+    # coarse eigenvalues would misplace it, the Sturm count must not
+    ops = _record_ids_operators(monkeypatch)
+    top = 2.5
+    tilted_ids_draws([top], [4.0], P12, IDS_GRID, IDS_BOX, 1, seed=5)
+    diag, off = ops[0]
+    select = {"select": "v", "select_range": (-np.inf, top)}
+    exact, vecs = eigh_tridiagonal(diag, off, **select)
+    coarse, _ = eigh_tridiagonal(diag, off, tol=_IDS_EIG_TOL, **select)
+    x = IDS_GRID.axis_nodes(0)
+    k = int(np.argmax(np.sum(vecs[(x >= -0.5) & (x < 0.5)] ** 2, axis=0)))
+    assert 0.0 < abs(coarse[k] - exact[k]) <= _IDS_EIG_TOL / 2
+    lam = 0.5 * (exact[k] + coarse[k])
+    assert np.searchsorted(coarse, lam, side="right") \
+        != np.searchsorted(exact, lam, side="right")
+    counted = []
+
+    def counting(diag, off, lam):
+        counted.append(lam)
+        return _sturm_count(diag, off, lam)
+
+    monkeypatch.setattr(fklab.spectral, "_sturm_count", counting)
+    _, score, _ = tilted_ids_draws([lam, top], [4.0], P12, IDS_GRID, IDS_BOX, 1,
+                                   seed=5)
+    assert counted == [lam]
+    want = exact_ids_scores(diag, off, IDS_GRID, [lam, top])
+    np.testing.assert_allclose(score[0], want, rtol=1e-10, atol=0.0)
+
+
+def test_ids_solve_failure_names_the_draw(monkeypatch):
+    calls = []
+
+    def fails_third(diag, off, **kwargs):
+        calls.append(1)
+        if len(calls) == 3:
+            raise np.linalg.LinAlgError("eigenvectors failed to converge")
+        return eigh_tridiagonal(diag, off, **kwargs)
+
+    monkeypatch.setattr(fklab.spectral, "eigh_tridiagonal", fails_third)
+    # two draws per tilt: the third draw, index 2, is the first at tilt 4
+    with pytest.raises(EigenSolveError, match=r"draw 2 \(tilt 4\): eigenvectors"):
+        tilted_ids_draws([2.5], [1.0, 4.0], P12, IDS_GRID, IDS_BOX, 4, seed=5)
 
 
 def test_stratified_mean_sums_strata_variances():
