@@ -41,8 +41,7 @@ def median_radius(t, n_samples, seed, h=0.25):
     cols = np.empty((nodes.size, n_samples))
     for r in range(n_samples):
         cfg = sample_tilted(mu, p, cfg_box, seed, path=(int(t), r))
-        view = PotentialView(cfg, grid.box, p, compensate=True,
-                             max_far_bound=0.5)
+        view = PotentialView(cfg, p, compensate=True, max_far_bound=0.5)
         cols[:, r] = evaluate_V(view, nodes[:, None])
     u, _ = batched_evolve(grid, cols, default_schedule(t))
     radii = [field_abs_quantile(nodes, u[:, r], 0.5) for r in range(n_samples)]

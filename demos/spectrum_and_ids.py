@@ -47,7 +47,7 @@ def random_configs(n=6, seed=0):
     print("Poisson configurations on a box of size 40:")
     for rep in range(n):
         cfg = sample_homogeneous(Box.cube(1, 50.0), 1.0, seed, path=(rep,))
-        V = GridField(grid, evaluate_V(PotentialView(cfg, grid.box, p),
+        V = GridField(grid, evaluate_V(PotentialView(cfg, p),
                                        grid.nodes()[:, None]))
         res = smallest_eigs(SchrodingerOperator(V), k=2)
         print(f"  replica {rep}: lambda1 {res.lambda1:8.4f}   lambda2 "

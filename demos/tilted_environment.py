@@ -53,12 +53,10 @@ def well_shape(t, seed=0):
     devs, v_at_min = [], []
     for rep in range(30):
         cfg = sample_tilted(mu, p, box, seed, path=(rep,))
-        search = Box.cube(1, 2.0 * r)
-        vs = PotentialView(cfg, search, p, compensate=True, max_far_bound=0.5)
-        m = find_local_min(vs, coarse_step=r / 16.0, refine_tol=1e-3)
-        window = Box.cube(1, 3.0 * r + 1.0)
-        vw = PotentialView(cfg, window, p, compensate=True, max_far_bound=0.5)
-        devs.append(field_deviation(lambda pts: evaluate_V(vw, pts), m.location, r, p))
+        view = PotentialView(cfg, p, compensate=True, max_far_bound=0.5)
+        m = find_local_min(view, Box.cube(1, 2.0 * r), coarse_step=r / 16.0,
+                           refine_tol=1e-3)
+        devs.append(field_deviation(lambda pts: evaluate_V(view, pts), m.location, r, p))
         v_at_min.append(m.value)
     scale = t ** (3.0 / 4.0)   # (alpha - d + 2) / (2 alpha) = 3/4 here
     print(f"  t = {t:7.0f}   scaled quadratic deviation "

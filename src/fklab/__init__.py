@@ -31,7 +31,6 @@ from .potential import (
     far_field_bound,
     field_deviation,
     find_local_min,
-    window_margin,
 )
 from .laplace import (
     QuadratureSpec,

@@ -21,6 +21,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -294,33 +295,27 @@ def _mu_for(params: ModelParams) -> DiscreteMeasure:
     return DiscreteMeasure.gauss_hermite(32, std=std, center=0.0)
 
 
-def _compensated_columns(grid: Grid, configs, params: ModelParams) -> np.ndarray:
-    """(n_nodes, m) potential values, far field compensated by its mean."""
-    nodes = grid.nodes()[:, None]
-    cols = np.empty((grid.shape[0], len(configs)))
-    for j, cfg in enumerate(configs):
-        view = PotentialView(cfg, grid.box, params, compensate=True,
-                             max_far_bound=0.5)
-        cols[:, j] = evaluate_V(view, nodes)
-    return cols
+# _compensated(cfg, params): the view of cfg's potential the scenarios read,
+# far field compensated by its mean, which must stay within 0.5 where read
+_compensated = partial(PotentialView, compensate=True, max_far_bound=0.5)
+
+
+def _columns(views, nodes: np.ndarray) -> np.ndarray:
+    """(n_nodes, m) potential values of each view at the 1-d nodes."""
+    return np.stack([evaluate_V(view, nodes[:, None]) for view in views], axis=1)
 
 
 def _tilted_minima(params: ModelParams, box: Box, search: Box, seed,
                    ti: int, n_samples: int):
     """Draws tilted by _mu_for(params) on the streams (ti, rep), rep <
-    n_samples, and the location of each one's local minimum of the
-    compensated V in `search`."""
+    n_samples: each one's compensated view, and the location of its local
+    minimum of V in `search`."""
     mu = _mu_for(params)
     coarse = scale_r(params) / 16.0
-    configs, mins = [], np.empty(n_samples)
-    for rep in range(n_samples):
-        cfg = sample_tilted(mu, params, box, seed, path=(ti, rep))
-        view = PotentialView(cfg, search, params, compensate=True,
-                             max_far_bound=0.5)
-        mins[rep] = find_local_min(view, coarse_step=coarse,
-                                   refine_tol=1e-3).location[0]
-        configs.append(cfg)
-    return configs, mins
+    views = [_compensated(sample_tilted(mu, params, box, seed, path=(ti, rep)), params)
+             for rep in range(n_samples)]
+    return views, np.array([find_local_min(view, search, coarse, refine_tol=1e-3).location[0]
+                            for view in views])
 
 
 # ---------------------------------------------------------------------------
@@ -457,7 +452,7 @@ def run_spectrum(d: int = 1, alpha: float = 2.0, t: float = 100.0,
     for r in range(n_samples):
         cfg = sample_homogeneous(Box.cube(d, grid.box.half_widths[0] + 30.0),
                                  1.0, seed, path=(r,))
-        Vv = _compensated_columns(grid, [cfg], params)[:, 0]
+        Vv = _columns([_compensated(cfg, params)], grid.axis_nodes(0))[:, 0]
         res = smallest_eigs(SchrodingerOperator(GridField(grid, Vv)), k=2)
         ok_order &= 0.0 < res.lambda1 <= res.lambda2
         ok_resid &= res.residual1 <= 1e-8
@@ -655,9 +650,9 @@ def run_localization(d: int = 1, alpha: float = 2.0,
     censored_any = 0
     for ti, tk in enumerate(t_ladder):
         mu_k = _mu_for(params0.with_t(tk))
-        configs = [sample_tilted(mu_k, params0.with_t(tk), cfg_box, seed,
-                                 path=(ti, r)) for r in range(n_samples)]
-        V_cols = _compensated_columns(grid_full, configs, params0)
+        views = [_compensated(sample_tilted(mu_k, params0.with_t(tk), cfg_box, seed,
+                                            path=(ti, r)), params0) for r in range(n_samples)]
+        V_cols = _columns(views, grid_full.axis_nodes(0))
         _, q = _subbox_ratios(grid_full, subs, V_cols, [tk] * n_samples)
         Lstar = np.empty(n_samples)
         lo_cens = hi_cens = 0
@@ -742,14 +737,10 @@ def run_confinement(d: int = 1, alpha: float = 2.0,
     for ti, t in enumerate(t_ladder):
         params = ModelParams(d=d, alpha=alpha, t=t)
         r = scale_r(params)
-        window = Box.cube(1, 3.0 * r + 1.0)
-        configs, locs = _tilted_minima(params, Box.cube(1, 5.0 * r + 70.0),
-                                       Box.cube(1, 2.0 * r), seed, ti, n_samples)
-        devs = np.empty(n_samples)
-        for rep, (cfg, m) in enumerate(zip(configs, locs)):
-            view = PotentialView(cfg, window, params, compensate=True,
-                                 max_far_bound=0.5)
-            devs[rep] = field_deviation(lambda pts: evaluate_V(view, pts), m, r, params)
+        views, locs = _tilted_minima(params, Box.cube(1, 5.0 * r + 70.0),
+                                     Box.cube(1, 2.0 * r), seed, ti, n_samples)
+        devs = np.array([field_deviation(partial(evaluate_V, view), m, r, params)
+                         for view, m in zip(views, locs)])
         scaled = t ** expo * devs
         med, lo, hi = _median_ci(scaled)
         medians.append(med)
@@ -937,10 +928,10 @@ def run_occupation(d: int = 1, alpha: float = 2.0,
         radius = round((3.26 * r + 8.0) / h) * h
         grid = make_grid(params, radius, h)
         nodes = grid.axis_nodes(0)
-        configs, mins = _tilted_minima(
+        views, mins = _tilted_minima(
             params, Box.cube(1, grid.box.half_widths[0] + 40.0),
             Box.cube(1, min(2.0 * r, radius - 2.0)), seed, ti, n_samples)
-        V_cols = _compensated_columns(grid, configs, params)
+        V_cols = _columns(views, nodes)
         f_x = np.broadcast_to(nodes[:, None], V_cols.shape)
         f_sq = (nodes[:, None] - mins[None, :]) ** 2
         u, (wx, wsq) = batched_evolve(grid, V_cols, default_schedule(t),
@@ -1049,16 +1040,12 @@ def run_ou_limit(d: int = 1, alpha: float = 2.0, t_ladder=(1e2, 1e3),
     for ti, t in enumerate(t_ladder):
         params = ModelParams(d=d, alpha=alpha, t=t)
         r = scale_r(params)
-        configs, mins = _tilted_minima(params, Box.cube(1, 7.0 * r + 70.0),
-                                       Box.cube(1, 2.0 * r), seed, ti, n_samples)
-        W_cols = np.empty((ys.size, n_samples))
-        for rep, (cfg, m) in enumerate(zip(configs, mins)):
-            window = Box.cube(1, abs(m) + y_radius * r + 1.0)
-            vw = PotentialView(cfg, window, params, compensate=True,
-                               max_far_bound=0.5)
-            # V(m) first, then the window; a value does not depend on its batch
-            v = evaluate_V(vw, np.r_[m, m + r * ys][:, None])
-            W_cols[:, rep] = r ** 2 * (v[1:] - v[0])
+        views, mins = _tilted_minima(params, Box.cube(1, 7.0 * r + 70.0),
+                                     Box.cube(1, 2.0 * r), seed, ti, n_samples)
+        # V(m), then V at m + r y; a value does not depend on its batch
+        V = np.stack([evaluate_V(view, np.r_[m, m + r * ys][:, None])
+                      for view, m in zip(views, mins)], axis=1)
+        W_cols = r ** 2 * (V[1:] - V[0])
         y0s = -mins / r
         init = np.zeros(W_cols.shape)       # a delta at each column's y0
         init[np.argmin(np.abs(ys[:, None] - y0s), axis=0), np.arange(n_samples)] = 1.0 / h_y
@@ -1124,12 +1111,9 @@ def run_lemma5(d: int = 1, alpha: float = 2.0, t_values=(4.0, 8.0, 16.0),
         grid = make_grid(params, t, h)
         nodes = grid.axis_nodes(0)
         cfg_box = Box.cube(1, grid.box.half_widths[0] + config_margin)
-        configs = [sample_homogeneous(cfg_box, 1.0, seed, path=(round(t), rep))
-                   for rep in range(n_samples)]
-        V_cols = np.empty((nodes.size, n_samples))
-        for j, cfg in enumerate(configs):
-            view = PotentialView(cfg, grid.box, params, compensate=False)
-            V_cols[:, j] = evaluate_V(view, nodes[:, None])
+        views = [PotentialView(sample_homogeneous(cfg_box, 1.0, seed, path=(round(t), rep)), params)
+                 for rep in range(n_samples)]
+        V_cols = _columns(views, nodes)
 
         lam1 = np.array([
             smallest_eigs(SchrodingerOperator(GridField(grid, V_cols[:, j])), k=1).lambda1

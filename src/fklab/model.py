@@ -159,14 +159,14 @@ def vhat_sum(x, points, alpha: float, weights=None) -> np.ndarray:
     return out
 
 
-# width of the cells of evaluation points in vhat_sum_local, on the lattice
+# width of the cells of evaluation points in LocalSum, on the lattice
 # LOCAL_CELL * Z; an even integer, so cell centres and reach ends are exact
 LOCAL_CELL = 32.0
 
 
 @lru_cache(maxsize=None)
 def local_order(alpha: float) -> int:
-    """Order q of vhat_sum_local's expansion: the smallest q with
+    """Order q of LocalSum's expansion: the smallest q with
 
         (5/4)^alpha * a_(q+1) 4^-(q+1) / (1 - (alpha + q + 1) / (4 (q + 2))) <= 2^-53,
 
@@ -185,8 +185,8 @@ def local_order(alpha: float) -> int:
     return q
 
 
-def vhat_sum_local(x, points, alpha: float) -> np.ndarray:
-    """sum_j vhat(x_i - p_j) in d = 1, for x (m, 1) and points (n, 1).
+class LocalSum:
+    """sum_j vhat(x_i - p_j) in d = 1 over fixed points (n, 1), for rows x (m, 1).
 
     The rows of x fall into cells [kW, (k + 1)W) of width W = LOCAL_CELL.
     For a cell with centre c, the points with |p - c| < 2W are summed pair by
@@ -198,44 +198,60 @@ def vhat_sum_local(x, points, alpha: float) -> np.ndarray:
     Horner's rule: the local expansion of Greengard & Rokhlin, J. Comput.
     Phys. 73 (1987).  A far point is at least 1.5W >= 1 from x, where vhat
     is uncapped, and q = local_order(alpha) sums it to 2^-53 relative.
-    Moments are built for blocks of about PAIR_BLOCK cell-point pairs.  A
-    row's value depends only on the row and the points, never on the other
-    rows of x.
+    The points are sorted once; a cell's near range and q + 1 moments are
+    built, in blocks of about PAIR_BLOCK cell-point pairs, by the first call
+    that meets the cell and kept.  A row's value depends only on the row and
+    the points, never on the other rows of x or on earlier calls.
     """
-    x = np.asarray(x, dtype=float).reshape(-1)
-    p = np.sort(np.asarray(points, dtype=float).reshape(-1))
-    width = LOCAL_CELL
-    cells, where = np.unique(np.floor(x / width), return_inverse=True)
-    centre = (cells + 0.5) * width
-    lo = np.searchsorted(p, centre - 2.0 * width, side="right")
-    hi = np.searchsorted(p, centre + 2.0 * width, side="left")
-    out = np.empty(x.size)
-    rows = np.argsort(where, kind="stable")
-    ends = np.cumsum(np.bincount(where, minlength=cells.size))
-    for r, a, b in zip(np.split(rows, ends[:-1]), lo, hi):
-        out[r] = vhat_sum(x[r, None], p[a:b, None], alpha)
-    if np.all((lo == 0) & (hi == p.size)):
-        return out
-    q = local_order(alpha)
-    coef = np.cumprod(np.concatenate([[1.0], (-alpha - np.arange(q)) / np.arange(1, q + 1)]))
-    moments = np.empty((q + 1, cells.size))
-    step = max(1, PAIR_BLOCK // p.size)
-    for i in range(0, cells.size, step):
-        u = p[None, :] - centre[i:i + step, None]
-        u[np.abs(u) < 2.0 * width] = np.inf         # near points weigh 0 here
-        w = np.abs(u) ** -alpha
-        ratio = -1.0 / u                             # s / |p - c|
-        for k in range(q + 1):
-            np.add.reduce(w, axis=1, out=moments[k, i:i + step])
-            w *= ratio
-    moments *= coef[:, None]
-    delta = x - centre[where]
-    m = moments[:, where]
-    acc = m[q].copy()
-    for k in range(q - 1, -1, -1):
-        acc *= delta
-        acc += m[k]
-    return out + acc
+
+    def __init__(self, points, alpha: float):
+        self.points = np.sort(np.asarray(points, dtype=float).reshape(-1))
+        self.alpha = alpha
+        self.cells = {}             # cell index k -> (lo, hi, moments (q + 1,))
+
+    def _build(self, cells: np.ndarray) -> None:
+        p, alpha, width = self.points, self.alpha, LOCAL_CELL
+        centre = (cells + 0.5) * width
+        lo = np.searchsorted(p, centre - 2.0 * width, side="right")
+        hi = np.searchsorted(p, centre + 2.0 * width, side="left")
+        q = local_order(alpha)
+        coef = np.cumprod(np.concatenate([[1.0],
+                                          (-alpha - np.arange(q)) / np.arange(1, q + 1)]))
+        moments = np.empty((q + 1, cells.size))
+        step = max(1, PAIR_BLOCK // max(p.size, 1))
+        for i in range(0, cells.size, step):
+            u = p[None, :] - centre[i:i + step, None]
+            u[np.abs(u) < 2.0 * width] = np.inf         # near points weigh 0 here
+            w = np.abs(u) ** -alpha
+            ratio = -1.0 / u                             # s / |p - c|
+            for k in range(q + 1):
+                np.add.reduce(w, axis=1, out=moments[k, i:i + step])
+                w *= ratio
+        moments *= coef[:, None]
+        self.cells.update(zip(cells.tolist(), zip(lo.tolist(), hi.tolist(), moments.T)))
+
+    def __call__(self, x) -> np.ndarray:
+        x = np.asarray(x, dtype=float).reshape(-1)
+        keys = np.floor(x / LOCAL_CELL)
+        cells = np.unique(keys)
+        new = [k not in self.cells for k in cells.tolist()]
+        if any(new):
+            self._build(cells[new])
+        kept = [self.cells[k] for k in cells.tolist()]
+        p = self.points[:, None]
+        out = np.empty(x.size)
+        for k, (a, b, _) in zip(cells.tolist(), kept):
+            r = keys == k
+            out[r] = vhat_sum(x[r, None], p[a:b], self.alpha)
+        if all(a == 0 and b == p.shape[0] for a, b, _ in kept):
+            return out
+        m = np.stack([mom for *_, mom in kept], axis=1)[:, np.searchsorted(cells, keys)]
+        delta = x - (keys + 0.5) * LOCAL_CELL
+        acc = m[-1].copy()
+        for k in range(m.shape[0] - 2, -1, -1):
+            acc *= delta
+            acc += m[k]
+        return out + acc
 
 
 def h_t(params: ModelParams) -> float:

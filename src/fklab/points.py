@@ -72,12 +72,6 @@ class Box:
             v *= 2.0 * h
         return v
 
-    def contains(self, pts) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        c = np.asarray(self.center)
-        h = np.asarray(self.half_widths)
-        return np.all(np.abs(pts - c) <= h + 1e-12, axis=-1)
-
 
 @dataclass(frozen=True)
 class DiscreteMeasure:

@@ -282,8 +282,7 @@ def tilted_ids_draws(lambdas, tilts, params: ModelParams, grid: Grid,
     for r, j in enumerate(np.repeat(np.arange(tilts.size), n_per)):
         cfg = sample_tilted(origin, params, sample_box, seed, t=float(tilts[j]), path=(r,))
         v0[r] = vhat_sum(np.zeros((1, 1)), cfg.points, params.alpha)[0]
-        view = PotentialView(cfg, grid.box, params, compensate=True)
-        V = GridField(grid, evaluate_V(view, x[:, None]))
+        V = GridField(grid, evaluate_V(PotentialView(cfg, params, compensate=True), x[:, None]))
         diag, off = SchrodingerOperator(V).tridiag()
         try:
             evs, vecs = eigh_tridiagonal(diag, off, select="v", tol=_IDS_EIG_TOL,

@@ -85,7 +85,7 @@ def _potential_bytes() -> bytes:
     x = (-half + 0.25 * np.arange(1, round(8.0 * half)))[:, None]
     cfg = sample_tilted(DiscreteMeasure.delta(np.zeros(1)), params,
                         Box.cube(1, half + 3.5 * hole), 201, t=tilt, path=(0,))
-    view = PotentialView(cfg, Box.cube(1, half), params, compensate=True)
+    view = PotentialView(cfg, params, compensate=True)
     assert x.shape[0] == 955
     return evaluate_V(view, x).tobytes()
 

@@ -9,6 +9,7 @@ import pytest
 from fklab import model
 from fklab.model import (
     LOCAL_CELL,
+    LocalSum,
     ModelParams,
     constants,
     h_t,
@@ -19,7 +20,6 @@ from fklab.model import (
     spectral_gap,
     vhat_radial,
     vhat_sum,
-    vhat_sum_local,
 )
 from reference import groundstate_phi1, shape_vhat
 
@@ -127,8 +127,13 @@ def test_vhat_sum_is_bit_equal_to_shape_vhat(d, alpha):
 LOCAL_ALPHAS = (1.05, 1.5, 2.0, 2.95)
 
 
+def vhat_sum_local(x, points, alpha):
+    """One call of a fresh LocalSum, which keeps nothing from earlier calls."""
+    return LocalSum(points, alpha)(x)
+
+
 def _order_bound(alpha, q):
-    """vhat_sum_local's remainder bound at order q, from lgamma."""
+    """LocalSum's remainder bound at order q, from lgamma."""
     a = math.exp(math.lgamma(alpha + q + 1) - math.lgamma(alpha) - math.lgamma(q + 2))
     return 1.25 ** alpha * a * 4.0 ** -(q + 1) / (1 - (alpha + q + 1) / (4.0 * (q + 2)))
 
@@ -207,6 +212,10 @@ def test_vhat_sum_local_rows_do_not_depend_on_the_batch(monkeypatch):
     assert np.array_equal(vhat_sum_local(x[perm], pts, 1.5), batch[perm])
     one_by_one = [vhat_sum_local(x[i:i + 1], pts, 1.5)[0] for i in range(x.shape[0])]
     assert np.array_equal(one_by_one, batch)
+    # one LocalSum whose cells were built by earlier one-row calls
+    kept = LocalSum(pts, 1.5)
+    assert np.array_equal([kept(x[i:i + 1])[0] for i in perm], batch[perm])
+    assert np.array_equal(kept(x), batch)
     # moment blocks of one cell each give the same moments
     monkeypatch.setattr(model, "PAIR_BLOCK", 1)
     assert np.array_equal(vhat_sum_local(x, pts, 1.5), batch)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from fklab import model
+from fklab import model, potential
 from fklab.model import ModelParams, constants, quadratic_profile
 from fklab.points import Box, DiscreteMeasure, PointConfig, sample_homogeneous, sample_tilted
 from fklab.potential import (
@@ -16,7 +16,6 @@ from fklab.potential import (
     far_field_bound,
     field_deviation,
     find_local_min,
-    window_margin,
 )
 
 P12 = ModelParams(d=1, alpha=2.0, t=16.0)
@@ -31,7 +30,7 @@ def make_config(points, radius=50.0, d=1):
 
 
 def test_single_point_values():
-    view = PotentialView(make_config([[0.0]]), Box.cube(1, 5.0), P12)
+    view = PotentialView(make_config([[0.0]]), P12)
     # capped at 1 inside the unit ball, |x|^-2 outside
     np.testing.assert_allclose(
         evaluate_V(view, np.array([[0.0], [0.5], [2.0], [-4.0]])),
@@ -40,18 +39,17 @@ def test_single_point_values():
 
 def test_superposition_and_shift():
     pts = [[-1.5], [2.0], [7.0]]
-    view = PotentialView(make_config(pts), Box.cube(1, 10.0), P12)
+    view = PotentialView(make_config(pts), P12)
     x = np.array([[0.3]])
     expected = sum(min(abs(0.3 - p[0]) ** -2.0, 1.0) for p in pts)
     assert evaluate_V(view, x)[0] == pytest.approx(expected, rel=1e-12)
     # translating points and the evaluation point together leaves V unchanged
-    shifted = PotentialView(make_config([[p[0] + 3.0] for p in pts]),
-                            Box.cube(1, 10.0, center=3.0), P12)
+    shifted = PotentialView(make_config([[p[0] + 3.0] for p in pts]), P12)
     assert evaluate_V(shifted, x + 3.0)[0] == pytest.approx(expected, rel=1e-12)
 
 
 def test_empty_config_is_zero():
-    view = PotentialView(make_config(np.zeros((0, 1))), Box.cube(1, 2.0), P12)
+    view = PotentialView(make_config(np.zeros((0, 1))), P12)
     assert evaluate_V(view, np.array([[0.7]]))[0] == 0.0
 
 
@@ -81,31 +79,40 @@ def test_far_field_bound_below_distance_one(d, alpha):
 
 
 def test_window_near_the_box_edge_is_judged_by_its_own_margin():
-    # config box (-1, 1), window (-0.5, 0.5): margin 0.5.  At x = 0.5 the
-    # omitted mean is 1.5 to the right (the cap from 0.5 to 1, then 1) and
-    # 2/3 to the left, 2.17 in all, so a tolerance of 2.1 must reject it.
+    # config box (-1, 1).  The point x = 0.5 has margin 0.5: the omitted mean
+    # is 1.5 to the right (the cap from 0.5 to 1, then 1) and 2/3 to the
+    # left, 2.17 in all, so a tolerance of 2.1 must reject it.  The centre,
+    # at margin 1, has a bound of 2 and passes in the same view.
     params = ModelParams(d=1, alpha=2.0, t=1.0)
     cfg = make_config([[0.0]], radius=1.0)
     omitted = 0.5 + 1.0 + 1.0 / 1.5
     assert far_field_bound(params, 0.5) == pytest.approx(3.0)
     assert far_field_bound(params, 0.5) >= omitted > 2.1
-    view = PotentialView(cfg, Box.cube(1, 0.5), params)
-    assert view.far_bound == pytest.approx(3.0)
+    assert PotentialView(cfg, params).margins(np.array([[0.5]])) == pytest.approx(0.5)
+    # the bound judged at x = 0.5 is 3: a tolerance just above it accepts
+    evaluate_V(PotentialView(cfg, params, max_far_bound=3.0 + 1e-12), 0.5)
+    view = PotentialView(cfg, params, max_far_bound=2.1)
+    assert evaluate_V(view, 0.0) == 1.0
     with pytest.raises(ValueError, match="exceeds tolerance"):
-        PotentialView(cfg, Box.cube(1, 0.5), params, max_far_bound=2.1)
+        evaluate_V(view, 0.5)
+    with pytest.raises(ValueError, match="exceeds tolerance"):
+        evaluate_V(view, np.array([[0.0], [0.5]]))
 
 
-def test_window_margin_and_guards():
-    cfg_box = Box.cube(1, 10.0)
-    assert window_margin(cfg_box, Box.cube(1, 4.0)) == pytest.approx(6.0)
+def test_margins_and_point_guards():
     cfg = make_config([[0.0]], radius=10.0)
-    with pytest.raises(ValueError):
-        PotentialView(cfg, Box.cube(1, 11.0), P12)  # window exceeds box
-    with pytest.raises(ValueError):
+    assert np.array_equal(PotentialView(cfg, P12).margins(np.array([[4.0], [-4.0], [9.5]])),
+                          [6.0, 6.0, 0.5])
+    with pytest.raises(ValueError, match="outside the configuration box"):
+        evaluate_V(PotentialView(cfg, P12), np.array([[0.0], [11.0]]))
+    with pytest.raises(ValueError, match="margin of at least 1"):
         # margin below 1 cannot be compensated
-        PotentialView(cfg, Box.cube(1, 9.5), P12, compensate=True)
-    with pytest.raises(ValueError):
-        PotentialView(cfg, Box.cube(1, 9.0), P12, max_far_bound=1e-6)
+        evaluate_V(PotentialView(cfg, P12, compensate=True), 9.5)
+    with pytest.raises(ValueError, match="exceeds tolerance"):
+        evaluate_V(PotentialView(cfg, P12, max_far_bound=1e-6), 9.0)
+    # the same views evaluate points that pass every guard
+    assert evaluate_V(PotentialView(cfg, P12, compensate=True), 9.0) > 0.0
+    assert evaluate_V(PotentialView(cfg, P12), np.array([[-10.0], [10.0]])).shape == (2,)
 
 
 def test_compensation_mean_is_exact_in_d1():
@@ -113,13 +120,12 @@ def test_compensation_mean_is_exact_in_d1():
     # close to the full-space mean sigma_d/(alpha-1) + cap correction.
     params = ModelParams(d=1, alpha=2.0, t=1.0)
     box = Box.cube(1, 60.0)
-    window = Box.cube(1, 2.0)
     x = np.array([[1.0], [-2.0]])
     total = np.zeros(2)
     n = 600
     for i in range(n):
         cfg = sample_homogeneous(box, 1.0, seed=50, path=(i,))
-        view = PotentialView(cfg, window, params, compensate=True)
+        view = PotentialView(cfg, params, compensate=True)
         total += evaluate_V(view, x)
     mean = total / n
     # E V(x) = int min(|y|^-2, 1) dy = 2*1 (cap) + 2*int_1^inf y^-2 = 4
@@ -130,7 +136,7 @@ def test_compensation_mean_is_exact_in_d1():
 
 def test_mean_far_field_x_dependence():
     cfg = make_config([[0.0]], radius=30.0)
-    view = PotentialView(cfg, Box.cube(1, 10.0), P12, compensate=True)
+    view = PotentialView(cfg, P12, compensate=True)
     xb = np.array([[0.0], [8.0]])
     mf = view.mean_far_field(xb)
     # closer to the right edge, the omitted right tail contributes more
@@ -142,19 +148,19 @@ def test_mean_far_field_x_dependence():
 
 def test_find_local_min_single_well():
     # two points: the deepest potential sits between them
-    view = PotentialView(make_config([[-1.0], [1.0]]), Box.cube(1, 5.0), P12)
-    res = find_local_min(view, coarse_step=0.25, refine_tol=1e-6)
+    view = PotentialView(make_config([[-1.0], [1.0]]), P12)
+    res = find_local_min(view, Box.cube(1, 5.0), coarse_step=0.25, refine_tol=1e-6)
     assert isinstance(res, MinimizerResult)
     # symmetric configuration: interior minimum cannot beat the far field
-    # inside the window, so the minimizer is at the window edge
+    # inside the box, so the minimizer is at the box edge
     vals = evaluate_V(view, np.linspace(-5, 5, 4001)[:, None])
     assert res.value <= vals.min() + 1e-9
 
 
 def test_find_local_min_matches_brute_force():
     cfg = sample_homogeneous(Box.cube(1, 20.0), 1.0, seed=21)
-    view = PotentialView(cfg, Box.cube(1, 6.0), P12)
-    res = find_local_min(view, coarse_step=0.05, refine_tol=1e-7)
+    view = PotentialView(cfg, P12)
+    res = find_local_min(view, Box.cube(1, 6.0), coarse_step=0.05, refine_tol=1e-7)
     xs = np.linspace(-6, 6, 24001)[:, None]
     brute = evaluate_V(view, xs)
     assert res.value <= brute.min() + 1e-6
@@ -170,7 +176,7 @@ def test_profile_deviation_zero_for_exact_quadratic():
     c = constants(params)
     np.testing.assert_allclose(prof, c.C * 64.0 ** -1.5 * x ** 2, rtol=1e-14)
     # empty config: V == 0, so deviation equals max of the profile
-    view = PotentialView(make_config(np.zeros((0, 1))), Box.cube(1, 3.0), params)
+    view = PotentialView(make_config(np.zeros((0, 1))), params)
     dev = field_deviation(lambda pts: evaluate_V(view, pts), 0.0, radius=1.0,
                           params=params)
     assert dev == pytest.approx(c.C * 64.0 ** -1.5, rel=1e-6)
@@ -181,10 +187,9 @@ def test_profile_deviation_constant_invariance():
     # moves the deviation only by the compensation's variation
     cfg = sample_homogeneous(Box.cube(1, 80.0), 1.0, seed=31)
     params = ModelParams(d=1, alpha=2.0, t=256.0)
-    window = Box.cube(1, 10.0)
-    plain = PotentialView(cfg, window, params)
-    comp = PotentialView(cfg, window, params, compensate=True)
-    m = find_local_min(plain, 0.1, 1e-6).location
+    plain = PotentialView(cfg, params)
+    comp = PotentialView(cfg, params, compensate=True)
+    m = find_local_min(plain, Box.cube(1, 10.0), 0.1, 1e-6).location
     d_plain = field_deviation(lambda pts: evaluate_V(plain, pts), m, radius=2.0,
                               params=params)
     d_comp = field_deviation(lambda pts: evaluate_V(comp, pts), m, radius=2.0,
@@ -196,23 +201,25 @@ def test_evaluate_V_2d():
     params = ModelParams(d=2, alpha=3.0, t=1.0)
     box = Box.cube(2, 10.0)
     cfg = PointConfig(np.array([[3.0, 4.0], [0.0, 0.5]]), box)
-    view = PotentialView(cfg, Box.cube(2, 6.0), params)
+    view = PotentialView(cfg, params)
     v = evaluate_V(view, np.array([[0.0, 0.0]]))[0]
     assert v == pytest.approx(5.0 ** -3 + 1.0, rel=1e-12)
 
 
 @pytest.mark.parametrize("d", [1, 2])
 def test_blocked_evaluate_V_equals_one_block(d, monkeypatch):
-    # 2000 points make blocks of 16 rows, so 301 nodes span 19 blocks
+    # 2000 points make blocks of 16: of rows in d = 2, where 301 nodes span
+    # 19 blocks, and of cells' moments in d = 1, where they span 57 cells
     params = ModelParams(d=d, alpha=d + 0.5, t=1.0)
     radius = 1000.0 if d == 1 else 22.37
     cfg = sample_homogeneous(Box.cube(d, radius), 1.0, seed=4)
     assert 1900 < cfg.n < 2100
-    view = PotentialView(cfg, Box.cube(d, 10.0), params, compensate=True)
-    x = np.random.default_rng(0).uniform(-10.0, 10.0, (301, d))
-    blocked = evaluate_V(view, x)
+    reach = 900.0 if d == 1 else 10.0
+    x = np.random.default_rng(0).uniform(-reach, reach, (301, d))
+    blocked = evaluate_V(PotentialView(cfg, params, compensate=True), x)
     monkeypatch.setattr(model, "PAIR_BLOCK", 2 ** 60)
-    assert np.array_equal(blocked, evaluate_V(view, x))
+    # a fresh view: the first one keeps the moments built in blocks
+    assert np.array_equal(blocked, evaluate_V(PotentialView(cfg, params, compensate=True), x))
 
 
 def _ids_draw(seed, r=0):
@@ -226,23 +233,74 @@ def _ids_draw(seed, r=0):
     origin = DiscreteMeasure.delta(np.zeros(1))
     cfg = sample_tilted(origin, params, Box.cube(1, half + 3.5 * hole), seed,
                         t=tilt, path=(r,))
-    return params, Box.cube(1, half), nodes[:, None], cfg
+    return params, nodes[:, None], cfg
 
 
 def test_evaluate_V_d1_is_within_1e14_of_the_pairwise_sum():
     for r in range(4):
-        params, window, x, cfg = _ids_draw(5, r)
+        params, x, cfg = _ids_draw(5, r)
         assert x.shape[0] == 955
-        view = PotentialView(cfg, window, params)
+        view = PotentialView(cfg, params)
         want = model.vhat_sum(x, cfg.points, params.alpha)
         assert np.all(np.abs(evaluate_V(view, x) - want) <= 1e-14 * want)
 
 
 def test_evaluate_V_d1_does_not_depend_on_the_batch():
-    params, window, x, cfg = _ids_draw(6)
-    view = PotentialView(cfg, window, params, compensate=True)
+    params, x, cfg = _ids_draw(6)
+    view = PotentialView(cfg, params, compensate=True)
     perm = np.random.default_rng(1).permutation(x.shape[0])
     shuffled = evaluate_V(view, x[perm])
     one_by_one = np.array([evaluate_V(view, x[i, 0]) for i in perm])
     assert np.array_equal(shuffled, one_by_one)
     assert np.array_equal(shuffled, evaluate_V(view, x)[perm])
+
+
+def test_evaluate_V_d2_compensation_is_each_points_own_bound():
+    # compensation in d = 2 adds far_field_bound at each point's own margin,
+    # so a compensated value does not depend on the batch either
+    params = ModelParams(d=2, alpha=2.5, t=1.0)
+    cfg = sample_homogeneous(Box.cube(2, 12.0), 1.0, seed=8)
+    x = np.random.default_rng(2).uniform(-10.0, 10.0, (40, 2))
+    view = PotentialView(cfg, params, compensate=True)
+    batch = evaluate_V(view, x)
+    perm = np.random.default_rng(3).permutation(x.shape[0])
+    assert np.array_equal(evaluate_V(view, x[perm]), batch[perm])
+    assert np.array_equal([evaluate_V(view, x[i]) for i in perm], batch[perm])
+    margin = 12.0 - np.abs(x).max(axis=1)
+    want = evaluate_V(PotentialView(cfg, params), x) + [far_field_bound(params, r) for r in margin]
+    np.testing.assert_allclose(batch, want, rtol=1e-13)
+
+
+def test_view_builds_each_cells_moments_once(monkeypatch):
+    params, x, cfg = _ids_draw(7)
+    built = []
+    build = model.LocalSum._build
+    monkeypatch.setattr(model.LocalSum, "_build",
+                        lambda self, cells: built.extend(cells.tolist()) or build(self, cells))
+    view = PotentialView(cfg, params, compensate=True)
+    first = evaluate_V(view, x[:400])
+    again = [evaluate_V(view, x[i, 0]) for i in range(0, x.shape[0], 7)]
+    assert np.array_equal(again[:58], first[::7])
+    evaluate_V(view, x)
+    cells = set(np.floor(x[:, 0] / model.LOCAL_CELL).tolist())
+    assert sorted(built) == sorted(cells)          # each cell once
+    store = view.local_sum
+    q = model.local_order(params.alpha)
+    assert store.cells.keys() == cells
+    assert sum(m.size for _, _, m in store.cells.values()) <= len(cells) * (q + 1)
+    assert np.array_equal(store.points, np.sort(cfg.points[:, 0]))
+
+
+def test_find_local_min_never_leaves_its_box(monkeypatch):
+    # one point in the middle of the box (-1, 5) pushes the minimum onto an
+    # edge, and a coarse step of 0.7 does not divide the width 6
+    box = Box((2.0,), (3.0,))
+    seen = []
+    evaluate = potential.evaluate_V
+    monkeypatch.setattr(potential, "evaluate_V",
+                        lambda view, x: seen.append(np.array(x)) or evaluate(view, x))
+    view = PotentialView(make_config([[2.0]]), P12)
+    res = find_local_min(view, box, coarse_step=0.7, refine_tol=1e-6)
+    pts = np.concatenate(seen)
+    assert pts.min() >= -1.0 and pts.max() <= 5.0
+    assert pts.max() == 5.0 and -1.0 <= res.location[0] <= 5.0

@@ -8,7 +8,7 @@ import pytest
 from scipy import integrate
 from scipy.fft import dst
 
-from fklab.experiments import _compensated_columns, run_localization
+from fklab.experiments import _columns, _compensated, run_localization
 from fklab.model import ModelParams, constants, nu_coordinate_variance, vhat_sum
 from fklab.points import Box, sample_homogeneous
 from fklab.potential import PotentialView, evaluate_V
@@ -216,7 +216,7 @@ def test_mass_below_round_off_may_wobble_without_raising():
     params = ModelParams(1, 2.0, 16.0)
     grid = make_grid(params, 16.0, 0.125)
     cfg = sample_homogeneous(Box.cube(1, 46.0), 1.0, 3, path=(16, 91))
-    view = PotentialView(cfg, grid.box, params, compensate=False)
+    view = PotentialView(cfg, params)
     V = evaluate_V(view, grid.axis_nodes(0)[:, None])
     u, _ = batched_evolve(grid, V[:, None], ((16.0, 0.005),))
     assert abs(u.sum()) < 64.0 * np.finfo(float).eps / grid.h
@@ -437,20 +437,22 @@ def test_brownian_mc_agrees_with_grid_evolution():
 def test_quenched_partition_and_far_guard():
     grid = grid_1d(3.0, 0.05)
     cfg = sample_homogeneous(Box.cube(1, 40.0), 1.0, seed=41)
-    view = PotentialView(cfg, grid.box, P12, max_far_bound=0.1)
+    view = PotentialView(cfg, P12, max_far_bound=0.1)
     V = GridField(grid, evaluate_V(view, grid.nodes()[:, None]))
     z = grid.integrate(evolve(grid, V.values, 2.0, 1e-2)[0])
     assert 0.0 < z < 1.0
-    with pytest.raises(ValueError):
-        PotentialView(cfg, grid_1d(39.5, 0.05).box, P12, max_far_bound=0.01)
+    strict = PotentialView(cfg, P12, max_far_bound=0.01)
+    with pytest.raises(ValueError, match="exceeds tolerance"):
+        evaluate_V(strict, grid_1d(39.5, 0.05).nodes()[:, None])
 
 
 def _homogeneous_columns(grid, n, seed):
     """Compensated potentials of n unit-rate environments on a box 30 wider
     than the grid, one column each, as the scenario runners build them."""
     cfg_box = Box.cube(1, grid.box.half_widths[0] + 30.0)
-    configs = [sample_homogeneous(cfg_box, 1.0, seed, path=(r,)) for r in range(n)]
-    return _compensated_columns(grid, configs, P12)
+    views = [_compensated(sample_homogeneous(cfg_box, 1.0, seed, path=(r,)), P12)
+             for r in range(n)]
+    return _columns(views, grid.axis_nodes(0))
 
 
 def test_annealed_partition_deterministic_and_above_strategy_bound():

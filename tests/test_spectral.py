@@ -169,7 +169,7 @@ def test_smallest_eigs_near_degenerate_second_pair():
     params = ModelParams(d=1, alpha=2.0, t=100.0)
     grid = Grid(Box.cube(1, 40.0), 0.05)
     cfg = sample_homogeneous(Box.cube(1, 70.0), 1.0, 2, path=(1,))
-    view = PotentialView(cfg, grid.box, params, compensate=True, max_far_bound=0.5)
+    view = PotentialView(cfg, params, compensate=True, max_far_bound=0.5)
     V = evaluate_V(view, grid.nodes()[:, None]).reshape(grid.shape)
     op = SchrodingerOperator(GridField(grid, V))
     assert grid.n_total == 1599
