@@ -33,8 +33,8 @@ from fklab import (
 
 def median_radius(t, n_samples, seed, h=0.25):
     p = ModelParams(d=1, alpha=2.0, t=t)
-    grid = make_grid(p, min(t, 48.0), h)
-    nodes = grid.axis_nodes(0)
+    grid = make_grid(min(t, 48.0), h)
+    nodes = grid.nodes()
     std = np.sqrt(nu_coordinate_variance(p)) * scale_r(p)
     mu = DiscreteMeasure.gauss_hermite(32, std=std)
     cfg_box = Box.cube(1, grid.box.half_widths[0] + 60.0)

@@ -34,8 +34,8 @@ def marginals_settle():
     c = constants(p).C
     theta = spectral_gap(p)             # sqrt(2C), the OU relaxation rate
     stat_var = 1.0 / (2.0 * theta)
-    grid = make_grid(p, 5.0, 0.02)
-    x = grid.axis_nodes(0)
+    grid = make_grid(5.0, 0.02)
+    x = grid.nodes()
     T = 2.0
     horizon = 6.0                       # keep the free right end far away
     out = time_marginal(grid, (c * x ** 2)[:, None], ((horizon, 1e-3),),

@@ -31,8 +31,8 @@ def oscillator():
     p = ModelParams(d=1, alpha=2.0, t=1.0)
     c = constants(p)
     sigma = (8.0 * c.C) ** -0.25
-    grid = make_grid(p, 10.0 * sigma, 0.01)
-    x = grid.axis_nodes(0)
+    grid = make_grid(10.0 * sigma, 0.01)
+    x = grid.nodes()
     res = smallest_eigs(SchrodingerOperator(GridField(grid, c.C * x ** 2)), k=2)
     print("harmonic control:")
     print(f"  lambda1 {res.lambda1:.8f}  vs  a2       {c.a2:.8f}")
@@ -43,7 +43,7 @@ def oscillator():
 
 def random_configs(n=6, seed=0):
     p = ModelParams(d=1, alpha=2.0, t=1.0)
-    grid = make_grid(p, 20.0, 0.05)
+    grid = make_grid(20.0, 0.05)
     print("Poisson configurations on a box of size 40:")
     for rep in range(n):
         cfg = sample_homogeneous(Box.cube(1, 50.0), 1.0, seed, path=(rep,))

@@ -61,7 +61,7 @@ from .semigroup import (
     time_marginal,
 )
 
-ARTIFACT_VERSION = 6
+ARTIFACT_VERSION = 7
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +324,13 @@ def _tilted_minima(params: ModelParams, box: Box, search: Box, seed,
 def run_constants(d: int = 1, alpha: float = 2.0, t: float = 100.0,
                   h: float = 0.01) -> RunRecord:
     """Constants bundle plus an eigensolver cross-check of the oscillator
-    ground energy a2 = d sqrt(C/2) on a fine grid."""
+    ground energy a2 = d sqrt(C/2) on a fine grid.
+
+    The d-dimensional oscillator -1/2 Laplacian + C |x|^2 separates into d
+    copies of the 1-d one, and on a square grid its lowest eigenvalue is
+    exactly d times the 1-d one's; so the check solves the 1-d operator on
+    (-10 sigma, 10 sigma), sigma the oscillator width, with step h in d = 1
+    and max(h, 10 sigma / 60) in d >= 2, and multiplies by d."""
     params = ModelParams(d=d, alpha=alpha, t=t)
     c = constants(params)
     settings = {"h": h, "eigen_cases": "base and d+1 shifts within regime"}
@@ -337,26 +343,23 @@ def run_constants(d: int = 1, alpha: float = 2.0, t: float = 100.0,
         _est("spectral_gap", spectral_gap(params)),
     ]
     checks = []
-    cases = [(d, d + 0.5), (d, d + 1.0), (d, d + 1.5)]
-    if all(abs(alpha - aa) > 1e-9 for _, aa in cases):
-        cases.append((d, alpha))
-    for (dd, aa) in cases:
-        p = ModelParams(d=dd, alpha=aa, t=t)
-        cb = constants(p)
+    alphas = [d + 0.5, d + 1.0, d + 1.5]
+    if all(abs(alpha - aa) > 1e-9 for aa in alphas):
+        alphas.append(alpha)
+    for aa in alphas:
+        cb = constants(ModelParams(d=d, alpha=aa, t=t))
         sigma = math.sqrt(1.0 / math.sqrt(8.0 * cb.C))   # oscillator width
         radius = 10.0 * sigma
-        step = h if dd == 1 else max(h, radius / 60.0)
-        grid = make_grid(p, radius, step)
-        if dd == 1:
-            x = grid.axis_nodes(0)
-            Vv = cb.C * x ** 2
-        else:
-            pts = grid.nodes().reshape(-1, dd)
-            Vv = (cb.C * np.sum(pts ** 2, axis=1)).reshape(grid.shape)
-        res = smallest_eigs(SchrodingerOperator(GridField(grid, Vv)), k=1)
-        rel = abs(res.lambda1 - cb.a2) / cb.a2
-        checks.append(_chk(f"oscillator_a2_d{dd}_alpha{aa:g}", rel <= 1e-3,
-                           observed=rel, target=0.0, tol=1e-3))
+        step = h if d == 1 else max(h, radius / 60.0)
+        grid = make_grid(radius, step)
+        V = GridField(grid, cb.C * grid.nodes() ** 2)
+        lam = d * smallest_eigs(SchrodingerOperator(V), k=1).lambda1
+        rel = abs(lam - cb.a2) / cb.a2
+        checks.append(_chk(f"oscillator_a2_d{d}_alpha{aa:g}", rel <= 1e-3,
+                           observed=rel, target=0.0, tol=1e-3,
+                           note=None if d == 1 else
+                           f"{d} x lambda1 of the 1-d oscillator on (-10 sigma, "
+                           f"10 sigma), step max(h, 10 sigma / 60) = {step:g}"))
     return _record("constants", params, 0, 0, settings, checks,
                    estimates=estimates)
 
@@ -432,8 +435,8 @@ def run_spectrum(d: int = 1, alpha: float = 2.0, t: float = 100.0,
         box_radius = min(40.0, 4.0 * scale_r(params) * math.log(max(t, math.e)))
     settings = {"h": h, "box_radius": box_radius, "n_samples": n_samples}
     sigma = math.sqrt(1.0 / math.sqrt(8.0 * c.C))
-    ctrl_grid = make_grid(params, 10.0 * sigma, 0.01)
-    xs = ctrl_grid.axis_nodes(0)
+    ctrl_grid = make_grid(10.0 * sigma, 0.01)
+    xs = ctrl_grid.nodes()
     ctrl = smallest_eigs(SchrodingerOperator(GridField(ctrl_grid, c.C * xs ** 2)), k=2)
     rel = abs(ctrl.lambda1 - c.a2) / c.a2
     gap_rel = abs((ctrl.lambda2 - ctrl.lambda1) - spectral_gap(params)) \
@@ -446,13 +449,13 @@ def run_spectrum(d: int = 1, alpha: float = 2.0, t: float = 100.0,
     ]
     if not all(k["passed"] for k in checks):
         return _record("spectrum", params, seed, n_samples, settings, checks)
-    grid = make_grid(params, box_radius, h)
+    grid = make_grid(box_radius, h)
     rows = []
     ok_order = ok_resid = True
     for r in range(n_samples):
         cfg = sample_homogeneous(Box.cube(d, grid.box.half_widths[0] + 30.0),
                                  1.0, seed, path=(r,))
-        Vv = _columns([_compensated(cfg, params)], grid.axis_nodes(0))[:, 0]
+        Vv = _columns([_compensated(cfg, params)], grid.nodes())[:, 0]
         res = smallest_eigs(SchrodingerOperator(GridField(grid, Vv)), k=2)
         ok_order &= 0.0 < res.lambda1 <= res.lambda2
         ok_resid &= res.residual1 <= 1e-8
@@ -598,14 +601,14 @@ def run_localization(d: int = 1, alpha: float = 2.0,
                 "full_radius": full_radius, "h": h, "n_samples": n_samples,
                 "config_margin": config_margin,
                 "schedule": [list(s) for s in default_schedule(t_max)]}
-    grid_full = make_grid(params0, full_radius, h)
-    nodes = grid_full.axis_nodes(0)
+    grid_full = make_grid(full_radius, h)
+    nodes = grid_full.nodes()
 
     # --- control: per-horizon quadratic wells as columns, each evolved to
     # its own horizon
     V_ctrl = np.stack([quadratic_profile(nodes, params0.with_t(tk))
                        for tk in t_ladder], axis=1)
-    subs = [(make_grid(params0, L, h), np.abs(nodes) < L - 0.5 * h)
+    subs = [(make_grid(L, h), np.abs(nodes) < L - 0.5 * h)
             for L in L_ladder]
     ctrl_full, ctrl_q = _subbox_ratios(grid_full, subs, V_ctrl, t_ladder)
     ctrl_rows, ctrl_pts = [], []
@@ -652,7 +655,7 @@ def run_localization(d: int = 1, alpha: float = 2.0,
         mu_k = _mu_for(params0.with_t(tk))
         views = [_compensated(sample_tilted(mu_k, params0.with_t(tk), cfg_box, seed,
                                             path=(ti, r)), params0) for r in range(n_samples)]
-        V_cols = _columns(views, grid_full.axis_nodes(0))
+        V_cols = _columns(views, grid_full.nodes())
         _, q = _subbox_ratios(grid_full, subs, V_cols, [tk] * n_samples)
         Lstar = np.empty(n_samples)
         lo_cens = hi_cens = 0
@@ -905,9 +908,8 @@ def run_occupation(d: int = 1, alpha: float = 2.0,
     settings = {"t_ladder": t_ladder, "n_samples": n_samples, "h": h,
                 "eps": eps, "scaling_exponent": expo}
 
-    ctrl_params = ModelParams(d=1, alpha=alpha, t=24.0)
-    ctrl_grid = make_grid(ctrl_params, 3.0, 0.02)
-    xs = ctrl_grid.axis_nodes(0)
+    ctrl_grid = make_grid(3.0, 0.02)
+    xs = ctrl_grid.nodes()
     u_c, (w2_c,) = batched_evolve(ctrl_grid, (cC * xs ** 2)[:, None],
                                   ((24.0, 2e-3),), fs=((xs ** 2)[:, None],))
     m2_ctrl = float(column_masses(ctrl_grid, w2_c)[0]
@@ -926,8 +928,8 @@ def run_occupation(d: int = 1, alpha: float = 2.0,
         params = ModelParams(d=d, alpha=alpha, t=t)
         r = scale_r(params)
         radius = round((3.26 * r + 8.0) / h) * h
-        grid = make_grid(params, radius, h)
-        nodes = grid.axis_nodes(0)
+        grid = make_grid(radius, h)
+        nodes = grid.nodes()
         views, mins = _tilted_minima(
             params, Box.cube(1, grid.box.half_widths[0] + 40.0),
             Box.cube(1, min(2.0 * r, radius - 2.0)), seed, ti, n_samples)
@@ -980,7 +982,7 @@ def run_occupation(d: int = 1, alpha: float = 2.0,
 
 def _ou_cdf_distance(grid: Grid, dens: np.ndarray, mean: float, var: float) -> float:
     """sup_x |F_hat(x) - Phi((x - mean)/sd)| with a midpoint discrete CDF."""
-    x = grid.axis_nodes(0)
+    x = grid.nodes()
     total = dens.sum()
     if total <= 0:
         return float("nan")
@@ -1020,9 +1022,8 @@ def run_ou_limit(d: int = 1, alpha: float = 2.0, t_ladder=(1e2, 1e3),
                    note="evolved kernel vs closed-form OU/ground-state "
                         "identity at h=0.005, dt=1e-4")]
 
-    params_y = ModelParams(d=1, alpha=alpha, t=horizon)
-    grid_y = make_grid(params_y, y_radius, h_y)
-    ys = grid_y.axis_nodes(0)
+    grid_y = make_grid(y_radius, h_y)
+    ys = grid_y.nodes()
     schedule_y = ((horizon, dt_y),)
 
     ctrl_marg = time_marginal(grid_y, (cC * ys ** 2)[:, None], schedule_y, s_list)
@@ -1108,8 +1109,8 @@ def run_lemma5(d: int = 1, alpha: float = 2.0, t_values=(4.0, 8.0, 16.0),
     checks, rows, estimates = [], [], []
     for t in t_values:
         params = ModelParams(d=d, alpha=alpha, t=t)
-        grid = make_grid(params, t, h)
-        nodes = grid.axis_nodes(0)
+        grid = make_grid(t, h)
+        nodes = grid.nodes()
         cfg_box = Box.cube(1, grid.box.half_widths[0] + config_margin)
         views = [PotentialView(sample_homogeneous(cfg_box, 1.0, seed, path=(round(t), rep)), params)
                  for rep in range(n_samples)]

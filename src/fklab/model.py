@@ -131,27 +131,26 @@ PAIR_BLOCK = 2 ** 15
 
 
 def vhat_sum(x, points, alpha: float, weights=None) -> np.ndarray:
-    """sum_j w_j vhat(x_i - p_j) for each row of x (m, d), or the plain sum.
+    """sum_j w_j vhat(x_i - p_j) for each row of x (m, 1), or the plain sum.
 
-    points is (n, d).  Blocks of about PAIR_BLOCK pairs stay in cache and keep
-    OpenBLAS gemv on one thread.  They take a multiple of 4 rows, gemv's row
-    group, and never leave a last block of one row, which numpy sends to dot;
-    so the sums equal one-block sums, and sums of vhat_radial(|x - p|), bit
-    for bit.
+    points is (n, 1): the sum is 1-d.  Blocks of about PAIR_BLOCK pairs stay
+    in cache and keep OpenBLAS gemv on one thread.  They take a multiple of 4
+    rows, gemv's row group, and never leave a last block of one row, which
+    numpy sends to dot; so the sums equal one-block sums, and sums of
+    vhat_radial(|x - p|), bit for bit.
     """
     x = np.asarray(x, dtype=float)
     points = np.asarray(points, dtype=float)
+    if x.shape[1] != 1 or points.shape[1] != 1:
+        raise ValueError(f"vhat_sum is 1-d, got d = {max(x.shape[1], points.shape[1])}")
     m = x.shape[0]
     step = max(4, PAIR_BLOCK // max(points.shape[0], 1) // 4 * 4)
     out = np.empty(m)
     i = 0
     while i < m:
         j = m if m - i <= step + 1 else i + step
-        diff = x[i:j, None, :] - points[None, :, :]
-        if x.shape[1] == 1:
-            r = np.abs(diff[..., 0], out=diff[..., 0])
-        else:
-            r = np.sqrt(np.sum(diff * diff, axis=-1))
+        r = x[i:j, None, 0] - points[None, :, 0]
+        np.abs(r, out=r)
         np.maximum(r, 1.0, out=r)
         np.power(r, -alpha, out=r)
         out[i:j] = r.sum(axis=1) if weights is None else r @ weights

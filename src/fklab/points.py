@@ -9,9 +9,10 @@ for a finitely supported probability measure mu.  Since the exponent is
 nonnegative, the tilted process is an exact thinning of a homogeneous sample:
 a candidate point y survives with probability exp(-t * sum_i w_i vhat(x_i - y)).
 
-In d = 1, thinning_keep decides most candidates from per-cell bounds on that
-sum, tabulated once per (alpha, t, box) and kept on the measure; the rest go
-to the exact test, so every decision equals the exact test's.
+Tilted sampling is 1-d.  thinning_keep decides most candidates from per-cell
+bounds on that sum, tabulated once per (alpha, t, box) and kept on the
+measure; the rest go to the exact test, so every decision equals the exact
+test's.
 
 Randomness comes from counter-based Philox streams keyed by (seed, path...),
 so replica r of an experiment always draws from stream (base_seed, r)
@@ -172,13 +173,13 @@ def sample_homogeneous(box: Box, rate: float, seed: int, *, path=()) -> PointCon
 def tilt_log_weight(y, mu: DiscreteMeasure, params: ModelParams, t: float | None = None):
     """log of the thinning acceptance: -t * sum_i w_i vhat(x_i - y).
 
-    y is a point (d,) or batch (m, d); returns scalar or (m,).
+    y is a point or a batch (m, 1); returns scalar or (m,).
     """
     if t is None:
         t = params.t
     y = np.asarray(y, dtype=float)
-    single = y.ndim == 0 or (y.ndim == 1 and mu.d > 1)
-    out = -t * vhat_sum(y.reshape(-1, mu.d), mu.atoms, params.alpha, mu.weights)
+    single = y.ndim == 0
+    out = -t * vhat_sum(y.reshape(-1, 1), mu.atoms, params.alpha, mu.weights)
     return float(out[0]) if single else out
 
 
@@ -231,9 +232,9 @@ def thinning_table(mu: DiscreteMeasure, alpha: float, t: float, box: Box):
 
 def thinning_keep(y, u, mu: DiscreteMeasure, params: ModelParams, t: float,
                   box: Box) -> np.ndarray:
-    """The thinning decisions u < tilt_acceptance(y) for candidates y (m, d).
+    """The thinning decisions u < tilt_acceptance(y) for candidates y (m, 1).
 
-    In d = 1 the candidate's cell k = floor((y - lo) / delta) in mu's
+    The candidate's cell k = floor((y - lo) / delta) in mu's
     thinning_table for (alpha, t, box) keeps it when u falls below the
     cell's sure threshold and rejects it when u reaches the maybe one.  The
     rest, and every candidate outside the box, go to the exact test.
@@ -245,8 +246,6 @@ def thinning_keep(y, u, mu: DiscreteMeasure, params: ModelParams, t: float,
     rounding of the sums and powers, which the SQUEEZE_REL and SQUEEZE_ABS
     margins on exp(-t Phi) absorb.
     """
-    if mu.d != 1:
-        return u < tilt_acceptance(y, mu, params, t)
     key = (params.alpha, t, box)
     if key not in mu._tables:
         mu._tables[key] = thinning_table(mu, params.alpha, t, box)
@@ -267,8 +266,8 @@ def sample_tilted(mu: DiscreteMeasure, params: ModelParams, box: Box, seed: int,
     """
     if t is None:
         t = params.t
-    if mu.d != box.d:
-        raise ValueError("measure dimension does not match box dimension")
+    if mu.d != 1 or box.d != 1:
+        raise ValueError(f"sample_tilted is 1-d, got d = {max(mu.d, box.d)}")
     base = sample_homogeneous(box, 1.0, seed, path=path)
     u = stream(seed, *path, 1).random(base.n)
     keep = thinning_keep(base.points, u, mu, params, t, box)

@@ -1,11 +1,11 @@
 """Potential of a sampled configuration at points of its box.
 
 V(x) = sum_i vhat(x - omega_i) over the points of a configuration, held by a
-PotentialView.  In d = 1 evaluate_V sums V through the view's
+PotentialView.  evaluate_V is 1-d: it sums V through the view's
 model.LocalSum, which sorts the points once and keeps each cell's far-field
 moments for every later call; its values stay within 1e-14 relative of the
-pairwise vhat_sum, which d >= 2 uses.  A point's value depends only on the
-point and the configuration, never on the batch it is evaluated in.
+pairwise vhat_sum.  A point's value depends only on the point and the
+configuration, never on the batch it is evaluated in.
 
 Because the shape has a heavy tail, points outside the sampled box
 contribute a slowly decaying remainder; at distance R from the
@@ -16,10 +16,10 @@ configuration boundary the omitted mass has mean at most
 
 the second adding the capped shell R <= |y| < 1; it is computed as
 far_field_bound, and a view can reject points where it exceeds a tolerance.
-An optional flag adds the mean back as a deterministic compensation: exact
-in d = 1 (closed-form tail integrals), each point's far_field_bound in
-d >= 2.  The fluctuating part of the omitted field is not correctable and is
-simply small (its variance decays like R^(d - 2 alpha)).
+An optional flag adds the mean back as a deterministic compensation, exact
+by closed-form tail integrals.  The fluctuating part of the omitted field is
+not correctable and is simply small (its variance decays like
+R^(d - 2 alpha)).
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .model import LocalSum, ModelParams, constants, quadratic_profile, vhat_sum
+from .model import LocalSum, ModelParams, constants, quadratic_profile
 from .points import Box, PointConfig
 
 
@@ -54,7 +54,7 @@ class PotentialView:
     compensate=True adds the deterministic far-field mean to every value, and
     needs every evaluated point at least 1 from the box boundary.
     max_far_bound, when not None, rejects points whose omitted far-field mean
-    exceeds the tolerance.  In d = 1 one LocalSum serves every call.
+    exceeds the tolerance.  One LocalSum serves every call.
     """
 
     config: PointConfig
@@ -84,29 +84,26 @@ class PotentialView:
         return margin
 
     def mean_far_field(self, xb: np.ndarray) -> np.ndarray:
-        """E over configs of the omitted potential at each point (m, d).
-
-        d = 1: exact tails ((B_r - x)^(1-a) + (x - B_l)^(1-a)) / (a - 1) for a
-        config box (B_l, B_r).  d >= 2: far_field_bound at each point's margin.
-        """
-        if self.config.d == 1:
-            (c,), (h,) = self.config.box.center, self.config.box.half_widths
-            a, x = self.params.alpha, xb[:, 0]
-            return ((c + h - x) ** (1.0 - a) + (x - (c - h)) ** (1.0 - a)) / (a - 1.0)
-        return np.array([far_field_bound(self.params, r) for r in self.margins(xb)])
+        """E over configs of the omitted potential at each point (m, 1): the
+        exact tails ((B_r - x)^(1-a) + (x - B_l)^(1-a)) / (a - 1) for a
+        config box (B_l, B_r)."""
+        (c,), (h,) = self.config.box.center, self.config.box.half_widths
+        a, x = self.params.alpha, xb[:, 0]
+        return ((c + h - x) ** (1.0 - a) + (x - (c - h)) ** (1.0 - a)) / (a - 1.0)
 
 
 def evaluate_V(view: PotentialView, x):
-    """V at a point (d,) or a batch (m, d) of points of the configuration box,
-    after the view's guards: through its LocalSum in d = 1, vhat_sum in
-    d >= 2.  Empty configurations give 0 (plus compensation if enabled).
+    """V at a point or a batch (m, 1) of points of the 1-d configuration box,
+    after the view's guards, through its LocalSum.  Empty configurations give
+    0 (plus compensation if enabled).
     """
+    if view.config.d != 1:
+        raise ValueError(f"evaluate_V is 1-d, got d = {view.config.d}")
     x = np.asarray(x, dtype=float)
-    single = x.ndim == 0 or (x.ndim == 1 and view.config.d > 1)
-    xb = x.reshape(-1, view.config.d)
+    single = x.ndim == 0
+    xb = x.reshape(-1, 1)
     view.margins(xb)
-    out = (view.local_sum(xb) if view.config.d == 1
-           else vhat_sum(xb, view.config.points, view.params.alpha))
+    out = view.local_sum(xb)
     if view.compensate:
         out += view.mean_far_field(xb)
     return float(out[0]) if single else out

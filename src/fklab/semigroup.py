@@ -65,7 +65,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.fft._pocketfft.pypocketfft import dst as _pocketfft_dst
 
-from .model import ModelParams
 from .points import Box
 from .spectral import Grid
 
@@ -116,8 +115,6 @@ class FKStepper:
     """
 
     def __init__(self, grid: Grid, V: np.ndarray, dt: float):
-        if grid.d != 1:
-            raise ValueError("the FK stepper is 1-d only")
         if not (dt > 0 and np.isfinite(dt)):
             raise ValueError("dt must be positive")
         V = np.asarray(V, dtype=float)
@@ -178,8 +175,6 @@ def batched_evolve(grid: Grid, V_cols: np.ndarray, schedule, *,
     that grows to above 64 eps of its column's mass at the call's start (a
     link's start, for runs in links) raises FKInstabilityError.
     """
-    if grid.d != 1:
-        raise ValueError("column batching is 1-d only")
     V_cols = np.asarray(V_cols, dtype=float)
     if V_cols.ndim != 2 or V_cols.shape[0] != grid.shape[0]:
         raise ValueError("V_cols must be (n_nodes, m)")
@@ -187,7 +182,7 @@ def batched_evolve(grid: Grid, V_cols: np.ndarray, schedule, *,
     n, m = V_cols.shape
     if initial is None:
         u = np.zeros((n, m))
-        i0 = int(np.argmin(np.abs(grid.axis_nodes(0))))
+        i0 = int(np.argmin(np.abs(grid.nodes())))
         u[i0, :] = 1.0 / grid.h
     else:
         u = np.array(initial, dtype=float)
@@ -281,7 +276,7 @@ def _retired_control(grid: Grid, V_cols: np.ndarray, horizons) -> np.ndarray:
 
 
 def column_masses(grid: Grid, arr: np.ndarray) -> np.ndarray:
-    return arr.sum(axis=0) * grid.h ** grid.d
+    return arr.sum(axis=0) * grid.h
 
 
 def time_marginal(grid: Grid, W_cols: np.ndarray, schedule, s_list,
@@ -317,9 +312,11 @@ def time_marginal(grid: Grid, W_cols: np.ndarray, schedule, s_list,
 # ---------------------------------------------------------------------------
 # grids and replica statistics
 
-def make_grid(params: ModelParams, radius: float, h: float) -> Grid:
+def make_grid(radius: float, h: float) -> Grid:
+    """The grid on (-half, half), half the multiple of h nearest radius and
+    at least 2h."""
     half = max(round(radius / h), 2) * h
-    return Grid(Box.cube(params.d, half), h)
+    return Grid(Box.cube(1, half), h)
 
 
 def jackknife_mean(values: np.ndarray):
@@ -370,9 +367,8 @@ def groundstate_transform_check(c: float, T: float, *, h: float = 0.005,
     """
     if c <= 0:
         raise ValueError("c must be positive")
-    params = ModelParams(d=1, alpha=2.0, t=max(T, 1.0))
-    grid = make_grid(params, 4.0, h)
-    x = grid.axis_nodes(0)
+    grid = make_grid(4.0, h)
+    x = grid.nodes()
     u = batched_evolve(grid, (c * x ** 2)[:, None], ((T, dt),))[0][:, 0]
     theta = math.sqrt(2.0 * c)
     lam1 = math.sqrt(c / 2.0)

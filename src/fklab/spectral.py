@@ -1,16 +1,19 @@
 """Discrete Schrodinger operators -1/2 Laplacian + V with Dirichlet walls.
 
-Grids cover a box with uniform spacing h; only interior nodes are stored, so
-Dirichlet rows never enter the linear algebra.  The Laplacian is the standard
-second-order central-difference stencil, giving O(h^2) eigenvalue error.
+Grids are 1-d: they cover an interval with uniform spacing h, and only
+interior nodes are stored, so Dirichlet rows never enter the linear algebra.
+The Laplacian is the standard second-order central-difference stencil,
+giving O(h^2) eigenvalue error.  A d-dimensional oscillator -1/2 Laplacian +
+C |x|^2 on a cube separates into d copies of the 1-d one: on a square grid
+its matrix is the Kronecker sum of the 1-d matrix A, whose lowest eigenvalue
+is exactly d lambda1(A), so d-dimensional checks solve the 1-d operator.
 
 SchrodingerOperator(V) is the operator on a potential field; smallest_eigs
-gives its lowest one or two eigenpairs from library solvers: LAPACK's
-tridiagonal eigen-solve (eigh_tridiagonal, by index) in d = 1, and ARPACK's
-shift-invert Lanczos (eigsh, shift min V - 1, fixed start vector) in d = 2.
-Each result carries the residual ||A v - lambda v|| of its unit-norm
-eigenvector v, so callers can hold it to a threshold; a solver failure or a
-non-finite eigenvalue raises EigenSolveError.
+gives its lowest one or two eigenpairs from LAPACK's tridiagonal eigen-solve
+(eigh_tridiagonal, by index).  Each result carries the residual
+||A v - lambda v|| of its unit-norm eigenvector v, so callers can hold it to
+a threshold; a solver failure or a non-finite eigenvalue raises
+EigenSolveError.
 
 The integrated density of states N(lambda) is estimated (d = 1) as the
 expected spectral mass below lambda in the unit cell at the origin, from
@@ -45,53 +48,38 @@ _IDS_EIG_TOL = 1e-6   # absolute; see tilted_ids_draws
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform Dirichlet grid on a box; interior nodes only, d in {1, 2}."""
+    """Uniform Dirichlet grid on a 1-d box; interior nodes only."""
 
     box: Box
     h: float
 
     def __post_init__(self):
-        if self.box.d not in (1, 2):
-            raise ValueError("grids support d in {1, 2}")
+        if self.box.d != 1:
+            raise ValueError(f"Grid is 1-d, got d = {self.box.d}")
         if not (self.h > 0):
             raise ValueError("spacing must be positive")
-        for w in self.box.half_widths:
-            ratio = 2.0 * w / self.h
-            if abs(ratio - round(ratio)) > 1e-9 * max(1.0, ratio):
-                raise ValueError("box widths must be integer multiples of h")
-            if round(ratio) < 2:
-                raise ValueError("box too small for interior nodes")
-
-    @property
-    def d(self) -> int:
-        return self.box.d
+        ratio = 2.0 * self.box.half_widths[0] / self.h
+        if abs(ratio - round(ratio)) > 1e-9 * max(1.0, ratio):
+            raise ValueError("box widths must be integer multiples of h")
+        if round(ratio) < 2:
+            raise ValueError("box too small for interior nodes")
 
     @property
     def shape(self) -> tuple:
-        return tuple(int(round(2.0 * w / self.h)) - 1 for w in self.box.half_widths)
+        return (int(round(2.0 * self.box.half_widths[0] / self.h)) - 1,)
 
     @property
     def n_total(self) -> int:
-        n = 1
-        for s in self.shape:
-            n *= s
-        return n
-
-    def axis_nodes(self, axis: int = 0) -> np.ndarray:
-        lo = self.box.center[axis] - self.box.half_widths[axis]
-        n = self.shape[axis]
-        return lo + self.h * np.arange(1, n + 1)
+        return self.shape[0]
 
     def nodes(self) -> np.ndarray:
-        """Interior node coordinates, shape (n,) for d=1 and (nx, ny, 2) for d=2."""
-        if self.d == 1:
-            return self.axis_nodes(0)
-        xs, ys = np.meshgrid(self.axis_nodes(0), self.axis_nodes(1), indexing="ij")
-        return np.stack([xs, ys], axis=-1)
+        """Interior node coordinates, shape (n,)."""
+        lo = self.box.center[0] - self.box.half_widths[0]
+        return lo + self.h * np.arange(1, self.n_total + 1)
 
     def integrate(self, values: np.ndarray) -> float:
-        """h^d weighted sum; the discrete integral of a Dirichlet field."""
-        return float(np.sum(values) * self.h ** self.d)
+        """h weighted sum; the discrete integral of a Dirichlet field."""
+        return float(np.sum(values) * self.h)
 
 
 @dataclass(frozen=True)
@@ -124,47 +112,20 @@ class SchrodingerOperator:
         self.h = V.grid.h
         self._inv2h2 = 1.0 / (2.0 * self.h ** 2)
 
-    # -- matrix-free application -------------------------------------------
     def apply(self, x: np.ndarray) -> np.ndarray:
-        g = self.grid
-        x = x.reshape(g.shape)
-        out = self.V * x
+        """A x, matrix-free."""
+        x = x.reshape(self.grid.shape)
         c = self._inv2h2
-        if g.d == 1:
-            out = out + 2.0 * c * x
-            out[1:] -= c * x[:-1]
-            out[:-1] -= c * x[1:]
-        else:
-            out = out + 4.0 * c * x
-            out[1:, :] -= c * x[:-1, :]
-            out[:-1, :] -= c * x[1:, :]
-            out[:, 1:] -= c * x[:, :-1]
-            out[:, :-1] -= c * x[:, 1:]
+        out = self.V * x + 2.0 * c * x
+        out[1:] -= c * x[:-1]
+        out[:-1] -= c * x[1:]
         return out
 
-    # -- assembled matrices --------------------------------------------------
     def tridiag(self):
-        """(diagonal, off-diagonal) of the d=1 matrix."""
-        if self.grid.d != 1:
-            raise ValueError("tridiag available only for d = 1")
-        n = self.grid.n_total
+        """(diagonal, off-diagonal) of the matrix."""
         diag = self.V + 2.0 * self._inv2h2
-        off = np.full(n - 1, -self._inv2h2)
+        off = np.full(self.grid.n_total - 1, -self._inv2h2)
         return diag, off
-
-    def _sparse(self):
-        # the d = 2 matrix for ARPACK; scipy.sparse is imported only here, so
-        # that `import fklab` never loads it
-        from scipy.sparse import diags, identity as sparse_identity, kron as sparse_kron
-
-        c = self._inv2h2
-        nx, ny = self.grid.shape
-        lap1x = diags([np.full(nx - 1, -c), np.full(nx, 2.0 * c), np.full(nx - 1, -c)],
-                      offsets=[-1, 0, 1])
-        lap1y = diags([np.full(ny - 1, -c), np.full(ny, 2.0 * c), np.full(ny - 1, -c)],
-                      offsets=[-1, 0, 1])
-        lap = sparse_kron(lap1x, sparse_identity(ny)) + sparse_kron(sparse_identity(nx), lap1y)
-        return (lap + diags(self.V.ravel())).tocsc()
 
 
 @dataclass(frozen=True)
@@ -198,24 +159,10 @@ def smallest_eigs(op: SchrodingerOperator, k: int = 1) -> EigenResult:
     if k not in (1, 2):
         raise ValueError("k must be 1 or 2")
     g = op.grid
-    if g.d == 1:
-        solver_errors = (np.linalg.LinAlgError,)
-    else:
-        # imported here, like scipy.sparse in _sparse, to keep it out of
-        # `import fklab`
-        from scipy.sparse.linalg import ArpackError, eigsh
-        solver_errors = (ArpackError, np.linalg.LinAlgError)
     try:
-        if g.d == 1:
-            lams, vecs = eigh_tridiagonal(*op.tridiag(), select="i",
-                                          select_range=(0, k - 1))
-        else:
-            # the fixed start vector makes repeated solves bit-identical
-            lams, vecs = eigsh(op._sparse(), k=k, sigma=float(np.min(op.V)) - 1.0,
-                               which="LM", v0=np.ones(g.n_total))
-            order = np.argsort(lams)
-            lams, vecs = lams[order], vecs[:, order]
-    except solver_errors as e:
+        lams, vecs = eigh_tridiagonal(*op.tridiag(), select="i",
+                                      select_range=(0, k - 1))
+    except np.linalg.LinAlgError as e:
         raise EigenSolveError(f"eigen-solve failed: {e}") from e
     if not np.all(np.isfinite(lams)):
         raise EigenSolveError("eigen-solve returned non-finite eigenvalues")
@@ -227,7 +174,7 @@ def smallest_eigs(op: SchrodingerOperator, k: int = 1) -> EigenResult:
     # Perron ground state: clip round-off negatives in the far tails
     v1 = np.where(v1 < 0, 0.0, v1)
     v1 /= np.linalg.norm(v1)
-    phi1 = GridField(g, v1.reshape(g.shape) / math.sqrt(g.h ** g.d))
+    phi1 = GridField(g, v1 / math.sqrt(g.h))
     return EigenResult(lambda1=float(lams[0]), phi1=phi1, residual1=res[0],
                        lambda2=float(lams[1]) if k == 2 else None,
                        residual2=res[1] if k == 2 else None)
@@ -273,7 +220,7 @@ def tilted_ids_draws(lambdas, tilts, params: ModelParams, grid: Grid,
                       for j in range(tilts.size)])
     log_norm = np.array([box_log_laplace(s, params, sample_box.half_widths[0])
                          for s in tilts])
-    x = grid.axis_nodes(0)
+    x = grid.nodes()
     cell = (x >= -0.5) & (x < 0.5)
     cell_volume = float(np.count_nonzero(cell)) * grid.h
     origin = DiscreteMeasure.delta(np.zeros(params.d))

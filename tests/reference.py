@@ -51,7 +51,7 @@ def exact_ids_scores(diag, off, grid: Grid, lambdas) -> np.ndarray:
     tridiagonal operator, with every eigenvalue bisected to full precision
     (LAPACK's default tolerance) and placed against the lambdas directly."""
     lambdas = np.asarray(lambdas, dtype=float)
-    x = grid.axis_nodes(0)
+    x = grid.nodes()
     cell = (x >= -0.5) & (x < 0.5)
     evs, vecs = eigh_tridiagonal(diag, off, select="v",
                                  select_range=(-np.inf, float(lambdas.max())))

@@ -133,8 +133,8 @@ def test_default_schedule_shapes():
 
 def test_batched_evolve_columns_are_independent():
     # a column of a batch evolves as it would alone
-    grid = make_grid(P, 6.0, 0.05)
-    x = grid.axis_nodes(0)
+    grid = make_grid(6.0, 0.05)
+    x = grid.nodes()
     V = 0.3 * x ** 2 + np.sin(x)
     ref = batched_evolve(grid, V[:, None], ((4.0, 0.02),))[0][:, 0]
     V2 = np.stack([V, 2.0 * V], axis=1)
@@ -150,8 +150,8 @@ def test_batched_evolve_columns_are_independent():
 
 
 def test_batched_evolve_duhamel_constant_f_is_t_times_mass():
-    grid = make_grid(P, 6.0, 0.05)
-    x = grid.axis_nodes(0)
+    grid = make_grid(6.0, 0.05)
+    x = grid.nodes()
     V = np.stack([0.3 * x ** 2, 0.1 * x ** 2 + 1.0], axis=1)
     out, (w,) = batched_evolve(grid, V, ((2.0, 0.02), (4.0, 0.05)),
                                fs=(np.ones_like(V),))
@@ -160,7 +160,7 @@ def test_batched_evolve_duhamel_constant_f_is_t_times_mass():
 
 
 def test_batched_evolve_rejects_bad_schedules():
-    grid = make_grid(P, 4.0, 0.1)
+    grid = make_grid(4.0, 0.1)
     V = np.zeros((grid.shape[0], 1))
     with pytest.raises(ValueError):
         batched_evolve(grid, V, ((4.0, 0.02), (16.0, 0.07)))
@@ -194,9 +194,9 @@ def test_retired_control_is_the_snapshot_diagonal(monkeypatch, horizons):
     # as column k of a run of the whole batch to horizons[k], in the
     # schedule's own steps, with each column stepped only until its horizon
     params = ModelParams(d=1, alpha=2.0, t=16.0)
-    grid = make_grid(params, 8.0, 0.25)
+    grid = make_grid(8.0, 0.25)
     n = grid.shape[0]
-    nodes = grid.axis_nodes(0)
+    nodes = grid.nodes()
     V = np.stack([quadratic_profile(nodes, params.with_t(t)) for t in horizons],
                  axis=1)
     plain_step = FKStepper.step
@@ -227,15 +227,15 @@ def test_retired_control_is_the_snapshot_diagonal(monkeypatch, horizons):
 
 
 def test_retired_control_rejects_a_horizon_off_the_step_lattice():
-    grid = make_grid(P, 4.0, 0.25)
+    grid = make_grid(4.0, 0.25)
     V = np.zeros((grid.shape[0], 2))
     with pytest.raises(ValueError):
         _retired_control(grid, V, (16.0, 33.03))
 
 
 def test_field_abs_quantile_half_normal_median():
-    grid = make_grid(P, 6.0, 0.05)
-    x = grid.axis_nodes(0)
+    grid = make_grid(6.0, 0.05)
+    x = grid.nodes()
     q = field_abs_quantile(x, np.exp(-x ** 2 / 2.0), 0.5)
     assert q == pytest.approx(0.674490, abs=5e-4)
     with pytest.raises(ValueError):

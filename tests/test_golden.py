@@ -59,17 +59,14 @@ def _stack() -> dict:
 
 def _kernel_bytes() -> bytes:
     """Weighted vhat_sum over 32 atoms, as tilted thinning calls it, on a row
-    count one past a block edge (1024 rows a block), in d = 1 and d = 2.  The
-    records at the sizes above never meet that row count."""
+    count one past a block edge (1024 rows a block).  The records at the
+    sizes above never meet that row count."""
     rng = np.random.default_rng(0)
     weights = rng.random(32)
     weights /= weights.sum()
-    out = []
-    for d in (1, 2):
-        atoms = rng.normal(scale=3.0, size=(32, d))
-        x = rng.normal(scale=50.0, size=(3 * 1024 + 1, d))
-        out.append(vhat_sum(x, atoms, 2.0, weights))
-    return np.concatenate(out).tobytes()
+    atoms = rng.normal(scale=3.0, size=(32, 1))
+    x = rng.normal(scale=50.0, size=(3 * 1024 + 1, 1))
+    return vhat_sum(x, atoms, 2.0, weights).tobytes()
 
 
 def _potential_bytes() -> bytes:

@@ -1,8 +1,9 @@
 """Imports: importing fklab stays light (scipy.integrate and scipy.optimize,
 which together cost about a quarter of a second at start-up, are never
-loaded, nor are scipy.sparse and its ARPACK solver, which only the d = 2
-eigen-solve uses), no fklab module imports a name it does not use, and
-fklab exports nothing that only the tests read."""
+loaded, nor is scipy.sparse), no fklab module names scipy.sparse or its
+ARPACK solver at all, so LAPACK's tridiagonal solve stays the one
+eigen-solver, no fklab module imports a name it does not use, and fklab
+exports nothing that only the tests read."""
 
 import ast
 import os
@@ -23,6 +24,15 @@ def test_import_leaves_out_integrate_and_optimize():
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_no_second_eigen_solver():
+    # a lazy import inside a function escapes the check above, which sees
+    # only what `import fklab` loads, so read the sources
+    named = sorted((path.name, word) for path in Path(fklab.__file__).parent.glob("*.py")
+                   for word in ("scipy.sparse", "eigsh", "ArpackError")
+                   if word in path.read_text())
+    assert named == []
 
 
 def _unused_imports(source: str) -> list:

@@ -17,6 +17,7 @@ from fklab.potential import (
     field_deviation,
     find_local_min,
 )
+from fklab.spectral import Grid
 
 P12 = ModelParams(d=1, alpha=2.0, t=16.0)
 
@@ -197,25 +198,32 @@ def test_profile_deviation_constant_invariance():
     assert d_comp == pytest.approx(d_plain, abs=5e-4)
 
 
-def test_evaluate_V_2d():
+@pytest.mark.parametrize("layer", ["Grid", "vhat_sum", "evaluate_V", "sample_tilted"])
+def test_d1_layers_refuse_d2_input(layer):
+    # each would read d = 2 input by its first coordinate and give wrong
+    # numbers, so it refuses it at its entry
     params = ModelParams(d=2, alpha=3.0, t=1.0)
-    box = Box.cube(2, 10.0)
-    cfg = PointConfig(np.array([[3.0, 4.0], [0.0, 0.5]]), box)
-    view = PotentialView(cfg, params)
-    v = evaluate_V(view, np.array([[0.0, 0.0]]))[0]
-    assert v == pytest.approx(5.0 ** -3 + 1.0, rel=1e-12)
+    box = Box.cube(2, 4.0)
+    pts = np.array([[3.0, 4.0], [0.0, 0.5]])
+    calls = {
+        "Grid": lambda: Grid(box, 0.5),
+        "vhat_sum": lambda: model.vhat_sum(np.zeros((1, 2)), pts, 3.0),
+        "evaluate_V": lambda: evaluate_V(PotentialView(PointConfig(pts, box), params),
+                                         np.zeros((1, 2))),
+        "sample_tilted": lambda: sample_tilted(DiscreteMeasure.delta(np.zeros(2)),
+                                               params, box, 0),
+    }
+    with pytest.raises(ValueError, match=f"{layer} is 1-d, got d = 2"):
+        calls[layer]()
 
 
-@pytest.mark.parametrize("d", [1, 2])
-def test_blocked_evaluate_V_equals_one_block(d, monkeypatch):
-    # 2000 points make blocks of 16: of rows in d = 2, where 301 nodes span
-    # 19 blocks, and of cells' moments in d = 1, where they span 57 cells
-    params = ModelParams(d=d, alpha=d + 0.5, t=1.0)
-    radius = 1000.0 if d == 1 else 22.37
-    cfg = sample_homogeneous(Box.cube(d, radius), 1.0, seed=4)
+def test_blocked_evaluate_V_equals_one_block(monkeypatch):
+    # 2000 points make blocks of 16 cells' moments, and 301 nodes span 57
+    # cells
+    params = ModelParams(d=1, alpha=1.5, t=1.0)
+    cfg = sample_homogeneous(Box.cube(1, 1000.0), 1.0, seed=4)
     assert 1900 < cfg.n < 2100
-    reach = 900.0 if d == 1 else 10.0
-    x = np.random.default_rng(0).uniform(-reach, reach, (301, d))
+    x = np.random.default_rng(0).uniform(-900.0, 900.0, (301, 1))
     blocked = evaluate_V(PotentialView(cfg, params, compensate=True), x)
     monkeypatch.setattr(model, "PAIR_BLOCK", 2 ** 60)
     # a fresh view: the first one keeps the moments built in blocks
@@ -253,22 +261,6 @@ def test_evaluate_V_d1_does_not_depend_on_the_batch():
     one_by_one = np.array([evaluate_V(view, x[i, 0]) for i in perm])
     assert np.array_equal(shuffled, one_by_one)
     assert np.array_equal(shuffled, evaluate_V(view, x)[perm])
-
-
-def test_evaluate_V_d2_compensation_is_each_points_own_bound():
-    # compensation in d = 2 adds far_field_bound at each point's own margin,
-    # so a compensated value does not depend on the batch either
-    params = ModelParams(d=2, alpha=2.5, t=1.0)
-    cfg = sample_homogeneous(Box.cube(2, 12.0), 1.0, seed=8)
-    x = np.random.default_rng(2).uniform(-10.0, 10.0, (40, 2))
-    view = PotentialView(cfg, params, compensate=True)
-    batch = evaluate_V(view, x)
-    perm = np.random.default_rng(3).permutation(x.shape[0])
-    assert np.array_equal(evaluate_V(view, x[perm]), batch[perm])
-    assert np.array_equal([evaluate_V(view, x[i]) for i in perm], batch[perm])
-    margin = 12.0 - np.abs(x).max(axis=1)
-    want = evaluate_V(PotentialView(cfg, params), x) + [far_field_bound(params, r) for r in margin]
-    np.testing.assert_allclose(batch, want, rtol=1e-13)
 
 
 def test_view_builds_each_cells_moments_once(monkeypatch):

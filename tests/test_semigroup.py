@@ -63,7 +63,7 @@ def test_heat_kernel_matches_gaussian():
     g = grid_1d(6.0, 0.01)
     t = 0.25
     u = evolve(g, np.zeros(g.shape), t, 1e-3)[0]
-    x = g.axis_nodes(0)
+    x = g.nodes()
     gauss = np.exp(-x ** 2 / (2.0 * t)) / math.sqrt(2.0 * math.pi * t)
     assert float(np.max(np.abs(u - gauss))) < 1e-4
     assert g.integrate(u) == pytest.approx(1.0, abs=1e-8)
@@ -81,7 +81,7 @@ def test_constant_potential_factorizes():
 
 def test_strang_splitting_is_second_order():
     g = grid_1d(4.0, 0.02)
-    x = g.axis_nodes(0)
+    x = g.nodes()
     t = 0.5
 
     def mass_at(dt):
@@ -98,7 +98,7 @@ def _localization_grids():
     defaults = {k: p.default for k, p in
                 inspect.signature(run_localization).parameters.items()}
     radii = [*defaults["L_ladder"], defaults["full_radius"]]
-    return [make_grid(P12, r, defaults["h"]) for r in radii]
+    return [make_grid(r, defaults["h"]) for r in radii]
 
 
 def _scipy_heat(u, mult):
@@ -176,7 +176,7 @@ def test_mass_growth_raises_instability(monkeypatch):
 
     monkeypatch.setattr(FKStepper, "step", leaky_step)
     g = grid_1d(4.0, 0.05)
-    x = g.axis_nodes(0)
+    x = g.nodes()
     V_cols = 0.01 * np.stack([x ** 2] * 4, axis=1)
     with pytest.raises(FKInstabilityError, match=r"column 2: .* by t = 0\.8 "):
         batched_evolve(g, V_cols, ((1.0, 0.05),))
@@ -200,7 +200,7 @@ def test_instability_in_a_later_link_names_absolute_time(monkeypatch):
 
     monkeypatch.setattr(FKStepper, "step", leaky_after_first_link)
     g = grid_1d(4.0, 0.05)
-    x = g.axis_nodes(0)
+    x = g.nodes()
     V_cols = 0.01 * np.stack([x ** 2] * 3, axis=1)
     # link 1 runs all three columns to t = 1; link 2 runs columns 1 and 2,
     # and the mass check at its 16th step sees column 2 grow
@@ -214,10 +214,10 @@ def test_mass_below_round_off_may_wobble_without_raising():
     # -2.6e-24, far below 64 eps of its starting 8, where round-off moves it
     # up by 3%; that is not growth under V >= 0
     params = ModelParams(1, 2.0, 16.0)
-    grid = make_grid(params, 16.0, 0.125)
+    grid = make_grid(16.0, 0.125)
     cfg = sample_homogeneous(Box.cube(1, 46.0), 1.0, 3, path=(16, 91))
     view = PotentialView(cfg, params)
-    V = evaluate_V(view, grid.axis_nodes(0)[:, None])
+    V = evaluate_V(view, grid.nodes()[:, None])
     u, _ = batched_evolve(grid, V[:, None], ((16.0, 0.005),))
     assert abs(u.sum()) < 64.0 * np.finfo(float).eps / grid.h
 
@@ -236,7 +236,7 @@ def test_positivity_and_mass_decay():
 
 def test_monotone_in_potential():
     g = grid_1d(4.0, 0.05)
-    x = g.axis_nodes(0)
+    x = g.nodes()
     V = np.abs(np.sin(x))
     W = V + 0.3 * np.exp(-x ** 2)
     uv = evolve(g, V, 0.5, 1e-3)[0]
@@ -279,7 +279,7 @@ def test_occupation_constant_f_is_exact():
 
 def test_occupation_odd_f_vanishes_by_symmetry():
     g = grid_1d(4.0, 0.05)
-    x = g.axis_nodes(0)
+    x = g.nodes()
     u, (wx,) = evolve(g, x ** 2, 1.0, 1e-3, fs=(x[:, None],))
     assert abs(g.integrate(wx)) < 1e-12 * g.integrate(u)
 
@@ -289,7 +289,7 @@ def test_occupation_second_moment_matches_ou():
     # stationary ground-state measure: second moment 1/(2 theta)
     c = constants(P12).C
     g = grid_1d(3.0, 0.02)
-    x = g.axis_nodes(0)
+    x = g.nodes()
     t = 24.0
     u, (wx2,) = evolve(g, c * x ** 2, t, 2e-3, fs=((x ** 2)[:, None],))
     second = g.integrate(wx2) / (t * g.integrate(u))
@@ -321,7 +321,7 @@ def test_time_marginal_free_motion():
     V = np.zeros((g.shape[0], 1))
     schedule = ((1.0, 1e-3),)
     marg = time_marginal(g, V, schedule, [0.5])
-    x = g.axis_nodes(0)
+    x = g.nodes()
     dens = marg[0.5][:, 0]
     assert np.sum(dens) * 0.02 == pytest.approx(1.0, rel=1e-10)
     mean = np.sum(x * dens) * 0.02
@@ -358,7 +358,7 @@ MARGINAL_TIMES = [2.2, 0.5, 1.0, 2.0, 0.5]
 
 def _marginal_problem():
     g = grid_1d(3.0, 0.05)
-    x = g.axis_nodes(0)
+    x = g.nodes()
     rng = np.random.default_rng(4)
     V = np.stack([0.5 * x ** 2, np.abs(np.sin(3.0 * x)), rng.uniform(0, 2, x.size)],
                  axis=1)
@@ -416,7 +416,7 @@ def test_time_marginal_instability_names_time_since_zero(monkeypatch):
 
     monkeypatch.setattr(FKStepper, "step", leaky_after_first_link)
     g = grid_1d(4.0, 0.05)
-    V = 0.01 * np.stack([g.axis_nodes(0) ** 2] * 3, axis=1)
+    V = 0.01 * np.stack([g.nodes() ** 2] * 3, axis=1)
     with pytest.raises(FKInstabilityError, match=r"column 1: .* by t = 1\.3 ") as e:
         time_marginal(g, V, ((2.0, 0.05),), [0.5, 1.5])
     assert (e.value.column, e.value.t) == (1, pytest.approx(1.3))
@@ -452,12 +452,12 @@ def _homogeneous_columns(grid, n, seed):
     cfg_box = Box.cube(1, grid.box.half_widths[0] + 30.0)
     views = [_compensated(sample_homogeneous(cfg_box, 1.0, seed, path=(r,)), P12)
              for r in range(n)]
-    return _columns(views, grid.axis_nodes(0))
+    return _columns(views, grid.nodes())
 
 
 def test_annealed_partition_deterministic_and_above_strategy_bound():
     t = 2.0
-    grid = make_grid(P12, 4.0, 0.1)
+    grid = make_grid(4.0, 0.1)
 
     def estimate():
         u, _ = batched_evolve(grid, _homogeneous_columns(grid, 12, 55), ((t, 1e-2),))
@@ -475,14 +475,14 @@ def test_confinement_ratio_monotone_in_L():
     # box, on the same environments, cut out of the full grid as
     # run_localization cuts its sub-boxes
     h, t = 0.1, 4.0
-    full = make_grid(P12, 6.0, h)
-    nodes = full.axis_nodes(0)
+    full = make_grid(6.0, h)
+    nodes = full.nodes()
     V = _homogeneous_columns(full, 6, 61)
     schedule = ((t, 1e-2),)
     den = column_masses(full, batched_evolve(full, V, schedule)[0])
     q = {}
     for L in (2.0, 4.0, 6.0):
-        sub = make_grid(P12, L, h)
+        sub = make_grid(L, h)
         u, _ = batched_evolve(sub, V[np.abs(nodes) < L - 0.5 * h], schedule)
         q[L] = column_masses(sub, u) / den
     assert np.all((0.0 < q[2.0]) & (q[2.0] < q[4.0]) & (q[4.0] <= 1.0 + 1e-12))
@@ -501,10 +501,9 @@ def test_spec_guards():
     with pytest.raises(ValueError, match="dt must be positive"):
         FKStepper(g, np.zeros(g.shape), 0.0)
     # a 2-d V would broadcast against the 1-d multiplier and diffuse along
-    # x only, so the stepper refuses a 2-d grid
-    g2 = Grid(Box.cube(2, 1.0), 0.1)
-    with pytest.raises(ValueError, match="1-d only"):
-        FKStepper(g2, np.zeros(g2.shape), 0.01)
+    # x only; no stepper meets one, since grids refuse a 2-d box
+    with pytest.raises(ValueError, match="Grid is 1-d, got d = 2"):
+        Grid(Box.cube(2, 1.0), 0.1)
     with pytest.raises(ValueError):
         evolve(g, np.zeros(g.shape), 1.0, 0.3)  # dt does not divide t
     with pytest.raises(ValueError):   # a time off the step lattice
@@ -515,10 +514,9 @@ def test_fields_and_radius_defaults():
     # the default initial field is a unit-mass delta at the origin, per column
     g = grid_1d(2.0, 0.1)
     delta = np.zeros((g.shape[0], 2))
-    delta[np.argmin(np.abs(g.axis_nodes(0)))] = 1.0 / g.h
+    delta[np.argmin(np.abs(g.nodes()))] = 1.0 / g.h
     np.testing.assert_allclose(column_masses(g, delta), 1.0, rtol=1e-12)
-    V = np.stack([g.axis_nodes(0) ** 2, np.ones(g.shape[0])], axis=1)
+    V = np.stack([g.nodes() ** 2, np.ones(g.shape[0])], axis=1)
     assert np.array_equal(batched_evolve(g, V, ((0.1, 0.1),))[0],
                           batched_evolve(g, V, ((0.1, 0.1),), initial=delta)[0])
-    p2 = ModelParams(d=1, alpha=2.0, t=1024.0)
-    assert make_grid(p2, 10.0, 0.25).box.half_widths[0] == pytest.approx(10.0)
+    assert make_grid(10.0, 0.25).box.half_widths[0] == pytest.approx(10.0)

@@ -4,9 +4,7 @@ import math
 
 import numpy as np
 import pytest
-import scipy.sparse.linalg
 from scipy.linalg import eigh, eigh_tridiagonal
-from scipy.sparse.linalg import ArpackNoConvergence
 
 import fklab.spectral
 from fklab.model import ModelParams, constants, vhat_sum
@@ -41,7 +39,8 @@ def zero_field(grid):
 def test_grid_invariants():
     g = grid_1d(2.0, 0.5)
     assert g.shape == (7,)
-    nodes = g.axis_nodes(0)
+    nodes = g.nodes()
+    assert nodes.shape == (7,)
     assert nodes[0] == pytest.approx(-1.5)
     assert nodes[-1] == pytest.approx(1.5)
     assert g.integrate(np.ones(g.shape)) == pytest.approx(3.5)
@@ -49,9 +48,8 @@ def test_grid_invariants():
         Grid(Box.cube(1, 1.0), 0.3)  # width not a multiple of h
     with pytest.raises(ValueError):
         Grid(Box.cube(1, 0.25), 0.5)  # no interior nodes
-    g2 = Grid(Box.cube(2, 1.0), 0.25)
-    assert g2.shape == (7, 7)
-    assert g2.nodes().shape == (7, 7, 2)
+    with pytest.raises(ValueError, match="Grid is 1-d, got d = 2"):
+        Grid(Box.cube(2, 1.0), 0.25)
 
 
 def test_grid_field_guards():
@@ -88,7 +86,7 @@ def test_harmonic_oscillator_matches_a2():
     # V = C|x|^2 has ground energy a2 = sqrt(C/2) and gap sqrt(2C)
     c = constants(P12)
     g = grid_1d(6.0, 0.01)
-    V = GridField(g, c.C * g.axis_nodes(0) ** 2)
+    V = GridField(g, c.C * g.nodes() ** 2)
     res = smallest_eigs(SchrodingerOperator(V), k=2)
     assert res.lambda1 == pytest.approx(c.a2, rel=1e-3)
     assert res.lambda2 - res.lambda1 == pytest.approx(math.sqrt(2.0 * c.C), rel=1e-3)
@@ -119,7 +117,7 @@ def test_potential_monotonicity_of_lambda1():
     g = grid_1d(4.0, 0.05)
     cfg = sample_homogeneous(Box.cube(1, 4.0), 1.0, seed=5)
     V = GridField(g, vhat_sum(g.nodes()[:, None], cfg.points, P12.alpha))
-    bump = GridField(g, V.values + 0.5 * np.exp(-g.axis_nodes(0) ** 2))
+    bump = GridField(g, V.values + 0.5 * np.exp(-g.nodes() ** 2))
     lam_lo = smallest_eigs(SchrodingerOperator(V)).lambda1
     lam_hi = smallest_eigs(SchrodingerOperator(bump)).lambda1
     assert lam_hi > lam_lo
@@ -181,24 +179,24 @@ def test_smallest_eigs_near_degenerate_second_pair():
     assert res.residual1 <= 1e-8 and res.residual2 <= 1e-8
 
 
-def test_smallest_eigs_2d_is_deterministic():
-    # ARPACK draws a random start vector unless given one; a fixed one makes
-    # two solves of one non-separable operator bit-identical
-    g = Grid(Box.cube(2, 6.0), 0.1)
-    x = g.nodes()
-    V = GridField(g, 0.7 * np.sum(x ** 2, axis=-1) + 0.3 * np.cos(3.0 * x[..., 0]))
-    first = smallest_eigs(SchrodingerOperator(V), k=1)
-    second = smallest_eigs(SchrodingerOperator(V), k=1)
-    assert first.lambda1 == second.lambda1
-    assert np.array_equal(first.phi1.values, second.phi1.values)
-    assert first.residual1 <= 1e-8
-
-
 def test_2d_operator_ground_state():
-    # product box (-pi/2, pi/2)^2 with V = 0: lambda1 = 0.5 + 0.5
-    g = Grid(Box.cube(2, math.pi / 2.0), math.pi / 64.0)
-    res = smallest_eigs(SchrodingerOperator(GridField(g, np.zeros(g.shape))), k=1)
-    assert res.lambda1 == pytest.approx(1.0, rel=1e-3)
+    # On a square grid the 2-d operator with V(x, y) = v(x) + v(y) is the
+    # Kronecker sum A (x) I + I (x) A of the 1-d one, whose lowest eigenvalue
+    # is 2 lambda1(A): run_constants' d = 2 oscillator check rests on that.
+    # Inputs: the oscillator C |x|^2 at alpha = 2.5 and 3.5 (d = 2), and V = 0
+    # on (-pi/2, pi/2)^2, where lambda1 = 0.5 + 0.5.
+    cases = [(Grid(Box.cube(1, 3.25), 0.25),
+              constants(ModelParams(d=2, alpha=a, t=1.0)).C) for a in (2.5, 3.5)]
+    cases.append((Grid(Box.cube(1, math.pi / 2.0), math.pi / 26.0), 0.0))
+    for g, C in cases:
+        op = SchrodingerOperator(GridField(g, C * g.nodes() ** 2))
+        assert g.n_total == 25
+        A, eye = dense_1d(op), np.eye(g.n_total)
+        K = np.kron(A, eye) + np.kron(eye, A)
+        want = 2.0 * smallest_eigs(op).lambda1
+        assert np.linalg.eigvalsh(K)[0] == pytest.approx(want, rel=1e-12)
+        if C == 0.0:
+            assert want == pytest.approx(1.0, rel=2e-3)
 
 
 def test_ids_monotone_and_positive():
@@ -281,7 +279,7 @@ def test_ids_placement_near_an_eigenvalue_is_exact(monkeypatch):
     select = {"select": "v", "select_range": (-np.inf, top)}
     exact, vecs = eigh_tridiagonal(diag, off, **select)
     coarse, _ = eigh_tridiagonal(diag, off, tol=_IDS_EIG_TOL, **select)
-    x = IDS_GRID.axis_nodes(0)
+    x = IDS_GRID.nodes()
     k = int(np.argmax(np.sum(vecs[(x >= -0.5) & (x < 0.5)] ** 2, axis=0)))
     assert 0.0 < abs(coarse[k] - exact[k]) <= _IDS_EIG_TOL / 2
     lam = 0.5 * (exact[k] + coarse[k])
@@ -334,24 +332,19 @@ def test_eigs_input_guards():
         smallest_eigs(op, k=3)
 
 
-@pytest.mark.parametrize("d", [1, 2])
-def test_solver_failures_raise_eigen_solve_error(monkeypatch, d):
+@pytest.mark.parametrize("k", [1, 2])
+def test_solver_failures_raise_eigen_solve_error(monkeypatch, k):
     # the CLI reports EigenSolveError as a numerical failure; a bare LAPACK
-    # or ARPACK exception would escape as a traceback
-    op = SchrodingerOperator(zero_field(Grid(Box.cube(d, 1.0), 0.25)))
-    # smallest_eigs imports eigsh from scipy.sparse.linalg when it is called
-    module = fklab.spectral if d == 1 else scipy.sparse.linalg
-    name = "eigh_tridiagonal" if d == 1 else "eigsh"
+    # exception would escape as a traceback
+    op = SchrodingerOperator(zero_field(grid_1d(1.0, 0.25)))
 
     def breaks(*args, **kwargs):
-        if d == 1:
-            raise np.linalg.LinAlgError("eigenvectors failed to converge")
-        raise ArpackNoConvergence("no convergence", np.empty(0), np.empty((0, 0)))
+        raise np.linalg.LinAlgError("eigenvectors failed to converge")
 
     def non_finite(*args, **kwargs):
-        return np.array([np.nan]), np.ones((op.grid.n_total, 1))
+        return np.full(k, np.nan), np.ones((op.grid.n_total, k))
 
     for fake in (breaks, non_finite):
-        monkeypatch.setattr(module, name, fake)
+        monkeypatch.setattr(fklab.spectral, "eigh_tridiagonal", fake)
         with pytest.raises(EigenSolveError):
-            smallest_eigs(op, k=1)
+            smallest_eigs(op, k=k)
