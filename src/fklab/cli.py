@@ -174,11 +174,11 @@ def _plan(sc, cfg: dict, strict: bool) -> tuple[dict, dict, dict]:
                                     rel_tol=cfg.get("quad_rel", 1e-8))
     merged = {k: p.default for k, p in declared.items()
               if p.default is not p.empty} | kw
-    d, n = merged.get("d"), merged.get("n_samples")
+    d, n = merged.get("d", 1), merged.get("n_samples")
     bad = [a for a in merged.get("alphas", (merged.get("alpha"),))
-           if None not in (a, d) and not d < a < d + 2]
-    if d is not None and d not in sc.dims:
-        why = f"runs only in d = {' or '.join(map(str, sc.dims))}, got d = {d}"
+           if a is not None and not d < a < d + 2]
+    if d not in (1, 2):     # only constants and mgf take d; the others run in d = 1
+        why = f"runs only in d = 1 or 2, got d = {d}"
     elif n is not None and n < sc.min_samples:
         why = f"n_samples must be at least {sc.min_samples}, got {n}"
     elif bad:
@@ -238,7 +238,7 @@ def _run_one(sc, kw: dict, taken: dict, merged: dict, cfg: dict,
         record = _record(sc.key, None, merged.get("seed", 0),
                          merged.get("n_samples", 0), {},
                          [_chk("run_completed", False, note=failure)],
-                         d=merged.get("d"), alpha=merged.get("alpha"))
+                         d=merged.get("d", 1), alpha=merged.get("alpha"))
     settings = {**record.settings, "resolved_cli": taken}
     record = dataclasses.replace(
         record, settings=settings,

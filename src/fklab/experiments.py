@@ -11,8 +11,8 @@ the Monte Carlo; a scenario whose control fails aborts with the distinct
 status "control_failed" and its MC output is not interpreted.
 
 DECLARED states once, per scenario, what the CLI accepts, runs and reports:
-its name, runner, the d values and least n_samples it runs with, its
-parameter renames, its summary lines and its plot.
+its name, runner, the least n_samples it runs with, its parameter renames,
+its summary lines and its plot.  Only constants and mgf take d; the rest are 1-d.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from .model import (
     spectral_gap,
     vhat_sum,
 )
-from .points import Box, DiscreteMeasure, sample_homogeneous, sample_tilted
+from .points import Box, DiscreteMeasure, sample_homogeneous, sample_tilted, tilt_acceptance
 from .potential import PotentialView, evaluate_V, field_deviation, find_local_min
 from .laplace import (
     QuadratureSpec,
@@ -318,6 +318,20 @@ def _tilted_minima(params: ModelParams, box: Box, search: Box, seed,
                             for view in views])
 
 
+# One-value sizes of the runners; each record states its own in its settings.
+LAPLACE_TWO_POINT_T = 1e4                       # horizon of the pair bound
+LAPLACE_SEPARATIONS = (1.0, 2.0, 5.0, 10.0, 20.0)
+IDS_BOX_SIZE = 40.0                             # least box side of the IDS
+LOCALIZATION_FULL_RADIUS = 96.0                 # full grid of localization
+LOCALIZATION_CONFIG_MARGIN = 60.0   # environments reach this far past a grid
+LEMMA5_CONFIG_MARGIN = 30.0
+CONFINEMENT_EPS = 0.25      # a minimizer within eps r(t) is near the center
+OCCUPATION_EPS = 0.25       # a barycenter within eps r(t) tracks the minimum
+TAIL_VAR_FRACTION = 0.01    # far-field share of Var V(0) local_min's box omits
+OU_T = 1.0                  # horizon of the rescaled kernel
+OU_Y_RADIUS = 5.0           # radius of its y grid
+
+
 # ---------------------------------------------------------------------------
 # closed-form and quadrature scenarios
 
@@ -387,20 +401,19 @@ def run_mgf(d: int = 1, alphas=(1.5, 2.0, 2.5), s_grid=(1e2, 1e3, 1e4),
                    tables={"errors": rows}, d=d, alpha=float(alphas[0]))
 
 
-def run_laplace(d: int = 1, alpha: float = 2.0, t: float = 1e6,
-                two_point_t: float = 1e4, separations=(1.0, 2.0, 5.0, 10.0, 20.0),
+def run_laplace(alpha: float = 2.0, t: float = 1e6,
                 quad: QuadratureSpec = QuadratureSpec()) -> RunRecord:
     """Two-atom Laplace functional: second-order residual recovers C, and the
     pair bound with c1 = C/5 holds with positive margin over a separation sweep."""
-    params = ModelParams(d=d, alpha=alpha, t=t)
+    params = ModelParams(1, alpha, t)
     c = constants(params)
-    settings = {"t": t, "two_point_t": two_point_t,
-                "separations": list(separations),
+    settings = {"t": t, "two_point_t": LAPLACE_TWO_POINT_T,
+                "separations": list(LAPLACE_SEPARATIONS),
                 "quad_abs": quad.abs_tol, "quad_rel": quad.rel_tol}
     mu = DiscreteMeasure(np.array([[-1.0], [1.0]]), np.array([0.5, 0.5]))
     val = exact_log_laplace(mu, params, quad, t)
-    residual = (val - c.a1 * t ** (d / alpha)) \
-        / (t ** ((d - 2.0) / alpha) * mu.second_moment)
+    residual = (val - c.a1 * t ** (params.d / alpha)) \
+        / (t ** ((params.d - 2.0) / alpha) * mu.second_moment)
     rel = abs(residual - c.C) / c.C
     checks = [_chk("residual_ratio_C", rel <= 0.05, observed=residual,
                    target=c.C, tol=0.05)]
@@ -408,9 +421,9 @@ def run_laplace(d: int = 1, alpha: float = 2.0, t: float = 1e6,
     rows = []
     margins_increasing = True
     prev = -math.inf
-    for sep in separations:
+    for sep in LAPLACE_SEPARATIONS:
         rep = two_point_bound_check([-0.5 * sep], [0.5 * sep], params, quad,
-                                    t=two_point_t)
+                                    t=LAPLACE_TWO_POINT_T)
         checks.append(_chk(f"two_point_margin_sep{sep:g}", rep.margin > 0,
                            observed=rep.margin, target=0.0, tol=None,
                            note="margin of the c1 = C/5 pair bound"))
@@ -424,15 +437,13 @@ def run_laplace(d: int = 1, alpha: float = 2.0, t: float = 1e6,
                    estimates=estimates, tables={"two_point": rows})
 
 
-def run_spectrum(d: int = 1, alpha: float = 2.0, t: float = 100.0,
-                 n_samples: int = 3, seed: int = 0, h: float = 0.05,
-                 box_radius: float | None = None) -> RunRecord:
+def run_spectrum(alpha: float = 2.0, t: float = 100.0, n_samples: int = 3,
+                 seed: int = 0, h: float = 0.05) -> RunRecord:
     """Principal eigenpair diagnostics for sampled configurations, gated by
     the oscillator control (lambda1 = a2 within 1e-3)."""
-    params = ModelParams(d=d, alpha=alpha, t=t)
+    params = ModelParams(1, alpha, t)
     c = constants(params)
-    if box_radius is None:
-        box_radius = min(40.0, 4.0 * scale_r(params) * math.log(max(t, math.e)))
+    box_radius = min(40.0, 4.0 * scale_r(params) * math.log(max(t, math.e)))
     settings = {"h": h, "box_radius": box_radius, "n_samples": n_samples}
     sigma = math.sqrt(1.0 / math.sqrt(8.0 * c.C))
     ctrl_grid = make_grid(10.0 * sigma, 0.01)
@@ -453,7 +464,7 @@ def run_spectrum(d: int = 1, alpha: float = 2.0, t: float = 100.0,
     rows = []
     ok_order = ok_resid = True
     for r in range(n_samples):
-        cfg = sample_homogeneous(Box.cube(d, grid.box.half_widths[0] + 30.0),
+        cfg = sample_homogeneous(Box.cube(params.d, grid.box.half_widths[0] + 30.0),
                                  1.0, seed, path=(r,))
         Vv = _columns([_compensated(cfg, params)], grid.nodes())[:, 0]
         res = smallest_eigs(SchrodingerOperator(GridField(grid, Vv)), k=2)
@@ -471,26 +482,28 @@ def run_spectrum(d: int = 1, alpha: float = 2.0, t: float = 100.0,
 # ---------------------------------------------------------------------------
 # integrated density of states / Lifshitz tail
 
-def run_ids(d: int = 1, alpha: float = 1.5, lambda_grid=(0.4, 0.56, 0.72, 0.88, 1.04, 1.2),
-            box_size: float = 40.0, n_samples: int = 1000, seed: int = 0,
-            h: float = 0.25) -> RunRecord:
+def run_ids(alpha: float = 1.5, lambda_grid=(0.4, 0.56, 0.72, 0.88, 1.04, 1.2),
+            n_samples: int = 1000, seed: int = 0, h: float = 0.25) -> RunRecord:
     """Lifshitz-tail slope: fit of log(-log N(lambda)) vs log(1/lambda)
     against d/(alpha - d), judged on the primary window.
 
     N(lambda) comes from the importance-sampled ids_estimate, which sizes
-    its boxes from the steepest tilt and never below box_size.  A diagnostic
+    its boxes from the steepest tilt and never below IDS_BOX_SIZE.  A diagnostic
     fit on a larger-lambda auxiliary window is recorded without a verdict:
     it sits outside the asymptotic regime.
     """
-    params = ModelParams(d=d, alpha=alpha, t=1.0)
-    target = d / (alpha - d)
+    params = ModelParams(1, alpha, 1.0)
+    target = params.d / (alpha - params.d)
     settings = {"lambda_grid": [float(x) for x in lambda_grid],
-                "box_size": box_size, "h": h, "n_samples": n_samples}
-    curve = ids_estimate(lambda_grid, params, box_size, n_samples, seed, h=h)
-    rows = [{"lambda": lam, "n_hat": nh, "ci_low": lo, "ci_high": hi}
-            for (lam, nh, lo, hi) in curve.rows()]
-    usable = [(1.0 / lam, -math.log(nh)) for (lam, nh, _, _) in curve.rows()
-              if 0.0 < nh < 1.0]
+                "box_size": IDS_BOX_SIZE, "h": h, "n_samples": n_samples}
+
+    # the N(lambda) rows of a window, and its (1/lambda, -log N) with 0 < N < 1
+    def window(lams):
+        rows = [{"lambda": lam, "n_hat": nh, "ci_low": lo, "ci_high": hi} for lam, nh, lo, hi
+                in ids_estimate(lams, params, IDS_BOX_SIZE, n_samples, seed, h=h).rows()]
+        return rows, [(1.0 / r["lambda"], -math.log(r["n_hat"])) for r in rows
+                      if 0.0 < r["n_hat"] < 1.0]
+    rows, usable = window(lambda_grid)
     checks, fits = [], []
     if len(usable) >= 3:
         f = fit_power_law(usable)
@@ -504,12 +517,7 @@ def run_ids(d: int = 1, alpha: float = 1.5, lambda_grid=(0.4, 0.56, 0.72, 0.88, 
                  f"tilted draw had spectral mass below lambda in the unit "
                  f"cell at the tilt centre, so the slope is not estimable "
                  f"at this sample size"))
-    aux_grid = (1.75, 2.0, 2.3, 2.65, 3.0)
-    aux = ids_estimate(aux_grid, params, box_size, n_samples, seed, h=h)
-    aux_rows = [{"lambda": lam, "n_hat": nh, "ci_low": lo, "ci_high": hi}
-                for (lam, nh, lo, hi) in aux.rows()]
-    aux_usable = [(1.0 / lam, -math.log(nh)) for (lam, nh, _, _) in aux.rows()
-                  if 0.0 < nh < 1.0]
+    aux_rows, aux_usable = window((1.75, 2.0, 2.3, 2.65, 3.0))
     if len(aux_usable) >= 3:
         fa = fit_power_law(aux_usable)
         fits.append(_fit("diagnostic_slope_auxiliary_window", fa, target=target,
@@ -523,24 +531,21 @@ def run_ids(d: int = 1, alpha: float = 1.5, lambda_grid=(0.4, 0.56, 0.72, 0.88, 
 # ---------------------------------------------------------------------------
 # tilted sampler diagnostics
 
-def run_tilted(d: int = 1, alpha: float = 2.0, t: float = 100.0,
-               n_samples: int = 200, seed: int = 0) -> RunRecord:
+def run_tilted(alpha: float = 2.0, t: float = 100.0, n_samples: int = 200,
+               seed: int = 0) -> RunRecord:
     """Thinning sampler against the exact mean of the tilted intensity."""
-    params = ModelParams(d=d, alpha=alpha, t=t)
+    params = ModelParams(1, alpha, t)
     mu = _mu_for(params)
     r = scale_r(params)
     box = Box.cube(1, 5.0 * r + 40.0)
     settings = {"t": t, "n_samples": n_samples, "box_radius": float(box.half_widths[0]),
                 "mu_atoms": mu.atoms.shape[0]}
     # exact expected count: integral of the acceptance over the box
-    from .points import tilt_acceptance
     ygrid = np.linspace(-box.half_widths[0], box.half_widths[0], 200001)
     acc = tilt_acceptance(ygrid[:, None], mu, params, t)
     expected = float(np.trapezoid(acc, ygrid))
-    counts = np.empty(n_samples)
-    for rep in range(n_samples):
-        cfg = sample_tilted(mu, params, box, seed, path=(rep,))
-        counts[rep] = cfg.n
+    counts = np.array([sample_tilted(mu, params, box, seed, path=(rep,)).n
+                       for rep in range(n_samples)], dtype=float)
     mean = float(counts.mean())
     se = math.sqrt(expected / n_samples)   # Poisson: Var(count) = mean intensity
     checks = [
@@ -575,13 +580,12 @@ def _subbox_ratios(grid_full: Grid, subs, V_cols: np.ndarray, horizons):
     return full, num / column_masses(grid_full, full)[None, :]
 
 
-def run_localization(d: int = 1, alpha: float = 2.0,
+def run_localization(alpha: float = 2.0,
                      t_ladder=(16.0, 32.0, 64.0, 128.0, 256.0, 512.0, 1024.0),
                      L_ladder=(2.0, 3.0, 4.0, 6.0, 8.0, 12.0, 16.0, 24.0,
                                32.0, 48.0, 64.0),
-                     full_radius: float = 96.0, n_samples: int = 200,
-                     seed: int = 0, h: float = 0.25,
-                     config_margin: float = 60.0) -> RunRecord:
+                     n_samples: int = 200, seed: int = 0,
+                     h: float = 0.25) -> RunRecord:
     """Median confinement radius L*(t) (annealed sup-norm localization) and
     its fitted growth exponent against (alpha - d + 2)/(4 alpha).
 
@@ -592,16 +596,16 @@ def run_localization(d: int = 1, alpha: float = 2.0,
     also recorded (no verdict) and runs systematically above the target
     because the running maximum adds a slowly varying factor.
     """
-    params0 = ModelParams(d=d, alpha=alpha, t=float(t_ladder[0]))
-    target = (alpha - d + 2.0) / (4.0 * alpha)
+    params0 = ModelParams(1, alpha, float(t_ladder[0]))
+    target = (alpha - params0.d + 2.0) / (4.0 * alpha)
     t_ladder = [float(t) for t in t_ladder]
     L_ladder = [float(L) for L in L_ladder]
     t_max = max(t_ladder)
-    settings = {"t_ladder": t_ladder, "L_ladder": L_ladder,
-                "full_radius": full_radius, "h": h, "n_samples": n_samples,
-                "config_margin": config_margin,
+    settings = {"t_ladder": t_ladder, "L_ladder": L_ladder, "h": h,
+                "full_radius": LOCALIZATION_FULL_RADIUS, "n_samples": n_samples,
+                "config_margin": LOCALIZATION_CONFIG_MARGIN,
                 "schedule": [list(s) for s in default_schedule(t_max)]}
-    grid_full = make_grid(full_radius, h)
+    grid_full = make_grid(LOCALIZATION_FULL_RADIUS, h)
     nodes = grid_full.nodes()
 
     # --- control: per-horizon quadratic wells as columns, each evolved to
@@ -647,7 +651,7 @@ def run_localization(d: int = 1, alpha: float = 2.0,
     # tilted intensity is the environment marginal the weighted path measure
     # concentrates on); the judged statistic is the per-config median radius,
     # which no single heavy configuration can dominate
-    cfg_box = Box.cube(1, grid_full.box.half_widths[0] + config_margin)
+    cfg_box = Box.cube(1, grid_full.box.half_widths[0] + LOCALIZATION_CONFIG_MARGIN)
     La = np.array(L_ladder)
     conf_rows, radius_rows, mc_pts, mc_w = [], [], [], []
     censored_any = 0
@@ -708,9 +712,8 @@ def run_localization(d: int = 1, alpha: float = 2.0,
 # ---------------------------------------------------------------------------
 # confinement of the potential profile around the local minimum
 
-def run_confinement(d: int = 1, alpha: float = 2.0,
-                    t_ladder=(1e2, 1e3, 1e4), n_samples: int = 100,
-                    seed: int = 0, eps: float = 0.25) -> RunRecord:
+def run_confinement(alpha: float = 2.0, t_ladder=(1e2, 1e3, 1e4),
+                    n_samples: int = 100, seed: int = 0) -> RunRecord:
     """Quadratic-profile deviation around the found minimum under the tilted
     environment law: the scaled deviation median decreases along the ladder
     and the minimizer stays near the tilt center.
@@ -719,10 +722,10 @@ def run_confinement(d: int = 1, alpha: float = 2.0,
     same deviation evaluation returns 0 identically.
     """
     t_ladder = [float(t) for t in t_ladder]
-    expo = (alpha - d + 2.0) / (2.0 * alpha)
-    settings = {"t_ladder": t_ladder, "n_samples": n_samples, "eps": eps,
-                "scaling_exponent": expo}
-    params_top = ModelParams(d=d, alpha=alpha, t=t_ladder[-1])
+    params_top = ModelParams(1, alpha, t_ladder[-1])
+    expo = (alpha - params_top.d + 2.0) / (2.0 * alpha)
+    settings = {"t_ladder": t_ladder, "n_samples": n_samples,
+                "eps": CONFINEMENT_EPS, "scaling_exponent": expo}
     r_top = scale_r(params_top)
     ctrl_center = 0.3 * r_top
     ctrl_dev = field_deviation(
@@ -738,7 +741,7 @@ def run_confinement(d: int = 1, alpha: float = 2.0,
 
     rows, medians, estimates = [], [], []
     for ti, t in enumerate(t_ladder):
-        params = ModelParams(d=d, alpha=alpha, t=t)
+        params = params_top.with_t(t)
         r = scale_r(params)
         views, locs = _tilted_minima(params, Box.cube(1, 5.0 * r + 70.0),
                                      Box.cube(1, 2.0 * r), seed, ti, n_samples)
@@ -747,7 +750,7 @@ def run_confinement(d: int = 1, alpha: float = 2.0,
         scaled = t ** expo * devs
         med, lo, hi = _median_ci(scaled)
         medians.append(med)
-        frac_close = float(np.mean(np.abs(locs) <= eps * r))
+        frac_close = float(np.mean(np.abs(locs) <= CONFINEMENT_EPS * r))
         estimates.append(_est(f"scaled_deviation_median_t{t:g}", med,
                               ci_low=lo, ci_high=hi))
         estimates.append(_est(f"minimizer_close_fraction_t{t:g}", frac_close,
@@ -765,7 +768,7 @@ def run_confinement(d: int = 1, alpha: float = 2.0,
     # frac_close is the last rung's, the largest horizon
     checks.append(_chk("minimizer_near_center", frac_close >= 0.9,
                        observed=frac_close, target=1.0, tol=0.1,
-                       note=f"|m| <= {eps} r(t) at the largest horizon"))
+                       note=f"|m| <= {CONFINEMENT_EPS} r(t) at the largest horizon"))
     return _record("confinement", params_top, seed, n_samples, settings,
                    checks, estimates=estimates, tables={"deviation": rows})
 
@@ -773,24 +776,23 @@ def run_confinement(d: int = 1, alpha: float = 2.0,
 # ---------------------------------------------------------------------------
 # statistics of V at the local minimum under the tilted law
 
-def run_local_min_stats(d: int = 1, alpha: float = 2.0,
-                        t_ladder=(1e5, 1e6, 1e7), n_samples: int = 10000,
-                        seed: int = 0, tail_var_fraction: float = 0.01,
+def run_local_min_stats(alpha: float = 2.0, t_ladder=(1e5, 1e6, 1e7),
+                        n_samples: int = 10000, seed: int = 0,
                         quad: QuadratureSpec = QuadratureSpec()) -> RunRecord:
     """Monte Carlo law of V(center) under the tilted environment against the
     exact quadrature mean/variance, plus gaussianity of the standardized law
     at the largest horizon.
 
     The sampling box is sized so the omitted far-field variance is below
-    tail_var_fraction of the total; the omitted far-field *mean* is added
+    TAIL_VAR_FRACTION of the total; the omitted far-field *mean* is added
     back exactly (difference of the full and truncated quadrature means), so
     the MC mean estimates the full-space quantity with no truncation bias.
     """
     t_ladder = [float(t) for t in t_ladder]
     settings = {"t_ladder": t_ladder, "n_samples": n_samples,
-                "tail_var_fraction": tail_var_fraction,
+                "tail_var_fraction": TAIL_VAR_FRACTION,
                 "quad_abs": quad.abs_tol, "quad_rel": quad.rel_tol}
-    params_top = ModelParams(d=d, alpha=alpha, t=t_ladder[-1])
+    params_top = ModelParams(1, alpha, t_ladder[-1])
 
     # controls: the t = 0 tilt is the homogeneous process (sampler identity),
     # and the second-order predicted mean agrees with quadrature at the
@@ -819,11 +821,11 @@ def run_local_min_stats(d: int = 1, alpha: float = 2.0,
     rows, estimates = [], []
     skew_kurt_checked = False
     for ti, t in enumerate(t_ladder):
-        params = ModelParams(d=d, alpha=alpha, t=t)
+        params = params_top.with_t(t)
         mu = _mu_for(params)
         var_full = tilted_variance_V(mu, 0.0, params, quad, t=t)
         # (2/(2 alpha - 1)) R^{1 - 2 alpha} <= fraction * var  sizes the box
-        R = (2.0 / ((2 * alpha - 1) * tail_var_fraction * var_full)) \
+        R = (2.0 / ((2 * alpha - 1) * TAIL_VAR_FRACTION * var_full)) \
             ** (1.0 / (2 * alpha - 1))
         R = float(math.ceil(R))
         box = Box.cube(1, R)
@@ -870,7 +872,7 @@ def run_local_min_stats(d: int = 1, alpha: float = 2.0,
                      "kurtosis_excess": kurt, "h_t": ht,
                      "predicted_mean": predicted_tilted_mean(mu, params, t=t)})
     assert skew_kurt_checked
-    scaled_var_expo = (2 * alpha - d) / alpha
+    scaled_var_expo = (2 * alpha - params_top.d) / alpha
     estimates.append(_est(
         "scaled_variance_limit_quadrature",
         variance_limit_quadrature(params_top),
@@ -888,10 +890,9 @@ def run_local_min_stats(d: int = 1, alpha: float = 2.0,
 # ---------------------------------------------------------------------------
 # occupation measure concentration
 
-def run_occupation(d: int = 1, alpha: float = 2.0,
-                   t_ladder=(16.0, 64.0, 256.0, 1024.0), n_samples: int = 100,
-                   seed: int = 0, h: float = 0.25,
-                   eps: float = 0.25) -> RunRecord:
+def run_occupation(alpha: float = 2.0, t_ladder=(16.0, 64.0, 256.0, 1024.0),
+                   n_samples: int = 100, seed: int = 0,
+                   h: float = 0.25) -> RunRecord:
     """Second moment of the normalized occupation measure about the found
     minimum: scaled by t^{-(alpha-d+2)/(2 alpha)} it approaches the stationary
     coordinate variance (8C)^{-1/2}, with the deviation shrinking along the
@@ -901,12 +902,12 @@ def run_occupation(d: int = 1, alpha: float = 2.0,
     moment within 2% through the same Duhamel accumulation.
     """
     t_ladder = [float(t) for t in t_ladder]
-    params_top = ModelParams(d=d, alpha=alpha, t=t_ladder[-1])
+    params_top = ModelParams(1, alpha, t_ladder[-1])
     cC = constants(params_top).C
     nu_var = nu_coordinate_variance(params_top)
-    expo = (alpha - d + 2.0) / (2.0 * alpha)
+    expo = (alpha - params_top.d + 2.0) / (2.0 * alpha)
     settings = {"t_ladder": t_ladder, "n_samples": n_samples, "h": h,
-                "eps": eps, "scaling_exponent": expo}
+                "eps": OCCUPATION_EPS, "scaling_exponent": expo}
 
     ctrl_grid = make_grid(3.0, 0.02)
     xs = ctrl_grid.nodes()
@@ -925,7 +926,7 @@ def run_occupation(d: int = 1, alpha: float = 2.0,
     rows, estimates = [], []
     deviations = []
     for ti, t in enumerate(t_ladder):
-        params = ModelParams(d=d, alpha=alpha, t=t)
+        params = params_top.with_t(t)
         r = scale_r(params)
         radius = round((3.26 * r + 8.0) / h) * h
         grid = make_grid(radius, h)
@@ -951,7 +952,7 @@ def run_occupation(d: int = 1, alpha: float = 2.0,
         scaled = m2_agg * t ** (-expo)
         dev = abs(scaled / nu_var - 1.0)
         deviations.append(dev)
-        frac_close = float(np.mean(np.abs(bary - mins) <= eps * r))
+        frac_close = float(np.mean(np.abs(bary - mins) <= OCCUPATION_EPS * r))
         estimates.append(_est(f"scaled_occupation_m2_t{t:g}", scaled,
                               ci_low=(m2_agg - 1.96 * se) * t ** (-expo),
                               ci_high=(m2_agg + 1.96 * se) * t ** (-expo)))
@@ -971,7 +972,7 @@ def run_occupation(d: int = 1, alpha: float = 2.0,
                             "rung monotonicity is not required"))
     checks.append(_chk("barycenter_tracks_minimum", frac_close >= 0.9,
                        observed=frac_close, target=1.0, tol=0.1,
-                       note=f"|barycenter - m| <= {eps} r(t) at the largest "
+                       note=f"|barycenter - m| <= {OCCUPATION_EPS} r(t) at the largest "
                             "horizon"))
     return _record("occupation", params_top, seed, n_samples, settings,
                    checks, estimates=estimates, tables={"occupation": rows})
@@ -988,41 +989,39 @@ def _ou_cdf_distance(grid: Grid, dens: np.ndarray, mean: float, var: float) -> f
         return float("nan")
     c = (np.cumsum(dens) - 0.5 * dens) / total
     sd = math.sqrt(var)
-    from math import erf
-    target = 0.5 * (1.0 + np.vectorize(erf)((x - mean) / (sd * math.sqrt(2.0))))
+    target = 0.5 * (1.0 + np.vectorize(math.erf)((x - mean) / (sd * math.sqrt(2.0))))
     return float(np.max(np.abs(c - target)))
 
 
-def run_ou_limit(d: int = 1, alpha: float = 2.0, t_ladder=(1e2, 1e3),
-                 n_samples: int = 24, seed: int = 0, T: float = 1.0,
-                 h_y: float = 0.02, dt_y: float = 5e-4,
-                 y_radius: float = 5.0) -> RunRecord:
+def run_ou_limit(alpha: float = 2.0, t_ladder=(1e2, 1e3), n_samples: int = 24,
+                 seed: int = 0, h_y: float = 0.02,
+                 dt_y: float = 5e-4) -> RunRecord:
     """Rescaled quenched kernel against OU transition laws centered at the
-    found minimum: sup CDF distances at {T/4, T/2, T}, their median shrinking
-    with the horizon, and recovery of the mean-reversion center.
+    found minimum: sup CDF distances at {T/4, T/2, T}, T = OU_T, their median
+    shrinking with the horizon, and recovery of the mean-reversion center.
 
     Controls (exact quadratic at unit scale): the ground-state identity at
     the stated step sizes, and the marginal-vs-OU CDF distance, both at 1e-3.
     """
     t_ladder = [float(t) for t in t_ladder]
-    params_top = ModelParams(d=d, alpha=alpha, t=t_ladder[-1])
+    params_top = ModelParams(1, alpha, t_ladder[-1])
     cC = constants(params_top).C
     theta = math.sqrt(2.0 * cC)
-    s_list = [T / 4.0, T / 2.0, T]
+    s_list = [OU_T / 4.0, OU_T / 2.0, OU_T]
     # the comparison marginals live at s <= T; the extra horizon keeps the
     # free right end from tilting them (the effect decays like e^{-2 theta tau})
-    horizon = 3.0 * T
-    settings = {"t_ladder": t_ladder, "n_samples": n_samples, "T": T,
-                "h_y": h_y, "dt_y": dt_y, "y_radius": y_radius}
+    horizon = 3.0 * OU_T
+    settings = {"t_ladder": t_ladder, "n_samples": n_samples, "T": OU_T,
+                "h_y": h_y, "dt_y": dt_y, "y_radius": OU_Y_RADIUS}
 
-    gs = groundstate_transform_check(cC, T, h=0.005, dt=1e-4)
+    gs = groundstate_transform_check(cC, OU_T, h=0.005, dt=1e-4)
     checks = [_chk("control_groundstate_identity", gs.sup_rel_err <= 1e-3,
                    observed=gs.sup_rel_err, target=0.0, tol=1e-3,
                    control=True,
                    note="evolved kernel vs closed-form OU/ground-state "
                         "identity at h=0.005, dt=1e-4")]
 
-    grid_y = make_grid(y_radius, h_y)
+    grid_y = make_grid(OU_Y_RADIUS, h_y)
     ys = grid_y.nodes()
     schedule_y = ((horizon, dt_y),)
 
@@ -1039,7 +1038,7 @@ def run_ou_limit(d: int = 1, alpha: float = 2.0, t_ladder=(1e2, 1e3),
 
     rows, estimates, med_by_t = [], [], []
     for ti, t in enumerate(t_ladder):
-        params = ModelParams(d=d, alpha=alpha, t=t)
+        params = params_top.with_t(t)
         r = scale_r(params)
         views, mins = _tilted_minima(params, Box.cube(1, 7.0 * r + 70.0),
                                      Box.cube(1, 2.0 * r), seed, ti, n_samples)
@@ -1061,9 +1060,9 @@ def run_ou_limit(d: int = 1, alpha: float = 2.0, t_ladder=(1e2, 1e3),
                 dmax = max(dmax, _ou_cdf_distance(grid_y, margs[s][:, rep],
                                                   mean_s, var_s))
             dists[rep] = dmax
-            mean_T = float(np.sum(ys * margs[T][:, rep]) * h_y)
-            centers[rep] = (mean_T - y0s[rep] * math.exp(-theta * T)) \
-                / (1.0 - math.exp(-theta * T))
+            mean_T = float(np.sum(ys * margs[OU_T][:, rep]) * h_y)
+            centers[rep] = (mean_T - y0s[rep] * math.exp(-theta * OU_T)) \
+                / (1.0 - math.exp(-theta * OU_T))
         med, lo, hi = _median_ci(dists)
         med_by_t.append(med)
         frac_close = float(np.mean(np.abs(centers) <= 0.25))
@@ -1090,10 +1089,9 @@ def run_ou_limit(d: int = 1, alpha: float = 2.0, t_ladder=(1e2, 1e3),
 # ---------------------------------------------------------------------------
 # partition-function lower bound through the principal eigenvalue
 
-def run_lemma5(d: int = 1, alpha: float = 2.0, t_values=(4.0, 8.0, 16.0),
+def run_lemma5(alpha: float = 2.0, t_values=(4.0, 8.0, 16.0),
                n_samples: int = 100, seed: int = 0, h: float = 0.125,
-               dt: float = 0.005,
-               config_margin: float = 30.0) -> RunRecord:
+               dt: float = 0.005) -> RunRecord:
     """Eigenvalue lower bound for the box partition function.
 
     Per config: <T_t 1, 1> >= (2 pi)^d e^{-2 lambda1} (2t)^{-d} e^{-t lambda1}
@@ -1103,15 +1101,16 @@ def run_lemma5(d: int = 1, alpha: float = 2.0, t_values=(4.0, 8.0, 16.0),
     lambda1 <= 1], allowing jackknife CI slack on both sides.
     """
     t_values = [float(t) for t in t_values]
-    params_top = ModelParams(d=d, alpha=alpha, t=t_values[-1])
+    params_top = ModelParams(1, alpha, t_values[-1])
+    d = params_top.d
     settings = {"t_values": t_values, "n_samples": n_samples, "h": h,
-                "dt": dt, "config_margin": config_margin}
+                "dt": dt, "config_margin": LEMMA5_CONFIG_MARGIN}
     checks, rows, estimates = [], [], []
     for t in t_values:
-        params = ModelParams(d=d, alpha=alpha, t=t)
+        params = params_top.with_t(t)
         grid = make_grid(t, h)
         nodes = grid.nodes()
-        cfg_box = Box.cube(1, grid.box.half_widths[0] + config_margin)
+        cfg_box = Box.cube(1, grid.box.half_widths[0] + LEMMA5_CONFIG_MARGIN)
         views = [PotentialView(sample_homogeneous(cfg_box, 1.0, seed, path=(round(t), rep)), params)
                  for rep in range(n_samples)]
         V_cols = _columns(views, nodes)
@@ -1120,8 +1119,7 @@ def run_lemma5(d: int = 1, alpha: float = 2.0, t_values=(4.0, 8.0, 16.0),
             smallest_eigs(SchrodingerOperator(GridField(grid, V_cols[:, j])), k=1).lambda1
             for j in range(n_samples)])
         schedule = ((t, dt),)
-        ones0 = np.ones((nodes.size, n_samples))
-        u_ones, _ = batched_evolve(grid, V_cols, schedule, initial=ones0)
+        u_ones, _ = batched_evolve(grid, V_cols, schedule, initial=np.ones(V_cols.shape))
         u_delta, _ = batched_evolve(grid, V_cols, schedule)
         lhs_ones = column_masses(grid, u_ones)        # <T_t 1, 1>
         z_delta = column_masses(grid, u_delta)        # Z_t from the origin
@@ -1186,14 +1184,13 @@ class Plot(NamedTuple):
 
 class Scenario(NamedTuple):
     """One scenario as the CLI sees it: its name there, the registry key of
-    its runner (also the record's name), the d values and the least
-    n_samples it runs with, the config keys its runner takes under another
-    name, the extra lines it prints from a record, and its plot."""
+    its runner (also the record's name), the least n_samples it runs with,
+    the config keys its runner takes under another name, the extra lines it
+    prints from a record, and its plot."""
 
     cli: str
     key: str
     runner: Callable
-    dims: tuple = (1,)
     min_samples: int = 1
     renames: dict = {}
     summary: Callable | None = None
@@ -1203,11 +1200,11 @@ class Scenario(NamedTuple):
 _CI = ("ci_low", "ci_high")
 
 DECLARED = (
-    Scenario("constants", "constants", run_constants, dims=(1, 2),
+    Scenario("constants", "constants", run_constants,
              summary=lambda rec: [json.dumps(
                  {e["name"]: e["value"] for e in rec.estimates
                   if e["name"] in ("a1", "C", "a2", "l1", "l2")}, sort_keys=True)]),
-    Scenario("mgf", "mgf", run_mgf, dims=(1, 2), renames={"alpha": "alphas"},
+    Scenario("mgf", "mgf", run_mgf, renames={"alpha": "alphas"},
              summary=lambda rec: [
                  f"  alpha={r['alpha']:g} s={r['s']:g}  exact={r['exact']:.12g}  "
                  f"predicted={r['predicted']:.12g}  residual={r['abs_err']:.3e}"

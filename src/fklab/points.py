@@ -178,6 +178,8 @@ def tilt_log_weight(y, mu: DiscreteMeasure, params: ModelParams, t: float | None
     if t is None:
         t = params.t
     y = np.asarray(y, dtype=float)
+    if y.ndim == 2 and y.shape[1] != 1:
+        raise ValueError(f"y must be a point or an (m, 1) batch, got shape {y.shape}")
     single = y.ndim == 0
     out = -t * vhat_sum(y.reshape(-1, 1), mu.atoms, params.alpha, mu.weights)
     return float(out[0]) if single else out

@@ -4,18 +4,38 @@ import inspect
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from fklab.cli import ConfigError, _coerce, _load_config, main
-from fklab.experiments import SCENARIOS, _chk, _record, config_hash
+from fklab.cli import _EXECUTION_KEYS, _KEYS, _PARAM, ConfigError, _coerce, _load_config, main
+from fklab.experiments import DECLARED, SCENARIOS, _chk, _record, config_hash
 from fklab.laplace import QuadratureError
 from fklab.semigroup import FKInstabilityError
 from fklab.spectral import EigenSolveError
 
 
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
 def run_cli(tmp_path, *argv):
     return main([*argv, "--out", str(tmp_path)])
+
+
+def test_every_runner_parameter_is_set_by_some_caller(monkeypatch):
+    # a parameter that no config key and no benchmark workload sets has one
+    # value outside the tests, a setting that does nothing; d is a parameter
+    # only where it can be 2
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+    keys = {key for key, _, _ in _KEYS} - set(_EXECUTION_KEYS)
+    bench = {runner: set(workloads.SIZES[w]) for w, runner in workloads.RUNNERS.items()}
+    for sc in DECLARED:
+        names = {**_PARAM, **sc.renames}
+        set_by = {names.get(k, k) for k in keys} | bench.get(sc.runner.__name__, set())
+        params = set(inspect.signature(sc.runner).parameters)
+        assert params <= set_by, (sc.cli, sorted(params - set_by))
+        assert ("d" in params) == (sc.key in ("constants", "mgf")), sc.cli
 
 
 def test_constants_exits_zero_and_writes_record(tmp_path):
@@ -167,6 +187,7 @@ def test_step_off_the_lattice_is_a_failed_record(tmp_path, capsys):
     assert "Traceback" not in err
     rec = json.loads((tmp_path / "lemma5.json").read_text())
     assert rec["status"] == "fail"
+    assert rec["params"] == {"d": 1, "alpha": 2.0, "t": None}
     assert rec["checks"][0]["note"].startswith("ValueError: ")
 
 
@@ -220,18 +241,38 @@ def test_all_with_one_sample_fails_before_any_run(tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
-@pytest.mark.parametrize("scenario", ["laplace", "all"])
+@pytest.mark.parametrize("scenario, message", [
+    ("laplace", "laplace does not take --d"),
+    # under `all` d reaches constants and mgf only; the 1-d runners judge
+    # alpha = 3 at d = 1
+    ("all", "laplace: needs d < alpha < d + 2, got d = 1, alpha = 3"),
+], ids=["laplace", "all"])
 def test_d_two_outside_constants_and_mgf_is_a_config_error(tmp_path, capsys,
-                                                           scenario):
+                                                           scenario, message):
     assert run_cli(tmp_path, scenario, "--d", "2", "--alpha", "3") == 2
     err = capsys.readouterr().err
-    assert "laplace: runs only in d = 1, got d = 2" in err
+    assert message in err
     assert "Traceback" not in err
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("scenario", [s.cli for s in DECLARED
+                                      if s.key not in ("constants", "mgf")])
+def test_d_on_a_1d_runner_exits_two(tmp_path, capsys, scenario):
+    assert run_cli(tmp_path, scenario, "--d", "1") == 2
+    assert capsys.readouterr().err == \
+        f"fklab: config error: {scenario} does not take --d\n"
+    assert not list(tmp_path.iterdir())
+
+
+def test_d_beyond_two_is_a_config_error(tmp_path, capsys):
+    assert run_cli(tmp_path, "constants", "--d", "3", "--alpha", "4") == 2
+    assert "constants: runs only in d = 1 or 2, got d = 3" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_alpha_equal_d_names_the_regime(tmp_path, capsys):
-    assert run_cli(tmp_path, "laplace", "--d", "1", "--alpha", "1") == 2
+    assert run_cli(tmp_path, "laplace", "--alpha", "1") == 2
     assert "d < alpha < d + 2" in capsys.readouterr().err
 
 

@@ -267,7 +267,7 @@ def test_run_mgf_single_alpha_small_grid():
 
 
 def test_run_laplace_residual_and_pair_bound():
-    rec = run_laplace(separations=(1.0, 5.0, 20.0))
+    rec = run_laplace()
     assert rec.status == "pass"
     resid = next(c for c in rec.checks if c["name"] == "residual_ratio_C")
     assert resid["observed"] == pytest.approx(resid["target"], rel=0.05)
@@ -287,7 +287,7 @@ def test_run_tilted_count_calibration():
 
 
 def test_run_ids_structure_is_honest():
-    rec = run_ids(n_samples=40, box_size=20.0)
+    rec = run_ids(n_samples=40)
     assert rec.tables["ids"][0]["lambda"] == pytest.approx(0.4)
     # the verdict is the judged slope fit, or a failed check naming why the
     # slope could not be fitted; nothing else decides the status

@@ -337,6 +337,10 @@ def test_gk_quad_error_contract():
     assert val == pytest.approx(math.exp(1.0) - math.exp(-10.0), rel=1e-14)
     assert err <= spec.rel_tol * val
     assert _gk_quad(counted, [2.0, 2.0], spec) == (0.0, 0.0)
+    # on a smooth f, where Kronrod and Gauss agree to round-off, the error
+    # is the floor: 50 eps int|f|, up to the rounding of its own sum
+    val, err = _gk_quad(np.cos, [0.0, 1.0], spec)
+    assert err >= 50.0 * np.finfo(float).eps * math.sin(1.0) * (1.0 - 1e-12)
     with pytest.raises(QuadratureError):
         _gk_quad(lambda y: np.where(y < 0.5, np.inf, y), [0.0, 1.0], spec)
     # a tolerance below the cancellation noise of the two-atom difference

@@ -74,6 +74,16 @@ def test_tilt_weight_matches_shape():
     assert tilt_log_weight(np.array([2.0]), mu2, params)[0] == pytest.approx(want)
 
 
+def test_tilt_weight_refuses_a_batch_of_2d_points():
+    # reshaped to one column, an (m, 2) batch would be read as 2m points
+    params = ModelParams(d=1, alpha=2.0, t=1.0)
+    mu = DiscreteMeasure.delta(np.zeros(1))
+    y = np.array([[0.0, 5.0], [1.0, 2.0]])
+    for f in (tilt_log_weight, tilt_acceptance):
+        with pytest.raises(ValueError, match=r"\(2, 2\)"):
+            f(y, mu, params)
+
+
 @pytest.mark.parametrize("m", [3073, 3074, 5001])
 def test_blocked_tilt_weight_equals_one_block(m, monkeypatch):
     # 32 atoms make blocks of 1024 rows; m = 3073 would leave a one-row block

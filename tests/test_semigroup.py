@@ -8,7 +8,7 @@ import pytest
 from scipy import integrate
 from scipy.fft import dst
 
-from fklab.experiments import _columns, _compensated, run_localization
+from fklab.experiments import LOCALIZATION_FULL_RADIUS, _columns, _compensated, run_localization
 from fklab.model import ModelParams, constants, nu_coordinate_variance, vhat_sum
 from fklab.points import Box, sample_homogeneous
 from fklab.potential import PotentialView, evaluate_V
@@ -97,7 +97,7 @@ def _localization_grids():
     # every grid of the localization ladder at the runner's defaults
     defaults = {k: p.default for k, p in
                 inspect.signature(run_localization).parameters.items()}
-    radii = [*defaults["L_ladder"], defaults["full_radius"]]
+    radii = [*defaults["L_ladder"], LOCALIZATION_FULL_RADIUS]
     return [make_grid(r, defaults["h"]) for r in radii]
 
 

@@ -150,6 +150,17 @@ def test_count_below_matches_dense_oracle():
         assert _sturm_count(diag, off, dense[k] + 1e-9) == k + 1
 
 
+@pytest.mark.parametrize("diag, off, eigs, lam", [
+    ((1.0, 1.0), (1.0,), (0.0, 2.0), 0.0),
+    ((0.5, 1.0, 2.0), (0.0, 0.0), (0.5, 1.0, 2.0), 1.0),
+])
+def test_sturm_count_at_an_eigenvalue(diag, off, eigs, lam):
+    # lam is an eigenvalue exactly, so one LDL^T pivot of T - lam is exactly
+    # 0; it is taken as -pivmin and counted, as an eigenvalue at lam is
+    count = _sturm_count(np.array(diag), np.array(off), lam)
+    assert count == np.searchsorted(eigs, lam, side="right")
+
+
 def test_smallest_eigs_agrees_with_dense():
     g = grid_1d(5.0, 0.1)
     cfg = sample_homogeneous(Box.cube(1, 5.0), 1.0, seed=13)
