@@ -1,9 +1,9 @@
 """Sample the tilted point process and inspect the hole it digs.
 
 The annealed measure prefers configurations with no points where the path
-spends its time.  Conditioning is implemented by thinning: a point at y
-survives with probability exp(-t * integral vhat(x - y) mu(dx)) where mu is
-the (discretized) limit law of the endpoint.  Near the origin t * vhat >> 1,
+spends its time.  Conditioning acts as a thinning: a point at y survives
+with probability exp(-t * integral vhat(x - y) mu(dx)) where mu is the
+(discretized) limit law of the endpoint.  Near the origin t * vhat >> 1,
 so survivors only appear beyond radius ~ t^{1/alpha} = sqrt(t) at alpha = 2,
 far outside the localization window r(t) = t^{3/8}.
 """

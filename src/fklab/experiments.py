@@ -61,7 +61,7 @@ from .semigroup import (
     time_marginal,
 )
 
-ARTIFACT_VERSION = 7
+ARTIFACT_VERSION = 8
 
 
 # ---------------------------------------------------------------------------
@@ -533,7 +533,7 @@ def run_ids(alpha: float = 1.5, lambda_grid=(0.4, 0.56, 0.72, 0.88, 1.04, 1.2),
 
 def run_tilted(alpha: float = 2.0, t: float = 100.0, n_samples: int = 200,
                seed: int = 0) -> RunRecord:
-    """Thinning sampler against the exact mean of the tilted intensity."""
+    """Tilted sampler against the exact mean of the tilted intensity."""
     params = ModelParams(1, alpha, t)
     mu = _mu_for(params)
     r = scale_r(params)

@@ -3,16 +3,21 @@
 Homogeneous configurations are unit-rate Poisson samples on a box.  Tilted
 configurations realize the size-biased environment whose intensity is
 
-    exp(-t * int vhat(x - y) mu(dx)) dy
+    p(y) = exp(-t * int vhat(x - y) mu(dx))
 
 for a finitely supported probability measure mu.  Since the exponent is
-nonnegative, the tilted process is an exact thinning of a homogeneous sample:
-a candidate point y survives with probability exp(-t * sum_i w_i vhat(x_i - y)).
+nonnegative, p <= 1.
 
-Tilted sampling is 1-d.  thinning_keep decides most candidates from per-cell
-bounds on that sum, tabulated once per (alpha, t, box) and kept on the
-measure; the rest go to the exact test, so every decision equals the exact
-test's.
+Tilted sampling is 1-d and exact by superposition (Lewis & Shedler,
+"Simulation of nonhomogeneous Poisson processes by thinning", Naval Res.
+Logistics Q. 26, 1979).  thinning_table bounds p per unit cell,
+sure_k <= p <= maybe_k, once per (alpha, t, box), and superposition_blocks
+merges the cells into blocks B with s_B <= p <= M_B on B.  Writing
+p = s_B + (p - s_B), the process on B is the sum of two independent Poisson
+layers: a homogeneous one of rate s_B, kept whole, and one of rate
+M_B - s_B thinned to intensity p - s_B.  Only the thin remainder layer meets
+thinning_keep, which decides most candidates from the cell bounds and sends
+the rest to the exact test, so every decision equals the exact test's.
 
 Randomness comes from counter-based Philox streams keyed by (seed, path...),
 so replica r of an experiment always draws from stream (base_seed, r)
@@ -97,7 +102,8 @@ class DiscreteMeasure:
             raise ValueError(f"weights must sum to 1 (got {s!r}); normalize explicitly")
         object.__setattr__(self, "atoms", _readonly(atoms))
         object.__setattr__(self, "weights", _readonly(weights / s))
-        # thinning tables by (alpha, t, box), built on first use
+        # thinning tables and superposition blocks by (alpha, t, box),
+        # built on first use
         object.__setattr__(self, "_tables", {})
 
     @classmethod
@@ -197,6 +203,9 @@ SQUEEZE_REL = 1e-9
 SQUEEZE_ABS = 1e-300
 # cells of the thinning table per unit length: about one candidate each
 TABLE_CELLS = 1.0
+# greatest spread maybe - sure of a superposition block of several cells: its
+# remainder layer, the only one tested, has at most this rate
+SUPERPOSE_EPS = 0.02
 
 
 def thinning_table(mu: DiscreteMeasure, alpha: float, t: float, box: Box):
@@ -232,6 +241,53 @@ def thinning_table(mu: DiscreteMeasure, alpha: float, t: float, box: Box):
     return lo, delta, sure, maybe
 
 
+def superposition_blocks(sure: np.ndarray, maybe: np.ndarray):
+    """Blocks of whole cells of a thinning table, with bounds s_B <= p <= M_B.
+
+    Cells are merged greedily from the lower end while the block's greatest
+    maybe less its least sure stays within SUPERPOSE_EPS; a cell whose own
+    spread exceeds that makes a block alone.  Returns (edges, s, M): block b
+    covers cells edges[b] to edges[b + 1] - 1, the interval
+    lo + edges[b:b + 2] * delta of the table (lo, delta, sure, maybe), with
+    s_B = max(least sure, 0) and M_B = min(greatest maybe, 1).  Since
+    0 <= p <= 1, the clipping keeps both bounds.
+    """
+    sure, maybe = sure[1:-1], maybe[1:-1]
+    n = sure.size
+    edges, s, M = [0], [], []
+    while edges[-1] < n:
+        # the block starting at cell i ends before the first cell that would
+        # spread it beyond SUPERPOSE_EPS: look for it in a window that doubles
+        i, w = edges[-1], 64
+        while True:
+            low = np.minimum.accumulate(sure[i:i + w])
+            high = np.maximum.accumulate(maybe[i:i + w])
+            over = np.flatnonzero(high - low > SUPERPOSE_EPS)
+            if over.size or i + w >= n:
+                break
+            w *= 2
+        j = max(int(over[0]), 1) if over.size else low.size
+        s.append(max(low[j - 1], 0.0))
+        M.append(min(high[j - 1], 1.0))
+        edges.append(i + j)
+    return np.array(edges), np.array(s), np.array(M)
+
+
+def _tables(mu: DiscreteMeasure, alpha: float, t: float, box: Box):
+    """mu's thinning table, superposition blocks and layers for (alpha, t,
+    box): the layers are the lower ends, widths and Poisson means of the
+    base layer's blocks followed by the remainder layer's."""
+    key = (alpha, t, box)
+    if key not in mu._tables:
+        table = thinning_table(mu, alpha, t, box)
+        lo, delta, sure, maybe = table
+        edges, s, M = blocks = superposition_blocks(sure, maybe)
+        width = np.tile(np.diff(edges) * delta, 2)
+        layers = np.tile(lo + edges[:-1] * delta, 2), width, np.concatenate([s, M - s]) * width
+        mu._tables[key] = table, blocks, layers
+    return mu._tables[key]
+
+
 def thinning_keep(y, u, mu: DiscreteMeasure, params: ModelParams, t: float,
                   box: Box) -> np.ndarray:
     """The thinning decisions u < tilt_acceptance(y) for candidates y (m, 1).
@@ -248,10 +304,7 @@ def thinning_keep(y, u, mu: DiscreteMeasure, params: ModelParams, t: float,
     rounding of the sums and powers, which the SQUEEZE_REL and SQUEEZE_ABS
     margins on exp(-t Phi) absorb.
     """
-    key = (params.alpha, t, box)
-    if key not in mu._tables:
-        mu._tables[key] = thinning_table(mu, params.alpha, t, box)
-    lo, delta, sure, maybe = mu._tables[key]
+    (lo, delta, sure, maybe), _, _ = _tables(mu, params.alpha, t, box)
     k = np.clip(np.floor((y[:, 0] - lo) / delta) + 1.0, 0.0, sure.size - 1).astype(np.intp)
     keep = u < sure[k]
     rest = np.flatnonzero(~keep & (u < maybe[k]))
@@ -261,16 +314,39 @@ def thinning_keep(y, u, mu: DiscreteMeasure, params: ModelParams, t: float,
 
 def sample_tilted(mu: DiscreteMeasure, params: ModelParams, box: Box, seed: int,
                   t: float | None = None, *, path=()) -> PointConfig:
-    """Exact sample of the tilted Poisson process by thinning a unit-rate sample.
+    """Exact sample of the tilted Poisson process of intensity p on the box.
 
-    With t = 0 the acceptance is identically 1 and the returned points equal
-    the homogeneous sample drawn from the same stream.
+    One stream, stream(seed, *path), draws in this order: the base counts
+    Poisson(s_B |B|) of every block of superposition_blocks, the remainder
+    counts Poisson((M_B - s_B) |B|), the uniform positions of all base then
+    all remainder points in their blocks, and one uniform u per remainder
+    point.  Base points are kept with no test; a remainder point y is kept
+    when u' = s_B + u (M_B - s_B) < p(y), decided by thinning_keep.
+
+    Why it is exact: independent Poisson layers superpose to a Poisson
+    process whose intensity is the sum, and thinning a rate M_B - s_B layer
+    with probability (p(y) - s_B) / (M_B - s_B), which lies in [0, 1] since
+    s_B <= p <= M_B on B, leaves intensity p - s_B.  A computed position can
+    land a few ulp outside its block, but the table's cells are widened by
+    more than that (thinning_table), so the bounds still hold there.
+
+    With t = 0, p is identically 1 and the sample is
+    sample_homogeneous(box, 1.0, seed, path=path) itself.
     """
     if t is None:
         t = params.t
     if mu.d != 1 or box.d != 1:
         raise ValueError(f"sample_tilted is 1-d, got d = {max(mu.d, box.d)}")
-    base = sample_homogeneous(box, 1.0, seed, path=path)
-    u = stream(seed, *path, 1).random(base.n)
-    keep = thinning_keep(base.points, u, mu, params, t, box)
-    return PointConfig(base.points[keep], box)
+    if box.volume <= 0:
+        raise ValueError("degenerate box: zero volume")
+    if t == 0:
+        return sample_homogeneous(box, 1.0, seed, path=path)
+    _, (_, s, M), (left, width, mean) = _tables(mu, params.alpha, t, box)
+    rng = stream(seed, *path)
+    counts = rng.poisson(mean)
+    n_rest = counts[s.size:]
+    y = (np.repeat(left, counts) + rng.random(counts.sum()) * np.repeat(width, counts))[:, None]
+    base = y.shape[0] - n_rest.sum()
+    u = np.repeat(s, n_rest) + rng.random(y.shape[0] - base) * np.repeat(M - s, n_rest)
+    keep = thinning_keep(y[base:], u, mu, params, t, box)
+    return PointConfig(np.concatenate([y[:base], y[base:][keep]]), box)

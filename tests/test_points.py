@@ -7,7 +7,7 @@ import pytest
 
 from fklab import model, points
 from fklab.experiments import _mu_for, run_local_min_stats
-from fklab.model import ModelParams, vhat_radial, vhat_sum
+from fklab.model import ModelParams, constants, vhat_radial, vhat_sum
 from fklab.points import (
     SQUEEZE_ABS,
     SQUEEZE_REL,
@@ -17,6 +17,7 @@ from fklab.points import (
     sample_homogeneous,
     sample_tilted,
     stream,
+    superposition_blocks,
     thinning_keep,
     thinning_table,
     tilt_acceptance,
@@ -160,17 +161,124 @@ def test_squeeze_decides_as_the_exact_test(atoms, std, t):
 
 # Criterion 05's tilt: the 32-atom measure of run_local_min_stats at alpha = 2
 # and the box radii its 1% far-field variance rule gives on each rung.
-@pytest.mark.parametrize("t, radius", [(1e5, 1401.0), (1e6, 4333.0), (1e7, 13544.0)])
-def test_criterion_05_tilt_thins_exactly(t, radius):
-    params = ModelParams(d=1, alpha=2.0, t=t)
-    mu = _mu_for(params)
-    box = Box.cube(1, radius)
+CRITERION_05 = {1e5: 1401.0, 1e6: 4333.0, 1e7: 13544.0}
+
+
+def _tilt(case):
+    """(params, mu, box) of a named tilt: a criterion 05 rung, the IDS tilt
+    at one of criterion 08's lambdas, narrow Gauss-Hermite atoms at t = 600
+    (see test_squeeze_decides_as_the_exact_test), a tilt so weak that the
+    maybe thresholds exceed 1, or one atom near 1.4e4 (see
+    test_table_widening_covers_index_rounding)."""
+    kind, x = case
+    if kind == "c05":
+        params = ModelParams(d=1, alpha=2.0, t=x)
+        return params, _mu_for(params), Box.cube(1, CRITERION_05[x])
+    if kind == "ids":
+        params = ModelParams(d=1, alpha=1.5, t=1.0)
+        tilt = (constants(params).a1 / (1.5 * x)) ** 3.0
+        hole = tilt ** (1.0 / 1.5)
+        half = round(1.5 * hole / 0.25) * 0.25
+        return (params.with_t(tilt), DiscreteMeasure.delta(np.zeros(1)),
+                Box.cube(1, half + 3.5 * hole))
+    if kind == "weak":
+        return (ModelParams(d=1, alpha=2.0, t=x), DiscreteMeasure.delta(np.zeros(1)),
+                Box.cube(1, 50.0))
+    if kind == "narrow":
+        return (ModelParams(d=1, alpha=1.5, t=600.0), DiscreteMeasure.gauss_hermite(x, 0.05),
+                Box((0.0,), (2000.37,)))
+    return (ModelParams(d=1, alpha=2.0, t=700.0), DiscreteMeasure.delta(np.array([x])),
+            Box.cube(1, 14000.0))
+
+
+def _name(case):
+    return f"{case[0]}-{case[1]:g}"
+
+
+def _blocks(params, mu, box):
+    table = thinning_table(mu, params.alpha, params.t, box)
+    return table, superposition_blocks(*table[2:])
+
+
+@pytest.mark.parametrize("t", CRITERION_05)
+def test_criterion_05_tilt_superposes_exactly(t):
+    # replay the stream: base counts, remainder counts, every position, then
+    # one u per remainder point; the base is kept whole and a remainder point
+    # when u' = s_B + u (M_B - s_B) is below the exact acceptance
+    params, mu, box = _tilt(("c05", t))
+    (lo, delta, _, _), (edges, s, M) = _blocks(params, mu, box)
+    left, width = lo + edges[:-1] * delta, np.diff(edges) * delta
+    decided = 0
     for seed, rep in [(0, 0), (0, 1), (5, 7), (1101, 3)]:
-        base = sample_homogeneous(box, 1.0, seed, path=(2, rep))
-        u = stream(seed, 2, rep, 1).random(base.n)
-        want = base.points[u < tilt_acceptance(base.points, mu, params)]
-        got = sample_tilted(mu, params, box, seed, path=(2, rep)).points
-        assert np.array_equal(got, want)
+        rng = stream(seed, 2, rep)
+        n_base, n_rest = rng.poisson(s * width), rng.poisson((M - s) * width)
+        y = np.repeat(np.concatenate([left, left]), np.concatenate([n_base, n_rest]))
+        y += rng.random(y.size) * np.repeat(np.concatenate([width, width]),
+                                            np.concatenate([n_base, n_rest]))
+        base, rest = y[:n_base.sum()], y[n_base.sum():]
+        u = np.repeat(s, n_rest) + rng.random(rest.size) * np.repeat(M - s, n_rest)
+        keep = u < tilt_acceptance(rest[:, None], mu, params)
+        got = sample_tilted(mu, params, box, seed, path=(2, rep)).points[:, 0]
+        assert np.array_equal(got, np.concatenate([base, rest[keep]]))
+        decided += keep.sum() * (~keep).sum()
+    assert decided > 0          # some remainder points were kept and some not
+
+
+@pytest.mark.parametrize("case", [("c05", t) for t in CRITERION_05]
+                         + [("weak", 1e-10), ("atom", 9000.1), ("atom", 13000.7)], ids=_name)
+def test_blocks_bound_the_acceptance(case):
+    params, mu, box = _tilt(case)
+    (lo, delta, sure, maybe), (edges, s, M) = _blocks(params, mu, box)
+    n = sure.size - 2
+    assert edges[0] == 0 and edges[-1] == n and np.all(np.diff(edges) >= 1)
+    assert np.all(0.0 <= s) and np.all(s < M) and np.all(M <= 1.0)
+    # greedy: a block spreads at most SUPERPOSE_EPS unless it is one cell,
+    # and taking in the next cell would spread it beyond
+    for b in range(s.size):
+        i, j = edges[b], edges[b + 1]
+        spread = maybe[i + 1:j + 1].max() - sure[i + 1:j + 1].min()
+        assert j - i == 1 or spread <= points.SUPERPOSE_EPS
+        if j < n:
+            assert maybe[i + 1:j + 2].max() - sure[i + 1:j + 2].min() > points.SUPERPOSE_EPS
+    # every cell edge and its neighbouring floats, against the blocks of the
+    # cells on either side
+    block = np.repeat(np.arange(s.size), np.diff(edges))
+    k = np.arange(n + 1)
+    x = lo + k * delta
+    for b in (block[np.maximum(k - 1, 0)], block[np.minimum(k, n - 1)]):
+        for y in (x, np.nextafter(x, -np.inf), np.nextafter(x, np.inf)):
+            p = tilt_acceptance(y[:, None], mu, params)
+            assert np.all(s[b] <= p) and np.all(p <= M[b])
+
+
+@pytest.mark.parametrize("case", [("c05", t) for t in CRITERION_05]
+                         + [("ids", 0.4), ("narrow", 6), ("narrow", 14)], ids=_name)
+def test_tilted_counts_follow_the_intensity(case):
+    params, mu, box = _tilt(case)
+    (lo, delta, sure, _), (edges, s, _) = _blocks(params, mu, box)
+    n = sure.size - 2
+    # int p over each cell by 16-point Gauss-Legendre, then over each block
+    nodes, w = np.polynomial.legendre.leggauss(16)
+    y = (lo + (np.arange(n) + 0.5) * delta)[:, None] + 0.5 * delta * nodes
+    p = tilt_acceptance(y.reshape(-1, 1), mu, params).reshape(n, 16)
+    lam = np.add.reduceat(0.5 * delta * p @ w, edges[:-1])
+    draws = 400
+    counts = np.empty((draws, s.size))
+    for r in range(draws):
+        x = sample_tilted(mu, params, box, 3, path=(r,)).points[:, 0]
+        cell = np.clip(np.floor((x - lo) / delta), 0, n - 1)
+        counts[r] = np.bincount(np.searchsorted(edges, cell, side="right") - 1,
+                                minlength=s.size)
+    # the count is Poisson(int p over the box): mean and variance both lam
+    total, want = counts.sum(axis=1), lam.sum()
+    assert abs(total.mean() - want) <= 4.5 * math.sqrt(want / draws)
+    assert abs(total.var(ddof=1) - want) <= 4.5 * math.sqrt((want + 2.0 * want ** 2) / draws)
+    # and so is each block's; blocks with 5 or more points in all draws
+    # make a chi-square on as many degrees of freedom
+    z = (counts.mean(axis=0) - lam) / np.sqrt(np.maximum(lam, 1e-300) / draws)
+    assert np.all(np.abs(z) <= 5.0)
+    big = lam * draws >= 5.0
+    assert np.sum(z[big] ** 2) <= big.sum() + 5.0 * math.sqrt(2.0 * big.sum())
 
 
 # One atom at coordinates near 1.4e4, where an ulp is 1.8e-12: at distance
@@ -192,20 +300,26 @@ def test_table_widening_covers_index_rounding(atom):
 
 
 def test_thinning_table_is_built_once_per_rung(monkeypatch):
-    built = []
-    build = points.thinning_table
+    built = {"table": [], "blocks": 0}
+    table, blocks = points.thinning_table, points.superposition_blocks
 
-    def counted(mu, alpha, t, box):
-        built.append(t)
-        return build(mu, alpha, t, box)
+    def counted_table(mu, alpha, t, box):
+        built["table"].append(t)
+        return table(mu, alpha, t, box)
 
-    monkeypatch.setattr(points, "thinning_table", counted)
+    def counted_blocks(*args):
+        built["blocks"] += 1
+        return blocks(*args)
+
+    monkeypatch.setattr(points, "thinning_table", counted_table)
+    monkeypatch.setattr(points, "superposition_blocks", counted_blocks)
     run_local_min_stats(n_samples=8)
-    # one table for each rung's 8 draws, and one for the t = 0 sampler control
-    assert sorted(built) == [0.0, 1e5, 1e6, 1e7]
+    # one table and one set of blocks for each rung's 8 draws; the t = 0
+    # sampler control is the homogeneous draw and needs neither
+    assert sorted(built["table"]) == [1e5, 1e6, 1e7] and built["blocks"] == 3
 
 
-@pytest.mark.parametrize("t, radius", [(1e5, 1401.0), (1e6, 4333.0), (1e7, 13544.0)])
+@pytest.mark.parametrize("t, radius", CRITERION_05.items())
 def test_criterion_05_table_leaves_few_candidates_undecided(t, radius, monkeypatch):
     params = ModelParams(d=1, alpha=2.0, t=t)
     mu = _mu_for(params)

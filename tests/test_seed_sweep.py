@@ -1,6 +1,6 @@
 """The seed-sweep script (tests/seed_sweep.py) runs and reports: `tilted` at
-two seeds in a fresh interpreter, a runner that raises, in process, and the
-statistics it reads off a synthetic record."""
+two seeds in a fresh interpreter, a runner that takes no seed and one that
+raises, in process, and the statistics it reads off a synthetic record."""
 
 import hashlib
 import json
@@ -11,7 +11,7 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import seed_sweep
-from fklab.experiments import run_tilted
+from fklab.experiments import run_constants, run_tilted
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -37,6 +37,15 @@ def test_sweep_of_tilted_at_two_seeds(tmp_path):
     assert count["n"] == 2
     assert count["min"] <= count["median"] <= count["max"]
     assert count["min"] == min(r["stats"]["check:count_mean"] for r in runs)
+
+
+def test_a_runner_without_a_seed_is_swept(tmp_path, capsys):
+    out = tmp_path / "sweep.json"
+    assert seed_sweep.main(["constants", "--seeds", "0", "--json", str(out)]) == 0
+    (run,) = json.loads(out.read_text())["scenarios"]["constants"]["runs"]
+    want = hashlib.sha256(run_constants().to_json().encode()).hexdigest()
+    assert (run["status"], run["error"], run["sha256"]) == ("pass", None, want)
+    assert "constants seed 0: pass" in capsys.readouterr().out
 
 
 def test_a_runner_that_raises_is_reported(monkeypatch, capsys):
