@@ -315,11 +315,21 @@ def test_run_lemma5_small():
     assert agg["passed"]
 
 
+def test_run_confinement_small_ladder():
+    # minimizer_near_center is frac_close >= 0.9 at the top rung; at t = 1e3
+    # it fails at most seeds, so the small ladder tops out at 1e5, where
+    # 12 samples pass at each of seeds 0-79
+    rec = run_confinement(t_ladder=(1e4, 1e5), n_samples=12)
+    assert rec.status == "pass"
+    ctrl = next(c for c in rec.checks if c["control"])
+    assert ctrl["observed"] <= 1e-12
+    meds = [r["scaled_median"] for r in rec.tables["deviation"]]
+    assert meds[1] < meds[0]
+
+
 def test_run_confinement_stated_size():
     # The verdict's tolerances are set for the stated size, where about 37
-    # seeds in 40 pass.  With 12 samples on (1e2, 1e3) about 3 in 10 pass:
-    # minimizer_near_center is frac_close >= 0.9 at the top rung, and at
-    # t = 1e3 it fails at most seeds.
+    # seeds in 40 pass
     rec = run_confinement()
     assert rec.status == "pass"
     ctrl = next(c for c in rec.checks if c["control"])

@@ -200,12 +200,13 @@ def _blocks(params, mu, box):
     return table, superposition_blocks(*table[2:])
 
 
-@pytest.mark.parametrize("t", CRITERION_05)
-def test_criterion_05_tilt_superposes_exactly(t):
+@pytest.mark.parametrize("t, radius", CRITERION_05.items())
+def test_criterion_05_tilt_thins_exactly(t, radius):
     # replay the stream: base counts, remainder counts, every position, then
     # one u per remainder point; the base is kept whole and a remainder point
     # when u' = s_B + u (M_B - s_B) is below the exact acceptance
-    params, mu, box = _tilt(("c05", t))
+    params, mu, _ = _tilt(("c05", t))
+    box = Box.cube(1, radius)
     (lo, delta, _, _), (edges, s, M) = _blocks(params, mu, box)
     left, width = lo + edges[:-1] * delta, np.diff(edges) * delta
     decided = 0
