@@ -37,7 +37,7 @@ def median_radius(t, n_samples, seed, h=0.25):
     nodes = grid.nodes()
     std = np.sqrt(nu_coordinate_variance(p)) * scale_r(p)
     mu = DiscreteMeasure.gauss_hermite(32, std=std)
-    cfg_box = Box.cube(1, grid.box.half_widths[0] + 60.0)
+    cfg_box = Box(grid.radius + 60.0)
     cols = np.empty((nodes.size, n_samples))
     for r in range(n_samples):
         cfg = sample_tilted(mu, p, cfg_box, seed, path=(int(t), r))

@@ -11,9 +11,7 @@ function N(lambda) collapses like exp(-l1 lambda^{-d/(alpha-d)}).
 import numpy as np
 
 from fklab import (
-    GridField,
     ModelParams,
-    SchrodingerOperator,
     constants,
     ids_estimate,
     make_grid,
@@ -33,7 +31,7 @@ def oscillator():
     sigma = (8.0 * c.C) ** -0.25
     grid = make_grid(10.0 * sigma, 0.01)
     x = grid.nodes()
-    res = smallest_eigs(SchrodingerOperator(GridField(grid, c.C * x ** 2)), k=2)
+    res = smallest_eigs(grid, c.C * x ** 2, k=2)
     print("harmonic control:")
     print(f"  lambda1 {res.lambda1:.8f}  vs  a2       {c.a2:.8f}")
     print(f"  gap     {res.lambda2 - res.lambda1:.8f}  vs  sqrt(2C) "
@@ -46,10 +44,9 @@ def random_configs(n=6, seed=0):
     grid = make_grid(20.0, 0.05)
     print("Poisson configurations on a box of size 40:")
     for rep in range(n):
-        cfg = sample_homogeneous(Box.cube(1, 50.0), 1.0, seed, path=(rep,))
-        V = GridField(grid, evaluate_V(PotentialView(cfg, p),
-                                       grid.nodes()[:, None]))
-        res = smallest_eigs(SchrodingerOperator(V), k=2)
+        cfg = sample_homogeneous(Box(50.0), seed, path=(rep,))
+        V = evaluate_V(PotentialView(cfg, p), grid.nodes()[:, None])
+        res = smallest_eigs(grid, V, k=2)
         print(f"  replica {rep}: lambda1 {res.lambda1:8.4f}   lambda2 "
               f"{res.lambda2:8.4f}   residual {res.residual1:.1e}")
     print()

@@ -31,7 +31,7 @@ def hole_radius(t, n_samples=50, seed=0):
     p = ModelParams(d=1, alpha=2.0, t=t)
     std = np.sqrt(nu_coordinate_variance(p)) * scale_r(p)
     mu = DiscreteMeasure.gauss_hermite(32, std=std)
-    box = Box.cube(1, 4.0 * np.sqrt(t) + 50.0)
+    box = Box(4.0 * np.sqrt(t) + 50.0)
     nearest = []
     for rep in range(n_samples):
         cfg = sample_tilted(mu, p, box, seed, path=(rep,))
@@ -49,13 +49,12 @@ def well_shape(t, seed=0):
     r = scale_r(p)
     std = np.sqrt(nu_coordinate_variance(p)) * r
     mu = DiscreteMeasure.gauss_hermite(32, std=std)
-    box = Box.cube(1, 5.0 * r + 70.0)
+    box = Box(5.0 * r + 70.0)
     devs, v_at_min = [], []
     for rep in range(30):
         cfg = sample_tilted(mu, p, box, seed, path=(rep,))
         view = PotentialView(cfg, p, compensate=True, max_far_bound=0.5)
-        m = find_local_min(view, Box.cube(1, 2.0 * r), coarse_step=r / 16.0,
-                           refine_tol=1e-3)
+        m = find_local_min(view, Box(2.0 * r), coarse_step=r / 16.0, refine_tol=1e-3)
         devs.append(field_deviation(lambda pts: evaluate_V(view, pts), m.location, r, p))
         v_at_min.append(m.value)
     scale = t ** (3.0 / 4.0)   # (alpha - d + 2) / (2 alpha) = 3/4 here

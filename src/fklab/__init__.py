@@ -45,10 +45,9 @@ from .laplace import (
 from .spectral import (
     EigenResult,
     Grid,
-    GridField,
     IdsCurve,
-    SchrodingerOperator,
     ids_estimate,
+    make_grid,
     smallest_eigs,
 )
 from .semigroup import (
@@ -56,7 +55,6 @@ from .semigroup import (
     batched_evolve,
     default_schedule,
     groundstate_transform_check,
-    make_grid,
     time_marginal,
 )
 from .experiments import (

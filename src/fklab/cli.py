@@ -74,9 +74,7 @@ def _load_config(path: str) -> dict:
             data = json.loads(text)
         except json.JSONDecodeError as e:
             raise ConfigError(f"config file is not valid JSON: {e}")
-        if not isinstance(data, dict):
-            raise ConfigError("JSON config must be an object")
-        items = data.items()
+        items = data.items()   # text that starts with { parses to an object
     else:
         items = []
         for ln, line in enumerate(text.splitlines(), 1):

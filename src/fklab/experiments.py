@@ -49,7 +49,7 @@ from .laplace import (
     two_point_bound_check,
     variance_limit_quadrature,
 )
-from .spectral import Grid, GridField, SchrodingerOperator, ids_estimate, smallest_eigs
+from .spectral import Grid, ids_estimate, make_grid, smallest_eigs
 from .semigroup import (
     _retired_control,
     batched_evolve,
@@ -57,7 +57,6 @@ from .semigroup import (
     default_schedule,
     groundstate_transform_check,
     jackknife_mean,
-    make_grid,
     time_marginal,
 )
 
@@ -314,7 +313,7 @@ def _tilted_minima(params: ModelParams, box: Box, search: Box, seed,
     coarse = scale_r(params) / 16.0
     views = [_compensated(sample_tilted(mu, params, box, seed, path=(ti, rep)), params)
              for rep in range(n_samples)]
-    return views, np.array([find_local_min(view, search, coarse, refine_tol=1e-3).location[0]
+    return views, np.array([find_local_min(view, search, coarse, refine_tol=1e-3).location
                             for view in views])
 
 
@@ -366,8 +365,7 @@ def run_constants(d: int = 1, alpha: float = 2.0, t: float = 100.0,
         radius = 10.0 * sigma
         step = h if d == 1 else max(h, radius / 60.0)
         grid = make_grid(radius, step)
-        V = GridField(grid, cb.C * grid.nodes() ** 2)
-        lam = d * smallest_eigs(SchrodingerOperator(V), k=1).lambda1
+        lam = d * smallest_eigs(grid, cb.C * grid.nodes() ** 2).lambda1
         rel = abs(lam - cb.a2) / cb.a2
         checks.append(_chk(f"oscillator_a2_d{d}_alpha{aa:g}", rel <= 1e-3,
                            observed=rel, target=0.0, tol=1e-3,
@@ -448,7 +446,7 @@ def run_spectrum(alpha: float = 2.0, t: float = 100.0, n_samples: int = 3,
     sigma = math.sqrt(1.0 / math.sqrt(8.0 * c.C))
     ctrl_grid = make_grid(10.0 * sigma, 0.01)
     xs = ctrl_grid.nodes()
-    ctrl = smallest_eigs(SchrodingerOperator(GridField(ctrl_grid, c.C * xs ** 2)), k=2)
+    ctrl = smallest_eigs(ctrl_grid, c.C * xs ** 2, k=2)
     rel = abs(ctrl.lambda1 - c.a2) / c.a2
     gap_rel = abs((ctrl.lambda2 - ctrl.lambda1) - spectral_gap(params)) \
         / spectral_gap(params)
@@ -464,10 +462,9 @@ def run_spectrum(alpha: float = 2.0, t: float = 100.0, n_samples: int = 3,
     rows = []
     ok_order = ok_resid = True
     for r in range(n_samples):
-        cfg = sample_homogeneous(Box.cube(params.d, grid.box.half_widths[0] + 30.0),
-                                 1.0, seed, path=(r,))
+        cfg = sample_homogeneous(Box(grid.radius + 30.0), seed, path=(r,))
         Vv = _columns([_compensated(cfg, params)], grid.nodes())[:, 0]
-        res = smallest_eigs(SchrodingerOperator(GridField(grid, Vv)), k=2)
+        res = smallest_eigs(grid, Vv, k=2)
         ok_order &= 0.0 < res.lambda1 <= res.lambda2
         ok_resid &= res.residual1 <= 1e-8
         rows.append({"replica": r, "lambda1": res.lambda1,
@@ -537,11 +534,11 @@ def run_tilted(alpha: float = 2.0, t: float = 100.0, n_samples: int = 200,
     params = ModelParams(1, alpha, t)
     mu = _mu_for(params)
     r = scale_r(params)
-    box = Box.cube(1, 5.0 * r + 40.0)
-    settings = {"t": t, "n_samples": n_samples, "box_radius": float(box.half_widths[0]),
+    box = Box(5.0 * r + 40.0)
+    settings = {"t": t, "n_samples": n_samples, "box_radius": box.radius,
                 "mu_atoms": mu.atoms.shape[0]}
     # exact expected count: integral of the acceptance over the box
-    ygrid = np.linspace(-box.half_widths[0], box.half_widths[0], 200001)
+    ygrid = np.linspace(-box.radius, box.radius, 200001)
     acc = tilt_acceptance(ygrid[:, None], mu, params, t)
     expected = float(np.trapezoid(acc, ygrid))
     counts = np.array([sample_tilted(mu, params, box, seed, path=(rep,)).n
@@ -651,7 +648,7 @@ def run_localization(alpha: float = 2.0,
     # tilted intensity is the environment marginal the weighted path measure
     # concentrates on); the judged statistic is the per-config median radius,
     # which no single heavy configuration can dominate
-    cfg_box = Box.cube(1, grid_full.box.half_widths[0] + LOCALIZATION_CONFIG_MARGIN)
+    cfg_box = Box(grid_full.radius + LOCALIZATION_CONFIG_MARGIN)
     La = np.array(L_ladder)
     conf_rows, radius_rows, mc_pts, mc_w = [], [], [], []
     censored_any = 0
@@ -743,8 +740,8 @@ def run_confinement(alpha: float = 2.0, t_ladder=(1e2, 1e3, 1e4),
     for ti, t in enumerate(t_ladder):
         params = params_top.with_t(t)
         r = scale_r(params)
-        views, locs = _tilted_minima(params, Box.cube(1, 5.0 * r + 70.0),
-                                     Box.cube(1, 2.0 * r), seed, ti, n_samples)
+        views, locs = _tilted_minima(params, Box(5.0 * r + 70.0), Box(2.0 * r),
+                                     seed, ti, n_samples)
         devs = np.array([field_deviation(partial(evaluate_V, view), m, r, params)
                          for view, m in zip(views, locs)])
         scaled = t ** expo * devs
@@ -798,9 +795,9 @@ def run_local_min_stats(alpha: float = 2.0, t_ladder=(1e5, 1e6, 1e7),
     # and the second-order predicted mean agrees with quadrature at the
     # largest horizon (deterministic asymptotic consistency)
     mu_top = _mu_for(params_top)
-    small = Box.cube(1, 50.0)
+    small = Box(50.0)
     t0a = sample_tilted(mu_top, params_top, small, seed, t=0.0, path=(9, 0))
-    t0b = sample_homogeneous(small, 1.0, seed, path=(9, 0))
+    t0b = sample_homogeneous(small, seed, path=(9, 0))
     ctrl_sampler = bool(np.array_equal(t0a.points, t0b.points))
     mean_full_top = tilted_mean_V(mu_top, 0.0, params_top, quad, t=t_ladder[-1])
     pred_top = predicted_tilted_mean(mu_top, params_top, t=t_ladder[-1])
@@ -828,7 +825,7 @@ def run_local_min_stats(alpha: float = 2.0, t_ladder=(1e5, 1e6, 1e7),
         R = (2.0 / ((2 * alpha - 1) * TAIL_VAR_FRACTION * var_full)) \
             ** (1.0 / (2 * alpha - 1))
         R = float(math.ceil(R))
-        box = Box.cube(1, R)
+        box = Box(R)
         mean_full = tilted_mean_V(mu, 0.0, params, quad, t=t)
         mean_trunc = tilted_mean_V(mu, 0.0, params, quad, t=t, domain_radius=R)
         var_trunc = tilted_variance_V(mu, 0.0, params, quad, t=t, domain_radius=R)
@@ -928,12 +925,10 @@ def run_occupation(alpha: float = 2.0, t_ladder=(16.0, 64.0, 256.0, 1024.0),
     for ti, t in enumerate(t_ladder):
         params = params_top.with_t(t)
         r = scale_r(params)
-        radius = round((3.26 * r + 8.0) / h) * h
-        grid = make_grid(radius, h)
+        grid = make_grid(3.26 * r + 8.0, h)
         nodes = grid.nodes()
-        views, mins = _tilted_minima(
-            params, Box.cube(1, grid.box.half_widths[0] + 40.0),
-            Box.cube(1, min(2.0 * r, radius - 2.0)), seed, ti, n_samples)
+        views, mins = _tilted_minima(params, Box(grid.radius + 40.0),
+                                     Box(min(2.0 * r, grid.radius - 2.0)), seed, ti, n_samples)
         V_cols = _columns(views, nodes)
         f_x = np.broadcast_to(nodes[:, None], V_cols.shape)
         f_sq = (nodes[:, None] - mins[None, :]) ** 2
@@ -1040,8 +1035,8 @@ def run_ou_limit(alpha: float = 2.0, t_ladder=(1e2, 1e3), n_samples: int = 24,
     for ti, t in enumerate(t_ladder):
         params = params_top.with_t(t)
         r = scale_r(params)
-        views, mins = _tilted_minima(params, Box.cube(1, 7.0 * r + 70.0),
-                                     Box.cube(1, 2.0 * r), seed, ti, n_samples)
+        views, mins = _tilted_minima(params, Box(7.0 * r + 70.0), Box(2.0 * r),
+                                     seed, ti, n_samples)
         # V(m), then V at m + r y; a value does not depend on its batch
         V = np.stack([evaluate_V(view, np.r_[m, m + r * ys][:, None])
                       for view, m in zip(views, mins)], axis=1)
@@ -1110,14 +1105,12 @@ def run_lemma5(alpha: float = 2.0, t_values=(4.0, 8.0, 16.0),
         params = params_top.with_t(t)
         grid = make_grid(t, h)
         nodes = grid.nodes()
-        cfg_box = Box.cube(1, grid.box.half_widths[0] + LEMMA5_CONFIG_MARGIN)
-        views = [PotentialView(sample_homogeneous(cfg_box, 1.0, seed, path=(round(t), rep)), params)
+        cfg_box = Box(grid.radius + LEMMA5_CONFIG_MARGIN)
+        views = [PotentialView(sample_homogeneous(cfg_box, seed, path=(round(t), rep)), params)
                  for rep in range(n_samples)]
         V_cols = _columns(views, nodes)
 
-        lam1 = np.array([
-            smallest_eigs(SchrodingerOperator(GridField(grid, V_cols[:, j])), k=1).lambda1
-            for j in range(n_samples)])
+        lam1 = np.array([smallest_eigs(grid, V_cols[:, j]).lambda1 for j in range(n_samples)])
         schedule = ((t, dt),)
         u_ones, _ = batched_evolve(grid, V_cols, schedule, initial=np.ones(V_cols.shape))
         u_delta, _ = batched_evolve(grid, V_cols, schedule)

@@ -1,14 +1,16 @@
-"""Poisson environments: boxes, discrete measures and samplers.
+"""Poisson environments on the line: boxes, discrete measures and samplers.
 
-Homogeneous configurations are unit-rate Poisson samples on a box.  Tilted
-configurations realize the size-biased environment whose intensity is
+A Box is the interval (-radius, radius), and a PointConfig holds (n, 1)
+points sampled in one.  Homogeneous configurations are unit-rate Poisson
+samples, the model's environment.  Tilted configurations realize the
+size-biased environment whose intensity is
 
     p(y) = exp(-t * int vhat(x - y) mu(dx))
 
 for a finitely supported probability measure mu.  Since the exponent is
 nonnegative, p <= 1.
 
-Tilted sampling is 1-d and exact by superposition (Lewis & Shedler,
+Tilted sampling is exact by superposition (Lewis & Shedler,
 "Simulation of nonhomogeneous Poisson processes by thinning", Naval Res.
 Logistics Q. 26, 1979).  thinning_table bounds p per unit cell,
 sure_k <= p <= maybe_k, once per (alpha, t, box), and superposition_blocks
@@ -48,35 +50,19 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Box:
-    """Axis-aligned box given by center and per-axis half widths."""
+    """The interval (-radius, radius)."""
 
-    center: tuple
-    half_widths: tuple
+    radius: float
 
-    def __init__(self, center, half_widths):
-        center = tuple(float(c) for c in np.atleast_1d(center))
-        half_widths = tuple(float(h) for h in np.atleast_1d(half_widths))
-        if len(center) != len(half_widths):
-            raise ValueError("center and half_widths must have the same length")
-        if any(h < 0 or not math.isfinite(h) for h in half_widths):
-            raise ValueError(f"half widths must be nonnegative and finite, got {half_widths}")
-        object.__setattr__(self, "center", center)
-        object.__setattr__(self, "half_widths", half_widths)
-
-    @classmethod
-    def cube(cls, d: int, radius: float, center: float = 0.0) -> "Box":
-        return cls((center,) * int(d), (float(radius),) * int(d))
-
-    @property
-    def d(self) -> int:
-        return len(self.center)
+    def __post_init__(self):
+        radius = float(self.radius)
+        if not (radius >= 0 and math.isfinite(radius)):
+            raise ValueError(f"radius must be nonnegative and finite, got {radius}")
+        object.__setattr__(self, "radius", radius)
 
     @property
     def volume(self) -> float:
-        v = 1.0
-        for h in self.half_widths:
-            v *= 2.0 * h
-        return v
+        return 2.0 * self.radius
 
 
 @dataclass(frozen=True)
@@ -139,7 +125,8 @@ class DiscreteMeasure:
 
 @dataclass(frozen=True)
 class PointConfig:
-    """A sampled point configuration and the box it was sampled in."""
+    """A sampled point configuration, (n, 1) points, and the box it was
+    sampled in."""
 
     points: np.ndarray
     box: Box
@@ -148,32 +135,23 @@ class PointConfig:
         pts = np.asarray(self.points, dtype=float)
         if pts.ndim == 1:
             pts = pts[:, None]
-        if pts.size and pts.shape[1] != self.box.d:
-            raise ValueError("point dimension does not match box dimension")
-        if pts.size == 0:
-            pts = pts.reshape(0, self.box.d)
+        if pts.ndim != 2 or pts.shape[1] != 1:
+            raise ValueError(f"points must be (n, 1), got shape {pts.shape}")
         object.__setattr__(self, "points", _readonly(pts))
 
     @property
     def n(self) -> int:
         return self.points.shape[0]
 
-    @property
-    def d(self) -> int:
-        return self.box.d
 
-
-def sample_homogeneous(box: Box, rate: float, seed: int, *, path=()) -> PointConfig:
-    """Poisson(rate * volume) points placed uniformly in the box."""
-    if rate < 0:
-        raise ValueError("rate must be nonnegative")
+def sample_homogeneous(box: Box, seed: int, *, path=()) -> PointConfig:
+    """Poisson(volume) points placed uniformly in the box: the unit-rate
+    environment."""
     if box.volume <= 0:
         raise ValueError("degenerate box: zero volume")
     rng = stream(seed, *path)
-    n = rng.poisson(rate * box.volume)
-    u = rng.uniform(-1.0, 1.0, size=(n, box.d))
-    pts = np.asarray(box.center) + u * np.asarray(box.half_widths)
-    return PointConfig(pts, box)
+    n = rng.poisson(box.volume)
+    return PointConfig(rng.uniform(-1.0, 1.0, size=(n, 1)) * box.radius, box)
 
 
 def tilt_log_weight(y, mu: DiscreteMeasure, params: ModelParams, t: float | None = None):
@@ -219,15 +197,14 @@ def thinning_table(mu: DiscreteMeasure, alpha: float, t: float, box: Box):
     farthest.  Entries 0 and n + 1, (-inf, inf), send candidates beyond the
     box to the exact test.  Blocks of about PAIR_BLOCK pairs bound memory.
     """
-    hw = box.half_widths[0]
-    lo = box.center[0] - hw
-    n = max(1, math.ceil(2.0 * hw * TABLE_CELLS))
-    delta = 2.0 * hw / n
+    lo = -box.radius
+    n = max(1, math.ceil(box.volume * TABLE_CELLS))
+    delta = box.volume / n
     a, w = mu.atoms[:, 0], mu.weights
     # About 4500 ulp of the largest coordinate involved: far above the
     # rounding of the cell index, of the cell ends and of the distances
     # (each a few ulp), yet only 1.4e-8 wide at coordinates of 1.4e4.
-    eta = 1e-12 * max(1.0, abs(lo), abs(lo + 2.0 * hw), float(np.abs(a).max()))
+    eta = 1e-12 * max(1.0, box.radius, float(np.abs(a).max()))
     sure, maybe = np.full(n + 2, -np.inf), np.full(n + 2, np.inf)
     step = max(1, PAIR_BLOCK // a.size)
     for i in range(0, n, step):
@@ -331,16 +308,16 @@ def sample_tilted(mu: DiscreteMeasure, params: ModelParams, box: Box, seed: int,
     more than that (thinning_table), so the bounds still hold there.
 
     With t = 0, p is identically 1 and the sample is
-    sample_homogeneous(box, 1.0, seed, path=path) itself.
+    sample_homogeneous(box, seed, path=path) itself.
     """
     if t is None:
         t = params.t
-    if mu.d != 1 or box.d != 1:
-        raise ValueError(f"sample_tilted is 1-d, got d = {max(mu.d, box.d)}")
+    if mu.d != 1:
+        raise ValueError(f"sample_tilted is 1-d, got d = {mu.d}")
     if box.volume <= 0:
         raise ValueError("degenerate box: zero volume")
     if t == 0:
-        return sample_homogeneous(box, 1.0, seed, path=path)
+        return sample_homogeneous(box, seed, path=path)
     _, (_, s, M), (left, width, mean) = _tables(mu, params.alpha, t, box)
     rng = stream(seed, *path)
     counts = rng.poisson(mean)

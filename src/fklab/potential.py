@@ -67,11 +67,10 @@ class PotentialView:
         return LocalSum(self.config.points, self.params.alpha)
 
     def margins(self, xb: np.ndarray) -> np.ndarray:
-        """Each point's (m, d) distance to the box boundary, after the guards:
+        """Each point's (m, 1) distance to the box boundary, after the guards:
         every point inside the box, at least 1 inside when compensating, and
         the far-field mean at the least distance within max_far_bound."""
-        box = self.config.box
-        margin = (np.asarray(box.half_widths) - np.abs(xb - box.center)).min(axis=1)
+        margin = self.config.box.radius - np.abs(xb[:, 0])
         least = float(margin.min(initial=np.inf))
         if least < 0:
             raise ValueError("evaluation point outside the configuration box")
@@ -85,20 +84,17 @@ class PotentialView:
 
     def mean_far_field(self, xb: np.ndarray) -> np.ndarray:
         """E over configs of the omitted potential at each point (m, 1): the
-        exact tails ((B_r - x)^(1-a) + (x - B_l)^(1-a)) / (a - 1) for a
-        config box (B_l, B_r)."""
-        (c,), (h,) = self.config.box.center, self.config.box.half_widths
-        a, x = self.params.alpha, xb[:, 0]
-        return ((c + h - x) ** (1.0 - a) + (x - (c - h)) ** (1.0 - a)) / (a - 1.0)
+        exact tails ((R - x)^(1-a) + (x + R)^(1-a)) / (a - 1) for a config
+        box (-R, R)."""
+        R, a, x = self.config.box.radius, self.params.alpha, xb[:, 0]
+        return ((R - x) ** (1.0 - a) + (x + R) ** (1.0 - a)) / (a - 1.0)
 
 
 def evaluate_V(view: PotentialView, x):
-    """V at a point or a batch (m, 1) of points of the 1-d configuration box,
+    """V at a point or a batch (m, 1) of points of the configuration box,
     after the view's guards, through its LocalSum.  Empty configurations give
     0 (plus compensation if enabled).
     """
-    if view.config.d != 1:
-        raise ValueError(f"evaluate_V is 1-d, got d = {view.config.d}")
     x = np.asarray(x, dtype=float)
     single = x.ndim == 0
     xb = x.reshape(-1, 1)
@@ -111,7 +107,7 @@ def evaluate_V(view: PotentialView, x):
 
 @dataclass(frozen=True)
 class MinimizerResult:
-    location: np.ndarray
+    location: float
     value: float
 
 
@@ -119,63 +115,49 @@ def find_local_min(view: PotentialView, box: Box, coarse_step: float,
                    refine_tol: float) -> MinimizerResult:
     """Lowest potential point of `box`: coarse scan, then pattern descent.
 
-    Ties in the coarse scan resolve to the lexicographically smallest node, so
-    the result is deterministic.  Descent evaluates the 3^d - 1 neighbours at
-    the running step, moves to the lowest if it is lower, and otherwise
-    shrinks the step by 4, until the step drops below refine_tol.  Scan nodes
-    and neighbours are clamped to the box, so no point outside it is
-    evaluated.
+    Ties in the coarse scan resolve to the leftmost node, so the result is
+    deterministic.  Descent evaluates the two neighbours at the running step,
+    moves to the lower if it is lower, and otherwise shrinks the step by 4,
+    until the step drops below refine_tol.  Scan nodes and neighbours are
+    clamped to the box, so no point outside it is evaluated.
     """
     if coarse_step <= 0 or refine_tol <= 0:
         raise ValueError("steps must be positive")
-    d = box.d
-    lo = np.asarray(box.center) - np.asarray(box.half_widths)
-    hi = np.asarray(box.center) + np.asarray(box.half_widths)
-    axes = [np.arange(lo[k], hi[k] + 0.5 * coarse_step, coarse_step) for k in range(d)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    nodes = np.clip(np.stack([m.ravel() for m in mesh], axis=-1), lo, hi)
+    lo, hi = -box.radius, box.radius
+    nodes = np.clip(np.arange(lo, hi + 0.5 * coarse_step, coarse_step), lo, hi)[:, None]
     vals = evaluate_V(view, nodes)
-    best = int(np.argmin(vals))  # first minimum in C order = lexicographic
-    x = nodes[best].copy()
-    fx = vals[best]
+    best = int(np.argmin(vals))  # first minimum = leftmost
+    x, fx = float(nodes[best, 0]), vals[best]
 
     step = coarse_step
-    offsets = np.array(np.meshgrid(*([[-1, 0, 1]] * d), indexing="ij")).reshape(d, -1).T
-    offsets = offsets[np.any(offsets != 0, axis=1)]
+    offsets = np.array([[-1.0], [1.0]])
     while step > refine_tol:
         cand = np.clip(x + step * offsets, lo, hi)
         vals = evaluate_V(view, cand)
         j = int(np.argmin(vals))
         if vals[j] < fx:
-            x = cand[j].copy()
-            fx = float(vals[j])
+            x, fx = float(cand[j, 0]), float(vals[j])
         else:
             step /= 4.0
     return MinimizerResult(location=x, value=float(fx))
 
 
-def field_deviation(eval_fn, m, radius: float, params: ModelParams,
+def field_deviation(eval_fn, m: float, radius: float, params: ModelParams,
                     step: float | None = None) -> float:
-    """sup over a grid of B(m, radius) of |f(x) - f(m) - p_t(x - m)|.
+    """sup over a grid of [m - radius, m + radius] of |f(x) - f(m) - p_t(x - m)|.
 
-    eval_fn maps an (n, d) array of points to n field values, each depending
+    eval_fn maps an (n, 1) array of points to n field values, each depending
     only on its own point; f(m) is evaluated in the grid's batch.  Invariant
     under adding a constant to f; for a compensated potential the f(m)
     subtraction also cancels the far-field compensation up to its negligible
-    variation over the ball.  Injecting the exact quadratic profile (plus any
-    constant) returns 0 identically, which the scenario controls use as a
-    harness check.
+    variation over the interval.  Injecting the exact quadratic profile (plus
+    any constant) returns 0 identically, which the scenario controls use as
+    a harness check.
     """
-    m = np.atleast_1d(np.asarray(m, dtype=float))
     if step is None:
         step = radius / 64.0
-    d = m.size
-    axes = [np.arange(m[k] - radius, m[k] + radius + 0.5 * step, step) for k in range(d)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    nodes = np.stack([x.ravel() for x in mesh], axis=-1)
-    r2 = np.sum((nodes - m) ** 2, axis=1)
-    nodes = nodes[r2 <= radius ** 2 + 1e-12]
-    v = np.asarray(eval_fn(np.vstack([m, nodes])), dtype=float)
+    nodes = np.arange(m - radius, m + radius + 0.5 * step, step)[:, None]
+    nodes = nodes[(nodes[:, 0] - m) ** 2 <= radius ** 2 + 1e-12]
+    v = np.asarray(eval_fn(np.vstack([[[m]], nodes])), dtype=float)
     prof = quadratic_profile(nodes - m, params)
     return float(np.max(np.abs(v[1:] - v[0] - prof)))
-

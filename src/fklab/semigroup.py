@@ -65,8 +65,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.fft._pocketfft.pypocketfft import dst as _pocketfft_dst
 
-from .points import Box
-from .spectral import Grid
+from .spectral import Grid, make_grid
 
 
 class FKInstabilityError(RuntimeError):
@@ -95,7 +94,7 @@ class _SpectralHeat:
     (n, 1) broadcast run as m-element inner loops; the bits are the same."""
 
     def __init__(self, grid: Grid, tau: float, shape: tuple):
-        n = grid.shape[0]
+        n = grid.n
         mult = np.exp(-tau * _dirichlet_eigenvalues(n, grid.h)) / (2.0 * (n + 1))
         mult = mult.reshape(mult.shape + (1,) * (len(shape) - 1))
         self._mult = np.broadcast_to(mult, shape).copy()
@@ -176,7 +175,7 @@ def batched_evolve(grid: Grid, V_cols: np.ndarray, schedule, *,
     link's start, for runs in links) raises FKInstabilityError.
     """
     V_cols = np.asarray(V_cols, dtype=float)
-    if V_cols.ndim != 2 or V_cols.shape[0] != grid.shape[0]:
+    if V_cols.ndim != 2 or V_cols.shape[0] != grid.n:
         raise ValueError("V_cols must be (n_nodes, m)")
     _check_schedule(schedule)
     n, m = V_cols.shape
@@ -310,14 +309,7 @@ def time_marginal(grid: Grid, W_cols: np.ndarray, schedule, s_list,
 
 
 # ---------------------------------------------------------------------------
-# grids and replica statistics
-
-def make_grid(radius: float, h: float) -> Grid:
-    """The grid on (-half, half), half the multiple of h nearest radius and
-    at least 2h."""
-    half = max(round(radius / h), 2) * h
-    return Grid(Box.cube(1, half), h)
-
+# replica statistics
 
 def jackknife_mean(values: np.ndarray):
     """(mean, standard error) by delete-one jackknife."""

@@ -1,19 +1,20 @@
 """Discrete Schrodinger operators -1/2 Laplacian + V with Dirichlet walls.
 
-Grids are 1-d: they cover an interval with uniform spacing h, and only
-interior nodes are stored, so Dirichlet rows never enter the linear algebra.
+A Grid is (radius, h): the interval (-radius, radius) with uniform spacing
+h, of which only the n interior nodes are stored, so Dirichlet rows never
+enter the linear algebra.  make_grid snaps a half-width to a multiple of h.
 The Laplacian is the standard second-order central-difference stencil,
 giving O(h^2) eigenvalue error.  A d-dimensional oscillator -1/2 Laplacian +
 C |x|^2 on a cube separates into d copies of the 1-d one: on a square grid
 its matrix is the Kronecker sum of the 1-d matrix A, whose lowest eigenvalue
 is exactly d lambda1(A), so d-dimensional checks solve the 1-d operator.
 
-SchrodingerOperator(V) is the operator on a potential field; smallest_eigs
-gives its lowest one or two eigenpairs from LAPACK's tridiagonal eigen-solve
-(eigh_tridiagonal, by index).  Each result carries the residual
-||A v - lambda v|| of its unit-norm eigenvector v, so callers can hold it to
-a threshold; a solver failure or a non-finite eigenvalue raises
-EigenSolveError.
+An operator is a grid and a potential V on its nodes: tridiag(grid, V)
+gives its two bands, and smallest_eigs(grid, V, k) its lowest one or two
+eigenvalues from LAPACK's tridiagonal eigen-solve (eigh_tridiagonal, by
+index).  Each eigenvalue comes with the residual ||A v - lambda v|| of its
+unit-norm eigenvector v, so callers can hold it to a threshold; a solver
+failure or a non-finite eigenvalue raises EigenSolveError.
 
 The integrated density of states N(lambda) is estimated (d = 1) as the
 expected spectral mass below lambda in the unit cell at the origin, from
@@ -48,91 +49,56 @@ _IDS_EIG_TOL = 1e-6   # absolute; see tilted_ids_draws
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform Dirichlet grid on a 1-d box; interior nodes only."""
+    """Uniform Dirichlet grid on (-radius, radius), radius a multiple of h:
+    the n = 2 radius / h - 1 interior nodes only."""
 
-    box: Box
+    radius: float
     h: float
 
     def __post_init__(self):
-        if self.box.d != 1:
-            raise ValueError(f"Grid is 1-d, got d = {self.box.d}")
-        if not (self.h > 0):
-            raise ValueError("spacing must be positive")
-        ratio = 2.0 * self.box.half_widths[0] / self.h
+        if not (self.h > 0 and 0 < self.radius < math.inf):
+            raise ValueError("radius and spacing must be positive and finite")
+        ratio = 2.0 * self.radius / self.h
         if abs(ratio - round(ratio)) > 1e-9 * max(1.0, ratio):
-            raise ValueError("box widths must be integer multiples of h")
+            raise ValueError("the width 2 radius must be an integer multiple of h")
         if round(ratio) < 2:
             raise ValueError("box too small for interior nodes")
 
     @property
-    def shape(self) -> tuple:
-        return (int(round(2.0 * self.box.half_widths[0] / self.h)) - 1,)
-
-    @property
-    def n_total(self) -> int:
-        return self.shape[0]
+    def n(self) -> int:
+        return int(round(2.0 * self.radius / self.h)) - 1
 
     def nodes(self) -> np.ndarray:
         """Interior node coordinates, shape (n,)."""
-        lo = self.box.center[0] - self.box.half_widths[0]
-        return lo + self.h * np.arange(1, self.n_total + 1)
+        return -self.radius + self.h * np.arange(1, self.n + 1)
 
     def integrate(self, values: np.ndarray) -> float:
         """h weighted sum; the discrete integral of a Dirichlet field."""
         return float(np.sum(values) * self.h)
 
 
-@dataclass(frozen=True)
-class GridField:
-    """Values on the interior nodes of a grid (boundary is implicitly zero)."""
-
-    grid: Grid
-    values: np.ndarray
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        if vals.shape != self.grid.shape:
-            raise ValueError(f"values shape {vals.shape} != grid shape {self.grid.shape}")
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("field values must be finite")
-        object.__setattr__(self, "values", vals)
-
-    def mass(self) -> float:
-        return self.grid.integrate(self.values)
+def make_grid(radius: float, h: float) -> Grid:
+    """The grid on (-half, half), half the multiple of h nearest radius and
+    at least 2h: the one place a half-width is snapped to h."""
+    return Grid(max(round(radius / h), 2) * h, h)
 
 
-class SchrodingerOperator:
-    """Handle for A = -1/2 discrete Laplacian + diag(V), Dirichlet walls."""
-
-    def __init__(self, V: GridField):
-        if not np.all(np.isfinite(V.values)):
-            raise ValueError("potential must be finite")
-        self.grid = V.grid
-        self.V = V.values
-        self.h = V.grid.h
-        self._inv2h2 = 1.0 / (2.0 * self.h ** 2)
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        """A x, matrix-free."""
-        x = x.reshape(self.grid.shape)
-        c = self._inv2h2
-        out = self.V * x + 2.0 * c * x
-        out[1:] -= c * x[:-1]
-        out[:-1] -= c * x[1:]
-        return out
-
-    def tridiag(self):
-        """(diagonal, off-diagonal) of the matrix."""
-        diag = self.V + 2.0 * self._inv2h2
-        off = np.full(self.grid.n_total - 1, -self._inv2h2)
-        return diag, off
+def tridiag(grid: Grid, V) -> tuple:
+    """(diagonal, off-diagonal) of A = -1/2 discrete Laplacian + diag(V) on
+    the grid, for a finite V of shape (n,)."""
+    V = np.asarray(V, dtype=float)
+    if V.shape != (grid.n,):
+        raise ValueError(f"V has shape {V.shape}, the grid ({grid.n},)")
+    if not np.all(np.isfinite(V)):
+        raise ValueError("potential must be finite")
+    c = 1.0 / (2.0 * grid.h ** 2)
+    return V + 2.0 * c, np.full(grid.n - 1, -c)
 
 
 @dataclass(frozen=True)
 class EigenResult:
     lambda1: float
     lambda2: float | None
-    phi1: GridField
     residual1: float
     residual2: float | None
 
@@ -154,28 +120,27 @@ def _sturm_count(diag, off, lam: float) -> int:
     return count
 
 
-def smallest_eigs(op: SchrodingerOperator, k: int = 1) -> EigenResult:
-    """Lowest k in {1, 2} eigenpairs; phi1 is nonnegative with unit discrete L2 norm."""
+def smallest_eigs(grid: Grid, V, k: int = 1) -> EigenResult:
+    """Lowest k in {1, 2} eigenvalues of A = -1/2 discrete Laplacian +
+    diag(V), each with the residual ||A v - lambda v|| of its unit-norm
+    eigenvector v."""
     if k not in (1, 2):
         raise ValueError("k must be 1 or 2")
-    g = op.grid
+    diag, off = tridiag(grid, V)
     try:
-        lams, vecs = eigh_tridiagonal(*op.tridiag(), select="i",
-                                      select_range=(0, k - 1))
+        lams, vecs = eigh_tridiagonal(diag, off, select="i", select_range=(0, k - 1))
     except np.linalg.LinAlgError as e:
         raise EigenSolveError(f"eigen-solve failed: {e}") from e
     if not np.all(np.isfinite(lams)):
         raise EigenSolveError("eigen-solve returned non-finite eigenvalues")
-    res = [float(np.linalg.norm(op.apply(v).ravel() - lam * v))
-           for lam, v in zip(lams, vecs.T)]
-    v1 = vecs[:, 0]
-    if np.sum(v1) < 0:
-        v1 = -v1
-    # Perron ground state: clip round-off negatives in the far tails
-    v1 = np.where(v1 < 0, 0.0, v1)
-    v1 /= np.linalg.norm(v1)
-    phi1 = GridField(g, v1 / math.sqrt(g.h))
-    return EigenResult(lambda1=float(lams[0]), phi1=phi1, residual1=res[0],
+    V, c = np.asarray(V, dtype=float), 1.0 / (2.0 * grid.h ** 2)
+    res = []
+    for lam, v in zip(lams, vecs.T):
+        Av = V * v + 2.0 * c * v
+        Av[1:] -= c * v[:-1]
+        Av[:-1] -= c * v[1:]
+        res.append(float(np.linalg.norm(Av - lam * v)))
+    return EigenResult(lambda1=float(lams[0]), residual1=res[0],
                        lambda2=float(lams[1]) if k == 2 else None,
                        residual2=res[1] if k == 2 else None)
 
@@ -218,7 +183,7 @@ def tilted_ids_draws(lambdas, tilts, params: ModelParams, grid: Grid,
     tilts = np.asarray(tilts, dtype=float)
     n_per = np.array([n_samples // tilts.size + (j < n_samples % tilts.size)
                       for j in range(tilts.size)])
-    log_norm = np.array([box_log_laplace(s, params, sample_box.half_widths[0])
+    log_norm = np.array([box_log_laplace(s, params, sample_box.radius)
                          for s in tilts])
     x = grid.nodes()
     cell = (x >= -0.5) & (x < 0.5)
@@ -229,8 +194,8 @@ def tilted_ids_draws(lambdas, tilts, params: ModelParams, grid: Grid,
     for r, j in enumerate(np.repeat(np.arange(tilts.size), n_per)):
         cfg = sample_tilted(origin, params, sample_box, seed, t=float(tilts[j]), path=(r,))
         v0[r] = vhat_sum(np.zeros((1, 1)), cfg.points, params.alpha)[0]
-        V = GridField(grid, evaluate_V(PotentialView(cfg, params, compensate=True), x[:, None]))
-        diag, off = SchrodingerOperator(V).tridiag()
+        diag, off = tridiag(grid, evaluate_V(PotentialView(cfg, params, compensate=True),
+                                             x[:, None]))
         try:
             evs, vecs = eigh_tridiagonal(diag, off, select="v", tol=_IDS_EIG_TOL,
                                          select_range=(-np.inf, float(lambdas.max())))
@@ -295,10 +260,8 @@ def ids_estimate(lambda_grid, params: ModelParams, box_size: float,
     d, al = params.d, params.alpha
     tilts = (constants(params).a1 * d / (al * lambdas)) ** (al / (al - d))
     hole = float(tilts[0]) ** (1.0 / al)
-    # snap the half width to the grid so Grid's multiple-of-h invariant holds
-    half = round(max(box_size / 2.0, 1.5 * hole) / h) * h
-    grid = Grid(Box.cube(d, half), h)
-    sample_box = Box.cube(d, half + max(box_size / 2.0, 3.5 * hole))
+    grid = make_grid(max(box_size / 2.0, 1.5 * hole), h)
+    sample_box = Box(grid.radius + max(box_size / 2.0, 3.5 * hole))
     weight, score, n_per = tilted_ids_draws(lambdas, tilts, params, grid,
                                             sample_box, n_samples, seed)
     mean, half_w = stratified_mean(weight[:, None] * score, n_per)

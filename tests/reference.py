@@ -14,7 +14,7 @@ from scipy.linalg import eigh_tridiagonal
 from fklab.laplace import QuadratureSpec, exact_mgf_V0
 from fklab.model import ModelParams, _sq_norm, constants, vhat_radial, vhat_sum
 from fklab.points import stream
-from fklab.spectral import Grid, SchrodingerOperator
+from fklab.spectral import Grid, tridiag
 
 
 def shape_vhat(x, params: ModelParams):
@@ -40,9 +40,10 @@ def groundstate_phi1(x, params: ModelParams):
     return (w / math.pi) ** (params.d / 4.0) * np.exp(-0.5 * w * r2)
 
 
-def dense_1d(op: SchrodingerOperator) -> np.ndarray:
-    """The d = 1 operator as a dense matrix, from its tridiagonal bands."""
-    diag, off = op.tridiag()
+def dense_1d(grid: Grid, V) -> np.ndarray:
+    """The d = 1 operator -1/2 Laplacian + V on the grid as a dense matrix,
+    from its tridiagonal bands."""
+    diag, off = tridiag(grid, V)
     return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
 
 

@@ -297,6 +297,23 @@ def test_json_config_and_unknown_key(tmp_path):
     assert run_cli(tmp_path, "spectrum", "--config", str(bad)) == 2
 
 
+def test_quadrature_flags_reach_the_runner(tmp_path):
+    # quad_abs and quad_rel set one runner parameter, the QuadratureSpec
+    assert run_cli(tmp_path, "laplace", "--quad-abs", "1e-9", "--quad-rel", "1e-7") == 0
+    rec = json.loads((tmp_path / "laplace.json").read_text())
+    assert (rec["settings"]["quad_abs"], rec["settings"]["quad_rel"]) == (1e-9, 1e-7)
+    assert rec["settings"]["resolved_cli"] == {"quad_abs": 1e-9, "quad_rel": 1e-7}
+
+
+def test_config_file_that_is_not_json_exits_two(tmp_path, capsys):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text("{bad")
+    assert run_cli(tmp_path, "tilted", "--config", str(cfg)) == 2
+    err = capsys.readouterr().err
+    assert "config file is not valid JSON" in err and "Traceback" not in err
+    assert [p.name for p in tmp_path.iterdir()] == ["bad.json"]
+
+
 @pytest.mark.parametrize("text", ["samples = 2.9\nseed = 1.7\n", "seed = 1.7\n",
                                   "seed = true\n", "samples = 1e999\n"])
 def test_fractional_integer_key_value_is_a_config_error(tmp_path, capsys, text):

@@ -1,11 +1,13 @@
 """Scenario harness: power-law fits, run records, batched evolution, runners."""
 
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
 
+from fklab import experiments
 from fklab.experiments import (
     ARTIFACT_VERSION,
     SCENARIOS,
@@ -24,10 +26,10 @@ from fklab.experiments import (
     run_tilted,
 )
 from fklab.model import ModelParams, quadratic_profile
-from fklab.points import Box
 from fklab.semigroup import (FKStepper, _evolve_link, _retired_control,
                              batched_evolve, column_masses, default_schedule,
-                             make_grid, time_marginal)
+                             time_marginal)
+from fklab.spectral import make_grid
 
 P = ModelParams(d=1, alpha=2.0, t=100.0)
 
@@ -161,7 +163,7 @@ def test_batched_evolve_duhamel_constant_f_is_t_times_mass():
 
 def test_batched_evolve_rejects_bad_schedules():
     grid = make_grid(4.0, 0.1)
-    V = np.zeros((grid.shape[0], 1))
+    V = np.zeros((grid.n, 1))
     with pytest.raises(ValueError):
         batched_evolve(grid, V, ((4.0, 0.02), (16.0, 0.07)))
     with pytest.raises(ValueError):   # a time off the step lattice
@@ -195,7 +197,7 @@ def test_retired_control_is_the_snapshot_diagonal(monkeypatch, horizons):
     # schedule's own steps, with each column stepped only until its horizon
     params = ModelParams(d=1, alpha=2.0, t=16.0)
     grid = make_grid(8.0, 0.25)
-    n = grid.shape[0]
+    n = grid.n
     nodes = grid.nodes()
     V = np.stack([quadratic_profile(nodes, params.with_t(t)) for t in horizons],
                  axis=1)
@@ -228,7 +230,7 @@ def test_retired_control_is_the_snapshot_diagonal(monkeypatch, horizons):
 
 def test_retired_control_rejects_a_horizon_off_the_step_lattice():
     grid = make_grid(4.0, 0.25)
-    V = np.zeros((grid.shape[0], 2))
+    V = np.zeros((grid.n, 2))
     with pytest.raises(ValueError):
         _retired_control(grid, V, (16.0, 33.03))
 
@@ -279,6 +281,48 @@ def test_run_spectrum_control_and_samples():
     rec = run_spectrum(n_samples=2)
     assert rec.status == "pass"
     assert any(c["control"] for c in rec.checks)
+
+
+def _off(fn, how):
+    """fn's results, perturbed by `how`."""
+    return lambda *args, **kwargs: how(fn(*args, **kwargs))
+
+
+# per runner with a control gate: a small size, the control's oracle in
+# fklab.experiments and how it is made to fail, the tables the gated record
+# keeps, and the draws of the control itself (sample_tilted, sample_homogeneous)
+GATED = {
+    "spectrum": ({"n_samples": 2}, "spectral_gap", lambda g: 2.0 * g, set(), (0, 0)),
+    "localization": ({"n_samples": 2, "t_ladder": (16.0, 32.0, 64.0)}, "fit_power_law",
+                     lambda f: f._replace(slope=f.slope + 1.0), {"control_radius"}, (0, 0)),
+    "confinement": ({"n_samples": 2}, "field_deviation", lambda dev: dev + 1.0, set(),
+                    (0, 0)),
+    "local_min_stats": ({"n_samples": 8}, "predicted_tilted_mean", lambda m: 2.0 * m,
+                        set(), (1, 1)),
+    "occupation": ({"n_samples": 2, "t_ladder": (16.0, 64.0)}, "nu_coordinate_variance",
+                   lambda v: 2.0 * v, set(), (0, 0)),
+    "ou_limit": ({"n_samples": 2}, "groundstate_transform_check",
+                 lambda rep: dataclasses.replace(rep, sup_rel_err=1.0), set(), (0, 0)),
+}
+
+
+@pytest.mark.parametrize("scenario", sorted(GATED))
+def test_failed_control_stops_the_run(scenario, monkeypatch):
+    # a failed control returns the record with its controls alone: status
+    # control_failed, no Monte Carlo table and no draw past the control's own
+    size, oracle, how, tables, draws = GATED[scenario]
+    monkeypatch.setattr(experiments, oracle, _off(getattr(experiments, oracle), how))
+    drawn = {"sample_tilted": 0, "sample_homogeneous": 0}
+    for name in drawn:
+        def counted(*args, _name=name, _fn=getattr(experiments, name), **kwargs):
+            drawn[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(experiments, name, counted)
+    rec = SCENARIOS[scenario](**size)
+    assert rec.status == "control_failed"
+    assert rec.checks and all(c["control"] for c in rec.checks)
+    assert set(rec.tables) == tables
+    assert (drawn["sample_tilted"], drawn["sample_homogeneous"]) == draws
 
 
 def test_run_tilted_count_calibration():

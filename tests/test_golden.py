@@ -81,7 +81,7 @@ def _potential_bytes() -> bytes:
     half = round(1.5 * hole / 0.25) * 0.25
     x = (-half + 0.25 * np.arange(1, round(8.0 * half)))[:, None]
     cfg = sample_tilted(DiscreteMeasure.delta(np.zeros(1)), params,
-                        Box.cube(1, half + 3.5 * hole), 201, t=tilt, path=(0,))
+                        Box(half + 3.5 * hole), 201, t=tilt, path=(0,))
     view = PotentialView(cfg, params, compensate=True)
     assert x.shape[0] == 955
     return evaluate_V(view, x).tobytes()

@@ -26,10 +26,11 @@ from fklab.points import (
 
 
 def test_box_basics():
-    b = Box.cube(2, 3.0)
-    assert b.volume == pytest.approx(36.0)
-    with pytest.raises(ValueError):
-        Box(center=(0.0,), half_widths=(-1.0,))
+    b = Box(3.0)
+    assert b.radius == 3.0 and b.volume == 6.0
+    for radius in (-1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="radius must be nonnegative and finite"):
+            Box(radius)
 
 
 def test_stream_is_deterministic_and_path_sensitive():
@@ -41,8 +42,8 @@ def test_stream_is_deterministic_and_path_sensitive():
 
 
 def test_homogeneous_counts_match_poisson_mean():
-    box = Box.cube(1, 50.0)
-    counts = [sample_homogeneous(box, 1.0, seed=100, path=(i,)).n
+    box = Box(50.0)
+    counts = [sample_homogeneous(box, seed=100, path=(i,)).n
               for i in range(400)]
     mean = np.mean(counts)
     # Poisson(100): SE of the mean over 400 draws is 0.5
@@ -52,8 +53,8 @@ def test_homogeneous_counts_match_poisson_mean():
 
 
 def test_homogeneous_spatial_uniformity():
-    box = Box.cube(1, 20.0)
-    cfg = sample_homogeneous(box, 5.0, seed=7)
+    box = Box(100.0)
+    cfg = sample_homogeneous(box, seed=7)
     pts = cfg.points[:, 0]
     left = np.sum(pts < 0.0)
     # binomial(n, 1/2) three-sigma band
@@ -116,7 +117,7 @@ def test_squeeze_decides_as_the_exact_test(atoms, std, t):
         spread = np.random.default_rng(0)
         mu = DiscreteMeasure(spread.uniform(std, -std, (atoms, 1)),
                              spread.dirichlet(np.ones(atoms)))
-    box = Box((0.0,), (2000.37,))                # cells of width 0.999935...
+    box = Box(2000.37)  # cells of width 0.999935...
     lo, delta, sure, maybe = thinning_table(mu, 1.5, t, box)
     n = sure.size - 2
     assert lo == -2000.37 and n == 4001 and delta == 4000.74 / 4001
@@ -173,22 +174,22 @@ def _tilt(case):
     kind, x = case
     if kind == "c05":
         params = ModelParams(d=1, alpha=2.0, t=x)
-        return params, _mu_for(params), Box.cube(1, CRITERION_05[x])
+        return params, _mu_for(params), Box(CRITERION_05[x])
     if kind == "ids":
         params = ModelParams(d=1, alpha=1.5, t=1.0)
         tilt = (constants(params).a1 / (1.5 * x)) ** 3.0
         hole = tilt ** (1.0 / 1.5)
         half = round(1.5 * hole / 0.25) * 0.25
         return (params.with_t(tilt), DiscreteMeasure.delta(np.zeros(1)),
-                Box.cube(1, half + 3.5 * hole))
+                Box(half + 3.5 * hole))
     if kind == "weak":
         return (ModelParams(d=1, alpha=2.0, t=x), DiscreteMeasure.delta(np.zeros(1)),
-                Box.cube(1, 50.0))
+                Box(50.0))
     if kind == "narrow":
         return (ModelParams(d=1, alpha=1.5, t=600.0), DiscreteMeasure.gauss_hermite(x, 0.05),
-                Box((0.0,), (2000.37,)))
+                Box(2000.37))
     return (ModelParams(d=1, alpha=2.0, t=700.0), DiscreteMeasure.delta(np.array([x])),
-            Box.cube(1, 14000.0))
+            Box(14000.0))
 
 
 def _name(case):
@@ -206,7 +207,7 @@ def test_criterion_05_tilt_thins_exactly(t, radius):
     # one u per remainder point; the base is kept whole and a remainder point
     # when u' = s_B + u (M_B - s_B) is below the exact acceptance
     params, mu, _ = _tilt(("c05", t))
-    box = Box.cube(1, radius)
+    box = Box(radius)
     (lo, delta, _, _), (edges, s, M) = _blocks(params, mu, box)
     left, width = lo + edges[:-1] * delta, np.diff(edges) * delta
     decided = 0
@@ -290,7 +291,7 @@ def test_tilted_counts_follow_the_intensity(case):
 def test_table_widening_covers_index_rounding(atom):
     params = ModelParams(d=1, alpha=2.0, t=700.0)
     mu = DiscreteMeasure.delta(np.array([atom]))
-    box = Box.cube(1, 14000.0)
+    box = Box(14000.0)
     lo, delta, sure, maybe = thinning_table(mu, 2.0, 700.0, box)
     edges = lo + np.arange(sure.size - 1) * delta
     x = np.concatenate([edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf)])
@@ -324,7 +325,7 @@ def test_thinning_table_is_built_once_per_rung(monkeypatch):
 def test_criterion_05_table_leaves_few_candidates_undecided(t, radius, monkeypatch):
     params = ModelParams(d=1, alpha=2.0, t=t)
     mu = _mu_for(params)
-    box = Box.cube(1, radius)
+    box = Box(radius)
     exact = []
 
     def counted(y, *args):
@@ -334,16 +335,16 @@ def test_criterion_05_table_leaves_few_candidates_undecided(t, radius, monkeypat
     monkeypatch.setattr(points, "tilt_acceptance", counted)
     drawn = 0
     for rep in range(20):
-        drawn += sample_homogeneous(box, 1.0, 0, path=(2, rep)).n
+        drawn += sample_homogeneous(box, 0, path=(2, rep)).n
         sample_tilted(mu, params, box, 0, path=(2, rep))
     assert sum(exact) < 0.005 * drawn
 
 
 def test_tilted_at_t_zero_equals_homogeneous():
-    box = Box.cube(1, 8.0)
+    box = Box(8.0)
     params = ModelParams(d=1, alpha=2.0, t=1.0)
     mu = DiscreteMeasure.delta(np.zeros(1))
-    plain = sample_homogeneous(box, 1.0, seed=11)
+    plain = sample_homogeneous(box, seed=11)
     tilted = sample_tilted(mu, params, box, seed=11, t=0.0)
     np.testing.assert_array_equal(plain.points, tilted.points)
 
@@ -351,7 +352,7 @@ def test_tilted_at_t_zero_equals_homogeneous():
 def test_tilted_thinning_matches_density():
     # on a box where vhat == 1 everywhere, the tilted process is homogeneous
     # with rate exp(-t); check the count mean against that analytic value
-    box = Box.cube(1, 1.0)
+    box = Box(1.0)
     params = ModelParams(d=1, alpha=2.0, t=1.5)
     mu = DiscreteMeasure.delta(np.zeros(1))
     counts = [sample_tilted(mu, params, box, seed=5, path=(i,)).n
@@ -391,6 +392,8 @@ def test_gauss_hermite_measure_moments():
 
 
 def test_config_rejects_dimension_mismatch():
-    box = Box.cube(2, 1.0)
-    with pytest.raises(ValueError):
-        PointConfig(np.array([[0.0]]), box)
+    box = Box(1.0)
+    for pts in (np.zeros((1, 2)), np.zeros((0, 2)), np.zeros((2, 1, 1))):
+        with pytest.raises(ValueError, match="points must be"):
+            PointConfig(pts, box)
+    assert PointConfig(np.array([0.5, -0.5]), box).points.shape == (2, 1)

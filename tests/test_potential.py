@@ -22,12 +22,8 @@ from fklab.spectral import Grid
 P12 = ModelParams(d=1, alpha=2.0, t=16.0)
 
 
-def make_config(points, radius=50.0, d=1):
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim == 1:
-        pts = pts[:, None]
-    box = Box.cube(d, radius)
-    return PointConfig(pts, box)
+def make_config(points, radius=50.0):
+    return PointConfig(points, Box(radius))
 
 
 def test_single_point_values():
@@ -120,12 +116,12 @@ def test_compensation_mean_is_exact_in_d1():
     # Monte Carlo over configurations: compensated V at x has mean
     # close to the full-space mean sigma_d/(alpha-1) + cap correction.
     params = ModelParams(d=1, alpha=2.0, t=1.0)
-    box = Box.cube(1, 60.0)
+    box = Box(60.0)
     x = np.array([[1.0], [-2.0]])
     total = np.zeros(2)
     n = 600
     for i in range(n):
-        cfg = sample_homogeneous(box, 1.0, seed=50, path=(i,))
+        cfg = sample_homogeneous(box, seed=50, path=(i,))
         view = PotentialView(cfg, params, compensate=True)
         total += evaluate_V(view, x)
     mean = total / n
@@ -150,7 +146,7 @@ def test_mean_far_field_x_dependence():
 def test_find_local_min_single_well():
     # two points: the deepest potential sits between them
     view = PotentialView(make_config([[-1.0], [1.0]]), P12)
-    res = find_local_min(view, Box.cube(1, 5.0), coarse_step=0.25, refine_tol=1e-6)
+    res = find_local_min(view, Box(5.0), coarse_step=0.25, refine_tol=1e-6)
     assert isinstance(res, MinimizerResult)
     # symmetric configuration: interior minimum cannot beat the far field
     # inside the box, so the minimizer is at the box edge
@@ -159,9 +155,9 @@ def test_find_local_min_single_well():
 
 
 def test_find_local_min_matches_brute_force():
-    cfg = sample_homogeneous(Box.cube(1, 20.0), 1.0, seed=21)
+    cfg = sample_homogeneous(Box(20.0), seed=21)
     view = PotentialView(cfg, P12)
-    res = find_local_min(view, Box.cube(1, 6.0), coarse_step=0.05, refine_tol=1e-7)
+    res = find_local_min(view, Box(6.0), coarse_step=0.05, refine_tol=1e-7)
     xs = np.linspace(-6, 6, 24001)[:, None]
     brute = evaluate_V(view, xs)
     assert res.value <= brute.min() + 1e-6
@@ -186,11 +182,11 @@ def test_profile_deviation_zero_for_exact_quadratic():
 def test_profile_deviation_constant_invariance():
     # adding far-field compensation (approximately constant on the ball)
     # moves the deviation only by the compensation's variation
-    cfg = sample_homogeneous(Box.cube(1, 80.0), 1.0, seed=31)
+    cfg = sample_homogeneous(Box(80.0), seed=31)
     params = ModelParams(d=1, alpha=2.0, t=256.0)
     plain = PotentialView(cfg, params)
     comp = PotentialView(cfg, params, compensate=True)
-    m = find_local_min(plain, Box.cube(1, 10.0), 0.1, 1e-6).location
+    m = find_local_min(plain, Box(10.0), 0.1, 1e-6).location
     d_plain = field_deviation(lambda pts: evaluate_V(plain, pts), m, radius=2.0,
                               params=params)
     d_comp = field_deviation(lambda pts: evaluate_V(comp, pts), m, radius=2.0,
@@ -201,27 +197,37 @@ def test_profile_deviation_constant_invariance():
 @pytest.mark.parametrize("layer", ["Grid", "vhat_sum", "evaluate_V", "sample_tilted"])
 def test_d1_layers_refuse_d2_input(layer):
     # each would read d = 2 input by its first coordinate and give wrong
-    # numbers, so it refuses it at its entry
+    # numbers, so it is refused where it enters: a box or a grid is one
+    # radius, so a second half-width, like a negative or non-finite one, is
+    # no radius; a configuration holds (n, 1) points, so no 2-d configuration
+    # reaches evaluate_V; vhat_sum and sample_tilted refuse 2-d atoms
     params = ModelParams(d=2, alpha=3.0, t=1.0)
-    box = Box.cube(2, 4.0)
     pts = np.array([[3.0, 4.0], [0.0, 0.5]])
     calls = {
-        "Grid": lambda: Grid(box, 0.5),
-        "vhat_sum": lambda: model.vhat_sum(np.zeros((1, 2)), pts, 3.0),
-        "evaluate_V": lambda: evaluate_V(PotentialView(PointConfig(pts, box), params),
-                                         np.zeros((1, 2))),
-        "sample_tilted": lambda: sample_tilted(DiscreteMeasure.delta(np.zeros(2)),
-                                               params, box, 0),
+        "Grid": [(lambda: Grid((4.0, 4.0), 0.5), TypeError, None),
+                 (lambda: Grid(-4.0, 0.5), ValueError, "radius and spacing must be positive"),
+                 (lambda: Grid(math.inf, 0.5), ValueError, "radius and spacing must be positive"),
+                 (lambda: Box((4.0, 4.0)), TypeError, None),
+                 (lambda: Box(-4.0), ValueError, "radius must be nonnegative and finite"),
+                 (lambda: Box(math.nan), ValueError, "radius must be nonnegative and finite")],
+        "vhat_sum": [(lambda: model.vhat_sum(np.zeros((1, 2)), pts, 3.0), ValueError,
+                      "vhat_sum is 1-d, got d = 2")],
+        "evaluate_V": [(lambda: PointConfig(pts, Box(4.0)), ValueError,
+                        r"points must be \(n, 1\), got shape \(2, 2\)")],
+        "sample_tilted": [(lambda: sample_tilted(DiscreteMeasure.delta(np.zeros(2)),
+                                                 params, Box(4.0), 0), ValueError,
+                           "sample_tilted is 1-d, got d = 2")],
     }
-    with pytest.raises(ValueError, match=f"{layer} is 1-d, got d = 2"):
-        calls[layer]()
+    for call, error, match in calls[layer]:
+        with pytest.raises(error, match=match):
+            call()
 
 
 def test_blocked_evaluate_V_equals_one_block(monkeypatch):
     # 2000 points make blocks of 16 cells' moments, and 301 nodes span 57
     # cells
     params = ModelParams(d=1, alpha=1.5, t=1.0)
-    cfg = sample_homogeneous(Box.cube(1, 1000.0), 1.0, seed=4)
+    cfg = sample_homogeneous(Box(1000.0), seed=4)
     assert 1900 < cfg.n < 2100
     x = np.random.default_rng(0).uniform(-900.0, 900.0, (301, 1))
     blocked = evaluate_V(PotentialView(cfg, params, compensate=True), x)
@@ -239,7 +245,7 @@ def _ids_draw(seed, r=0):
     half = round(1.5 * hole / 0.25) * 0.25
     nodes = -half + 0.25 * np.arange(1, round(8.0 * half))
     origin = DiscreteMeasure.delta(np.zeros(1))
-    cfg = sample_tilted(origin, params, Box.cube(1, half + 3.5 * hole), seed,
+    cfg = sample_tilted(origin, params, Box(half + 3.5 * hole), seed,
                         t=tilt, path=(r,))
     return params, nodes[:, None], cfg
 
@@ -284,15 +290,15 @@ def test_view_builds_each_cells_moments_once(monkeypatch):
 
 
 def test_find_local_min_never_leaves_its_box(monkeypatch):
-    # one point in the middle of the box (-1, 5) pushes the minimum onto an
+    # one point in the middle of the box (-3, 3) pushes the minimum onto an
     # edge, and a coarse step of 0.7 does not divide the width 6
-    box = Box((2.0,), (3.0,))
+    box = Box(3.0)
     seen = []
     evaluate = potential.evaluate_V
     monkeypatch.setattr(potential, "evaluate_V",
                         lambda view, x: seen.append(np.array(x)) or evaluate(view, x))
-    view = PotentialView(make_config([[2.0]]), P12)
+    view = PotentialView(make_config([[0.0]]), P12)
     res = find_local_min(view, box, coarse_step=0.7, refine_tol=1e-6)
     pts = np.concatenate(seen)
-    assert pts.min() >= -1.0 and pts.max() <= 5.0
-    assert pts.max() == 5.0 and -1.0 <= res.location[0] <= 5.0
+    assert pts.min() >= -3.0 and pts.max() <= 3.0
+    assert pts.max() == 3.0 and -3.0 <= res.location <= 3.0

@@ -23,19 +23,14 @@ from fklab.semigroup import (
     column_masses,
     groundstate_transform_check,
     jackknife_mean,
-    make_grid,
     oscillator_ground_state,
     ou_transition_density,
     time_marginal,
 )
-from fklab.spectral import Grid, GridField, SchrodingerOperator, smallest_eigs
+from fklab.spectral import Grid, make_grid, smallest_eigs
 from reference import brownian_partition_mc, strategy_log_lower_bound
 
 P12 = ModelParams(d=1, alpha=2.0, t=1.0)
-
-
-def grid_1d(half, h):
-    return Grid(Box.cube(1, half), h)
 
 
 def evolve(g, V, t, dt, initial=None, **kw):
@@ -60,9 +55,9 @@ def evolve_links(g, V, t, dt, times, initial=None):
 
 
 def test_heat_kernel_matches_gaussian():
-    g = grid_1d(6.0, 0.01)
+    g = Grid(6.0, 0.01)
     t = 0.25
-    u = evolve(g, np.zeros(g.shape), t, 1e-3)[0]
+    u = evolve(g, np.zeros(g.n), t, 1e-3)[0]
     x = g.nodes()
     gauss = np.exp(-x ** 2 / (2.0 * t)) / math.sqrt(2.0 * math.pi * t)
     assert float(np.max(np.abs(u - gauss))) < 1e-4
@@ -70,17 +65,17 @@ def test_heat_kernel_matches_gaussian():
 
 
 def test_constant_potential_factorizes():
-    g = grid_1d(4.0, 0.02)
+    g = Grid(4.0, 0.02)
     t = 0.5
-    free = evolve(g, np.zeros(g.shape), t, 1e-3)[0]
+    free = evolve(g, np.zeros(g.n), t, 1e-3)[0]
     c = 1.7
-    killed = evolve(g, np.full(g.shape, c), t, 1e-3)[0]
+    killed = evolve(g, np.full(g.n, c), t, 1e-3)[0]
     np.testing.assert_allclose(killed, math.exp(-c * t) * free,
                                rtol=1e-12, atol=1e-14)
 
 
 def test_strang_splitting_is_second_order():
-    g = grid_1d(4.0, 0.02)
+    g = Grid(4.0, 0.02)
     x = g.nodes()
     t = 0.5
 
@@ -112,12 +107,11 @@ def test_heat_step_is_bit_equal_to_scipy_fft():
     # the step calls pocketfft's private DST-I binding; it must stay the very
     # routine scipy.fft.dst(type=1) runs, so any drift fails here
     grids = _localization_grids()
-    assert [g.shape[0] for g in grids] == [15, 23, 31, 47, 63, 95, 127, 191,
-                                           255, 383, 511, 767]
+    assert [g.n for g in grids] == [15, 23, 31, 47, 63, 95, 127, 191, 255, 383, 511, 767]
     rng = np.random.default_rng(5)
     tau = 0.25
     for grid in grids:
-        n, h = grid.shape[0], grid.h
+        n, h = grid.n, grid.h
         mult = np.exp(-tau * _dirichlet_eigenvalues(n, h)) / (2.0 * (n + 1))
         for m in (None, 6, 7):
             shape = (n,) if m is None else (n, m)
@@ -149,7 +143,7 @@ def test_columns_step_as_if_alone():
     # and the full-shape heat multiplier both rest on this.
     rng = np.random.default_rng(12)
     for grid in _localization_grids():
-        n = grid.shape[0]
+        n = grid.n
         for m in range(1, 8):
             V = rng.uniform(0.0, 3.0, (n, m))
             dt = float(rng.choice([0.02, 0.05, 0.1, 0.25]))
@@ -175,7 +169,7 @@ def test_mass_growth_raises_instability(monkeypatch):
         return out
 
     monkeypatch.setattr(FKStepper, "step", leaky_step)
-    g = grid_1d(4.0, 0.05)
+    g = Grid(4.0, 0.05)
     x = g.nodes()
     V_cols = 0.01 * np.stack([x ** 2] * 4, axis=1)
     with pytest.raises(FKInstabilityError, match=r"column 2: .* by t = 0\.8 "):
@@ -199,7 +193,7 @@ def test_instability_in_a_later_link_names_absolute_time(monkeypatch):
         return out
 
     monkeypatch.setattr(FKStepper, "step", leaky_after_first_link)
-    g = grid_1d(4.0, 0.05)
+    g = Grid(4.0, 0.05)
     x = g.nodes()
     V_cols = 0.01 * np.stack([x ** 2] * 3, axis=1)
     # link 1 runs all three columns to t = 1; link 2 runs columns 1 and 2,
@@ -215,7 +209,7 @@ def test_mass_below_round_off_may_wobble_without_raising():
     # up by 3%; that is not growth under V >= 0
     params = ModelParams(1, 2.0, 16.0)
     grid = make_grid(16.0, 0.125)
-    cfg = sample_homogeneous(Box.cube(1, 46.0), 1.0, 3, path=(16, 91))
+    cfg = sample_homogeneous(Box(46.0), 3, path=(16, 91))
     view = PotentialView(cfg, params)
     V = evaluate_V(view, grid.nodes()[:, None])
     u, _ = batched_evolve(grid, V[:, None], ((16.0, 0.005),))
@@ -223,10 +217,10 @@ def test_mass_below_round_off_may_wobble_without_raising():
 
 
 def test_positivity_and_mass_decay():
-    g = grid_1d(5.0, 0.05)
-    cfg = sample_homogeneous(Box.cube(1, 5.0), 1.0, seed=3)
-    V = GridField(g, vhat_sum(g.nodes()[:, None], cfg.points, P12.alpha))
-    fields = evolve_links(g, V.values, 1.0, 1e-3, (0.25, 0.5, 0.75, 1.0))
+    g = Grid(5.0, 0.05)
+    cfg = sample_homogeneous(Box(5.0), seed=3)
+    V = vhat_sum(g.nodes()[:, None], cfg.points, P12.alpha)
+    fields = evolve_links(g, V, 1.0, 1e-3, (0.25, 0.5, 0.75, 1.0))
     final = fields[1.0]
     peak = float(np.max(final))
     assert np.all(final >= -1e-12 * peak)
@@ -235,7 +229,7 @@ def test_positivity_and_mass_decay():
 
 
 def test_monotone_in_potential():
-    g = grid_1d(4.0, 0.05)
+    g = Grid(4.0, 0.05)
     x = g.nodes()
     V = np.abs(np.sin(x))
     W = V + 0.3 * np.exp(-x ** 2)
@@ -245,8 +239,8 @@ def test_monotone_in_potential():
 
 
 def test_semigroup_property():
-    g = grid_1d(4.0, 0.05)
-    cfg = sample_homogeneous(Box.cube(1, 4.0), 1.0, seed=9)
+    g = Grid(4.0, 0.05)
+    cfg = sample_homogeneous(Box(4.0), seed=9)
     V = vhat_sum(g.nodes()[:, None], cfg.points, P12.alpha)
     one_shot = evolve(g, V, 1.5, 1e-3)[0]
     stage1 = evolve(g, V, 1.0, 1e-3)[0]
@@ -257,28 +251,28 @@ def test_semigroup_property():
 def test_mass_decay_rate_approaches_lambda1():
     # -log <T_t 1, 1> / t converges to the ground-state eigenvalue of the
     # same discrete operator; the offset -log <phi1, 1>^2 / t decays like 1/t
-    g = grid_1d(6.0, 0.05)
-    cfg = sample_homogeneous(Box.cube(1, 6.0), 1.0, seed=17)
-    V = GridField(g, vhat_sum(g.nodes()[:, None], cfg.points, P12.alpha))
-    lam1 = smallest_eigs(SchrodingerOperator(V)).lambda1
-    fields = evolve_links(g, V.values, 40.0, 0.01, (10.0, 20.0, 40.0),
-                          initial=np.ones(g.shape))
+    g = Grid(6.0, 0.05)
+    cfg = sample_homogeneous(Box(6.0), seed=17)
+    V = vhat_sum(g.nodes()[:, None], cfg.points, P12.alpha)
+    lam1 = smallest_eigs(g, V).lambda1
+    fields = evolve_links(g, V, 40.0, 0.01, (10.0, 20.0, 40.0),
+                          initial=np.ones(g.n))
     gaps = [abs(-math.log(g.integrate(fields[t])) / t - lam1) for t in (10.0, 20.0, 40.0)]
     assert gaps[0] > gaps[1] > gaps[2]
     assert gaps[2] < 0.08
 
 
 def test_occupation_constant_f_is_exact():
-    g = grid_1d(4.0, 0.05)
-    cfg = sample_homogeneous(Box.cube(1, 4.0), 1.0, seed=21)
-    V = GridField(g, vhat_sum(g.nodes()[:, None], cfg.points, P12.alpha))
+    g = Grid(4.0, 0.05)
+    cfg = sample_homogeneous(Box(4.0), seed=21)
+    V = vhat_sum(g.nodes()[:, None], cfg.points, P12.alpha)
     t = 0.75
-    u, (w1,) = evolve(g, V.values, t, 1e-3, fs=(np.ones((g.shape[0], 1)),))
+    u, (w1,) = evolve(g, V, t, 1e-3, fs=(np.ones((g.n, 1)),))
     assert g.integrate(w1) == pytest.approx(t * g.integrate(u), rel=1e-12)
 
 
 def test_occupation_odd_f_vanishes_by_symmetry():
-    g = grid_1d(4.0, 0.05)
+    g = Grid(4.0, 0.05)
     x = g.nodes()
     u, (wx,) = evolve(g, x ** 2, 1.0, 1e-3, fs=(x[:, None],))
     assert abs(g.integrate(wx)) < 1e-12 * g.integrate(u)
@@ -288,7 +282,7 @@ def test_occupation_second_moment_matches_ou():
     # Brownian path in the quadratic well c x^2 spends its time like the
     # stationary ground-state measure: second moment 1/(2 theta)
     c = constants(P12).C
-    g = grid_1d(3.0, 0.02)
+    g = Grid(3.0, 0.02)
     x = g.nodes()
     t = 24.0
     u, (wx2,) = evolve(g, c * x ** 2, t, 2e-3, fs=((x ** 2)[:, None],))
@@ -317,8 +311,8 @@ def test_ou_transition_density_normalizes():
 
 
 def test_time_marginal_free_motion():
-    g = grid_1d(8.0, 0.02)
-    V = np.zeros((g.shape[0], 1))
+    g = Grid(8.0, 0.02)
+    V = np.zeros((g.n, 1))
     schedule = ((1.0, 1e-3),)
     marg = time_marginal(g, V, schedule, [0.5])
     x = g.nodes()
@@ -357,7 +351,7 @@ MARGINAL_TIMES = [2.2, 0.5, 1.0, 2.0, 0.5]
 
 
 def _marginal_problem():
-    g = grid_1d(3.0, 0.05)
+    g = Grid(3.0, 0.05)
     x = g.nodes()
     rng = np.random.default_rng(4)
     V = np.stack([0.5 * x ** 2, np.abs(np.sin(3.0 * x)), rng.uniform(0, 2, x.size)],
@@ -415,7 +409,7 @@ def test_time_marginal_instability_names_time_since_zero(monkeypatch):
         return out
 
     monkeypatch.setattr(FKStepper, "step", leaky_after_first_link)
-    g = grid_1d(4.0, 0.05)
+    g = Grid(4.0, 0.05)
     V = 0.01 * np.stack([g.nodes() ** 2] * 3, axis=1)
     with pytest.raises(FKInstabilityError, match=r"column 1: .* by t = 1\.3 ") as e:
         time_marginal(g, V, ((2.0, 0.05),), [0.5, 1.5])
@@ -428,29 +422,29 @@ def test_brownian_mc_agrees_with_grid_evolution():
     R = 5.0
     mc_mean, mc_se = brownian_partition_mc(pts, P12, t, R, n_paths=20000,
                                            seed=33, dt=1e-3)
-    g = grid_1d(R, 0.01)
-    V = GridField(g, vhat_sum(g.nodes()[:, None], pts[:, None], P12.alpha))
-    grid_val = g.integrate(evolve(g, V.values, t, 2.5e-4)[0])
+    g = Grid(R, 0.01)
+    V = vhat_sum(g.nodes()[:, None], pts[:, None], P12.alpha)
+    grid_val = g.integrate(evolve(g, V, t, 2.5e-4)[0])
     assert abs(mc_mean - grid_val) < 3.0 * mc_se + 2e-3
 
 
 def test_quenched_partition_and_far_guard():
-    grid = grid_1d(3.0, 0.05)
-    cfg = sample_homogeneous(Box.cube(1, 40.0), 1.0, seed=41)
+    grid = Grid(3.0, 0.05)
+    cfg = sample_homogeneous(Box(40.0), seed=41)
     view = PotentialView(cfg, P12, max_far_bound=0.1)
-    V = GridField(grid, evaluate_V(view, grid.nodes()[:, None]))
-    z = grid.integrate(evolve(grid, V.values, 2.0, 1e-2)[0])
+    V = evaluate_V(view, grid.nodes()[:, None])
+    z = grid.integrate(evolve(grid, V, 2.0, 1e-2)[0])
     assert 0.0 < z < 1.0
     strict = PotentialView(cfg, P12, max_far_bound=0.01)
     with pytest.raises(ValueError, match="exceeds tolerance"):
-        evaluate_V(strict, grid_1d(39.5, 0.05).nodes()[:, None])
+        evaluate_V(strict, Grid(39.5, 0.05).nodes()[:, None])
 
 
 def _homogeneous_columns(grid, n, seed):
     """Compensated potentials of n unit-rate environments on a box 30 wider
     than the grid, one column each, as the scenario runners build them."""
-    cfg_box = Box.cube(1, grid.box.half_widths[0] + 30.0)
-    views = [_compensated(sample_homogeneous(cfg_box, 1.0, seed, path=(r,)), P12)
+    cfg_box = Box(grid.radius + 30.0)
+    views = [_compensated(sample_homogeneous(cfg_box, seed, path=(r,)), P12)
              for r in range(n)]
     return _columns(views, grid.nodes())
 
@@ -497,26 +491,27 @@ def test_jackknife_mean():
 
 
 def test_spec_guards():
-    g = grid_1d(2.0, 0.1)
+    g = Grid(2.0, 0.1)
     with pytest.raises(ValueError, match="dt must be positive"):
-        FKStepper(g, np.zeros(g.shape), 0.0)
+        FKStepper(g, np.zeros(g.n), 0.0)
     # a 2-d V would broadcast against the 1-d multiplier and diffuse along
-    # x only; no stepper meets one, since grids refuse a 2-d box
-    with pytest.raises(ValueError, match="Grid is 1-d, got d = 2"):
-        Grid(Box.cube(2, 1.0), 0.1)
+    # x only; no stepper meets one, since a grid is one radius and refuses
+    # a second half-width
+    with pytest.raises(TypeError):
+        Grid((1.0, 1.0), 0.1)
     with pytest.raises(ValueError):
-        evolve(g, np.zeros(g.shape), 1.0, 0.3)  # dt does not divide t
+        evolve(g, np.zeros(g.n), 1.0, 0.3)  # dt does not divide t
     with pytest.raises(ValueError):   # a time off the step lattice
-        time_marginal(g, np.zeros((g.shape[0], 1)), ((1.0, 0.01),), [0.005])
+        time_marginal(g, np.zeros((g.n, 1)), ((1.0, 0.01),), [0.005])
 
 
 def test_fields_and_radius_defaults():
     # the default initial field is a unit-mass delta at the origin, per column
-    g = grid_1d(2.0, 0.1)
-    delta = np.zeros((g.shape[0], 2))
+    g = Grid(2.0, 0.1)
+    delta = np.zeros((g.n, 2))
     delta[np.argmin(np.abs(g.nodes()))] = 1.0 / g.h
     np.testing.assert_allclose(column_masses(g, delta), 1.0, rtol=1e-12)
-    V = np.stack([g.nodes() ** 2, np.ones(g.shape[0])], axis=1)
+    V = np.stack([g.nodes() ** 2, np.ones(g.n)], axis=1)
     assert np.array_equal(batched_evolve(g, V, ((0.1, 0.1),))[0],
                           batched_evolve(g, V, ((0.1, 0.1),), initial=delta)[0])
-    assert make_grid(10.0, 0.25).box.half_widths[0] == pytest.approx(10.0)
+    assert make_grid(10.0, 0.25).radius == 10.0

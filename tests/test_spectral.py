@@ -13,13 +13,13 @@ from fklab.potential import PotentialView, evaluate_V
 from fklab.spectral import (
     EigenSolveError,
     Grid,
-    GridField,
     IdsCurve,
-    SchrodingerOperator,
     ids_estimate,
+    make_grid,
     smallest_eigs,
     stratified_mean,
     tilted_ids_draws,
+    tridiag,
     _IDS_EIG_TOL,
     _sturm_count,
 )
@@ -28,45 +28,53 @@ from reference import dense_1d, exact_ids_scores
 P12 = ModelParams(d=1, alpha=2.0, t=1.0)
 
 
-def grid_1d(half, h):
-    return Grid(Box.cube(1, half), h)
-
-
 def zero_field(grid):
-    return GridField(grid, np.zeros(grid.shape))
+    return np.zeros(grid.n)
 
 
 def test_grid_invariants():
-    g = grid_1d(2.0, 0.5)
-    assert g.shape == (7,)
+    g = Grid(2.0, 0.5)
+    assert g.n == 7
     nodes = g.nodes()
     assert nodes.shape == (7,)
     assert nodes[0] == pytest.approx(-1.5)
     assert nodes[-1] == pytest.approx(1.5)
-    assert g.integrate(np.ones(g.shape)) == pytest.approx(3.5)
-    with pytest.raises(ValueError):
-        Grid(Box.cube(1, 1.0), 0.3)  # width not a multiple of h
-    with pytest.raises(ValueError):
-        Grid(Box.cube(1, 0.25), 0.5)  # no interior nodes
-    with pytest.raises(ValueError, match="Grid is 1-d, got d = 2"):
-        Grid(Box.cube(2, 1.0), 0.25)
+    assert g.integrate(np.ones(g.n)) == pytest.approx(3.5)
+    with pytest.raises(ValueError, match="integer multiple of h"):
+        Grid(1.0, 0.3)
+    with pytest.raises(ValueError, match="too small"):
+        Grid(0.25, 0.5)
+    for radius, h in ((0.0, 0.25), (1.0, 0.0), (math.inf, 0.25), (math.nan, 0.25)):
+        with pytest.raises(ValueError, match="must be positive and finite"):
+            Grid(radius, h)
+    # make_grid is where a radius is snapped: to the nearest multiple of h,
+    # and to at least 2h
+    assert make_grid(1.1, 0.25) == Grid(1.0, 0.25)
+    assert make_grid(0.1, 0.25) == Grid(0.5, 0.25)
+    assert make_grid(10.0, 0.25) == Grid(10.0, 0.25)
 
 
 def test_grid_field_guards():
-    g = grid_1d(1.0, 0.25)
-    with pytest.raises(ValueError):
-        GridField(g, np.zeros(5))
-    with pytest.raises(ValueError):
-        GridField(g, np.full(g.shape, np.nan))
-    f = GridField(g, np.ones(g.shape))
-    assert f.mass() == pytest.approx(7 * 0.25)
-    assert math.sqrt(np.sum(f.values ** 2) * g.h) == pytest.approx(math.sqrt(7 * 0.25))
+    # a potential enters the operator only as a finite V of the grid's shape
+    g = Grid(1.0, 0.25)
+    bad = {"shape": np.zeros(5), "column": np.zeros((g.n, 1)),
+           "nan": np.full(g.n, np.nan), "inf": np.r_[np.zeros(g.n - 1), np.inf]}
+    for name, V in bad.items():
+        match = "potential must be finite" if name in ("nan", "inf") else "V has shape"
+        with pytest.raises(ValueError, match=match):
+            tridiag(g, V)
+        with pytest.raises(ValueError, match=match):
+            smallest_eigs(g, V)
+    diag, off = tridiag(g, np.ones(g.n))
+    c = 1.0 / (2.0 * 0.25 ** 2)
+    assert np.array_equal(diag, np.full(g.n, 1.0 + 2.0 * c))
+    assert np.array_equal(off, np.full(g.n - 1, -c))
 
 
 def test_dirichlet_box_spectrum():
     # -1/2 Lap on (-pi/2, pi/2): lambda_k = k^2/2, so 0.5 and 2.0
-    op = SchrodingerOperator(zero_field(grid_1d(math.pi / 2.0, math.pi / 512.0)))
-    res = smallest_eigs(op, k=2)
+    g = Grid(math.pi / 2.0, math.pi / 512.0)
+    res = smallest_eigs(g, zero_field(g), k=2)
     assert res.lambda1 == pytest.approx(0.5, rel=1e-4)
     assert res.lambda2 == pytest.approx(2.0, rel=1e-4)
     assert res.residual1 < 1e-8
@@ -75,9 +83,8 @@ def test_dirichlet_box_spectrum():
 def test_box_spectrum_h_squared_convergence():
     lam = []
     for n in (64, 128):
-        op = SchrodingerOperator(zero_field(grid_1d(math.pi / 2.0, math.pi / n)))
-        res = smallest_eigs(op, k=1)
-        lam.append(res.lambda1)
+        g = Grid(math.pi / 2.0, math.pi / n)
+        lam.append(smallest_eigs(g, zero_field(g), k=1).lambda1)
     err = [abs(v - 0.5) for v in lam]
     assert 3.0 < err[0] / err[1] < 5.0  # halving h divides the error by ~4
 
@@ -85,59 +92,60 @@ def test_box_spectrum_h_squared_convergence():
 def test_harmonic_oscillator_matches_a2():
     # V = C|x|^2 has ground energy a2 = sqrt(C/2) and gap sqrt(2C)
     c = constants(P12)
-    g = grid_1d(6.0, 0.01)
-    V = GridField(g, c.C * g.nodes() ** 2)
-    res = smallest_eigs(SchrodingerOperator(V), k=2)
+    g = Grid(6.0, 0.01)
+    res = smallest_eigs(g, c.C * g.nodes() ** 2, k=2)
     assert res.lambda1 == pytest.approx(c.a2, rel=1e-3)
     assert res.lambda2 - res.lambda1 == pytest.approx(math.sqrt(2.0 * c.C), rel=1e-3)
-    # ground state is nonnegative and L2-normalized on the grid
-    assert np.all(res.phi1.values >= 0.0)
-    assert np.sum(res.phi1.values ** 2) * g.h == pytest.approx(1.0, rel=1e-10)
+    # both eigenpairs hold to the residual bound that run_spectrum judges
+    assert res.residual1 <= 1e-8 and res.residual2 <= 1e-8
 
 
 def test_rayleigh_quotient_upper_bounds_lambda1():
-    g = grid_1d(4.0, 0.05)
-    cfg = sample_homogeneous(Box.cube(1, 4.0), 1.0, seed=3)
-    V = GridField(g, vhat_sum(g.nodes()[:, None], cfg.points, P12.alpha))
-    op = SchrodingerOperator(V)
-    res = smallest_eigs(op, k=1)
+    g = Grid(4.0, 0.05)
+    cfg = sample_homogeneous(Box(4.0), seed=3)
+    V = vhat_sum(g.nodes()[:, None], cfg.points, P12.alpha)
+    A = dense_1d(g, V)
+    res = smallest_eigs(g, V, k=1)
 
     def rayleigh(f):
-        return f @ op.apply(f) / (f @ f)
+        return f @ A @ f / (f @ f)
 
     rng = np.random.default_rng(0)
     for _ in range(5):
-        f = np.abs(rng.standard_normal(g.shape)) + 0.1
+        f = np.abs(rng.standard_normal(g.n)) + 0.1
         assert rayleigh(f) >= res.lambda1 - 1e-10
-    # the ground state itself attains the bottom
-    assert rayleigh(res.phi1.values) == pytest.approx(res.lambda1, abs=1e-8)
+    # the ground state itself attains the bottom, and its residual bounds
+    # how far from it the eigenvalue can be
+    ground = np.linalg.eigh(A)[1][:, 0]
+    assert rayleigh(ground) == pytest.approx(res.lambda1, abs=1e-8)
+    assert res.residual1 <= 1e-8
 
 
 def test_potential_monotonicity_of_lambda1():
-    g = grid_1d(4.0, 0.05)
-    cfg = sample_homogeneous(Box.cube(1, 4.0), 1.0, seed=5)
-    V = GridField(g, vhat_sum(g.nodes()[:, None], cfg.points, P12.alpha))
-    bump = GridField(g, V.values + 0.5 * np.exp(-g.nodes() ** 2))
-    lam_lo = smallest_eigs(SchrodingerOperator(V)).lambda1
-    lam_hi = smallest_eigs(SchrodingerOperator(bump)).lambda1
+    g = Grid(4.0, 0.05)
+    cfg = sample_homogeneous(Box(4.0), seed=5)
+    V = vhat_sum(g.nodes()[:, None], cfg.points, P12.alpha)
+    lam_lo = smallest_eigs(g, V).lambda1
+    lam_hi = smallest_eigs(g, V + 0.5 * np.exp(-g.nodes() ** 2)).lambda1
     assert lam_hi > lam_lo
 
 
 def test_domain_monotonicity_of_lambda1():
-    lam_small = smallest_eigs(SchrodingerOperator(zero_field(grid_1d(1.0, 0.01)))).lambda1
-    lam_large = smallest_eigs(SchrodingerOperator(zero_field(grid_1d(2.0, 0.01)))).lambda1
+    small, large = Grid(1.0, 0.01), Grid(2.0, 0.01)
+    lam_small = smallest_eigs(small, zero_field(small)).lambda1
+    lam_large = smallest_eigs(large, zero_field(large)).lambda1
     assert lam_large < lam_small
 
 
 def test_count_below_matches_dense_oracle():
-    g = grid_1d(5.0, 0.1)
-    cfg = sample_homogeneous(Box.cube(1, 5.0), 1.0, seed=11)
-    V = GridField(g, vhat_sum(g.nodes()[:, None], cfg.points, P12.alpha))
+    g = Grid(5.0, 0.1)
+    cfg = sample_homogeneous(Box(5.0), seed=11)
+    V = vhat_sum(g.nodes()[:, None], cfg.points, P12.alpha)
     # the tridiagonal solve by value that tilted_ids_draws counts eigenvalues
     # with returns those up to lam, and the Sturm count that places a lambda
     # near one of them agrees with the dense count
-    diag, off = SchrodingerOperator(V).tridiag()
-    dense = eigh(dense_1d(SchrodingerOperator(V)), eigvals_only=True)
+    diag, off = tridiag(g, V)
+    dense = eigh(dense_1d(g, V), eigvals_only=True)
     for lam in (0.5, 1.5, 3.0, 6.0):
         evs = eigh_tridiagonal(diag, off, eigvals_only=True, select="v",
                                select_range=(-np.inf, lam))
@@ -145,7 +153,7 @@ def test_count_below_matches_dense_oracle():
         np.testing.assert_allclose(evs, dense[dense <= lam], atol=1e-9)
         assert _sturm_count(diag, off, lam) == evs.size
     # exact even within 1e-9 of an eigenvalue
-    for k in (0, 1, 7, 30, g.n_total - 1):
+    for k in (0, 1, 7, 30, g.n - 1):
         assert _sturm_count(diag, off, dense[k] - 1e-9) == k
         assert _sturm_count(diag, off, dense[k] + 1e-9) == k + 1
 
@@ -162,11 +170,11 @@ def test_sturm_count_at_an_eigenvalue(diag, off, eigs, lam):
 
 
 def test_smallest_eigs_agrees_with_dense():
-    g = grid_1d(5.0, 0.1)
-    cfg = sample_homogeneous(Box.cube(1, 5.0), 1.0, seed=13)
-    V = GridField(g, vhat_sum(g.nodes()[:, None], cfg.points, P12.alpha))
-    dense = eigh(dense_1d(SchrodingerOperator(V)), eigvals_only=True)
-    res = smallest_eigs(SchrodingerOperator(V), k=2)
+    g = Grid(5.0, 0.1)
+    cfg = sample_homogeneous(Box(5.0), seed=13)
+    V = vhat_sum(g.nodes()[:, None], cfg.points, P12.alpha)
+    dense = eigh(dense_1d(g, V), eigvals_only=True)
+    res = smallest_eigs(g, V, k=2)
     assert res.lambda1 == pytest.approx(dense[0], abs=1e-9)
     assert res.lambda2 == pytest.approx(dense[1], abs=1e-8)
 
@@ -176,15 +184,14 @@ def test_smallest_eigs_near_degenerate_second_pair():
     # lambda2 = 2.22951 sits 3e-3 below lambda3, where deflated inverse
     # iteration converges at the ratio (lambda2 - s) / (lambda3 - s) ~ 0.999
     params = ModelParams(d=1, alpha=2.0, t=100.0)
-    grid = Grid(Box.cube(1, 40.0), 0.05)
-    cfg = sample_homogeneous(Box.cube(1, 70.0), 1.0, 2, path=(1,))
+    grid = Grid(40.0, 0.05)
+    cfg = sample_homogeneous(Box(70.0), 2, path=(1,))
     view = PotentialView(cfg, params, compensate=True, max_far_bound=0.5)
-    V = evaluate_V(view, grid.nodes()[:, None]).reshape(grid.shape)
-    op = SchrodingerOperator(GridField(grid, V))
-    assert grid.n_total == 1599
-    dense = eigh(dense_1d(op), eigvals_only=True, subset_by_index=(0, 2))
+    V = evaluate_V(view, grid.nodes()[:, None])
+    assert grid.n == 1599
+    dense = eigh(dense_1d(grid, V), eigvals_only=True, subset_by_index=(0, 2))
     assert dense[2] - dense[1] < 5e-3
-    res = smallest_eigs(op, k=2)
+    res = smallest_eigs(grid, V, k=2)
     assert res.lambda1 == pytest.approx(dense[0], abs=1e-9)
     assert res.lambda2 == pytest.approx(dense[1], abs=1e-9)
     assert res.residual1 <= 1e-8 and res.residual2 <= 1e-8
@@ -196,15 +203,15 @@ def test_2d_operator_ground_state():
     # is 2 lambda1(A): run_constants' d = 2 oscillator check rests on that.
     # Inputs: the oscillator C |x|^2 at alpha = 2.5 and 3.5 (d = 2), and V = 0
     # on (-pi/2, pi/2)^2, where lambda1 = 0.5 + 0.5.
-    cases = [(Grid(Box.cube(1, 3.25), 0.25),
-              constants(ModelParams(d=2, alpha=a, t=1.0)).C) for a in (2.5, 3.5)]
-    cases.append((Grid(Box.cube(1, math.pi / 2.0), math.pi / 26.0), 0.0))
+    cases = [(Grid(3.25, 0.25), constants(ModelParams(d=2, alpha=a, t=1.0)).C)
+             for a in (2.5, 3.5)]
+    cases.append((Grid(math.pi / 2.0, math.pi / 26.0), 0.0))
     for g, C in cases:
-        op = SchrodingerOperator(GridField(g, C * g.nodes() ** 2))
-        assert g.n_total == 25
-        A, eye = dense_1d(op), np.eye(g.n_total)
+        V = C * g.nodes() ** 2
+        assert g.n == 25
+        A, eye = dense_1d(g, V), np.eye(g.n)
         K = np.kron(A, eye) + np.kron(eye, A)
-        want = 2.0 * smallest_eigs(op).lambda1
+        want = 2.0 * smallest_eigs(g, V).lambda1
         assert np.linalg.eigvalsh(K)[0] == pytest.approx(want, rel=1e-12)
         if C == 0.0:
             assert want == pytest.approx(1.0, rel=2e-3)
@@ -238,8 +245,8 @@ def test_ids_tilted_weights_are_unbiased():
     # tilts (0, 3) average to 1.  The small sampled box makes Lambda_B differ
     # from the whole-line Laplace functional by about 1; with that wrong
     # normalizer the mean weight drops to ~0.9, twice its CI below 1.
-    grid = Grid(Box.cube(1, 4.0), 0.25)
-    box = Box.cube(1, 6.0)
+    grid = Grid(4.0, 0.25)
+    box = Box(6.0)
     w, score, n_per = tilted_ids_draws([3.0], [0.0, 3.0], P12, grid, box, 400, seed=1)
     mean_w, half_w = stratified_mean(w, n_per)
     assert abs(mean_w - 1.0) <= half_w, (mean_w, half_w)
@@ -263,8 +270,8 @@ def _record_ids_operators(monkeypatch) -> list:
     return ops
 
 
-IDS_GRID = Grid(Box.cube(1, 8.0), 0.25)
-IDS_BOX = Box.cube(1, 14.0)
+IDS_GRID = Grid(8.0, 0.25)
+IDS_BOX = Box(14.0)
 
 
 def test_ids_scores_match_exact_bisection(monkeypatch):
@@ -337,25 +344,24 @@ def test_stratified_mean_sums_strata_variances():
 
 
 def test_eigs_input_guards():
-    g = grid_1d(1.0, 0.25)
-    op = SchrodingerOperator(zero_field(g))
+    g = Grid(1.0, 0.25)
     with pytest.raises(ValueError):
-        smallest_eigs(op, k=3)
+        smallest_eigs(g, zero_field(g), k=3)
 
 
 @pytest.mark.parametrize("k", [1, 2])
 def test_solver_failures_raise_eigen_solve_error(monkeypatch, k):
     # the CLI reports EigenSolveError as a numerical failure; a bare LAPACK
     # exception would escape as a traceback
-    op = SchrodingerOperator(zero_field(grid_1d(1.0, 0.25)))
+    g = Grid(1.0, 0.25)
 
     def breaks(*args, **kwargs):
         raise np.linalg.LinAlgError("eigenvectors failed to converge")
 
     def non_finite(*args, **kwargs):
-        return np.full(k, np.nan), np.ones((op.grid.n_total, k))
+        return np.full(k, np.nan), np.ones((g.n, k))
 
     for fake in (breaks, non_finite):
         monkeypatch.setattr(fklab.spectral, "eigh_tridiagonal", fake)
         with pytest.raises(EigenSolveError):
-            smallest_eigs(op, k=k)
+            smallest_eigs(g, zero_field(g), k=k)
