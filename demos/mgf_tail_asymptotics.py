@@ -38,7 +38,7 @@ def two_atoms(t_grid):
     c = constants(p)
     mu = DiscreteMeasure([[-1.0], [1.0]], [0.5, 0.5])
     for t in t_grid:
-        val = exact_log_laplace(mu, p, QuadratureSpec(), t)
+        val = exact_log_laplace(mu, p, QuadratureSpec(), t=t)
         resid = (val - c.a1 * t ** 0.5) / (t ** -0.5 * mu.second_moment)
         print(f"  t = {t:8.0e}   residual ratio {resid:10.6f}   "
               f"C = {c.C:10.6f}   rel err {abs(resid - c.C) / c.C:.2e}")

@@ -168,8 +168,8 @@ def _plan(sc, cfg: dict, strict: bool) -> tuple[dict, dict, dict]:
         if name in kw:
             kw[name] = (kw[name],)
     if "quad" in kw:
-        kw["quad"] = QuadratureSpec(abs_tol=cfg.get("quad_abs", 1e-10),
-                                    rel_tol=cfg.get("quad_rel", 1e-8))
+        tols = {"quad_abs": "abs_tol", "quad_rel": "rel_tol"}
+        kw["quad"] = QuadratureSpec(**{tols[k]: cfg[k] for k in tols if k in cfg})
     merged = {k: p.default for k, p in declared.items()
               if p.default is not p.empty} | kw
     d, n = merged.get("d", 1), merged.get("n_samples")

@@ -291,7 +291,7 @@ def _mu_for(params: ModelParams) -> DiscreteMeasure:
     """32-atom Gauss-Hermite discretization of the limiting coordinate law,
     scaled to the localization scale r(t)."""
     std = math.sqrt(nu_coordinate_variance(params)) * scale_r(params)
-    return DiscreteMeasure.gauss_hermite(32, std=std, center=0.0)
+    return DiscreteMeasure.gauss_hermite(32, std=std)
 
 
 # _compensated(cfg, params): the view of cfg's potential the scenarios read,
@@ -409,7 +409,7 @@ def run_laplace(alpha: float = 2.0, t: float = 1e6,
                 "separations": list(LAPLACE_SEPARATIONS),
                 "quad_abs": quad.abs_tol, "quad_rel": quad.rel_tol}
     mu = DiscreteMeasure(np.array([[-1.0], [1.0]]), np.array([0.5, 0.5]))
-    val = exact_log_laplace(mu, params, quad, t)
+    val = exact_log_laplace(mu, params, quad, t=t)
     residual = (val - c.a1 * t ** (params.d / alpha)) \
         / (t ** ((params.d - 2.0) / alpha) * mu.second_moment)
     rel = abs(residual - c.C) / c.C
@@ -420,7 +420,7 @@ def run_laplace(alpha: float = 2.0, t: float = 1e6,
     margins_increasing = True
     prev = -math.inf
     for sep in LAPLACE_SEPARATIONS:
-        rep = two_point_bound_check([-0.5 * sep], [0.5 * sep], params, quad,
+        rep = two_point_bound_check(-0.5 * sep, 0.5 * sep, params, quad,
                                     t=LAPLACE_TWO_POINT_T)
         checks.append(_chk(f"two_point_margin_sep{sep:g}", rep.margin > 0,
                            observed=rep.margin, target=0.0, tol=None,
@@ -510,10 +510,9 @@ def run_ids(alpha: float = 1.5, lambda_grid=(0.4, 0.56, 0.72, 0.88, 1.04, 1.2),
         checks.append(_chk(
             "lifshitz_slope", False, observed=None, target=target,
             tol=0.15 * target,
-            note=f"{zero}/{len(rows)} grid points returned N_hat = 0: no "
-                 f"tilted draw had spectral mass below lambda in the unit "
-                 f"cell at the tilt centre, so the slope is not estimable "
-                 f"at this sample size"))
+            note=f"{len(usable)}/{len(rows)} grid points have 0 < N_hat < 1, "
+                 f"fewer than the 3 the fit needs: {zero} returned N_hat = 0 "
+                 f"and {len(rows) - len(usable) - zero} returned N_hat >= 1"))
     aux_rows, aux_usable = window((1.75, 2.0, 2.3, 2.65, 3.0))
     if len(aux_usable) >= 3:
         fa = fit_power_law(aux_usable)
@@ -726,7 +725,7 @@ def run_confinement(alpha: float = 2.0, t_ladder=(1e2, 1e3, 1e4),
     r_top = scale_r(params_top)
     ctrl_center = 0.3 * r_top
     ctrl_dev = field_deviation(
-        lambda pts: quadratic_profile(pts - ctrl_center, params_top) + 5.0,
+        lambda pts: quadratic_profile(pts[:, 0] - ctrl_center, params_top) + 5.0,
         ctrl_center, r_top, params_top)
     checks = [_chk("control_quadratic_injection", ctrl_dev <= 1e-12,
                    observed=ctrl_dev, target=0.0, tol=1e-12, control=True,

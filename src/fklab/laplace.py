@@ -19,6 +19,9 @@ to incomplete-gamma expressions; in particular
 
 which gives the leading term a1 s^(d/alpha) with an O(e^-s) remainder.
 
+The single-atom reductions hold in any d.  Measures live on the line
+(points.DiscreteMeasure), and the multi-atom and off-atom quadratures are
+d = 1; they, and the pair bound, take the horizon as the keyword t.
 Multi-atom values are computed as the single-atom value plus a difference
 integral D = int (exp(-t vhat) - exp(-t Phi)) dy, which converges fast once
 mu is centered (the dipole term cancels), leaving a tail controlled by
@@ -175,8 +178,6 @@ def _gk_quad(f, breakpoints, spec: QuadratureSpec):
 def _mgf_J(s: float, params: ModelParams, spec: QuadratureSpec) -> float:
     """J(s) = int_0^s (1 - e^-u) u^(-d/alpha - 1) du."""
     beta = params.d / params.alpha  # in (0, 1)
-    if s <= 0:
-        return 0.0
     eps = min(1e-6, 0.1 * s)
     # series on (0, eps): (1 - e^-u) = u - u^2/2 + u^3/6 - ...
     head = (eps ** (1 - beta) / (1 - beta)
@@ -206,8 +207,7 @@ def exact_mgf_V0(s: float, params: ModelParams, spec: QuadratureSpec = Quadratur
     return -float(val)
 
 
-def box_log_laplace(s: float, params: ModelParams, half_width: float,
-                    spec: QuadratureSpec = QuadratureSpec()) -> float:
+def box_log_laplace(s: float, params: ModelParams, half_width: float) -> float:
     """Lambda_B(s) = int_B (1 - exp(-s vhat(y))) dy over B = [-L, L] (d = 1).
 
     This is -log E[exp(-s V_B(0))] for the potential of the points in B only,
@@ -225,7 +225,7 @@ def box_log_laplace(s: float, params: ModelParams, half_width: float,
     val = min(half_width, 1.0) * -math.expm1(-s)
     if half_width > 1.0:
         pts = sorted({1.0, min(max(s ** (1.0 / al), 1.0), half_width), half_width})
-        tail, _ = _gk_quad(lambda y: -np.expm1(-s * y ** -al), pts, spec)
+        tail, _ = _gk_quad(lambda y: -np.expm1(-s * y ** -al), pts, QuadratureSpec())
         val += tail
     return 2.0 * val
 
@@ -245,15 +245,13 @@ def _single_atom_moment(power: int, t: float, params: ModelParams):
     return c.omega_d * math.exp(-t) + far
 
 
-def variance_limit_quadrature(params: ModelParams, t: float | None = None,
-                              spec: QuadratureSpec = QuadratureSpec()) -> float:
+def variance_limit_quadrature(params: ModelParams) -> float:
     """Direct radial quadrature of t^((2a-d)/a) int |y|^(-2 alpha) e^{-t |y|^-alpha} dy.
 
-    Evaluated at a large reference t (default 1e8); independent of the
+    Evaluated at the large reference t = 1e8; independent of the
     incomplete-gamma route and of any printed constant.
     """
-    if t is None:
-        t = 1.0e8
+    t = 1.0e8
     c = constants(params)
     al, d = params.alpha, params.d
     scale = t ** (1.0 / al)
@@ -262,7 +260,7 @@ def variance_limit_quadrature(params: ModelParams, t: float | None = None,
         return r ** (d - 1.0 - 2.0 * al) * np.exp(-t * r ** (-al))
 
     pts = [scale * x for x in (1e-2, 0.1, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 64.0, 1e4)]
-    val, _ = _gk_quad(f, pts, spec)
+    val, _ = _gk_quad(f, pts, QuadratureSpec())
     return c.sigma_d * t ** ((2.0 * al - d) / al) * val
 
 
@@ -275,7 +273,7 @@ def paper_variance_constant(params: ModelParams) -> float:
 
 
 # ---------------------------------------------------------------------------
-# multi-atom machinery (d = 1 quadrature; d >= 2 falls back where possible)
+# multi-atom machinery (d = 1 quadrature)
 
 def _difference_breakpoints(atoms: np.ndarray, t: float, alpha: float, H: float):
     scale = t ** (1.0 / alpha)
@@ -288,8 +286,7 @@ def _difference_breakpoints(atoms: np.ndarray, t: float, alpha: float, H: float)
 
 
 def exact_log_laplace(mu: DiscreteMeasure, params: ModelParams,
-                      spec: QuadratureSpec = QuadratureSpec(),
-                      t: float | None = None) -> float:
+                      spec: QuadratureSpec = QuadratureSpec(), *, t: float) -> float:
     """int (1 - exp(-t Phi_mu(y))) dy = -log E[exp(-t <mu, V>)], nonnegative.
 
     Computed as the single-atom value plus a centered difference integral on
@@ -297,8 +294,6 @@ def exact_log_laplace(mu: DiscreteMeasure, params: ModelParams,
     its tail t alpha M2 H^-(alpha+1) is added back; H keeps that tail below
     tolerance, which leaves a higher-order remainder.
     """
-    if t is None:
-        t = params.t
     if t < 0:
         raise ValueError("t must be nonnegative")
     if t == 0:
@@ -309,7 +304,7 @@ def exact_log_laplace(mu: DiscreteMeasure, params: ModelParams,
     if params.d != 1:
         raise NotImplementedError("multi-atom Laplace functional implemented for d = 1")
     al = params.alpha
-    atoms = mu.atoms[:, 0] - float(mu.barycenter[0])
+    atoms = mu.atoms[:, 0] - mu.barycenter
     w = np.asarray(mu.weights)
     X = float(np.max(np.abs(atoms)))
     M2 = float(w @ atoms ** 2)
@@ -338,21 +333,15 @@ class PairBoundReport:
     separation: float
 
 
-def two_point_bound_check(x, y, params: ModelParams,
-                          spec: QuadratureSpec = QuadratureSpec(),
-                          t: float | None = None) -> PairBoundReport:
-    """Checks log E[exp(-t (V(x)+V(y))/2)] <= -a1 t^(d/a) - (C/5) t^((d-2)/a) |x-y|^2."""
-    if t is None:
-        t = params.t
+def two_point_bound_check(x: float, y: float, params: ModelParams,
+                          spec: QuadratureSpec = QuadratureSpec(), *,
+                          t: float) -> PairBoundReport:
+    """Checks log E[exp(-t (V(x)+V(y))/2)] <= -a1 t^(d/a) - (C/5) t^((d-2)/a) |x-y|^2
+    for coordinates x and y on the line."""
     c = constants(params)
-    xa = np.atleast_1d(np.asarray(x, dtype=float))
-    ya = np.atleast_1d(np.asarray(y, dtype=float))
-    sep = float(np.linalg.norm(xa - ya))
-    if sep == 0.0:
-        mu = DiscreteMeasure.delta(xa)
-    else:
-        mu = DiscreteMeasure(np.stack([xa, ya]), np.array([0.5, 0.5]))
-    lhs = -exact_log_laplace(mu, params, spec, t)
+    sep = abs(x - y)
+    mu = DiscreteMeasure([x, y], [0.5, 0.5])
+    lhs = -exact_log_laplace(mu, params, spec, t=t)
     bound = -(c.a1 * t ** (params.d / params.alpha)
               + (c.C / 5.0) * t ** ((params.d - 2.0) / params.alpha) * sep ** 2)
     margin = bound - lhs
@@ -360,23 +349,19 @@ def two_point_bound_check(x, y, params: ModelParams,
                            lhs_log=float(lhs), bound_log=float(bound), separation=sep)
 
 
-def _tilted_moment(power: int, mu: DiscreteMeasure, at, params: ModelParams,
-                   spec: QuadratureSpec, t: float | None,
-                   domain_radius: float | None) -> float:
-    """int vhat(at - y)^power exp(-t Phi(y)) dy over the whole space, or over
+def _tilted_moment(power: int, mu: DiscreteMeasure, at: float, params: ModelParams,
+                   spec: QuadratureSpec, t: float, domain_radius: float | None) -> float:
+    """int vhat(at - y)^power exp(-t Phi(y)) dy over the line, or over
     |y| <= domain_radius: in closed form at a single atom, else by d = 1
     quadrature."""
-    if t is None:
-        t = params.t
     if t < 0:
         raise ValueError("t must be nonnegative")
-    at_arr = np.atleast_1d(np.asarray(at, dtype=float))
     if mu.atoms.shape[0] == 1 and domain_radius is None \
-            and np.allclose(at_arr, mu.atoms[0]) and t > 0:
+            and np.allclose(at, mu.atoms[0]) and t > 0:
         return float(_single_atom_moment(power, t, params))
     if params.d != 1:
         raise NotImplementedError("off-atom tilted moments implemented for d = 1")
-    at, p, al = float(at_arr[0]), float(power), params.alpha
+    at, p, al = float(at), float(power), params.alpha
     atoms = mu.atoms[:, 0]
     w = np.asarray(mu.weights)
 
@@ -406,9 +391,9 @@ def _tilted_moment(power: int, mu: DiscreteMeasure, at, params: ModelParams,
     return float(val + tail)
 
 
-def tilted_mean_V(mu: DiscreteMeasure, at, params: ModelParams,
-                  spec: QuadratureSpec = QuadratureSpec(),
-                  t: float | None = None, domain_radius: float | None = None) -> float:
+def tilted_mean_V(mu: DiscreteMeasure, at: float, params: ModelParams,
+                  spec: QuadratureSpec = QuadratureSpec(), *,
+                  t: float, domain_radius: float | None = None) -> float:
     """E_t[V(at)] = int vhat(at - y) exp(-t Phi(y)) dy.
 
     t = 0 gives int vhat = omega_d + sigma_d / (alpha - d); at the barycenter
@@ -418,9 +403,9 @@ def tilted_mean_V(mu: DiscreteMeasure, at, params: ModelParams,
     return _tilted_moment(1, mu, at, params, spec, t, domain_radius)
 
 
-def tilted_variance_V(mu: DiscreteMeasure, at, params: ModelParams,
-                      spec: QuadratureSpec = QuadratureSpec(),
-                      t: float | None = None, domain_radius: float | None = None) -> float:
+def tilted_variance_V(mu: DiscreteMeasure, at: float, params: ModelParams,
+                      spec: QuadratureSpec = QuadratureSpec(), *,
+                      t: float, domain_radius: float | None = None) -> float:
     """Var_t[V(at)] = int vhat(at - y)^2 exp(-t Phi(y)) dy.
 
     t = 0 gives omega_d + sigma_d / (2 alpha - d); the scaled variance

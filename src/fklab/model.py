@@ -22,7 +22,8 @@ Derived scales, all functions of t through r(t) = t^((alpha-d+2)/(4 alpha)):
 
     h_t     = a1 * (d / alpha) * t^(-(alpha-d)/alpha)   typical depth of V at
               the bottom of the occupied well
-    p_t(x)  = C * t^(-(alpha-d+2)/alpha) * |x|^2        parabolic confinement
+    p_t(x)  = C * t^(-(alpha-d+2)/alpha) * |x|^2        parabolic confinement,
+              evaluated on the line by quadratic_profile
     phi1    = ground state of -(1/2) Laplacian + C |x|^2
     nu_m    = phi1(. - m)^2, the limiting occupation density around m
 
@@ -96,23 +97,6 @@ def _constants(d: int, alpha: float) -> ConstantsBundle:
 def constants(params: ModelParams) -> ConstantsBundle:
     """Constants bundle for params; cached per (d, alpha)."""
     return _constants(params.d, params.alpha)
-
-
-def _sq_norm(x, d: int):
-    """|x|^2 for a scalar (d=1), a single point (d,), or a batch (..., d).
-
-    For d = 1 a bare array of shape (n,) is read as n scalar points.
-    """
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 0:
-        if d != 1:
-            raise ValueError("scalar input only makes sense for d = 1")
-        return x * x
-    if d == 1 and (x.ndim == 1 or x.shape[-1] != 1):
-        return x * x
-    if x.shape[-1] != d:
-        raise ValueError(f"point array with last axis {x.shape[-1]} does not match d={d}")
-    return np.sum(x * x, axis=-1)
 
 
 def vhat_radial(r, alpha: float):
@@ -265,14 +249,15 @@ def scale_r(params: ModelParams) -> float:
 
 
 def quadratic_profile(x, params: ModelParams):
-    """Parabolic confinement profile p_t(x) = C * t^(-(alpha-d+2)/alpha) * |x|^2.
-
-    x is a scalar (d = 1 only), a point (d,) or a batch (..., d).  Satisfies
-    p_t(r(t) y) = C * t^(-(alpha-d+2)/(2 alpha)) |y|^2.
+    """Parabolic confinement profile p_t(x) = C * t^(-(alpha-d+2)/alpha) * x^2
+    on the line, elementwise over the coordinates x.  Satisfies
+    p_t(r(t) y) = C * t^(-(alpha-d+2)/(2 alpha)) y^2.
     """
+    if params.d != 1:
+        raise ValueError(f"quadratic_profile is 1-d, got d = {params.d}")
     c = constants(params)
-    r2 = _sq_norm(x, params.d)
-    return c.C * params.t ** (-(params.alpha - params.d + 2.0) / params.alpha) * r2
+    x = np.asarray(x, dtype=float)
+    return c.C * params.t ** (-(params.alpha - params.d + 2.0) / params.alpha) * (x * x)
 
 
 def nu_coordinate_variance(params: ModelParams) -> float:

@@ -1,7 +1,8 @@
 """Poisson environments on the line: boxes, discrete measures and samplers.
 
-A Box is the interval (-radius, radius), and a PointConfig holds (n, 1)
-points sampled in one.  Homogeneous configurations are unit-rate Poisson
+A Box is the interval (-radius, radius) for a radius > 0.  A PointConfig
+holds (n, 1) points sampled in one and a DiscreteMeasure (n, 1) atoms; both
+refuse any other shape.  Homogeneous configurations are unit-rate Poisson
 samples, the model's environment.  Tilted configurations realize the
 size-biased environment whose intensity is
 
@@ -56,8 +57,8 @@ class Box:
 
     def __post_init__(self):
         radius = float(self.radius)
-        if not (radius >= 0 and math.isfinite(radius)):
-            raise ValueError(f"radius must be nonnegative and finite, got {radius}")
+        if not (radius > 0 and math.isfinite(radius)):
+            raise ValueError(f"radius must be positive and finite, got {radius}")
         object.__setattr__(self, "radius", radius)
 
     @property
@@ -67,18 +68,21 @@ class Box:
 
 @dataclass(frozen=True)
 class DiscreteMeasure:
-    """Finitely supported probability measure: atoms (n, d), positive weights."""
+    """Finitely supported probability measure on the line: atoms (n, 1),
+    positive weights."""
 
     atoms: np.ndarray
     weights: np.ndarray
 
     def __init__(self, atoms, weights):
-        atoms = np.atleast_1d(np.asarray(atoms, dtype=float))
+        atoms = np.asarray(atoms, dtype=float)
         if atoms.ndim == 1:
             atoms = atoms[:, None]
+        if atoms.ndim != 2 or atoms.shape[1] != 1:
+            raise ValueError(f"atoms must be (n, 1), got shape {atoms.shape}")
         weights = np.asarray(weights, dtype=float)
-        if atoms.shape[0] != weights.shape[0]:
-            raise ValueError("atoms and weights must have matching lengths")
+        if weights.shape != atoms.shape[:1]:
+            raise ValueError(f"weights must be one per atom, got shape {weights.shape}")
         if atoms.shape[0] == 0:
             raise ValueError("measure needs at least one atom")
         if np.any(weights <= 0):
@@ -93,34 +97,29 @@ class DiscreteMeasure:
         object.__setattr__(self, "_tables", {})
 
     @classmethod
-    def delta(cls, point) -> "DiscreteMeasure":
-        pt = np.atleast_1d(np.asarray(point, dtype=float))
-        return cls(pt[None, :], np.array([1.0]))
+    def delta(cls, x) -> "DiscreteMeasure":
+        """The unit mass at the coordinate x."""
+        return cls(np.reshape(x, (1, -1)), [1.0])
 
     @classmethod
-    def gauss_hermite(cls, n: int, std: float, center: float = 0.0) -> "DiscreteMeasure":
-        """n-atom Gauss-Hermite discretization of N(center, std^2) on the line.
+    def gauss_hermite(cls, n: int, std: float) -> "DiscreteMeasure":
+        """n-atom Gauss-Hermite discretization of N(0, std^2).
 
         Exact for polynomial moments up to degree 2n - 1; in particular the
-        second central moment of the returned measure is exactly std^2.
+        second moment of the returned measure is exactly std^2.
         """
         nodes, w = np.polynomial.hermite.hermgauss(n)
-        atoms = center + math.sqrt(2.0) * std * nodes
-        return cls(atoms[:, None], w / math.sqrt(math.pi))
+        return cls(math.sqrt(2.0) * std * nodes, w / math.sqrt(math.pi))
 
     @property
-    def d(self) -> int:
-        return self.atoms.shape[1]
-
-    @property
-    def barycenter(self) -> np.ndarray:
-        return self.weights @ self.atoms
+    def barycenter(self) -> float:
+        return float((self.weights @ self.atoms)[0])
 
     @property
     def second_moment(self) -> float:
-        """Centered second moment int |x - m|^2 mu(dx)."""
-        delta = self.atoms - self.barycenter
-        return float(self.weights @ np.sum(delta * delta, axis=1))
+        """Centered second moment int (x - m)^2 mu(dx)."""
+        delta = self.atoms[:, 0] - self.barycenter
+        return float(self.weights @ (delta * delta))
 
 
 @dataclass(frozen=True)
@@ -147,8 +146,6 @@ class PointConfig:
 def sample_homogeneous(box: Box, seed: int, *, path=()) -> PointConfig:
     """Poisson(volume) points placed uniformly in the box: the unit-rate
     environment."""
-    if box.volume <= 0:
-        raise ValueError("degenerate box: zero volume")
     rng = stream(seed, *path)
     n = rng.poisson(box.volume)
     return PointConfig(rng.uniform(-1.0, 1.0, size=(n, 1)) * box.radius, box)
@@ -198,7 +195,7 @@ def thinning_table(mu: DiscreteMeasure, alpha: float, t: float, box: Box):
     box to the exact test.  Blocks of about PAIR_BLOCK pairs bound memory.
     """
     lo = -box.radius
-    n = max(1, math.ceil(box.volume * TABLE_CELLS))
+    n = math.ceil(box.volume * TABLE_CELLS)
     delta = box.volume / n
     a, w = mu.atoms[:, 0], mu.weights
     # About 4500 ulp of the largest coordinate involved: far above the
@@ -312,10 +309,8 @@ def sample_tilted(mu: DiscreteMeasure, params: ModelParams, box: Box, seed: int,
     """
     if t is None:
         t = params.t
-    if mu.d != 1:
-        raise ValueError(f"sample_tilted is 1-d, got d = {mu.d}")
-    if box.volume <= 0:
-        raise ValueError("degenerate box: zero volume")
+    if params.d != 1:
+        raise ValueError(f"sample_tilted is 1-d, got d = {params.d}")
     if t == 0:
         return sample_homogeneous(box, seed, path=path)
     _, (_, s, M), (left, width, mean) = _tables(mu, params.alpha, t, box)

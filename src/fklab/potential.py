@@ -54,13 +54,18 @@ class PotentialView:
     compensate=True adds the deterministic far-field mean to every value, and
     needs every evaluated point at least 1 from the box boundary.
     max_far_bound, when not None, rejects points whose omitted far-field mean
-    exceeds the tolerance.  One LocalSum serves every call.
+    exceeds the tolerance.  One LocalSum serves every call.  The view is 1-d,
+    so params must have d = 1.
     """
 
     config: PointConfig
     params: ModelParams
     compensate: bool = False
     max_far_bound: float | None = None
+
+    def __post_init__(self):
+        if self.params.d != 1:
+            raise ValueError(f"PotentialView is 1-d, got d = {self.params.d}")
 
     @cached_property
     def local_sum(self) -> LocalSum:
@@ -142,9 +147,9 @@ def find_local_min(view: PotentialView, box: Box, coarse_step: float,
     return MinimizerResult(location=x, value=float(fx))
 
 
-def field_deviation(eval_fn, m: float, radius: float, params: ModelParams,
-                    step: float | None = None) -> float:
-    """sup over a grid of [m - radius, m + radius] of |f(x) - f(m) - p_t(x - m)|.
+def field_deviation(eval_fn, m: float, radius: float, params: ModelParams) -> float:
+    """sup over a grid of step radius / 64 on [m - radius, m + radius] of
+    |f(x) - f(m) - p_t(x - m)|.
 
     eval_fn maps an (n, 1) array of points to n field values, each depending
     only on its own point; f(m) is evaluated in the grid's batch.  Invariant
@@ -154,10 +159,9 @@ def field_deviation(eval_fn, m: float, radius: float, params: ModelParams,
     any constant) returns 0 identically, which the scenario controls use as
     a harness check.
     """
-    if step is None:
-        step = radius / 64.0
+    step = radius / 64.0
     nodes = np.arange(m - radius, m + radius + 0.5 * step, step)[:, None]
     nodes = nodes[(nodes[:, 0] - m) ** 2 <= radius ** 2 + 1e-12]
     v = np.asarray(eval_fn(np.vstack([[[m]], nodes])), dtype=float)
-    prof = quadratic_profile(nodes - m, params)
+    prof = quadratic_profile(nodes[:, 0] - m, params)
     return float(np.max(np.abs(v[1:] - v[0] - prof)))

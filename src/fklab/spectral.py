@@ -188,7 +188,7 @@ def tilted_ids_draws(lambdas, tilts, params: ModelParams, grid: Grid,
     x = grid.nodes()
     cell = (x >= -0.5) & (x < 0.5)
     cell_volume = float(np.count_nonzero(cell)) * grid.h
-    origin = DiscreteMeasure.delta(np.zeros(params.d))
+    origin = DiscreteMeasure.delta(0.0)
     v0 = np.empty(n_samples)
     score = np.empty((n_samples, lambdas.size))
     for r, j in enumerate(np.repeat(np.arange(tilts.size), n_per)):

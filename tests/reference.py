@@ -12,9 +12,26 @@ from scipy import special
 from scipy.linalg import eigh_tridiagonal
 
 from fklab.laplace import QuadratureSpec, exact_mgf_V0
-from fklab.model import ModelParams, _sq_norm, constants, vhat_radial, vhat_sum
+from fklab.model import ModelParams, constants, vhat_radial, vhat_sum
 from fklab.points import stream
 from fklab.spectral import Grid, tridiag
+
+
+def _sq_norm(x, d: int):
+    """|x|^2 for a scalar (d=1), a single point (d,), or a batch (..., d).
+
+    For d = 1 a bare array of shape (n,) is read as n scalar points.
+    """
+    x = np.asarray(x, dtype=float)
+    if x.ndim == 0:
+        if d != 1:
+            raise ValueError("scalar input only makes sense for d = 1")
+        return x * x
+    if d == 1 and (x.ndim == 1 or x.shape[-1] != 1):
+        return x * x
+    if x.shape[-1] != d:
+        raise ValueError(f"point array with last axis {x.shape[-1]} does not match d={d}")
+    return np.sum(x * x, axis=-1)
 
 
 def shape_vhat(x, params: ModelParams):

@@ -1,5 +1,7 @@
 """End-to-end checks of the command-line interface."""
 
+import ast
+import functools
 import inspect
 import json
 import subprocess
@@ -10,12 +12,13 @@ import pytest
 
 from fklab.cli import _EXECUTION_KEYS, _KEYS, _PARAM, ConfigError, _coerce, _load_config, main
 from fklab.experiments import DECLARED, SCENARIOS, _chk, _record, config_hash
-from fklab.laplace import QuadratureError
+from fklab.laplace import QuadratureError, QuadratureSpec
 from fklab.semigroup import FKInstabilityError
 from fklab.spectral import EigenSolveError
 
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+REPO = Path(__file__).resolve().parents[1]
+PERFBENCH = REPO / "perfbench"
 
 
 def run_cli(tmp_path, *argv):
@@ -36,6 +39,69 @@ def test_every_runner_parameter_is_set_by_some_caller(monkeypatch):
         params = set(inspect.signature(sc.runner).parameters)
         assert params <= set_by, (sc.cli, sorted(params - set_by))
         assert ("d" in params) == (sc.key in ("constants", "mgf")), sc.cli
+
+
+def _callee(func: ast.expr):
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
+def unset_library_options(root: Path) -> list[str]:
+    """function.parameter for each defaulted parameter of a module-level
+    function or public method in root/src/fklab that no call in src/fklab,
+    demos/ or perfbench/, matched by callee name, passes by keyword or by
+    position.  Runners (guarded above), cli.main and dunder methods are
+    left out; a call with *args or **kwargs passes everything, and
+    partial(f, ...) is a call of f."""
+    trees = [ast.parse(p.read_text()) for d in ("src/fklab", "demos", "perfbench")
+             for p in sorted((root / d).rglob("*.py"))]
+    passed: dict[str, set] = {}
+    for node in (n for tree in trees for n in ast.walk(tree) if isinstance(n, ast.Call)):
+        func, args = node.func, node.args
+        if _callee(func) == "partial" and args:
+            func, args = args[0], args[1:]
+        got = passed.setdefault(_callee(func), set())
+        got.update(range(len(args)), (k.arg for k in node.keywords))
+        if any(isinstance(a, ast.Starred) for a in args) or None in got:
+            got.add("*")
+    exempt = {sc.runner.__name__ for sc in DECLARED} | {"main"}
+    unset = []
+    for path in sorted((root / "src/fklab").glob("*.py")):
+        body = ast.parse(path.read_text()).body
+        defs = [(f, 0) for f in body if isinstance(f, ast.FunctionDef)]
+        defs += [(f, 0 if any(getattr(d, "id", None) == "staticmethod" for d in f.decorator_list)
+                  else 1)
+                 for c in body if isinstance(c, ast.ClassDef) for f in c.body
+                 if isinstance(f, ast.FunctionDef) and not f.name.startswith("_")]
+        for f, offset in defs:
+            if f.name in exempt or f.name.startswith("__"):
+                continue
+            a, got = f.args, passed.get(f.name, set())
+            positional = a.posonlyargs + a.args
+            defaulted = [(p.arg, i - offset) for i, p in enumerate(positional)
+                         if i >= len(positional) - len(a.defaults)]
+            defaulted += [(p.arg, None) for p, v in zip(a.kwonlyargs, a.kw_defaults)
+                          if v is not None]
+            unset += [f"{f.name}.{name}" for name, i in defaulted
+                      if not ({"*", name, i} & got)]
+    return unset
+
+
+def test_every_library_option_is_set_by_some_caller():
+    # the runners' rule one layer down: a defaulted parameter of a library
+    # function that no caller outside the tests sets is a setting that does
+    # nothing.  Dataclass fields are not parameters here.
+    assert unset_library_options(REPO) == []
+
+
+def test_quadrature_flags_keep_the_spec_defaults(tmp_path, monkeypatch):
+    # a flag that is not given takes QuadratureSpec's own default, which the
+    # CLI does not restate
+    monkeypatch.setattr("fklab.cli.QuadratureSpec",
+                        functools.partial(QuadratureSpec, rel_tol=1e-7))
+    assert run_cli(tmp_path, "laplace", "--quad-abs", "1e-9") == 0
+    rec = json.loads((tmp_path / "laplace.json").read_text())
+    assert (rec["settings"]["quad_abs"], rec["settings"]["quad_rel"]) == (1e-9, 1e-7)
+    assert rec["settings"]["resolved_cli"] == {"quad_abs": 1e-9}
 
 
 def test_constants_exits_zero_and_writes_record(tmp_path):

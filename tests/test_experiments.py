@@ -21,6 +21,7 @@ from fklab.experiments import (
     run_ids,
     run_laplace,
     run_lemma5,
+    run_localization,
     run_mgf,
     run_spectrum,
     run_tilted,
@@ -350,6 +351,44 @@ def test_run_ids_structure_is_honest():
         for row in rec.tables[table]:
             assert math.isfinite(row["ci_low"]) and math.isfinite(row["ci_high"])
             assert row["ci_low"] <= row["n_hat"] <= row["ci_high"]
+
+
+def test_run_ids_failed_slope_counts_each_excluded_lambda():
+    # the fit needs three lambdas with 0 < N_hat < 1; at 8 draws the
+    # steepest tilt finds no spectral mass below 0.4, and from 20 up the
+    # unit cell holds more than one state
+    rec = run_ids(lambda_grid=(0.4, 0.56, 20.0, 30.0), n_samples=8)
+    assert [r["n_hat"] == 0.0 for r in rec.tables["ids"]] == [True, False, False, False]
+    assert [r["n_hat"] >= 1.0 for r in rec.tables["ids"]] == [False, False, True, True]
+    chk = next(c for c in rec.checks if c["name"] == "lifshitz_slope")
+    assert chk["passed"] is False and rec.status == "fail"
+    assert chk["note"] == ("1/4 grid points have 0 < N_hat < 1, fewer than the 3 "
+                           "the fit needs: 1 returned N_hat = 0 and 2 returned "
+                           "N_hat >= 1")
+    assert not any(f["name"] == "lifshitz_slope" for f in rec.fits)
+
+
+@pytest.mark.parametrize("L_ladder, side", [((40.0, 48.0, 64.0), "censored_low"),
+                                            ((0.5, 0.75, 1.0), "censored_high")],
+                         ids=["censored_low", "censored_high"])
+def test_run_localization_radii_outside_the_ladder_fail(L_ladder, side):
+    # every radius crosses below the smallest L or above the largest, so
+    # each is censored to that end of the ladder, no radius is bracketed and
+    # no exponent can be fitted
+    rec = run_localization(n_samples=4, t_ladder=(16.0, 32.0, 64.0),
+                           L_ladder=L_ladder, seed=1)
+    checks = {c["name"]: c for c in rec.checks}
+    assert checks["control_marginal_exponent"]["passed"]
+    assert checks["radius_bracketed"]["passed"] is False
+    assert checks["radius_bracketed"]["observed"] == 12
+    mc = checks["mc_confinement_exponent"]
+    assert mc["passed"] is False and mc["note"] == "too few bracketed radii to fit"
+    assert rec.status == "fail"
+    assert not any(f["name"] == "mc_confinement_exponent" for f in rec.fits)
+    end = L_ladder[0] if side == "censored_low" else L_ladder[-1]
+    for row in rec.tables["radius"]:
+        assert row[side] == 4 and row["censored_low"] + row["censored_high"] == 4
+        assert row["radius"] == row["ci_low"] == row["ci_high"] == end
 
 
 def test_run_lemma5_small():

@@ -132,6 +132,11 @@ def test_two_point_bound_margins():
         margins.append(rep.margin)
     # slack grows like (C/4 - C/5) sep^2 / sqrt(t)
     assert margins[0] < margins[1] < margins[2]
+    # at x = y the two atoms have M2 = 0: the single-atom value, and the
+    # bound is the leading order alone
+    rep = two_point_bound_check(0.7, 0.7, P12, t=t)
+    assert rep.separation == 0.0 and rep.lhs_log == exact_mgf_V0(t, P12)
+    assert rep.bound_log == -constants(P12).a1 * t ** 0.5
 
 
 def test_tilted_moments_at_t_zero():

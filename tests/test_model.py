@@ -226,6 +226,12 @@ def test_scales_and_profiles():
     # quadratic well: C * t^{-(alpha-d+2)/alpha} |x|^2
     assert quadratic_profile(2.0, p) == pytest.approx(c.C * 256.0 ** -1.5 * 4.0)
     assert quadratic_profile(np.array([1.0, -1.0]), p)[1] == pytest.approx(c.C * 256.0 ** -1.5)
+    # the profile is on the line: coordinates are squared elementwise, and a
+    # 2-d model, whose profile would need |x|^2 over points, is refused
+    assert quadratic_profile(np.array([[1.0, 2.0]]), p)[0, 1] == pytest.approx(
+        c.C * 256.0 ** -1.5 * 4.0)
+    with pytest.raises(ValueError, match="quadratic_profile is 1-d, got d = 2"):
+        quadratic_profile(1.0, ModelParams(d=2, alpha=3.0, t=256.0))
 
 
 def test_groundstate_phi1_normalized_and_variance():

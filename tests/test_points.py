@@ -28,8 +28,8 @@ from fklab.points import (
 def test_box_basics():
     b = Box(3.0)
     assert b.radius == 3.0 and b.volume == 6.0
-    for radius in (-1.0, math.inf, math.nan):
-        with pytest.raises(ValueError, match="radius must be nonnegative and finite"):
+    for radius in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="radius must be positive and finite"):
             Box(radius)
 
 
@@ -375,19 +375,35 @@ def test_tilt_acceptance_bounds():
 def test_measure_invariants():
     atoms = np.array([[1.0], [3.0]])
     mu = DiscreteMeasure(atoms=atoms, weights=np.array([0.25, 0.75]))
-    assert mu.barycenter[0] == pytest.approx(2.5)
+    assert isinstance(mu.barycenter, float) and mu.barycenter == pytest.approx(2.5)
     # centered second moment: 0.25*(1.5)^2 + 0.75*(0.5)^2
     assert mu.second_moment == pytest.approx(0.75)
     shifted = DiscreteMeasure(mu.atoms - 2.5, mu.weights)
-    assert shifted.barycenter[0] == pytest.approx(0.0)
+    assert shifted.barycenter == pytest.approx(0.0)
     assert shifted.second_moment == pytest.approx(mu.second_moment)
     with pytest.raises(ValueError):
         DiscreteMeasure(atoms=atoms, weights=np.array([0.5, 0.6]))
+    # a measure lives on the line: (n,) is read as (n, 1), and no other
+    # shape is a measure
+    assert DiscreteMeasure(np.array([1.0, 3.0]), [0.5, 0.5]).atoms.shape == (2, 1)
+    assert DiscreteMeasure.delta(2.0).atoms.shape == (1, 1)
+    for bad, w in ((np.zeros((2, 2)), [0.5, 0.5]), (np.zeros((2, 1, 1)), [0.5, 0.5]),
+                   (1.0, [1.0])):
+        with pytest.raises(ValueError, match="atoms must be"):
+            DiscreteMeasure(bad, w)
+    with pytest.raises(ValueError, match=r"atoms must be \(n, 1\), got shape \(1, 2\)"):
+        DiscreteMeasure.delta(np.zeros(2))
+    # weights are one per atom: (n, 1) weights would pass the sum but break
+    # every later product, and scalar weights have no length
+    for w in ([[0.25], [0.75]], 1.0, [0.5, 0.25, 0.25]):
+        with pytest.raises(ValueError, match="weights must be one per atom"):
+            DiscreteMeasure(atoms, w)
 
 
 def test_gauss_hermite_measure_moments():
-    mu = DiscreteMeasure.gauss_hermite(16, std=0.7, center=1.2)
-    assert mu.barycenter[0] == pytest.approx(1.2, abs=1e-12)
+    mu = DiscreteMeasure.gauss_hermite(16, std=0.7)
+    assert mu.atoms.shape == (16, 1)
+    assert mu.barycenter == pytest.approx(0.0, abs=1e-12)
     assert mu.second_moment == pytest.approx(0.49, rel=1e-10)
 
 

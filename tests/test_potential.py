@@ -198,9 +198,11 @@ def test_profile_deviation_constant_invariance():
 def test_d1_layers_refuse_d2_input(layer):
     # each would read d = 2 input by its first coordinate and give wrong
     # numbers, so it is refused where it enters: a box or a grid is one
-    # radius, so a second half-width, like a negative or non-finite one, is
-    # no radius; a configuration holds (n, 1) points, so no 2-d configuration
-    # reaches evaluate_V; vhat_sum and sample_tilted refuse 2-d atoms
+    # radius, so a second half-width, like a zero, negative or non-finite
+    # one, is no radius; a configuration holds (n, 1) points, and a view
+    # takes d = 1 params, so no 2-d configuration or model reaches
+    # evaluate_V; vhat_sum refuses 2-d points; a measure holds (n, 1) atoms,
+    # and sample_tilted takes d = 1 params
     params = ModelParams(d=2, alpha=3.0, t=1.0)
     pts = np.array([[3.0, 4.0], [0.0, 0.5]])
     calls = {
@@ -208,15 +210,24 @@ def test_d1_layers_refuse_d2_input(layer):
                  (lambda: Grid(-4.0, 0.5), ValueError, "radius and spacing must be positive"),
                  (lambda: Grid(math.inf, 0.5), ValueError, "radius and spacing must be positive"),
                  (lambda: Box((4.0, 4.0)), TypeError, None),
-                 (lambda: Box(-4.0), ValueError, "radius must be nonnegative and finite"),
-                 (lambda: Box(math.nan), ValueError, "radius must be nonnegative and finite")],
+                 (lambda: Box(0.0), ValueError, "radius must be positive and finite"),
+                 (lambda: Box(-4.0), ValueError, "radius must be positive and finite"),
+                 (lambda: Box(math.nan), ValueError, "radius must be positive and finite")],
         "vhat_sum": [(lambda: model.vhat_sum(np.zeros((1, 2)), pts, 3.0), ValueError,
                       "vhat_sum is 1-d, got d = 2")],
         "evaluate_V": [(lambda: PointConfig(pts, Box(4.0)), ValueError,
-                        r"points must be \(n, 1\), got shape \(2, 2\)")],
-        "sample_tilted": [(lambda: sample_tilted(DiscreteMeasure.delta(np.zeros(2)),
-                                                 params, Box(4.0), 0), ValueError,
-                           "sample_tilted is 1-d, got d = 2")],
+                        r"points must be \(n, 1\), got shape \(2, 2\)"),
+                       (lambda: PotentialView(make_config(np.zeros((1, 1))),
+                                              ModelParams(d=2, alpha=2.5, t=1.0),
+                                              compensate=True), ValueError,
+                        "PotentialView is 1-d, got d = 2")],
+        "sample_tilted": [(lambda: DiscreteMeasure.delta(np.zeros(2)), ValueError,
+                           r"atoms must be \(n, 1\), got shape \(1, 2\)"),
+                          (lambda: DiscreteMeasure(pts, [0.5, 0.5]), ValueError,
+                           r"atoms must be \(n, 1\), got shape \(2, 2\)"),
+                          (lambda: sample_tilted(DiscreteMeasure.delta(np.zeros(1)),
+                                                 params.with_t(10.0), Box(20.0), 0),
+                           ValueError, "sample_tilted is 1-d, got d = 2")],
     }
     for call, error, match in calls[layer]:
         with pytest.raises(error, match=match):
