@@ -60,7 +60,7 @@ from .semigroup import (
     time_marginal,
 )
 
-ARTIFACT_VERSION = 8
+ARTIFACT_VERSION = 9
 
 
 # ---------------------------------------------------------------------------
@@ -1178,7 +1178,8 @@ class Scenario(NamedTuple):
     """One scenario as the CLI sees it: its name there, the registry key of
     its runner (also the record's name), the least n_samples it runs with,
     the config keys its runner takes under another name, the extra lines it
-    prints from a record, and its plot."""
+    prints from a record, its plot, and whether its runner steps to each
+    t_ladder horizon on default_schedule."""
 
     cli: str
     key: str
@@ -1187,6 +1188,7 @@ class Scenario(NamedTuple):
     renames: dict = {}
     summary: Callable | None = None
     plot: Plot | None = None
+    on_schedule: bool = False
 
 
 _CI = ("ci_low", "ci_high")
@@ -1218,7 +1220,7 @@ DECLARED = (
     Scenario("localization", "localization", run_localization,
              plot=Plot(("radius", "control_radius"), "t", ("radius",),
                        "confinement radius", "t", "L*", by="kind",
-                       logx=True, logy=True)),
+                       logx=True, logy=True), on_schedule=True),
     Scenario("confinement", "confinement", run_confinement,
              plot=Plot(("deviation",), "t", ("scaled_median",),
                        "scaled profile deviation about the minimum", "t",
@@ -1227,7 +1229,8 @@ DECLARED = (
     Scenario("occupation", "occupation", run_occupation, min_samples=2,
              plot=Plot(("occupation",), "t", ("scaled_m2", "target"),
                        "occupation second moment", "t",
-                       "t^{-(alpha-d+2)/(2 alpha)} m2", logx=True)),
+                       "t^{-(alpha-d+2)/(2 alpha)} m2", logx=True),
+             on_schedule=True),
     Scenario("local-min", "local_min_stats", run_local_min_stats, min_samples=2,
              plot=Plot(("moments",), "t", ("mc_var", "quad_var_truncated"),
                        "variance of V at the tilt center", "t", "variance",

@@ -131,21 +131,34 @@ class FKStepper:
 # ---------------------------------------------------------------------------
 # the Strang driver: piecewise-dt schedules over batches of columns
 
+# default_schedule's segments before the last, (end, dt), and the last's dt.
+# Each end is a whole number of every later dt, so a time t lies on the
+# step lattice exactly when it is a multiple of default_step(t).  Halving
+# every dt moves localization's radii by at most 2e-4 relative, and halving
+# its grid step h = 0.25 moves the control radii by 1.5e-3 (README).
+_FINE = ((4.0, 0.04), (16.0, 0.1), (64.0, 0.2))
+_COARSE_DT = 1.0
+
+
 def default_schedule(t: float) -> tuple:
     """Piecewise-constant dt ladder: fine steps early when the potential term
     is stiff relative to the evolved mass, coarser once the profile settles."""
-    fine = ((4.0, 0.02), (16.0, 0.05), (64.0, 0.1))
     segs = []
     prev = 0.0
-    for t_end, dt in fine:
+    for t_end, dt in _FINE:
         if t <= prev + 1e-12:
             break
         end = min(t_end, t)
         segs.append((end, dt))
         prev = end
     if t > prev + 1e-12:
-        segs.append((float(t), 0.25))
+        segs.append((float(t), _COARSE_DT))
     return tuple(segs)
+
+
+def default_step(t: float) -> float:
+    """The dt of the default_schedule segment that holds time t."""
+    return next((dt for t_end, dt in _FINE if t <= t_end + 1e-12), _COARSE_DT)
 
 
 def _check_schedule(schedule):

@@ -307,6 +307,22 @@ def test_all_with_one_sample_fails_before_any_run(tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("scenario, ladder, message", [
+    # localization would run its control to 32 before meeting 64.1
+    ("localization", "16,32,64.1", "horizon 64.1 is not a multiple of dt = 1,"),
+    ("occupation", "10.05,64", "horizon 10.05 is not a multiple of dt = 0.1,"),
+    ("all", "3.98", "localization: t_ladder horizon 3.98 is not a multiple "
+                    "of dt = 0.04,"),
+], ids=["localization", "occupation", "all"])
+def test_horizon_off_the_step_lattice_fails_before_any_run(
+        tmp_path, capsys, scenario, ladder, message):
+    assert run_cli(tmp_path, scenario, "--t-ladder", ladder,
+                   "--samples", "2") == 2
+    err = capsys.readouterr().err
+    assert message in err and "t_ladder" in err and "Traceback" not in err
+    assert not list(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("scenario, message", [
     ("laplace", "laplace does not take --d"),
     # under `all` d reaches constants and mgf only; the 1-d runners judge

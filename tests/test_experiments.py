@@ -29,8 +29,10 @@ from fklab.experiments import (
 from fklab.model import ModelParams, quadratic_profile
 from fklab.semigroup import (FKStepper, _evolve_link, _retired_control,
                              batched_evolve, column_masses, default_schedule,
-                             time_marginal)
+                             default_step, time_marginal)
 from fklab.spectral import make_grid
+
+import refine_sweep
 
 P = ModelParams(d=1, alpha=2.0, t=100.0)
 
@@ -128,10 +130,31 @@ def test_record_save_roundtrip(tmp_path):
 # --- schedules and batched evolution --------------------------------------
 
 def test_default_schedule_shapes():
-    assert default_schedule(1024.0) == ((4.0, 0.02), (16.0, 0.05),
-                                        (64.0, 0.1), (1024.0, 0.25))
-    assert default_schedule(10.0) == ((4.0, 0.02), (10.0, 0.05))
-    assert default_schedule(2.0) == ((2.0, 0.02),)
+    assert default_schedule(1024.0) == ((4.0, 0.04), (16.0, 0.1),
+                                        (64.0, 0.2), (1024.0, 1.0))
+    assert default_schedule(10.0) == ((4.0, 0.04), (10.0, 0.1))
+    assert default_schedule(2.0) == ((2.0, 0.04),)
+    assert [default_step(t) for t in (2.0, 4.0, 10.0, 64.0, 64.5, 1024.0)] \
+        == [0.04, 0.04, 0.1, 0.2, 1.0, 1.0]
+
+
+def test_localization_splitting_error_is_below_the_grid_error():
+    # default_schedule against every dt halved, on the same draws, through
+    # its last segment: radii within 5e-4 relative and q_mean within 1e-3,
+    # where halving h moves the control radii by about 1.5e-3 at t <= 1024
+    kw = dict(t_ladder=(16.0, 64.0, 128.0), n_samples=2, seed=0)
+    base = run_localization(**kw)
+    with refine_sweep.halved_schedule():
+        fine = run_localization(**kw)
+    assert [end for end, _ in base.settings["schedule"]] == [4.0, 16.0, 64.0, 128.0]
+    assert [dt for _, dt in fine.settings["schedule"]] == [
+        dt / 2.0 for _, dt in base.settings["schedule"]]
+    for table in ("control_radius", "radius"):
+        a, b = ([r["radius"] for r in rec.tables[table]] for rec in (base, fine))
+        np.testing.assert_allclose(b, a, rtol=5e-4, atol=0)
+    q_a, q_b = ([r["q_mean"] for r in rec.tables["confinement"]]
+                for rec in (base, fine))
+    np.testing.assert_allclose(q_b, q_a, rtol=0, atol=1e-3)
 
 
 def test_batched_evolve_columns_are_independent():
@@ -190,7 +213,7 @@ def _schedule_steps(t):
 @pytest.mark.parametrize("horizons", [
     (16.0, 32.0, 64.0, 128.0, 256.0, 512.0, 1024.0),   # the stated ladder
     (256.0, 16.0, 64.0, 1024.0, 32.0),                  # unsorted
-    (33.0, 8.0, 33.0, 100.0),    # a repeated horizon; 33 on the dt = 0.1 stretch
+    (33.0, 8.0, 33.0, 100.0),    # a repeated horizon; 33 on the dt = 0.2 stretch
 ])
 def test_retired_control_is_the_snapshot_diagonal(monkeypatch, horizons):
     # localization's control, column k retired at horizons[k]: the same bits

@@ -110,6 +110,13 @@ def test_log_laplace_increasing_in_t():
     assert all(b > a for a, b in zip(vals, vals[1:]))
 
 
+def test_multi_atom_log_laplace_at_t_zero_is_zero():
+    # -log E[exp(-0 <mu, V>)] = 0, whatever the atoms and weights
+    mu = DiscreteMeasure(np.array([[-2.0], [0.5], [3.0]]), np.array([0.2, 0.3, 0.5]))
+    assert exact_log_laplace(mu, P12, t=0.0) == 0.0
+    assert exact_log_laplace(mu, P12, t=1e-6) > 0.0
+
+
 def test_second_order_constant_recovery():
     # residual of -log E[e^{-t<mu,V>}] after removing a1 sqrt(t), scaled by
     # t^{-1/2} M2, recovers C
