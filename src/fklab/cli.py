@@ -26,7 +26,7 @@ import sys
 from .experiments import DECLARED, SCENARIOS, _chk, _record, config_hash
 from .laplace import QuadratureSpec
 from .plots import render_svg
-from .semigroup import default_step
+from .semigroup import check_on_lattice
 
 _BY_CLI = {s.cli: s for s in DECLARED}
 
@@ -176,20 +176,17 @@ def _plan(sc, cfg: dict, strict: bool) -> tuple[dict, dict, dict]:
     d, n = merged.get("d", 1), merged.get("n_samples")
     bad = [a for a in merged.get("alphas", (merged.get("alpha"),))
            if a is not None and not d < a < d + 2]
-    # a horizon off the step lattice would fail only once the run reached it
-    steps = ({t: default_step(t) for t in merged.get("t_ladder", ())}
-             if sc.on_schedule else {})
-    off = [(t, dt) for t, dt in steps.items() if abs(t - round(t / dt) * dt) > 1e-9]
     if d not in (1, 2):     # only constants and mgf take d; the others run in d = 1
         why = f"runs only in d = 1 or 2, got d = {d}"
     elif n is not None and n < sc.min_samples:
         why = f"n_samples must be at least {sc.min_samples}, got {n}"
     elif bad:
         why = f"needs d < alpha < d + 2, got d = {d}, alpha = {bad[0]:g}"
-    elif off:
-        why = (f"t_ladder horizon {off[0][0]:g} is not a multiple of "
-               f"dt = {off[0][1]:g}, default_schedule's step there")
     else:
+        try:
+            check_on_lattice(merged.get("t_ladder", ()) if sc.on_schedule else ())
+        except ValueError as e:
+            raise ConfigError(f"{sc.cli}: {e}") from None
         return kw, taken, merged
     raise ConfigError(f"{sc.cli}: {why}")
 

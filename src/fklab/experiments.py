@@ -53,6 +53,7 @@ from .spectral import Grid, ids_estimate, make_grid, smallest_eigs
 from .semigroup import (
     _retired_control,
     batched_evolve,
+    check_on_lattice,
     column_masses,
     default_schedule,
     groundstate_transform_check,
@@ -60,7 +61,7 @@ from .semigroup import (
     time_marginal,
 )
 
-ARTIFACT_VERSION = 9
+ARTIFACT_VERSION = 10
 
 
 # ---------------------------------------------------------------------------
@@ -485,9 +486,10 @@ def run_ids(alpha: float = 1.5, lambda_grid=(0.4, 0.56, 0.72, 0.88, 1.04, 1.2),
     against d/(alpha - d), judged on the primary window.
 
     N(lambda) comes from the importance-sampled ids_estimate, which sizes
-    its boxes from the steepest tilt and never below IDS_BOX_SIZE.  A diagnostic
-    fit on a larger-lambda auxiliary window is recorded without a verdict:
-    it sits outside the asymptotic regime.
+    the sampled box from the steepest tilt and each tilt's eigen grid from
+    that tilt, none below IDS_BOX_SIZE.  A diagnostic fit on a larger-lambda
+    auxiliary window is recorded without a verdict: it sits outside the
+    asymptotic regime.
     """
     params = ModelParams(1, alpha, 1.0)
     target = params.d / (alpha - params.d)
@@ -595,6 +597,7 @@ def run_localization(alpha: float = 2.0,
     params0 = ModelParams(1, alpha, float(t_ladder[0]))
     target = (alpha - params0.d + 2.0) / (4.0 * alpha)
     t_ladder = [float(t) for t in t_ladder]
+    check_on_lattice(t_ladder)
     L_ladder = [float(L) for L in L_ladder]
     t_max = max(t_ladder)
     settings = {"t_ladder": t_ladder, "L_ladder": L_ladder, "h": h,
@@ -898,6 +901,7 @@ def run_occupation(alpha: float = 2.0, t_ladder=(16.0, 64.0, 256.0, 1024.0),
     moment within 2% through the same Duhamel accumulation.
     """
     t_ladder = [float(t) for t in t_ladder]
+    check_on_lattice(t_ladder)
     params_top = ModelParams(1, alpha, t_ladder[-1])
     cC = constants(params_top).C
     nu_var = nu_coordinate_variance(params_top)

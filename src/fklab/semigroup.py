@@ -161,6 +161,17 @@ def default_step(t: float) -> float:
     return next((dt for t_end, dt in _FINE if t <= t_end + 1e-12), _COARSE_DT)
 
 
+def check_on_lattice(horizons) -> None:
+    """Raise ValueError naming the first horizon that is not a multiple of
+    default_step there: a run would otherwise fail only on reaching it, with
+    the length of a link in place of the horizon."""
+    for t in horizons:
+        dt = default_step(t)
+        if abs(t - round(t / dt) * dt) > 1e-9:
+            raise ValueError(f"t_ladder horizon {t:g} is not a multiple of "
+                             f"dt = {dt:g}, default_schedule's step there")
+
+
 def _check_schedule(schedule):
     prev = 0.0
     for t_end, dt in schedule:

@@ -23,11 +23,14 @@ importance sampling from environments tilted to open a hole there, so that
 the Lifshitz tail far below 1/n_samples is reached.  The solve bisects each
 eigenvalue only to an absolute 1e-6, and an eigenvalue that close to a grid
 lambda is placed against it by an exact Sturm count.  Two finite-volume
-biases have opposite signs.  Points outside the sampled box would raise V,
-so leaving them out would bias N high; their mean is added back by far-field
-compensation.  The Dirichlet walls of the eigen grid bias N low; the grid is
-sized from the hole radius of the steepest tilt so the walls stay far from
-the origin.  Box-doubling invariance within CI is the self-consistency check.
+biases remain.  Points outside the sampled box would raise V, so leaving
+them out would bias N high; their mean is added back by far-field
+compensation.  The Dirichlet walls of the eigen grid bias N as well, and at
+criterion 08's sizes moving them closer raised N (README).  Each tilt's
+draws are solved on a grid sized from that tilt's own hole radius, so the
+walls stay far from its hole; the sampled box, common to all tilts because
+the weights need one box, is sized from the steepest tilt's hole.
+Box-doubling invariance within CI is the self-consistency check.
 """
 
 from __future__ import annotations
@@ -159,13 +162,14 @@ class IdsCurve:
                    float(self.ci_low[i]), float(self.ci_high[i]))
 
 
-def tilted_ids_draws(lambdas, tilts, params: ModelParams, grid: Grid,
+def tilted_ids_draws(lambdas, tilts, params: ModelParams, grids,
                      sample_box: Box, n_samples: int, seed: int):
     """Weighted unit-cell scores of tilted draws for the IDS (d = 1).
 
     n_samples is split across the tilts s_j; draw r comes from
-    sample_tilted(delta_0, t=s_j) on sample_box, its far field compensated.
-    Returns (weight, score, n_per): the balance-heuristic weight
+    sample_tilted(delta_0, t=s_j) on sample_box, its far field compensated,
+    and is solved on grids[j], the eigen grid of its tilt.  Returns (weight,
+    score, n_per): the balance-heuristic weight
 
         dP/dQ = [sum_j (n_j / n) exp(-s_j V_B(0) + Lambda_B(s_j))]^(-1)
 
@@ -181,19 +185,21 @@ def tilted_ids_draws(lambdas, tilts, params: ModelParams, grid: Grid,
     """
     lambdas = np.asarray(lambdas, dtype=float)
     tilts = np.asarray(tilts, dtype=float)
+    if len(grids) != tilts.size:
+        raise ValueError(f"{len(grids)} eigen grids for {tilts.size} tilts: "
+                         "one grid per tilt")
     n_per = np.array([n_samples // tilts.size + (j < n_samples % tilts.size)
                       for j in range(tilts.size)])
     log_norm = np.array([box_log_laplace(s, params, sample_box.radius)
                          for s in tilts])
-    x = grid.nodes()
-    cell = (x >= -0.5) & (x < 0.5)
-    cell_volume = float(np.count_nonzero(cell)) * grid.h
     origin = DiscreteMeasure.delta(0.0)
     v0 = np.empty(n_samples)
     score = np.empty((n_samples, lambdas.size))
     for r, j in enumerate(np.repeat(np.arange(tilts.size), n_per)):
         cfg = sample_tilted(origin, params, sample_box, seed, t=float(tilts[j]), path=(r,))
         v0[r] = vhat_sum(np.zeros((1, 1)), cfg.points, params.alpha)[0]
+        grid = grids[j]
+        x = grid.nodes()
         diag, off = tridiag(grid, evaluate_V(PotentialView(cfg, params, compensate=True),
                                              x[:, None]))
         try:
@@ -202,6 +208,8 @@ def tilted_ids_draws(lambdas, tilts, params: ModelParams, grid: Grid,
         except np.linalg.LinAlgError as e:
             raise EigenSolveError(f"eigen-solve failed on draw {r} "
                                   f"(tilt {tilts[j]:g}): {e}") from e
+        cell = (x >= -0.5) & (x < 0.5)
+        cell_volume = float(np.count_nonzero(cell)) * grid.h
         # unit-norm eigenvectors: the cell mass of phi_k^2 is a sum of v_k^2
         below = np.concatenate([[0.0], np.cumsum(np.sum(vecs[cell] ** 2, axis=0))])
         idx = np.searchsorted(evs, lambdas, side="right")
@@ -246,9 +254,11 @@ def ids_estimate(lambda_grid, params: ModelParams, box_size: float,
     Finite volume.  Points beyond the sampled box B would raise V, so
     dropping them would bias N high; far-field compensation adds their mean
     back, and only their small fluctuation is left out.  The Dirichlet walls
-    of the eigen grid bias N low; the grid reaches 1.5 times the largest
-    hole radius (at least box_size / 2) from the origin, and B a further 3.5
-    hole radii (at least box_size / 2) beyond the grid.
+    of the eigen grid move N as well.  Each tilt's draws are solved on a grid
+    that reaches 1.5 times its own hole radius (at least box_size / 2) from
+    the origin.  B is common to all tilts, since the weights' Lambda_B(s_j)
+    need one box, and reaches a further 3.5 hole radii of the steepest tilt
+    (at least box_size / 2) beyond that tilt's grid.
     """
     lambdas = np.sort(np.asarray(lambda_grid, dtype=float))
     if lambdas.size == 0:
@@ -259,10 +269,10 @@ def ids_estimate(lambda_grid, params: ModelParams, box_size: float,
         raise ValueError("lambda grid must be positive")
     d, al = params.d, params.alpha
     tilts = (constants(params).a1 * d / (al * lambdas)) ** (al / (al - d))
-    hole = float(tilts[0]) ** (1.0 / al)
-    grid = make_grid(max(box_size / 2.0, 1.5 * hole), h)
-    sample_box = Box(grid.radius + max(box_size / 2.0, 3.5 * hole))
-    weight, score, n_per = tilted_ids_draws(lambdas, tilts, params, grid,
+    holes = [float(s) ** (1.0 / al) for s in tilts]
+    grids = [make_grid(max(box_size / 2.0, 1.5 * hole), h) for hole in holes]
+    sample_box = Box(grids[0].radius + max(box_size / 2.0, 3.5 * holes[0]))
+    weight, score, n_per = tilted_ids_draws(lambdas, tilts, params, grids,
                                             sample_box, n_samples, seed)
     mean, half_w = stratified_mean(weight[:, None] * score, n_per)
     return IdsCurve(lambdas=lambdas, n_hat=mean,

@@ -23,6 +23,7 @@ from fklab.experiments import (
     run_lemma5,
     run_localization,
     run_mgf,
+    run_occupation,
     run_spectrum,
     run_tilted,
 )
@@ -257,6 +258,26 @@ def test_retired_control_rejects_a_horizon_off_the_step_lattice():
     V = np.zeros((grid.n, 2))
     with pytest.raises(ValueError):
         _retired_control(grid, V, (16.0, 33.03))
+
+
+@pytest.mark.parametrize("runner, ladder", [
+    # localization would run its control to 32 before meeting 64.1, and
+    # occupation its control well and the rung at 16
+    (run_localization, (16.0, 32.0, 64.1)),
+    (run_occupation, (16.0, 64.1)),
+], ids=["localization", "occupation"])
+def test_runner_refuses_a_horizon_off_the_step_lattice(monkeypatch, runner, ladder):
+    calls = []
+    plain_step = FKStepper.step
+
+    def counted_step(self, u):
+        calls.append(1)
+        return plain_step(self, u)
+
+    monkeypatch.setattr(FKStepper, "step", counted_step)
+    with pytest.raises(ValueError, match=r"horizon 64\.1 is not a multiple of dt = 1,"):
+        runner(t_ladder=ladder, n_samples=2)
+    assert calls == []
 
 
 def test_field_abs_quantile_half_normal_median():

@@ -247,12 +247,14 @@ def test_ids_tilted_weights_are_unbiased():
     # normalizer the mean weight drops to ~0.9, twice its CI below 1.
     grid = Grid(4.0, 0.25)
     box = Box(6.0)
-    w, score, n_per = tilted_ids_draws([3.0], [0.0, 3.0], P12, grid, box, 400, seed=1)
+    w, score, n_per = tilted_ids_draws([3.0], [0.0, 3.0], P12, [grid, grid], box,
+                                       400, seed=1)
     mean_w, half_w = stratified_mean(w, n_per)
     assert abs(mean_w - 1.0) <= half_w, (mean_w, half_w)
     # the weighted tilted estimate of N(3) agrees with the untilted one
     tilted, tilted_hw = stratified_mean(w[:, None] * score, n_per)
-    _, plain_score, plain_per = tilted_ids_draws([3.0], [0.0], P12, grid, box, 400, seed=2)
+    _, plain_score, plain_per = tilted_ids_draws([3.0], [0.0], P12, [grid], box,
+                                                 400, seed=2)
     plain, plain_hw = stratified_mean(plain_score, plain_per)
     assert plain[0] > 0.0
     assert abs(tilted[0] - plain[0]) <= tilted_hw[0] + plain_hw[0]
@@ -275,15 +277,51 @@ IDS_BOX = Box(14.0)
 
 
 def test_ids_scores_match_exact_bisection(monkeypatch):
-    # bisecting only to _IDS_EIG_TOL moves no score beyond round-off
+    # bisecting only to _IDS_EIG_TOL moves no score beyond round-off; the
+    # shallow tilt's draws are solved on a grid of radius 5, the steep
+    # tilt's on radius 8, each scored against the exact one on its own grid
     ops = _record_ids_operators(monkeypatch)
     lambdas = [0.6, 1.0, 1.5, 2.5]
-    _, score, _ = tilted_ids_draws(lambdas, [4.0, 16.0], P12, IDS_GRID, IDS_BOX,
-                                   24, seed=5)
+    grids = [Grid(5.0, 0.25), IDS_GRID]
+    _, score, n_per = tilted_ids_draws(lambdas, [4.0, 16.0], P12, grids, IDS_BOX,
+                                       24, seed=5)
     assert len(ops) == 24
-    exact = np.array([exact_ids_scores(d, e, IDS_GRID, lambdas) for d, e in ops])
+    draw_grids = np.repeat(grids, n_per)
+    assert [d.size for d, _ in ops] == [g.n for g in draw_grids] \
+        == [39] * 12 + [63] * 12
+    exact = np.array([exact_ids_scores(d, e, g, lambdas)
+                      for (d, e), g in zip(ops, draw_grids)])
     assert np.all(np.count_nonzero(exact, axis=0) >= 8)
     np.testing.assert_allclose(score, exact, rtol=1e-10, atol=0.0)
+
+
+def test_ids_draws_take_one_grid_per_tilt():
+    for grids in ([IDS_GRID], [IDS_GRID] * 3):
+        with pytest.raises(ValueError, match="one grid per tilt"):
+            tilted_ids_draws([2.5], [4.0, 16.0], P12, grids, IDS_BOX, 4, seed=5)
+
+
+def test_ids_per_tilt_grids_keep_the_estimate(monkeypatch):
+    # criterion 08's window at a small size: each tilt on its own grid, and
+    # every tilt on the steepest tilt's grid, agree within 1e-2 of a half CI
+    params = ModelParams(d=1, alpha=1.5, t=1.0)
+    lambdas = [0.4, 0.56, 0.72, 0.88, 1.04, 1.2]
+    plain = fklab.spectral.tilted_ids_draws
+    sizes = []
+
+    def steepest_grid_only(lams, tilts, params, grids, *args):
+        sizes.append([g.n for g in grids])
+        return plain(lams, tilts, params, [grids[0]] * len(grids), *args)
+
+    own = ids_estimate(lambdas, params, 40.0, n_samples=120, seed=3)
+    monkeypatch.setattr(fklab.spectral, "tilted_ids_draws", steepest_grid_only)
+    shared = ids_estimate(lambdas, params, 40.0, n_samples=120, seed=3)
+    assert sizes[0][0] == 955 and sizes[0][-1] == 159
+    assert np.all(np.diff(sizes[0]) <= 0)
+    half_w = own.ci_high - own.n_hat
+    assert np.all(own.n_hat > 0.0)
+    assert np.all(np.abs(own.n_hat - shared.n_hat) <= 1e-2 * half_w), \
+        (own.n_hat - shared.n_hat) / half_w
 
 
 def test_ids_placement_near_an_eigenvalue_is_exact(monkeypatch):
@@ -292,7 +330,7 @@ def test_ids_placement_near_an_eigenvalue_is_exact(monkeypatch):
     # coarse eigenvalues would misplace it, the Sturm count must not
     ops = _record_ids_operators(monkeypatch)
     top = 2.5
-    tilted_ids_draws([top], [4.0], P12, IDS_GRID, IDS_BOX, 1, seed=5)
+    tilted_ids_draws([top], [4.0], P12, [IDS_GRID], IDS_BOX, 1, seed=5)
     diag, off = ops[0]
     select = {"select": "v", "select_range": (-np.inf, top)}
     exact, vecs = eigh_tridiagonal(diag, off, **select)
@@ -310,7 +348,7 @@ def test_ids_placement_near_an_eigenvalue_is_exact(monkeypatch):
         return _sturm_count(diag, off, lam)
 
     monkeypatch.setattr(fklab.spectral, "_sturm_count", counting)
-    _, score, _ = tilted_ids_draws([lam, top], [4.0], P12, IDS_GRID, IDS_BOX, 1,
+    _, score, _ = tilted_ids_draws([lam, top], [4.0], P12, [IDS_GRID], IDS_BOX, 1,
                                    seed=5)
     assert counted == [lam]
     want = exact_ids_scores(diag, off, IDS_GRID, [lam, top])
@@ -329,7 +367,7 @@ def test_ids_solve_failure_names_the_draw(monkeypatch):
     monkeypatch.setattr(fklab.spectral, "eigh_tridiagonal", fails_third)
     # two draws per tilt: the third draw, index 2, is the first at tilt 4
     with pytest.raises(EigenSolveError, match=r"draw 2 \(tilt 4\): eigenvectors"):
-        tilted_ids_draws([2.5], [1.0, 4.0], P12, IDS_GRID, IDS_BOX, 4, seed=5)
+        tilted_ids_draws([2.5], [1.0, 4.0], P12, [IDS_GRID] * 2, IDS_BOX, 4, seed=5)
 
 
 def test_stratified_mean_sums_strata_variances():
