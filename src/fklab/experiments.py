@@ -61,7 +61,7 @@ from .semigroup import (
     time_marginal,
 )
 
-ARTIFACT_VERSION = 10
+ARTIFACT_VERSION = 11
 
 
 # ---------------------------------------------------------------------------

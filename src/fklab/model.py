@@ -200,15 +200,18 @@ class LocalSum:
         q = local_order(alpha)
         coef = np.cumprod(np.concatenate([[1.0],
                                           (-alpha - np.arange(q)) / np.arange(1, q + 1)]))
-        moments = np.empty((q + 1, cells.size))
+        # a cell whose near range holds every point has no far field
+        far = np.flatnonzero((lo > 0) | (hi < p.size))
+        moments = np.zeros((q + 1, cells.size))
         step = max(1, PAIR_BLOCK // max(p.size, 1))
-        for i in range(0, cells.size, step):
-            u = p[None, :] - centre[i:i + step, None]
+        for i in range(0, far.size, step):
+            rows = far[i:i + step]
+            u = p[None, :] - centre[rows, None]
             u[np.abs(u) < 2.0 * width] = np.inf         # near points weigh 0 here
             w = np.abs(u) ** -alpha
             ratio = -1.0 / u                             # s / |p - c|
             for k in range(q + 1):
-                np.add.reduce(w, axis=1, out=moments[k, i:i + step])
+                moments[k, rows] = np.add.reduce(w, axis=1)
                 w *= ratio
         moments *= coef[:, None]
         self.cells.update(zip(cells.tolist(), zip(lo.tolist(), hi.tolist(), moments.T)))

@@ -133,11 +133,13 @@ class FKStepper:
 
 # default_schedule's segments before the last, (end, dt), and the last's dt.
 # Each end is a whole number of every later dt, so a time t lies on the
-# step lattice exactly when it is a multiple of default_step(t).  Halving
-# every dt moves localization's radii by at most 2e-4 relative, and halving
-# its grid step h = 0.25 moves the control radii by 1.5e-3 (README).
-_FINE = ((4.0, 0.04), (16.0, 0.1), (64.0, 0.2))
-_COARSE_DT = 1.0
+# step lattice exactly when it is a multiple of default_step(t).  The
+# quadratic control well flattens like t^(-(alpha+1)/alpha), so the
+# splitting error of a step falls as t grows and dt grows with it.  Halving
+# every dt moves localization's radii by at most 3.4e-4 relative, and
+# halving its grid step h = 0.25 moves the control radii by 1.5e-3 (README).
+_FINE = ((4.0, 0.1), (16.0, 0.2), (64.0, 0.5), (256.0, 1.0))
+_COARSE_DT = 2.0
 
 
 def default_schedule(t: float) -> tuple:

@@ -310,10 +310,12 @@ def test_all_with_one_sample_fails_before_any_run(tmp_path, capsys):
 @pytest.mark.parametrize("scenario, ladder, message", [
     # localization would run its control to 32 before meeting 64.1
     ("localization", "16,32,64.1", "horizon 64.1 is not a multiple of dt = 1,"),
-    ("occupation", "10.05,64", "horizon 10.05 is not a multiple of dt = 0.1,"),
+    ("occupation", "10.05,64", "horizon 10.05 is not a multiple of dt = 0.2,"),
     ("all", "3.98", "localization: t_ladder horizon 3.98 is not a multiple "
-                    "of dt = 0.04,"),
-], ids=["localization", "occupation", "all"])
+                    "of dt = 0.1,"),
+    # past t = 256, on the last segment's dt = 2 stretch
+    ("localization", "16,256,257", "horizon 257 is not a multiple of dt = 2,"),
+], ids=["localization", "occupation", "all", "localization_past_256"])
 def test_horizon_off_the_step_lattice_fails_before_any_run(
         tmp_path, capsys, scenario, ladder, message):
     assert run_cli(tmp_path, scenario, "--t-ladder", ladder,

@@ -29,8 +29,8 @@ from fklab.experiments import (
 )
 from fklab.model import ModelParams, quadratic_profile
 from fklab.semigroup import (FKStepper, _evolve_link, _retired_control,
-                             batched_evolve, column_masses, default_schedule,
-                             default_step, time_marginal)
+                             batched_evolve, check_on_lattice, column_masses,
+                             default_schedule, default_step, time_marginal)
 from fklab.spectral import make_grid
 
 import refine_sweep
@@ -131,23 +131,35 @@ def test_record_save_roundtrip(tmp_path):
 # --- schedules and batched evolution --------------------------------------
 
 def test_default_schedule_shapes():
-    assert default_schedule(1024.0) == ((4.0, 0.04), (16.0, 0.1),
-                                        (64.0, 0.2), (1024.0, 1.0))
-    assert default_schedule(10.0) == ((4.0, 0.04), (10.0, 0.1))
-    assert default_schedule(2.0) == ((2.0, 0.04),)
-    assert [default_step(t) for t in (2.0, 4.0, 10.0, 64.0, 64.5, 1024.0)] \
-        == [0.04, 0.04, 0.1, 0.2, 1.0, 1.0]
+    assert default_schedule(1024.0) == ((4.0, 0.1), (16.0, 0.2), (64.0, 0.5),
+                                        (256.0, 1.0), (1024.0, 2.0))
+    assert default_schedule(100.0) == ((4.0, 0.1), (16.0, 0.2), (64.0, 0.5),
+                                       (100.0, 1.0))
+    assert default_schedule(10.0) == ((4.0, 0.1), (10.0, 0.2))
+    assert default_schedule(2.0) == ((2.0, 0.1),)
+    assert [default_step(t) for t in (2.0, 4.0, 10.0, 64.0, 64.5, 256.0,
+                                      257.0, 1024.0)] \
+        == [0.1, 0.1, 0.2, 0.5, 1.0, 1.0, 2.0, 2.0]
+
+
+def test_step_lattice_at_the_last_segment_end():
+    # past t = 256 the step is 2, so 257 is off the lattice and 256 and 258
+    # are on it
+    check_on_lattice((16.0, 256.0, 258.0, 1024.0))
+    with pytest.raises(ValueError, match=r"horizon 257 is not a multiple of dt = 2,"):
+        check_on_lattice((256.0, 257.0))
 
 
 def test_localization_splitting_error_is_below_the_grid_error():
     # default_schedule against every dt halved, on the same draws, through
-    # its last segment: radii within 5e-4 relative and q_mean within 1e-3,
+    # every segment: radii within 5e-4 relative and q_mean within 1e-3,
     # where halving h moves the control radii by about 1.5e-3 at t <= 1024
-    kw = dict(t_ladder=(16.0, 64.0, 128.0), n_samples=2, seed=0)
+    kw = dict(t_ladder=(16.0, 64.0, 128.0, 512.0), n_samples=2, seed=0)
     base = run_localization(**kw)
     with refine_sweep.halved_schedule():
         fine = run_localization(**kw)
-    assert [end for end, _ in base.settings["schedule"]] == [4.0, 16.0, 64.0, 128.0]
+    assert [end for end, _ in base.settings["schedule"]] == [4.0, 16.0, 64.0,
+                                                             256.0, 512.0]
     assert [dt for _, dt in fine.settings["schedule"]] == [
         dt / 2.0 for _, dt in base.settings["schedule"]]
     for table in ("control_radius", "radius"):
@@ -214,7 +226,7 @@ def _schedule_steps(t):
 @pytest.mark.parametrize("horizons", [
     (16.0, 32.0, 64.0, 128.0, 256.0, 512.0, 1024.0),   # the stated ladder
     (256.0, 16.0, 64.0, 1024.0, 32.0),                  # unsorted
-    (33.0, 8.0, 33.0, 100.0),    # a repeated horizon; 33 on the dt = 0.2 stretch
+    (33.0, 8.0, 33.0, 100.0),    # a repeated horizon; 33 on the dt = 0.5 stretch
 ])
 def test_retired_control_is_the_snapshot_diagonal(monkeypatch, horizons):
     # localization's control, column k retired at horizons[k]: the same bits

@@ -218,6 +218,46 @@ def test_vhat_sum_local_rows_do_not_depend_on_the_batch(monkeypatch):
     assert np.array_equal(vhat_sum_local(x, pts, 1.5), batch)
 
 
+def _masked_build(self, cells):
+    """LocalSum._build summing the masked far field of every cell, also of a
+    cell whose near range holds every point, where each term weighs 0."""
+    p, alpha, width = self.points, self.alpha, LOCAL_CELL
+    centre = (cells + 0.5) * width
+    lo = np.searchsorted(p, centre - 2.0 * width, side="right")
+    hi = np.searchsorted(p, centre + 2.0 * width, side="left")
+    q = local_order(alpha)
+    coef = np.cumprod(np.concatenate([[1.0],
+                                      (-alpha - np.arange(q)) / np.arange(1, q + 1)]))
+    u = p[None, :] - centre[:, None]
+    u[np.abs(u) < 2.0 * width] = np.inf
+    w = np.abs(u) ** -alpha
+    moments = np.empty((q + 1, cells.size))
+    for k in range(q + 1):
+        moments[k] = w.sum(axis=1)
+        w *= -1.0 / u
+    moments *= coef[:, None]
+    self.cells.update(zip(cells.tolist(), zip(lo.tolist(), hi.tolist(), moments.T)))
+
+
+@pytest.mark.parametrize("alpha", LOCAL_ALPHAS)
+def test_cells_that_hold_every_point_keep_zero_moments(monkeypatch, alpha):
+    # rows in the cells [0, W) and [W, 2W); points in (-W/2, 3W/2) are near
+    # both, and one more at 3W is near only the second, whose near range
+    # ends at 7W/2
+    w = LOCAL_CELL
+    rng = np.random.default_rng(3)
+    x = rng.uniform(0.0, 2.0 * w, (40, 1))
+    near = rng.uniform(-0.5 * w, 1.5 * w, 30)
+    for pts, far_cells in ((near, set()), (np.append(near, 3.0 * w), {0.0})):
+        got = LocalSum(pts, alpha)
+        out = got(x)
+        with monkeypatch.context() as m:
+            m.setattr(LocalSum, "_build", _masked_build)
+            assert np.array_equal(out, LocalSum(pts, alpha)(x))
+        assert got.cells.keys() == {0.0, 1.0}
+        assert {k for k, (*_, mom) in got.cells.items() if mom.any()} == far_cells
+
+
 def test_scales_and_profiles():
     p = ModelParams(d=1, alpha=2.0, t=256.0)
     assert scale_r(p) == pytest.approx(256.0 ** (3.0 / 8.0))

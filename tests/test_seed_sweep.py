@@ -1,6 +1,7 @@
 """The seed-sweep script (tests/seed_sweep.py) runs and reports: `tilted` at
 two seeds in a fresh interpreter, a runner that takes no seed and one that
-raises, in process, and the statistics it reads off a synthetic record."""
+raises, in process, a comparison against another sweep's summary, and the
+statistics and changes it reads off synthetic records."""
 
 import hashlib
 import json
@@ -29,9 +30,15 @@ def test_sweep_of_tilted_at_two_seeds(tmp_path):
     assert summary["seeds"] == [0, 1]
     runs = summary["scenarios"]["tilted"]["runs"]
     for seed, run in zip((0, 1), runs, strict=True):
-        want = hashlib.sha256(run_tilted(seed=seed).to_json().encode()).hexdigest()
+        record = run_tilted(seed=seed)
+        want = hashlib.sha256(record.to_json().encode()).hexdigest()
         assert (run["seed"], run["status"], run["failed"], run["error"],
                 run["sha256"]) == (seed, "pass", [], None, want)
+        # each estimate's value and CI bounds, as the record states them
+        assert run["estimates"] == {
+            e["name"]: {"value": e["value"], "ci_low": e["ci_low"],
+                        "ci_high": e["ci_high"]} for e in record.estimates}
+        assert run["estimates"]["mean_count"]["ci_low"] is not None
         assert f"tilted seed {seed}: pass" in proc.stdout and want in proc.stdout
     count = summary["scenarios"]["tilted"]["spread"]["check:count_mean"]
     assert count["n"] == 2
@@ -59,6 +66,54 @@ def test_a_runner_that_raises_is_reported(monkeypatch, capsys):
     assert "tilted seed 3: raised" in out
     assert "raised FloatingPointError: seed 5" in out
     assert seed_sweep.parse_seeds("0,3,7-9") == [0, 3, 7, 8, 9]
+
+
+def test_compare_reads_another_sweep(tmp_path, capsys):
+    # a summary whose tilted seed-0 run had mean_count a quarter of its
+    # half-CI higher and count_mean 0.5 higher than this tree's
+    base = tmp_path / "base.json"
+    assert seed_sweep.main(["tilted", "--seeds", "0", "--json", str(base)]) == 0
+    summary = json.loads(base.read_text())
+    (run,) = summary["scenarios"]["tilted"]["runs"]
+    est = run["estimates"]["mean_count"]
+    half = (est["ci_high"] - est["ci_low"]) / 2.0
+    est["value"] += 0.25 * half
+    run["stats"]["check:count_mean"] += 0.5
+    base.write_text(json.dumps(summary))
+    capsys.readouterr()
+    out = tmp_path / "sweep.json"
+    assert seed_sweep.main(["tilted", "--seeds", "0", "--compare", str(base),
+                            "--json", str(out)]) == 0
+    rows = json.loads(out.read_text())["scenarios"]["tilted"]["changes"]
+    row = rows["estimate:mean_count"]
+    assert (row["n"], row["seed"], row["of_half_ci_seed"]) == (1, 0, 0)
+    assert abs(row["change"] + 0.25 * half) < 1e-12
+    assert abs(row["of_half_ci"] + 0.25) < 1e-12
+    assert "of_half_ci" not in rows["estimate:expected_count"]
+    assert rows["estimate:expected_count"]["change"] == 0.0
+    assert abs(rows["check:count_mean"]["change"] + 0.5) < 1e-12
+    text = capsys.readouterr().out
+    assert "change estimate:mean_count: " in text and "-0.25 of half-CI (seed 0)" in text
+
+
+def test_changes_take_the_largest_over_common_seeds():
+    def run(seed, value, stat, ci=(None, None)):
+        return {"seed": seed, "stats": {"fit:slope": stat},
+                "estimates": {"m": {"value": value, "ci_low": ci[0],
+                                    "ci_high": ci[1]}}}
+
+    base = [run(0, 1.0, 0.3, (0.0, 2.0)), run(1, 1.0, 0.3, (0.5, 1.5)),
+            run(2, 1.0, 0.3)]
+    new = [run(0, 1.1, 0.31), run(1, 1.1, 0.25), run(2, 0.7, 0.3), run(9, 5.0, 9.0)]
+    rows = seed_sweep.changes(base, new)
+    # the largest change is seed 2's, with no CI; the largest over the
+    # half-CI is seed 1's 0.1 / 0.5
+    assert rows["estimate:m"]["n"] == 3
+    assert (rows["estimate:m"]["seed"], rows["estimate:m"]["of_half_ci_seed"]) == (2, 1)
+    assert abs(rows["estimate:m"]["change"] + 0.3) < 1e-12
+    assert abs(rows["estimate:m"]["of_half_ci"] - 0.2) < 1e-12
+    assert rows["fit:slope"]["seed"] == 1
+    assert abs(rows["fit:slope"]["change"] + 0.05) < 1e-12
 
 
 def test_judged_statistics_of_a_synthetic_record():
