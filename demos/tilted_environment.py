@@ -60,7 +60,7 @@ def well_shape(t, seed=0):
     scale = t ** (3.0 / 4.0)   # (alpha - d + 2) / (2 alpha) = 3/4 here
     print(f"  t = {t:7.0f}   scaled quadratic deviation "
           f"{scale * np.median(devs):8.3f}   mean V(m) {np.mean(v_at_min):.3e}"
-          f"   barycenter prediction {predicted_tilted_mean(mu, p):.3e}"
+          f"   barycenter prediction {predicted_tilted_mean(mu, p, t=p.t):.3e}"
           f"   h_t {h_t(p):.3e}")
 
 

@@ -51,7 +51,6 @@ from .laplace import (
 )
 from .spectral import Grid, ids_estimate, make_grid, smallest_eigs
 from .semigroup import (
-    _retired_control,
     batched_evolve,
     check_on_lattice,
     column_masses,
@@ -572,8 +571,10 @@ def _subbox_ratios(grid_full: Grid, subs, V_cols: np.ndarray, horizons):
     """Each column's full-box field at its horizon, and q[j, k]: the mass
     column k keeps inside sub-box j over its full-box mass.  subs is
     [(grid, mask)] per sub-box, mask its nodes on the full grid."""
-    full = _retired_control(grid_full, V_cols, horizons)
-    num = np.array([column_masses(g, _retired_control(g, V_cols[mask, :], horizons))
+    schedule = default_schedule(max(horizons))
+    full = batched_evolve(grid_full, V_cols, schedule, horizons=horizons)[0]
+    num = np.array([column_masses(g, batched_evolve(g, V_cols[mask, :], schedule,
+                                                    horizons=horizons)[0])
                     for g, mask in subs])
     return full, num / column_masses(grid_full, full)[None, :]
 

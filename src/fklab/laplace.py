@@ -415,11 +415,9 @@ def tilted_variance_V(mu: DiscreteMeasure, at: float, params: ModelParams,
     return _tilted_moment(2, mu, at, params, spec, t, domain_radius)
 
 
-def predicted_tilted_mean(mu: DiscreteMeasure, params: ModelParams, t: float | None = None) -> float:
+def predicted_tilted_mean(mu: DiscreteMeasure, params: ModelParams, *, t: float) -> float:
     """Second-order mean at the barycenter:
     h_t - ((alpha - d + 2)/alpha) C t^(-(alpha-d+2)/alpha) M2(mu)."""
-    if t is None:
-        t = params.t
     c = constants(params)
     p = params.with_t(t)
     expo = (params.alpha - params.d + 2.0) / params.alpha

@@ -151,13 +151,11 @@ def sample_homogeneous(box: Box, seed: int, *, path=()) -> PointConfig:
     return PointConfig(rng.uniform(-1.0, 1.0, size=(n, 1)) * box.radius, box)
 
 
-def tilt_log_weight(y, mu: DiscreteMeasure, params: ModelParams, t: float | None = None):
+def tilt_log_weight(y, mu: DiscreteMeasure, params: ModelParams, t: float):
     """log of the thinning acceptance: -t * sum_i w_i vhat(x_i - y).
 
     y is a point or a batch (m, 1); returns scalar or (m,).
     """
-    if t is None:
-        t = params.t
     y = np.asarray(y, dtype=float)
     if y.ndim == 2 and y.shape[1] != 1:
         raise ValueError(f"y must be a point or an (m, 1) batch, got shape {y.shape}")
@@ -166,7 +164,7 @@ def tilt_log_weight(y, mu: DiscreteMeasure, params: ModelParams, t: float | None
     return float(out[0]) if single else out
 
 
-def tilt_acceptance(y, mu: DiscreteMeasure, params: ModelParams, t: float | None = None):
+def tilt_acceptance(y, mu: DiscreteMeasure, params: ModelParams, t: float):
     """Thinning acceptance probability exp(-t * int vhat(x - y) mu(dx)) in [0, 1]."""
     return np.exp(tilt_log_weight(y, mu, params, t))
 

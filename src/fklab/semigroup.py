@@ -22,18 +22,20 @@ the same order, so results are bit-identical to scipy.fft.dst;
 tests/test_semigroup.py checks that, so a scipy that moves or changes the
 private binding fails loudly.
 
-The stepper accepts a stack of fields as columns of an (n, m) array,
-evolving m independent problems in one sweep; if V is also (n, m) each column
-carries its own potential.  batched_evolve is the one driver: it runs such a
-batch (a single problem is one column) through a piecewise-dt schedule, with
-per-column mass monitoring and occupation accumulators.  A column whose mass
-has decayed below 64 eps of its starting mass is round-off, so the monitor
-lets it wobble there; growth above that floor still raises.
+The stepper evolves m independent problems as the columns of an (n, m)
+array, each column under its own potential.  Only batched_evolve steps
+it: it runs such a batch (a single problem is one column) through a
+piecewise-dt schedule, with per-column mass monitoring and occupation
+accumulators.  A column whose mass has decayed below 64 eps of its starting
+mass is round-off, so the monitor lets it wobble there; growth above that
+floor still raises.
 
-Fields at several times come from running the schedule in links between
-them (time_marginal, _retired_control), each link one batched_evolve call in
-the schedule's own steps, so each field has the bits of a run that stops
-there; the round-off floor is then 64 eps of a column's mass at link start.
+A column may retire at its own horizon: batched_evolve copies it out there,
+with the bits of a run that stops at that time, and steps on only the
+columns left, whose round-off floor becomes 64 eps of their masses then.
+time_marginal needs one column at several times, so it runs the schedule in
+links between them, each link one batched_evolve call in the schedule's own
+steps; the floor is then 64 eps of a column's mass at link start.
 
 The heat multiplier is built at V's shape when the stepper is, so each step
 multiplies two full arrays and broadcasts nothing.  Every column is stepped
@@ -85,33 +87,11 @@ def _dirichlet_eigenvalues(n: int, h: float) -> np.ndarray:
     return (1.0 - np.cos(k * np.pi / (n + 1))) / h ** 2
 
 
-class _SpectralHeat:
-    """Exact heat propagator on 1-d fields of a fixed shape, (n,) or an
-    (n, m) stack of columns: DST-I along the grid axis, times
-    exp(-tau lambda_k) / 2(n + 1), DST-I again, all in place, so apply
-    overwrites the field it is given.  The multiplier is built at the full
-    field shape, so the product is a plain elementwise loop rather than an
-    (n, 1) broadcast run as m-element inner loops; the bits are the same."""
-
-    def __init__(self, grid: Grid, tau: float, shape: tuple):
-        n = grid.n
-        mult = np.exp(-tau * _dirichlet_eigenvalues(n, grid.h)) / (2.0 * (n + 1))
-        mult = mult.reshape(mult.shape + (1,) * (len(shape) - 1))
-        self._mult = np.broadcast_to(mult, shape).copy()
-
-    def apply(self, u: np.ndarray) -> np.ndarray:
-        # positional: (a, type, axes, inorm = 0 unnormalized, out); one thread
-        _pocketfft_dst(u, 1, (0,), 0, u)
-        u *= self._mult
-        return _pocketfft_dst(u, 1, (0,), 0, u)
-
-
 class FKStepper:
-    """One Strang step of length dt for a fixed (grid, V) in d = 1.
-
-    V may be grid-shaped, or (n, m) for m column problems with per-column
-    potentials; fields passed to step() must match that shape.
-    """
+    """One Strang step of length dt for a fixed (grid, V) in d = 1: V is
+    (n, m), one potential per column problem, and so are the fields passed
+    to step().  The heat step is DST-I along the grid axis, times
+    exp(-dt lambda_k) / 2(n + 1), DST-I again, all in place."""
 
     def __init__(self, grid: Grid, V: np.ndarray, dt: float):
         if not (dt > 0 and np.isfinite(dt)):
@@ -120,10 +100,16 @@ class FKStepper:
         if not np.all(np.isfinite(V)):
             raise ValueError("potential must be finite")
         self._expV_half = np.exp(-0.5 * dt * V)
-        self._heat = _SpectralHeat(grid, dt, V.shape)
+        n = grid.n
+        mult = np.exp(-dt * _dirichlet_eigenvalues(n, grid.h)) / (2.0 * (n + 1))
+        self._mult = np.broadcast_to(mult[:, None], V.shape).copy()
 
     def step(self, u: np.ndarray) -> np.ndarray:
-        v = self._heat.apply(self._expV_half * u)
+        v = self._expV_half * u
+        # positional: (a, type, axes, inorm = 0 unnormalized, out); one thread
+        _pocketfft_dst(v, 1, (0,), 0, v)
+        v *= self._mult
+        _pocketfft_dst(v, 1, (0,), 0, v)
         v *= self._expV_half
         return v
 
@@ -186,7 +172,7 @@ def _check_schedule(schedule):
 
 
 def batched_evolve(grid: Grid, V_cols: np.ndarray, schedule, *,
-                   initial: np.ndarray | None = None, fs=()):
+                   initial: np.ndarray | None = None, fs=(), horizons=None):
     """Evolve m column problems (per-column 1-d potentials) through a
     piecewise-dt schedule ((t_end, dt), ...) with optional Duhamel
     co-accumulators.
@@ -196,15 +182,33 @@ def batched_evolve(grid: Grid, V_cols: np.ndarray, schedule, *,
     integrand arrays broadcastable to (n, m); each accumulator w approximates
     the kernel of e^{-int V} int_0^t f(X_s) ds by the trapezoid co-evolution
     of the module docstring, so changing dt across segments never breaks the
-    quadrature.  Returns (u_final, [w_final ...]).  With V_cols >= 0, a mass
-    that grows to above 64 eps of its column's mass at the call's start (a
-    link's start, for runs in links) raises FKInstabilityError.
+    quadrature.  horizons: one time per column, default the schedule's end;
+    column k is returned as it stands at horizons[k] and is stepped no
+    further.  Each horizon must be a step time of the schedule and the
+    largest its end; fs takes no horizons.  Returns (u, [w ...]).
+
+    With V_cols >= 0, mass is checked every 16th step, at each horizon and
+    at each segment end.  A column's mass that grows to above 64 eps of its
+    mass at the call's start, or at the last horizon before, raises
+    FKInstabilityError naming the column and the time.
     """
-    V_cols = np.asarray(V_cols, dtype=float)
-    if V_cols.ndim != 2 or V_cols.shape[0] != grid.n:
+    V = np.asarray(V_cols, dtype=float)
+    if V.ndim != 2 or V.shape[0] != grid.n:
         raise ValueError("V_cols must be (n_nodes, m)")
     _check_schedule(schedule)
-    n, m = V_cols.shape
+    n, m = V.shape
+    if horizons is None:
+        horizons = np.full(m, float(schedule[-1][0]))
+    elif fs:
+        raise ValueError("fs cannot be co-evolved with columns retired at horizons")
+    horizons = np.asarray(horizons, dtype=float)
+    if horizons.shape != (m,) or horizons.max() != schedule[-1][0]:
+        raise ValueError("horizons: one per column, the largest the schedule's end")
+    # the schedule with a segment end at each horizon: a horizon off the
+    # step lattice leaves a segment that its dt does not divide
+    legs = [(t, next(dt for end, dt in schedule if t <= end))
+            for t in sorted(set(horizons) | {end for end, _ in schedule})]
+    _check_schedule(legs)
     if initial is None:
         u = np.zeros((n, m))
         i0 = int(np.argmin(np.abs(grid.nodes())))
@@ -215,17 +219,18 @@ def batched_evolve(grid: Grid, V_cols: np.ndarray, schedule, *,
             raise ValueError("initial must match V_cols shape")
     f_vals = [np.broadcast_to(np.asarray(f, dtype=float), (n, m)) for f in fs]
     ws = [np.zeros((n, m)) for _ in f_vals]
-    monitor = float(np.min(V_cols)) >= 0.0
+    monitor = float(np.min(V)) >= 0.0
     # column sums as one matrix-vector product: on these narrow (n, m) arrays
     # it is several times faster than u.sum(axis=0)
     ones = np.ones(n)
     mass = ones @ u
     # below this a column's mass is round-off, free to wobble either way
     floor = 64.0 * np.finfo(float).eps * np.abs(mass)
+    out, live = np.empty((n, m)), np.arange(m)
     steps = 0
     seg_start = 0.0
-    for t_end, dt in schedule:
-        stepper = FKStepper(grid, V_cols, dt)
+    for t_end, dt in legs:
+        stepper = FKStepper(grid, V, dt)
         n_steps = round((t_end - seg_start) / dt)
         half = 0.5 * dt
         for k in range(1, n_steps + 1):
@@ -237,7 +242,7 @@ def batched_evolve(grid: Grid, V_cols: np.ndarray, schedule, *,
             else:
                 u = stepper.step(u)
             steps += 1
-            if monitor and steps % 16 == 0:
+            if monitor and (steps % 16 == 0 or k == n_steps):
                 m_new = ones @ u
                 grew = m_new > mass * (1.0 + 1e-8) + 1e-300
                 if grew.any():
@@ -246,12 +251,20 @@ def batched_evolve(grid: Grid, V_cols: np.ndarray, schedule, *,
                         j = int(np.argmax(grew))
                         raise FKInstabilityError(
                             f"mass grew from {mass[j]:.6e} to {m_new[j]:.6e}",
-                            column=j, t=seg_start + k * dt)
+                            column=int(live[j]), t=seg_start + k * dt)
                 mass = m_new
         if not np.all(np.isfinite(u)):
             raise FKInstabilityError("batched evolution lost stability")
+        done = horizons[live] == t_end
+        if done.any():
+            out[:, live[done]] = u[:, done]
+            # compress, unlike u[:, ~done], keeps the survivors C-ordered, and
+            # C-ordered fields step faster
+            live, V, u = live[~done], V.compress(~done, 1), u.compress(~done, 1)
+            mass = mass[~done]
+            floor = 64.0 * np.finfo(float).eps * np.abs(mass)
         seg_start = t_end
-    return u, ws
+    return out, ws
 
 
 def _evolve_link(grid: Grid, V_cols: np.ndarray, schedule, start: float,
@@ -270,34 +283,6 @@ def _evolve_link(grid: Grid, V_cols: np.ndarray, schedule, start: float,
         if e.column is None:
             raise
         raise FKInstabilityError(e.detail, column=e.column, t=start + e.t) from e
-
-
-def _retired_control(grid: Grid, V_cols: np.ndarray, horizons) -> np.ndarray:
-    """(n, m) array whose column k is column k of V_cols evolved from the
-    delta at 0 to horizons[k] on default_schedule(max(horizons)), a column
-    riding only the links up to its horizon.  Columns step as if alone, so
-    column k has the bits of a batched_evolve run of the whole batch to
-    horizons[k], and column_masses sums it in that run's order.  An
-    instability names its column in V_cols."""
-    horizons = np.asarray(horizons, dtype=float)
-    schedule = default_schedule(float(horizons.max()))
-    out = np.empty(V_cols.shape)
-    live, V, u, start = np.arange(horizons.size), V_cols, None, 0.0
-    for end in np.unique(horizons):
-        try:
-            u = _evolve_link(grid, V, schedule, start, end, u)
-        except FKInstabilityError as e:
-            if e.column is None:
-                raise
-            raise FKInstabilityError(e.detail, column=int(live[e.column]),
-                                     t=e.t) from e
-        done = horizons[live] == end
-        out[:, live[done]] = u[:, done]
-        # compress, unlike u[:, ~done], keeps the survivors C-ordered, and
-        # C-ordered fields step faster
-        live, start = live[~done], end
-        V, u = V.compress(~done, 1), u.compress(~done, 1)
-    return out
 
 
 def column_masses(grid: Grid, arr: np.ndarray) -> np.ndarray:

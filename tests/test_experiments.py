@@ -28,7 +28,7 @@ from fklab.experiments import (
     run_tilted,
 )
 from fklab.model import ModelParams, quadratic_profile
-from fklab.semigroup import (FKStepper, _evolve_link, _retired_control,
+from fklab.semigroup import (FKStepper, _evolve_link,
                              batched_evolve, check_on_lattice, column_masses,
                              default_schedule, default_step, time_marginal)
 from fklab.spectral import make_grid
@@ -245,11 +245,11 @@ def test_retired_control_is_the_snapshot_diagonal(monkeypatch, horizons):
         calls.append(u.size)
         return plain_step(self, u)
 
+    t_max = max(horizons)
     monkeypatch.setattr(FKStepper, "step", counted_step)
-    out = _retired_control(grid, V, horizons)
+    out, _ = batched_evolve(grid, V, default_schedule(t_max), horizons=horizons)
     monkeypatch.setattr(FKStepper, "step", plain_step)
 
-    t_max = max(horizons)
     assert out.shape == V.shape
     for k, t in enumerate(horizons):
         ref, _ = batched_evolve(grid, V, default_schedule(t))
@@ -268,8 +268,23 @@ def test_retired_control_is_the_snapshot_diagonal(monkeypatch, horizons):
 def test_retired_control_rejects_a_horizon_off_the_step_lattice():
     grid = make_grid(4.0, 0.25)
     V = np.zeros((grid.n, 2))
-    with pytest.raises(ValueError):
-        _retired_control(grid, V, (16.0, 33.03))
+    with pytest.raises(ValueError, match=r"ending at 33\.03"):
+        batched_evolve(grid, V, default_schedule(33.03), horizons=(16.0, 33.03))
+    # a valid schedule, and a horizon off its lattice inside it
+    with pytest.raises(ValueError, match=r"ending at 33\.03"):
+        batched_evolve(grid, np.zeros((grid.n, 3)), default_schedule(64.0),
+                       horizons=(16.0, 33.03, 64.0))
+
+
+def test_batched_evolve_rejects_bad_horizons():
+    grid = make_grid(4.0, 0.25)
+    V = np.zeros((grid.n, 2))
+    schedule = default_schedule(64.0)
+    with pytest.raises(ValueError, match="fs"):
+        batched_evolve(grid, V, schedule, fs=(np.ones_like(V),), horizons=(16.0, 64.0))
+    for horizons in ((16.0, 32.0), (16.0, 64.0, 64.0), (16.0, 66.0)):
+        with pytest.raises(ValueError, match="horizons"):
+            batched_evolve(grid, V, schedule, horizons=horizons)
 
 
 @pytest.mark.parametrize("runner, ladder", [

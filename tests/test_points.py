@@ -66,14 +66,14 @@ def test_tilt_weight_matches_shape():
     params = ModelParams(d=1, alpha=2.0, t=2.0)
     mu = DiscreteMeasure.delta(np.zeros(1))
     # candidate point inside the cap: acceptance e^{-t}
-    assert tilt_log_weight(np.array([0.3]), mu, params)[0] == pytest.approx(-2.0)
+    assert tilt_log_weight(np.array([0.3]), mu, params, t=params.t)[0] == pytest.approx(-2.0)
     # at distance 2 the shape is 1/4: acceptance e^{-t/4}
-    assert tilt_log_weight(np.array([2.0]), mu, params)[0] == pytest.approx(-0.5)
+    assert tilt_log_weight(np.array([2.0]), mu, params, t=params.t)[0] == pytest.approx(-0.5)
     # two-atom measure averages the shape over atoms
     mu2 = DiscreteMeasure(atoms=np.array([[0.0], [2.0]]),
                           weights=np.array([0.5, 0.5]))
     want = -2.0 * (0.5 * 1.0 + 0.5 * 0.25)
-    assert tilt_log_weight(np.array([2.0]), mu2, params)[0] == pytest.approx(want)
+    assert tilt_log_weight(np.array([2.0]), mu2, params, t=params.t)[0] == pytest.approx(want)
 
 
 def test_tilt_weight_refuses_a_batch_of_2d_points():
@@ -83,7 +83,7 @@ def test_tilt_weight_refuses_a_batch_of_2d_points():
     y = np.array([[0.0, 5.0], [1.0, 2.0]])
     for f in (tilt_log_weight, tilt_acceptance):
         with pytest.raises(ValueError, match=r"\(2, 2\)"):
-            f(y, mu, params)
+            f(y, mu, params, t=params.t)
 
 
 @pytest.mark.parametrize("m", [3073, 3074, 5001])
@@ -92,9 +92,9 @@ def test_blocked_tilt_weight_equals_one_block(m, monkeypatch):
     params = ModelParams(d=1, alpha=1.5, t=1e6)
     mu = DiscreteMeasure.gauss_hermite(32, 40.0)
     y = np.random.default_rng(m).uniform(-400.0, 400.0, (m, 1))
-    blocked = tilt_log_weight(y, mu, params)
+    blocked = tilt_log_weight(y, mu, params, t=params.t)
     monkeypatch.setattr(model, "PAIR_BLOCK", 2 ** 60)
-    assert np.array_equal(blocked, tilt_log_weight(y, mu, params))
+    assert np.array_equal(blocked, tilt_log_weight(y, mu, params, t=params.t))
 
 
 # Narrow Gauss-Hermite atoms sit within 1 of each other, and their computed
@@ -146,7 +146,7 @@ def test_squeeze_decides_as_the_exact_test(atoms, std, t):
     np.testing.assert_allclose(maybe[row][inside], np.exp(-t * down[inside]) * (1.0 + SQUEEZE_REL)
                                + SQUEEZE_ABS, rtol=1e-5)
     assert np.all(sure[row][~inside] == -np.inf) and np.all(maybe[row][~inside] == np.inf)
-    acc = tilt_acceptance(y, mu, params)
+    acc = tilt_acceptance(y, mu, params, t=params.t)
     # the thresholds leave room for 1e-10 of rounding, five times that of
     # exp(-t Phi), on either side of the exact acceptance
     assert np.all(sure[row][inside] <= acc[inside] * (1.0 - 1e-10))
@@ -219,7 +219,7 @@ def test_criterion_05_tilt_thins_exactly(t, radius):
                                             np.concatenate([n_base, n_rest]))
         base, rest = y[:n_base.sum()], y[n_base.sum():]
         u = np.repeat(s, n_rest) + rng.random(rest.size) * np.repeat(M - s, n_rest)
-        keep = u < tilt_acceptance(rest[:, None], mu, params)
+        keep = u < tilt_acceptance(rest[:, None], mu, params, t=params.t)
         got = sample_tilted(mu, params, box, seed, path=(2, rep)).points[:, 0]
         assert np.array_equal(got, np.concatenate([base, rest[keep]]))
         decided += keep.sum() * (~keep).sum()
@@ -249,7 +249,7 @@ def test_blocks_bound_the_acceptance(case):
     x = lo + k * delta
     for b in (block[np.maximum(k - 1, 0)], block[np.minimum(k, n - 1)]):
         for y in (x, np.nextafter(x, -np.inf), np.nextafter(x, np.inf)):
-            p = tilt_acceptance(y[:, None], mu, params)
+            p = tilt_acceptance(y[:, None], mu, params, t=params.t)
             assert np.all(s[b] <= p) and np.all(p <= M[b])
 
 
@@ -262,7 +262,7 @@ def test_tilted_counts_follow_the_intensity(case):
     # int p over each cell by 16-point Gauss-Legendre, then over each block
     nodes, w = np.polynomial.legendre.leggauss(16)
     y = (lo + (np.arange(n) + 0.5) * delta)[:, None] + 0.5 * delta * nodes
-    p = tilt_acceptance(y.reshape(-1, 1), mu, params).reshape(n, 16)
+    p = tilt_acceptance(y.reshape(-1, 1), mu, params, t=params.t).reshape(n, 16)
     lam = np.add.reduceat(0.5 * delta * p @ w, edges[:-1])
     draws = 400
     counts = np.empty((draws, s.size))
@@ -296,7 +296,7 @@ def test_table_widening_covers_index_rounding(atom):
     edges = lo + np.arange(sure.size - 1) * delta
     x = np.concatenate([edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf)])
     row = np.clip(np.floor((x - lo) / delta) + 1, 0, sure.size - 1).astype(int)
-    acc = tilt_acceptance(x[:, None], mu, params)
+    acc = tilt_acceptance(x[:, None], mu, params, t=params.t)
     assert np.all(sure[row] <= acc * (1.0 - 1e-10))
     assert np.all(maybe[row] >= acc * (1.0 + 1e-10))
 
@@ -366,7 +366,7 @@ def test_tilt_acceptance_bounds():
     params = ModelParams(d=1, alpha=2.0, t=3.0)
     mu = DiscreteMeasure.delta(np.zeros(1))
     x = np.array([[0.0], [2.0], [3.9]])
-    acc = tilt_acceptance(x, mu, params)
+    acc = tilt_acceptance(x, mu, params, t=params.t)
     assert np.all(acc > 0.0) and np.all(acc <= 1.0)
     assert acc[0] == pytest.approx(math.exp(-3.0))
     assert acc[1] == pytest.approx(math.exp(-0.75))

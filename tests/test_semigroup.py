@@ -1,13 +1,16 @@
 """Feynman-Kac evolution: heat kernel, splitting order, partition functions."""
 
+import ast
 import inspect
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import integrate
 from scipy.fft import dst
 
+import fklab
 from fklab.experiments import LOCALIZATION_FULL_RADIUS, _columns, _compensated, run_localization
 from fklab.model import ModelParams, constants, nu_coordinate_variance, vhat_sum
 from fklab.points import Box, sample_homogeneous
@@ -18,9 +21,9 @@ from fklab.semigroup import (
     GroundstateReport,
     _dirichlet_eigenvalues,
     _evolve_link,
-    _retired_control,
     batched_evolve,
     column_masses,
+    default_schedule,
     groundstate_transform_check,
     jackknife_mean,
     oscillator_ground_state,
@@ -105,26 +108,25 @@ def _scipy_heat(u, mult):
 
 def test_heat_step_is_bit_equal_to_scipy_fft():
     # the step calls pocketfft's private DST-I binding; it must stay the very
-    # routine scipy.fft.dst(type=1) runs, so any drift fails here
+    # routine scipy.fft.dst(type=1) runs, so any drift fails here.  Under
+    # V = 0 both potential factors are exp(0) = 1.0, so the Strang step is
+    # the heat step bit for bit
     grids = _localization_grids()
     assert [g.n for g in grids] == [15, 23, 31, 47, 63, 95, 127, 191, 255, 383, 511, 767]
     rng = np.random.default_rng(5)
     tau = 0.25
     for grid in grids:
         n, h = grid.n, grid.h
-        mult = np.exp(-tau * _dirichlet_eigenvalues(n, h)) / (2.0 * (n + 1))
-        for m in (None, 6, 7):
-            shape = (n,) if m is None else (n, m)
+        mult = (np.exp(-tau * _dirichlet_eigenvalues(n, h)) / (2.0 * (n + 1)))[:, None]
+        for m in (1, 6, 7):
+            shape = (n, m)
+            u = rng.uniform(0.0, 1.0, shape)
+            assert np.array_equal(FKStepper(grid, np.zeros(shape), tau).step(u),
+                                  _scipy_heat(u, mult))
             V = rng.uniform(0.0, 3.0, shape)
             stepper = FKStepper(grid, V, tau)
-            u = rng.uniform(0.0, 1.0, shape)
-            ref_mult = mult if m is None else mult[:, None]
             # the multiplier is built at V's shape; the reference broadcasts
-            assert stepper._heat._mult.shape == shape
-            assert np.array_equal(stepper._heat._mult,
-                                  np.broadcast_to(ref_mult, shape))
-            assert np.array_equal(stepper._heat.apply(u.copy()),
-                                  _scipy_heat(u, ref_mult))
+            assert np.array_equal(stepper._mult, np.broadcast_to(mult, shape))
             # chained Strang steps from a delta, so the fields span many decades
             half = np.exp(-0.5 * tau * V)
             u = np.zeros(shape)
@@ -132,8 +134,30 @@ def test_heat_step_is_bit_equal_to_scipy_fft():
             ref = u.copy()
             for _ in range(300):
                 u = stepper.step(u)
-                ref = half * _scipy_heat(half * ref, ref_mult)
+                ref = half * _scipy_heat(half * ref, mult)
                 assert np.array_equal(u, ref)
+
+
+def test_only_batched_evolve_builds_and_steps_a_stepper():
+    # one Strang loop: in src/fklab, FKStepper is built, and a .step
+    # called, only inside batched_evolve (a nested function counts as its
+    # outermost one)
+    seen = set()
+    for path in sorted(Path(fklab.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        owner = {}
+        for fn in ast.walk(tree):       # breadth first: outer functions first
+            if isinstance(fn, ast.FunctionDef):
+                for node in ast.walk(fn):
+                    owner.setdefault(node, fn.name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                f = node.func
+                callee = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                if callee in ("FKStepper", "step"):
+                    seen.add((path.name, owner.get(node), callee))
+    assert seen == {("semigroup.py", "batched_evolve", "FKStepper"),
+                    ("semigroup.py", "batched_evolve", "step")}
 
 
 def test_columns_step_as_if_alone():
@@ -178,10 +202,28 @@ def test_mass_growth_raises_instability(monkeypatch):
     batched_evolve(g, V_cols, ((1.0, 0.05),))
 
 
+def test_short_call_checks_mass_after_its_last_step(monkeypatch):
+    # ten steps never reach the 16th-step check; the check after the last
+    # step sees column 1 grow
+    plain_step = FKStepper.step
+
+    def leaky_step(self, u):
+        out = plain_step(self, u)
+        out[:, 1] *= 1.01
+        return out
+
+    monkeypatch.setattr(FKStepper, "step", leaky_step)
+    g = Grid(4.0, 0.05)
+    V_cols = 0.01 * np.stack([g.nodes() ** 2] * 3, axis=1)
+    with pytest.raises(FKInstabilityError, match=r"column 1: .* by t = 1 ") as e:
+        batched_evolve(g, V_cols, ((1.0, 0.1),))
+    assert (e.value.column, e.value.t) == (1, pytest.approx(1.0))
+
+
 def test_instability_in_a_later_link_names_absolute_time(monkeypatch):
-    # the retired control runs the schedule in links between horizons; an
-    # error in the second link names the time since 0 and the column of the
-    # caller's batch, not the link's own clock and column
+    # columns retire at their horizons; an error after the first retirement
+    # names the time since 0 and the column of the caller's batch, not its
+    # place among the columns left
     plain_step = FKStepper.step
     calls = []
 
@@ -196,11 +238,11 @@ def test_instability_in_a_later_link_names_absolute_time(monkeypatch):
     g = Grid(4.0, 0.05)
     x = g.nodes()
     V_cols = 0.01 * np.stack([x ** 2] * 3, axis=1)
-    # link 1 runs all three columns to t = 1; link 2 runs columns 1 and 2,
-    # and the mass check at its 16th step sees column 2 grow
-    with pytest.raises(FKInstabilityError, match=r"column 2: .* by t = 2\.6 ") as e:
-        _retired_control(g, V_cols, (1.0, 3.0, 3.0))
-    assert (e.value.column, e.value.t) == (2, pytest.approx(2.6))
+    # all three columns run to t = 1, where column 0 retires; columns 1 and
+    # 2 run on, and the check at the 16th step sees column 2 grow
+    with pytest.raises(FKInstabilityError, match=r"column 2: .* by t = 1\.6 ") as e:
+        batched_evolve(g, V_cols, default_schedule(3.0), horizons=(1.0, 3.0, 3.0))
+    assert (e.value.column, e.value.t) == (2, pytest.approx(1.6))
 
 
 def test_mass_below_round_off_may_wobble_without_raising():
@@ -493,10 +535,10 @@ def test_jackknife_mean():
 def test_spec_guards():
     g = Grid(2.0, 0.1)
     with pytest.raises(ValueError, match="dt must be positive"):
-        FKStepper(g, np.zeros(g.n), 0.0)
-    # a 2-d V would broadcast against the 1-d multiplier and diffuse along
-    # x only; no stepper meets one, since a grid is one radius and refuses
-    # a second half-width
+        FKStepper(g, np.zeros((g.n, 1)), 0.0)
+    # a field on a 2-d grid would be read as columns and diffuse along x
+    # only; no stepper meets one, since a grid is one radius and refuses a
+    # second half-width
     with pytest.raises(TypeError):
         Grid((1.0, 1.0), 0.1)
     with pytest.raises(ValueError):
