@@ -60,7 +60,7 @@ from .semigroup import (
     time_marginal,
 )
 
-ARTIFACT_VERSION = 11
+ARTIFACT_VERSION = 12
 
 
 # ---------------------------------------------------------------------------

@@ -22,14 +22,19 @@ LAPACK's tridiagonal eigen-solve (eigh_tridiagonal) of each draw, by
 importance sampling from environments tilted to open a hole there, so that
 the Lifshitz tail far below 1/n_samples is reached.  The solve bisects each
 eigenvalue only to an absolute 1e-6, and an eigenvalue that close to a grid
-lambda is placed against it by an exact Sturm count.  Two finite-volume
-biases remain.  Points outside the sampled box would raise V, so leaving
-them out would bias N high; their mean is added back by far-field
-compensation.  The Dirichlet walls of the eigen grid bias N as well, and at
-criterion 08's sizes moving them closer raised N (README).  Each tilt's
-draws are solved on a grid sized from that tilt's own hole radius, so the
-walls stay far from its hole; the sampled box, common to all tilts because
-the weights need one box, is sized from the steepest tilt's hole.
+lambda is placed against it by an exact Sturm count.  The tilts are scored
+shallowest first, and each draw is solved only up to the largest lambda at
+which its weight over the grid step exceeds 2^-60 / n_samples of the terms
+scored so far.  Above that lambda the draw could move no estimate by 2^-60
+of itself, and it keeps its score there, so its scores stay nondecreasing
+in lambda.  Two finite-volume biases remain.  Points outside the sampled
+box would raise V, so leaving them out would bias N high; their mean is
+added back by far-field compensation.  The Dirichlet walls of the eigen
+grid bias N as well, and at criterion 08's sizes moving them closer raised
+N (README).  Each tilt's draws are solved on a grid sized from that tilt's
+own hole radius, so the walls stay far from its hole; the sampled box,
+common to all tilts because the weights need one box, is sized from the
+steepest tilt's hole.
 Box-doubling invariance within CI is the self-consistency check.
 """
 
@@ -40,7 +45,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
-from scipy.special import logsumexp
 
 from .laplace import box_log_laplace
 from .model import ModelParams, constants, vhat_sum
@@ -48,6 +52,7 @@ from .points import Box, DiscreteMeasure, sample_tilted
 from .potential import PotentialView, evaluate_V
 
 _IDS_EIG_TOL = 1e-6   # absolute; see tilted_ids_draws
+_IDS_SKIP = 2.0 ** -60   # relative; see tilted_ids_draws
 
 
 @dataclass(frozen=True)
@@ -176,12 +181,24 @@ def tilted_ids_draws(lambdas, tilts, params: ModelParams, grids,
     of each draw, its spectral mass below each lambda in the unit cell at
     the origin, per unit volume, and the number of draws per tilt.  V_B(0)
     is the potential at the origin of the points in the sampled box B only.
+    Row r holds draw r, stacked by tilt in the order given, whatever order
+    the draws are scored in.
 
     Scores read eigenvalues only to place them against the lambdas, and the
     grid's O(h^2) error (about 1e-2 at h = 0.25) dwarfs bisection error, so
     eigenvalues are bisected to _IDS_EIG_TOL (about half the halvings of full
     precision) and a lambda that close to one is placed by _sturm_count.  A
     failed solve raises EigenSolveError naming the draw and its tilt.
+
+    A draw's term weight * score is at most weight / h, since unit-norm
+    eigenvectors put at most mass 1 on each cell node.  The tilts are scored
+    shallowest first, whose draws carry the large weights, and S(lambda)
+    sums the terms scored so far.  Each draw is solved only up to the
+    largest lambda with weight / h > _IDS_SKIP / n_samples * S(lambda), or
+    the smallest lambda if there is none; above it the draw keeps its score
+    there, so every row stays nondecreasing.  S is at most n_samples times
+    the estimate's mean, so the terms left out move each mean by less than
+    _IDS_SKIP of itself.
     """
     lambdas = np.asarray(lambdas, dtype=float)
     tilts = np.asarray(tilts, dtype=float)
@@ -192,33 +209,54 @@ def tilted_ids_draws(lambdas, tilts, params: ModelParams, grids,
                       for j in range(tilts.size)])
     log_norm = np.array([box_log_laplace(s, params, sample_box.radius)
                          for s in tilts])
+    frac = n_per / n_samples
     origin = DiscreteMeasure.delta(0.0)
-    v0 = np.empty(n_samples)
+    weight = np.empty(n_samples)
     score = np.empty((n_samples, lambdas.size))
-    for r, j in enumerate(np.repeat(np.arange(tilts.size), n_per)):
-        cfg = sample_tilted(origin, params, sample_box, seed, t=float(tilts[j]), path=(r,))
-        v0[r] = vhat_sum(np.zeros((1, 1)), cfg.points, params.alpha)[0]
+    total = np.zeros(lambdas.size)     # S: the terms scored so far
+    ends = np.cumsum(n_per)
+    for j in np.argsort(tilts, kind="stable"):
         grid = grids[j]
         x = grid.nodes()
-        diag, off = tridiag(grid, evaluate_V(PotentialView(cfg, params, compensate=True),
-                                             x[:, None]))
-        try:
-            evs, vecs = eigh_tridiagonal(diag, off, select="v", tol=_IDS_EIG_TOL,
-                                         select_range=(-np.inf, float(lambdas.max())))
-        except np.linalg.LinAlgError as e:
-            raise EigenSolveError(f"eigen-solve failed on draw {r} "
-                                  f"(tilt {tilts[j]:g}): {e}") from e
         cell = (x >= -0.5) & (x < 0.5)
         cell_volume = float(np.count_nonzero(cell)) * grid.h
-        # unit-norm eigenvectors: the cell mass of phi_k^2 is a sum of v_k^2
-        below = np.concatenate([[0.0], np.cumsum(np.sum(vecs[cell] ** 2, axis=0))])
-        idx = np.searchsorted(evs, lambdas, side="right")
-        close = np.any(np.abs(evs - lambdas[:, None]) <= _IDS_EIG_TOL, axis=1)
-        idx[close] = [_sturm_count(diag, off, lam) for lam in lambdas[close]]
-        score[r] = below[idx] / cell_volume
-    # math.exp of each row's logsumexp: np.exp may differ in the last bit
-    lse = logsumexp(log_norm - tilts * v0[:, None], b=n_per / n_samples, axis=1)
-    return np.array([math.exp(-x) for x in lse]), score, n_per
+        for r in range(ends[j] - n_per[j], ends[j]):
+            cfg = sample_tilted(origin, params, sample_box, seed, t=float(tilts[j]),
+                                path=(r,))
+            v0 = vhat_sum(np.zeros((1, 1)), cfg.points, params.alpha)[0]
+            weight[r] = _balance_weight(log_norm - tilts * v0, frac)
+            # S is nondecreasing in lambda, so the lambdas that can still
+            # move the estimate are a prefix
+            movable = weight[r] / grid.h > _IDS_SKIP / n_samples * total
+            top = max(int(np.count_nonzero(movable)) - 1, 0)
+            lams = lambdas[:top + 1]
+            diag, off = tridiag(grid, evaluate_V(PotentialView(cfg, params, compensate=True),
+                                                 x[:, None]))
+            try:
+                evs, vecs = eigh_tridiagonal(diag, off, select="v", tol=_IDS_EIG_TOL,
+                                             select_range=(-np.inf, float(lams[-1])))
+            except np.linalg.LinAlgError as e:
+                raise EigenSolveError(f"eigen-solve failed on draw {r} "
+                                      f"(tilt {tilts[j]:g}): {e}") from e
+            # unit-norm eigenvectors: the cell mass of phi_k^2 is a sum of v_k^2
+            below = np.concatenate([[0.0], np.cumsum(np.sum(vecs[cell] ** 2, axis=0))])
+            idx = np.searchsorted(evs, lams, side="right")
+            close = np.any(np.abs(evs - lams[:, None]) <= _IDS_EIG_TOL, axis=1)
+            idx[close] = [_sturm_count(diag, off, lam) for lam in lams[close]]
+            score[r, :top + 1] = below[idx] / cell_volume
+            score[r, top + 1:] = score[r, top]
+            total += weight[r] * score[r]
+    return weight, score, n_per
+
+
+def _balance_weight(x, frac) -> float:
+    """exp(-logsumexp(x, b=frac)) for one draw's row x, the largest term
+    kept out of the sum as scipy.special.logsumexp keeps it; a call of that
+    costs more than a solve on the shallow tilts' grids."""
+    k = int(np.argmax(x))
+    e = frac * np.exp(x - x[k])
+    e[k] = 0.0
+    return math.exp(-(np.log1p(e.sum() / frac[k]) + np.log(frac[k]) + x[k]))
 
 
 def stratified_mean(values, n_per):

@@ -245,6 +245,31 @@ def test_instability_in_a_later_link_names_absolute_time(monkeypatch):
     assert (e.value.column, e.value.t) == (2, pytest.approx(1.6))
 
 
+def test_round_off_floor_is_reset_at_a_horizon(monkeypatch):
+    # column 1 decays by 1e-20 over the first ten steps, far below 64 eps of
+    # its starting mass, and grows by 1% a step after column 0 retires at
+    # t = 1.  Its growth stays below the starting floor, but the floor reset
+    # to 64 eps of its mass at t = 1 catches it at the 16th step
+    plain_step = FKStepper.step
+    calls = []
+
+    def decay_then_leak(self, u):
+        calls.append(None)
+        out = plain_step(self, u)
+        out[:, -1] *= 1e-2 if len(calls) <= 10 else 1.01
+        return out
+
+    monkeypatch.setattr(FKStepper, "step", decay_then_leak)
+    g = Grid(4.0, 0.05)
+    V_cols = 0.01 * np.stack([g.nodes() ** 2] * 2, axis=1)
+    with pytest.raises(FKInstabilityError, match=r"column 1: .* by t = 1\.6 ") as e:
+        batched_evolve(g, V_cols, ((2.0, 0.1),), horizons=(1.0, 2.0))
+    assert (e.value.column, e.value.t) == (1, pytest.approx(1.6))
+    assert len(calls) == 16
+    # the grown mass, relative to the start, is under the starting floor
+    assert 1e-20 * 1.01 ** 6 < 64.0 * np.finfo(float).eps
+
+
 def test_mass_below_round_off_may_wobble_without_raising():
     # lemma5's seed-3 column 91 at t = 16: delta-start mass decays to about
     # -2.6e-24, far below 64 eps of its starting 8, where round-off moves it

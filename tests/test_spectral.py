@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from scipy.linalg import eigh, eigh_tridiagonal
+from scipy.special import logsumexp
 
 import fklab.spectral
 from fklab.model import ModelParams, constants, vhat_sum
@@ -21,6 +22,7 @@ from fklab.spectral import (
     tilted_ids_draws,
     tridiag,
     _IDS_EIG_TOL,
+    _balance_weight,
     _sturm_count,
 )
 from reference import dense_1d, exact_ids_scores
@@ -260,16 +262,53 @@ def test_ids_tilted_weights_are_unbiased():
     assert abs(tilted[0] - plain[0]) <= tilted_hw[0] + plain_hw[0]
 
 
+def test_balance_weight_is_exp_minus_logsumexp():
+    # rows as tilted_ids_draws builds them, Lambda_B(s_j) - s_j V_B(0), over
+    # a spread wide enough that exp of the raw sum would over- or underflow
+    rng = np.random.default_rng(8)
+    frac = np.array([17, 17, 17, 17, 16, 16]) / 100
+    for x in rng.normal(0.0, [[1.0]] * 20 + [[300.0]] * 20, size=(40, 6)):
+        want = math.exp(-logsumexp(x, b=frac))
+        assert _balance_weight(x, frac) == pytest.approx(want, rel=1e-14, abs=0.0)
+
+
 def _record_ids_operators(monkeypatch) -> list:
-    """Pass tilted_ids_draws' eigen-solves through, keeping each (diag, off)."""
+    """Pass tilted_ids_draws' eigen-solves through, keeping each (diag, off,
+    top of its select_range)."""
     ops = []
 
     def recording(diag, off, **kwargs):
-        ops.append((diag, off))
+        ops.append((diag, off, kwargs["select_range"][1]))
         return eigh_tridiagonal(diag, off, **kwargs)
 
     monkeypatch.setattr(fklab.spectral, "eigh_tridiagonal", recording)
     return ops
+
+
+def _check_ids_solves(ops, lambdas, tilts, grids, weight, score, n_per):
+    """Pair each recorded solve with its draw, the tilts taken in increasing
+    order of s: up to the solve's top, the draw's scores are the exact ones
+    on its own grid; above it they repeat the score at the top, and the
+    skip rule w / h <= 2^-60 / n * S holds there, S summing the terms of
+    the draws solved before.  At a top above the least lambda the rule
+    fails."""
+    lambdas = np.asarray(lambdas, dtype=float)
+    tilt_of = np.repeat(np.arange(len(tilts)), n_per)
+    order = np.concatenate([np.flatnonzero(tilt_of == j)
+                            for j in np.argsort(tilts, kind="stable")])
+    assert len(ops) == len(order) == len(weight)
+    total = np.zeros(lambdas.size)
+    for (diag, off, top), r in zip(ops, order):
+        grid = grids[tilt_of[r]]
+        assert diag.size == grid.n
+        i = int(np.flatnonzero(lambdas == top)[0])
+        exact = exact_ids_scores(diag, off, grid, lambdas[:i + 1])
+        np.testing.assert_allclose(score[r, :i + 1], exact, rtol=1e-10, atol=0.0)
+        assert np.all(score[r, i + 1:] == score[r, i])
+        bound = 2.0 ** -60 / len(weight) * total
+        assert np.all(weight[r] / grid.h <= bound[i + 1:]), (r, top)
+        assert i == 0 or weight[r] / grid.h > bound[i], (r, top)
+        total += weight[r] * score[r]
 
 
 IDS_GRID = Grid(8.0, 0.25)
@@ -283,16 +322,74 @@ def test_ids_scores_match_exact_bisection(monkeypatch):
     ops = _record_ids_operators(monkeypatch)
     lambdas = [0.6, 1.0, 1.5, 2.5]
     grids = [Grid(5.0, 0.25), IDS_GRID]
-    _, score, n_per = tilted_ids_draws(lambdas, [4.0, 16.0], P12, grids, IDS_BOX,
-                                       24, seed=5)
+    weight, score, n_per = tilted_ids_draws(lambdas, [4.0, 16.0], P12, grids, IDS_BOX,
+                                            24, seed=5)
     assert len(ops) == 24
     draw_grids = np.repeat(grids, n_per)
-    assert [d.size for d, _ in ops] == [g.n for g in draw_grids] \
+    assert [d.size for d, _, _ in ops] == [g.n for g in draw_grids] \
         == [39] * 12 + [63] * 12
-    exact = np.array([exact_ids_scores(d, e, g, lambdas)
-                      for (d, e), g in zip(ops, draw_grids)])
-    assert np.all(np.count_nonzero(exact, axis=0) >= 8)
-    np.testing.assert_allclose(score, exact, rtol=1e-10, atol=0.0)
+    _check_ids_solves(ops, lambdas, [4.0, 16.0], grids, weight, score, n_per)
+    assert np.all(np.count_nonzero(score, axis=0) >= 8)
+
+
+def test_ids_draw_of_weight_zero_is_solved_at_the_least_lambda(monkeypatch):
+    # a weight that underflows to 0 moves no estimate: w / h = 0 is not above
+    # 2^-60 / n * S even where S is still 0, so each such draw is solved only
+    # to the least lambda and keeps that score above it
+    monkeypatch.setattr(fklab.spectral, "_balance_weight", lambda x, frac: 0.0)
+    ops = _record_ids_operators(monkeypatch)
+    lambdas = [0.6, 1.0, 1.5, 2.5]
+    weight, score, _ = tilted_ids_draws(lambdas, [4.0, 16.0], P12, [IDS_GRID] * 2,
+                                        IDS_BOX, 6, seed=5)
+    assert [top for _, _, top in ops] == [0.6] * 6
+    assert np.all(weight == 0.0)
+    assert np.all(score == score[:, :1])
+
+
+# criterion 08's window, alpha and least box side, at 60 draws
+C08 = ModelParams(d=1, alpha=1.5, t=1.0)
+C08_LAMBDAS = [0.4, 0.56, 0.72, 0.88, 1.04, 1.2]
+
+
+def _c08_estimate(monkeypatch, seed: int):
+    """ids_estimate on criterion 08's window at 60 draws: the curve, the
+    recorded solves, and tilted_ids_draws' arguments and results."""
+    plain = fklab.spectral.tilted_ids_draws
+    calls = []
+
+    def keeping(lams, tilts, params, grids, *args):
+        out = plain(lams, tilts, params, grids, *args)
+        calls.append((tilts, grids) + out)
+        return out
+
+    monkeypatch.setattr(fklab.spectral, "tilted_ids_draws", keeping)
+    ops = _record_ids_operators(monkeypatch)
+    curve = ids_estimate(C08_LAMBDAS, C08, 40.0, n_samples=60, seed=seed)
+    return curve, ops, calls[0]
+
+
+def test_ids_steepest_tilt_is_solved_below_the_window_top(monkeypatch):
+    # at criterion 08's sizes the steepest tilt's weights are too small to
+    # move the estimate above its least lambda; a rule that solves every
+    # draw to the top of the window fails here
+    _, ops, (tilts, grids, weight, score, n_per) = _c08_estimate(monkeypatch, seed=3)
+    steepest = [top for diag, _, top in ops if diag.size == grids[0].n == 955]
+    assert len(steepest) == n_per[0] == 10
+    assert max(steepest) < max(C08_LAMBDAS)
+    _check_ids_solves(ops, C08_LAMBDAS, tilts, grids, weight, score, n_per)
+
+
+def test_ids_skip_rule_keeps_the_estimate(monkeypatch):
+    # with the skip threshold at 0 every draw is solved to the window's
+    # top: the estimate and its CI agree with the default within 1e-10
+    skip, _, _ = _c08_estimate(monkeypatch, seed=3)
+    monkeypatch.setattr(fklab.spectral, "_IDS_SKIP", 0.0)
+    full, ops, _ = _c08_estimate(monkeypatch, seed=3)
+    assert {top for _, _, top in ops} == {max(C08_LAMBDAS)}
+    assert np.all(skip.n_hat > 0.0)
+    for name in ("n_hat", "ci_low", "ci_high"):
+        np.testing.assert_allclose(getattr(skip, name), getattr(full, name),
+                                   rtol=1e-10, atol=0.0, err_msg=name)
 
 
 def test_ids_draws_take_one_grid_per_tilt():
@@ -331,7 +428,7 @@ def test_ids_placement_near_an_eigenvalue_is_exact(monkeypatch):
     ops = _record_ids_operators(monkeypatch)
     top = 2.5
     tilted_ids_draws([top], [4.0], P12, [IDS_GRID], IDS_BOX, 1, seed=5)
-    diag, off = ops[0]
+    diag, off, _ = ops[0]
     select = {"select": "v", "select_range": (-np.inf, top)}
     exact, vecs = eigh_tridiagonal(diag, off, **select)
     coarse, _ = eigh_tridiagonal(diag, off, tol=_IDS_EIG_TOL, **select)
