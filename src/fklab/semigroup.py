@@ -356,9 +356,6 @@ def ou_transition_density(y, x0: float, T: float, theta: float):
 class GroundstateReport:
     sup_rel_err: float
     mass_rel_err: float
-    lambda1: float
-    theta: float
-    T: float
 
 
 def groundstate_transform_check(c: float, T: float, *, h: float = 0.005,
@@ -388,5 +385,4 @@ def groundstate_transform_check(c: float, T: float, *, h: float = 0.005,
     expectation = float(np.sum(weights / oscillator_ground_state(ys, c)) / math.sqrt(math.pi))
     mass_rhs = math.exp(-lam1 * T) * float(oscillator_ground_state(0.0, c)) * expectation
     mass_rel = abs(grid.integrate(u) - mass_rhs) / mass_rhs
-    return GroundstateReport(sup_rel_err=sup_rel, mass_rel_err=mass_rel,
-                             lambda1=lam1, theta=theta, T=T)
+    return GroundstateReport(sup_rel_err=sup_rel, mass_rel_err=mass_rel)

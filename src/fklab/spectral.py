@@ -159,7 +159,6 @@ class IdsCurve:
     n_hat: np.ndarray          # normalized counting function estimate per lambda
     ci_low: np.ndarray
     ci_high: np.ndarray
-    n_samples: int
 
     def rows(self):
         for i, lam in enumerate(self.lambdas):
@@ -314,5 +313,4 @@ def ids_estimate(lambda_grid, params: ModelParams, box_size: float,
                                             sample_box, n_samples, seed)
     mean, half_w = stratified_mean(weight[:, None] * score, n_per)
     return IdsCurve(lambdas=lambdas, n_hat=mean,
-                    ci_low=np.maximum(mean - half_w, 0.0), ci_high=mean + half_w,
-                    n_samples=n_samples)
+                    ci_low=np.maximum(mean - half_w, 0.0), ci_high=mean + half_w)

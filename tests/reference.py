@@ -11,7 +11,7 @@ import numpy as np
 from scipy import special
 from scipy.linalg import eigh_tridiagonal
 
-from fklab.laplace import QuadratureSpec, exact_mgf_V0
+from fklab.laplace import exact_mgf_V0
 from fklab.model import ModelParams, constants, vhat_radial, vhat_sum
 from fklab.points import stream
 from fklab.spectral import Grid, tridiag
@@ -117,7 +117,6 @@ def stay_probability(rho: float, t: float) -> float:
 
 
 def strategy_log_lower_bound(params: ModelParams, rho: float,
-                             spec: QuadratureSpec = QuadratureSpec(),
                              t: float | None = None) -> float:
     """log of a rigorous lower bound for the annealed partition function Z_t:
 
@@ -130,7 +129,7 @@ def strategy_log_lower_bound(params: ModelParams, rho: float,
         raise NotImplementedError("strategy bound implemented for d = 1")
     if t is None:
         t = params.t
-    mgf = exact_mgf_V0(t, params, spec)  # = -int (1 - e^{-t vhat})
+    mgf = exact_mgf_V0(t, params)  # = -int (1 - e^{-t vhat})
     enlarged = 2.0 * rho * (-np.expm1(-t)) + (-mgf)
     return math.log(stay_probability(rho, t)) - enlarged
 

@@ -8,11 +8,13 @@ seeds (least, median, greatest) of every judged statistic: each check's
 observed value where it is one finite number, the least gap between
 successive entries where it is a list of numbers, and each judged fit's
 slope.  --json writes all of it as one summary, with each record's
-estimates (value, ci_low, ci_high) seed by seed.  --compare reads such a
-summary from another sweep and prints, per scenario both hold, the largest
-change over their common seeds of each estimate, also as a fraction of the
-other sweep's half-CI, and of each judged statistic.  The sweep only
-reports, and its exit status is 0 whatever the records say.
+estimates (value, ci_low, ci_high) seed by seed, among them each table row
+that states an estimate with its CI, such as the IDS's N(lambda).
+--compare reads such a summary from another sweep and prints, per scenario
+both hold, the largest change over their common seeds of each estimate,
+also as a fraction of the other sweep's half-CI, and of each judged
+statistic.  The sweep only reports, and its exit status is 0 whatever the
+records say.
 
     PYTHONPATH=src python tests/seed_sweep.py tilted lemma5 --seeds 0-9 \\
         --json sweep.json
@@ -76,9 +78,21 @@ def judged_statistics(record) -> dict:
 
 
 def estimates(record) -> dict:
-    """Each estimate's value and CI bounds, keyed by the estimate's name."""
-    return {e["name"]: {k: e[k] for k in ("value", "ci_low", "ci_high")}
-            for e in record.estimates}
+    """Each estimate's value and CI bounds, keyed by the estimate's name; and
+    each table row that carries one, an `n_hat` or `value` column with
+    `ci_low` and `ci_high` (the IDS's N(lambda) rows), keyed
+    "<table>:<first column>=<its value>", e.g. "ids:lambda=0.4"."""
+    out = {e["name"]: {k: e[k] for k in ("value", "ci_low", "ci_high")}
+           for e in record.estimates}
+    for table, rows in record.tables.items():
+        for row in rows:
+            value = row.get("n_hat", row.get("value"))
+            if value is None or not {"ci_low", "ci_high"} <= row.keys():
+                continue
+            column, label = next(iter(row.items()))
+            out[f"{table}:{column}={label}"] = {
+                "value": value, "ci_low": row["ci_low"], "ci_high": row["ci_high"]}
+    return out
 
 
 def run_one(scenario, seed: int) -> dict:

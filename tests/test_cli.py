@@ -389,6 +389,35 @@ def test_quadrature_flags_reach_the_runner(tmp_path):
     assert rec["settings"]["resolved_cli"] == {"quad_abs": 1e-9, "quad_rel": 1e-7}
 
 
+def test_mgf_takes_no_quadrature_flags(tmp_path, monkeypatch, capsys):
+    # the single-atom functional is in closed form, so mgf refuses the
+    # quadrature tolerances; under all they go to laplace and local-min only
+    assert run_cli(tmp_path, "mgf", "--quad-abs", "1e-9") == 2
+    assert capsys.readouterr().err == \
+        "fklab: config error: mgf does not take --quad-abs\n"
+    assert not list(tmp_path.glob("*.json"))
+
+    def runner(key):
+        def with_quad(quad=QuadratureSpec()):
+            return _record(key, None, 0, 0, {"quad_abs": quad.abs_tol},
+                           [_chk("ok", True)], d=1)
+        if key in ("laplace", "local_min_stats"):
+            return with_quad
+        return lambda **_ignored: _record(key, None, 0, 0, {}, [_chk("ok", True)], d=1)
+
+    for key in list(SCENARIOS):
+        if key != "mgf":
+            monkeypatch.setitem(SCENARIOS, key, runner(key))
+    assert run_cli(tmp_path, "all", "--quad-abs", "1e-9") == 0
+    rec = json.loads((tmp_path / "mgf.json").read_text())
+    assert rec["status"] == "pass"
+    assert rec["settings"]["resolved_cli"] == {}
+    assert "quad_abs" not in rec["settings"] and "quad_rel" not in rec["settings"]
+    for key in ("laplace", "local_min_stats"):
+        rec = json.loads((tmp_path / f"{key}.json").read_text())
+        assert rec["settings"] == {"quad_abs": 1e-9, "resolved_cli": {"quad_abs": 1e-9}}
+
+
 def test_config_file_that_is_not_json_exits_two(tmp_path, capsys):
     cfg = tmp_path / "bad.json"
     cfg.write_text("{bad")

@@ -138,3 +138,37 @@ def test_judged_statistics_of_a_synthetic_record():
     assert abs(stats["check:trend:least_gap"] - 0.1) < 1e-12
     assert stats["check:rises_once:least_gap"] == -0.25
     assert stats["fit:judged"] == 1.8
+
+
+def test_table_rows_with_a_ci_are_estimates():
+    # the IDS states N(lambda) in table rows, not in the estimates list; each
+    # row with n_hat (or value) and its CI is an estimate keyed by table and
+    # row, so --compare sees a change of N_hat
+    def ids_row(lam, n_hat):
+        return {"lambda": lam, "n_hat": n_hat, "ci_low": n_hat / 2.0,
+                "ci_high": n_hat * 2.0}
+
+    def record(n_hat):
+        return SimpleNamespace(
+            estimates=[{"name": "m", "value": 1.0, "ci_low": 0.0, "ci_high": 2.0,
+                        "se": None, "note": None}],
+            tables={"ids": [ids_row(0.4, n_hat), ids_row(0.56, 0.1)],
+                    "bound": [{"t": 4.0, "value": 3.0, "ci_low": 2.0, "ci_high": 5.0}],
+                    "radius": [{"t": 16.0, "radius": 2.0, "ci_low": 1.0,
+                                "ci_high": 3.0}],
+                    "no_ci": [{"lambda": 0.4, "n_hat": 0.2}],
+                    "empty": []})
+
+    got = seed_sweep.estimates(record(1e-3))
+    assert got == {"m": {"value": 1.0, "ci_low": 0.0, "ci_high": 2.0},
+                   "ids:lambda=0.4": {"value": 1e-3, "ci_low": 5e-4, "ci_high": 2e-3},
+                   "ids:lambda=0.56": {"value": 0.1, "ci_low": 0.05, "ci_high": 0.2},
+                   "bound:t=4.0": {"value": 3.0, "ci_low": 2.0, "ci_high": 5.0}}
+    base = [{"seed": 0, "stats": {}, "estimates": got}]
+    new = [{"seed": 0, "stats": {},
+            "estimates": seed_sweep.estimates(record(1.25e-3))}]
+    rows = seed_sweep.changes(base, new)
+    assert abs(rows["estimate:ids:lambda=0.4"]["change"] - 2.5e-4) < 1e-15
+    # the base's half-CI is 0.75e-3
+    assert abs(rows["estimate:ids:lambda=0.4"]["of_half_ci"] - 1.0 / 3.0) < 1e-12
+    assert rows["estimate:ids:lambda=0.56"]["change"] == 0.0
