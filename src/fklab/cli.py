@@ -184,7 +184,8 @@ def _plan(sc, cfg: dict, strict: bool) -> tuple[dict, dict, dict]:
         why = f"needs d < alpha < d + 2, got d = {d}, alpha = {bad[0]:g}"
     else:
         try:
-            check_on_lattice(merged.get("t_ladder", ()) if sc.on_schedule else ())
+            if sc.on_schedule and "t_ladder" in merged:
+                check_on_lattice(merged["t_ladder"])
         except ValueError as e:
             raise ConfigError(f"{sc.cli}: {e}") from None
         return kw, taken, merged

@@ -304,6 +304,15 @@ def _columns(views, nodes: np.ndarray) -> np.ndarray:
     return np.stack([evaluate_V(view, nodes[:, None]) for view in views], axis=1)
 
 
+def _stated_grid(radius: float, h: float) -> Grid:
+    """make_grid(radius, h), which must not snap: a record that states the
+    half-width radius ran on it."""
+    grid = make_grid(radius, h)
+    if abs(grid.radius - radius) > 1e-9 * radius:
+        raise ValueError(f"h = {h:g} does not divide the stated half-width {radius:g}")
+    return grid
+
+
 def _tilted_minima(params: ModelParams, box: Box, search: Box, seed,
                    ti: int, n_samples: int):
     """Draws tilted by _mu_for(params) on the streams (ti, rep), rep <
@@ -603,14 +612,14 @@ def run_localization(alpha: float = 2.0,
                 "full_radius": LOCALIZATION_FULL_RADIUS, "n_samples": n_samples,
                 "config_margin": LOCALIZATION_CONFIG_MARGIN,
                 "schedule": [list(s) for s in default_schedule(t_max)]}
-    grid_full = make_grid(LOCALIZATION_FULL_RADIUS, h)
+    grid_full = _stated_grid(LOCALIZATION_FULL_RADIUS, h)
     nodes = grid_full.nodes()
 
     # --- control: per-horizon quadratic wells as columns, each evolved to
     # its own horizon
     V_ctrl = np.stack([quadratic_profile(nodes, params0.with_t(tk))
                        for tk in t_ladder], axis=1)
-    subs = [(make_grid(L, h), np.abs(nodes) < L - 0.5 * h)
+    subs = [(_stated_grid(L, h), np.abs(nodes) < L - 0.5 * h)
             for L in L_ladder]
     ctrl_full, ctrl_q = _subbox_ratios(grid_full, subs, V_ctrl, t_ladder)
     ctrl_rows, ctrl_pts = [], []
@@ -1103,9 +1112,9 @@ def run_lemma5(alpha: float = 2.0, t_values=(4.0, 8.0, 16.0),
     settings = {"t_values": t_values, "n_samples": n_samples, "h": h,
                 "dt": dt, "config_margin": LEMMA5_CONFIG_MARGIN}
     checks, rows, estimates = [], [], []
-    for t in t_values:
+    grids = [_stated_grid(t, h) for t in t_values]
+    for t, grid in zip(t_values, grids):
         params = params_top.with_t(t)
-        grid = make_grid(t, h)
         nodes = grid.nodes()
         cfg_box = Box(grid.radius + LEMMA5_CONFIG_MARGIN)
         views = [PotentialView(sample_homogeneous(cfg_box, seed, path=(round(t), rep)), params)

@@ -30,12 +30,12 @@ accumulators.  A column whose mass has decayed below 64 eps of its starting
 mass is round-off, so the monitor lets it wobble there; growth above that
 floor still raises.
 
-A column may retire at its own horizon: batched_evolve copies it out there,
+A call runs from any step time of its schedule (start=) to its last
+horizon, in absolute times, on the legs that one walker, _legs, cuts.  A
+column may retire at its own horizon: batched_evolve copies it out there,
 with the bits of a run that stops at that time, and steps on only the
 columns left, whose round-off floor becomes 64 eps of their masses then.
-time_marginal needs one column at several times, so it runs the schedule in
-links between them, each link one batched_evolve call in the schedule's own
-steps; the floor is then 64 eps of a column's mass at link start.
+A chain of calls 0 -> s1 -> s2 ends on the bits of one call to s2.
 
 The heat multiplier is built at V's shape when the stepper is, so each step
 multiplies two full arrays and broadcasts nothing.  Every column is stepped
@@ -118,9 +118,7 @@ class FKStepper:
 # the Strang driver: piecewise-dt schedules over batches of columns
 
 # default_schedule's segments before the last, (end, dt), and the last's dt.
-# Each end is a whole number of every later dt, so a time t lies on the
-# step lattice exactly when it is a multiple of default_step(t).  The
-# quadratic control well flattens like t^(-(alpha+1)/alpha), so the
+# The quadratic control well flattens like t^(-(alpha+1)/alpha), so the
 # splitting error of a step falls as t grows and dt grows with it.  Halving
 # every dt moves localization's radii by at most 3.4e-4 relative, and
 # halving its grid step h = 0.25 moves the control radii by 1.5e-3 (README).
@@ -131,8 +129,7 @@ _COARSE_DT = 2.0
 def default_schedule(t: float) -> tuple:
     """Piecewise-constant dt ladder: fine steps early when the potential term
     is stiff relative to the evolved mass, coarser once the profile settles."""
-    segs = []
-    prev = 0.0
+    segs, prev = [], 0.0
     for t_end, dt in _FINE:
         if t <= prev + 1e-12:
             break
@@ -144,48 +141,59 @@ def default_schedule(t: float) -> tuple:
     return tuple(segs)
 
 
-def default_step(t: float) -> float:
-    """The dt of the default_schedule segment that holds time t."""
-    return next((dt for t_end, dt in _FINE if t <= t_end + 1e-12), _COARSE_DT)
+def _legs(schedule, horizons, start: float = 0.0) -> list:
+    """The legs (end, dt) of a run from start to the last horizon, cut at
+    each horizon and segment end.  It walks the schedule's step times from
+    0 to its end and raises ValueError naming the first time it meets off
+    them: start, a horizon, or a segment end that its dt does not divide."""
+    ends, dts = zip(*schedule)
+    if min(dts) <= 0 or any(b <= a for a, b in zip((0.0, *ends), ends)):
+        raise ValueError("schedule segments must increase with positive dt")
+    last = max(horizons)
+    if not (0.0 <= start < min(horizons) and last <= ends[-1]):
+        raise ValueError(f"horizons must lie in (start, end] = ({start:g}, "
+                         f"{ends[-1]:g}]")
+    legs, prev = [], 0.0
+    for t in sorted({start, *horizons, *ends}):
+        end, dt = next(seg for seg in schedule if t <= seg[0])
+        if abs(t - prev - round((t - prev) / dt) * dt) > 1e-9:
+            what = ("start" if t == start else "horizon" if t in horizons
+                    else "segment end")
+            raise ValueError(f"{what} {t:g} is not a multiple of dt = {dt:g}, "
+                             f"the step of the segment ending at {end:g}")
+        if start < t <= last:
+            legs.append((t, dt))
+        prev = t
+    return legs
 
 
 def check_on_lattice(horizons) -> None:
-    """Raise ValueError naming the first horizon that is not a multiple of
-    default_step there: a run would otherwise fail only on reaching it, with
-    the length of a link in place of the horizon."""
-    for t in horizons:
-        dt = default_step(t)
-        if abs(t - round(t / dt) * dt) > 1e-9:
-            raise ValueError(f"t_ladder horizon {t:g} is not a multiple of "
-                             f"dt = {dt:g}, default_schedule's step there")
-
-
-def _check_schedule(schedule):
-    prev = 0.0
-    for t_end, dt in schedule:
-        if not (t_end > prev and dt > 0):
-            raise ValueError("schedule segments must increase with positive dt")
-        n = round((t_end - prev) / dt)
-        if n < 1 or abs(n * dt - (t_end - prev)) > 1e-9:
-            raise ValueError(f"dt = {dt} does not divide segment ending at {t_end}")
-        prev = t_end
+    """Raise ValueError naming the first t_ladder horizon off
+    default_schedule's step lattice, before a run would meet it."""
+    try:
+        _legs(default_schedule(max(horizons)), horizons)
+    except ValueError as e:
+        raise ValueError(f"t_ladder {e}") from None
 
 
 def batched_evolve(grid: Grid, V_cols: np.ndarray, schedule, *,
-                   initial: np.ndarray | None = None, fs=(), horizons=None):
-    """Evolve m column problems (per-column 1-d potentials) through a
-    piecewise-dt schedule ((t_end, dt), ...) with optional Duhamel
-    co-accumulators.
+                   initial: np.ndarray | None = None, start: float = 0.0,
+                   fs=(), horizons=None):
+    """Evolve m column problems (per-column 1-d potentials) from time start
+    to their horizons through a piecewise-dt schedule ((t_end, dt), ...),
+    with optional Duhamel co-accumulators.  The schedule's times are
+    absolute, and so is every time a call reports.
 
-    V_cols: (n, m); one problem is one column.  initial: (n, m), default a
-    discrete delta (1/h at the node nearest 0) in every column.  fs:
+    V_cols: (n, m); one problem is one column.  initial: (n, m), the field
+    at time start, default a discrete delta (1/h at the node nearest 0) in
+    every column.  start: a step time of the schedule, default 0.  fs:
     integrand arrays broadcastable to (n, m); each accumulator w approximates
     the kernel of e^{-int V} int_0^t f(X_s) ds by the trapezoid co-evolution
     of the module docstring, so changing dt across segments never breaks the
     quadrature.  horizons: one time per column, default the schedule's end;
     column k is returned as it stands at horizons[k] and is stepped no
-    further.  Each horizon must be a step time of the schedule and the
-    largest its end; fs takes no horizons.  Returns (u, [w ...]).
+    further.  Each horizon must be a step time after start; the call ends
+    at the largest.  fs takes no horizons.  Returns (u, [w ...]).
 
     With V_cols >= 0, mass is checked every 16th step, at each horizon and
     at each segment end.  A column's mass that grows to above 64 eps of its
@@ -195,20 +203,15 @@ def batched_evolve(grid: Grid, V_cols: np.ndarray, schedule, *,
     V = np.asarray(V_cols, dtype=float)
     if V.ndim != 2 or V.shape[0] != grid.n:
         raise ValueError("V_cols must be (n_nodes, m)")
-    _check_schedule(schedule)
     n, m = V.shape
     if horizons is None:
         horizons = np.full(m, float(schedule[-1][0]))
     elif fs:
         raise ValueError("fs cannot be co-evolved with columns retired at horizons")
     horizons = np.asarray(horizons, dtype=float)
-    if horizons.shape != (m,) or horizons.max() != schedule[-1][0]:
-        raise ValueError("horizons: one per column, the largest the schedule's end")
-    # the schedule with a segment end at each horizon: a horizon off the
-    # step lattice leaves a segment that its dt does not divide
-    legs = [(t, next(dt for end, dt in schedule if t <= end))
-            for t in sorted(set(horizons) | {end for end, _ in schedule})]
-    _check_schedule(legs)
+    if horizons.shape != (m,):
+        raise ValueError("horizons: one per column")
+    legs = _legs(schedule, horizons, start)
     if initial is None:
         u = np.zeros((n, m))
         i0 = int(np.argmin(np.abs(grid.nodes())))
@@ -228,7 +231,7 @@ def batched_evolve(grid: Grid, V_cols: np.ndarray, schedule, *,
     floor = 64.0 * np.finfo(float).eps * np.abs(mass)
     out, live = np.empty((n, m)), np.arange(m)
     steps = 0
-    seg_start = 0.0
+    seg_start = start
     for t_end, dt in legs:
         stepper = FKStepper(grid, V, dt)
         n_steps = round((t_end - seg_start) / dt)
@@ -267,24 +270,6 @@ def batched_evolve(grid: Grid, V_cols: np.ndarray, schedule, *,
     return out, ws
 
 
-def _evolve_link(grid: Grid, V_cols: np.ndarray, schedule, start: float,
-                 end: float, u: np.ndarray | None) -> np.ndarray:
-    """u at time start evolved to time end in the steps the schedule takes
-    between them (u None: the delta at 0).  An instability names the time
-    since 0."""
-    link, prev = [], 0.0
-    for t_end, dt in schedule:
-        if t_end > start and prev < end:
-            link.append((min(t_end, end) - start, dt))
-        prev = t_end
-    try:
-        return batched_evolve(grid, V_cols, link, initial=u)[0]
-    except FKInstabilityError as e:
-        if e.column is None:
-            raise
-        raise FKInstabilityError(e.detail, column=e.column, t=start + e.t) from e
-
-
 def column_masses(grid: Grid, arr: np.ndarray) -> np.ndarray:
     return arr.sum(axis=0) * grid.h
 
@@ -293,12 +278,11 @@ def time_marginal(grid: Grid, W_cols: np.ndarray, schedule, s_list,
                   initial: np.ndarray | None = None) -> dict:
     """Normalized law of X_s under the path measure of each column on
     [0, horizon], horizon the schedule's end: marginal_s(x) is proportional
-    to u_s(x) (T_{horizon-s} 1)(x).  u runs in links through the sorted s
-    from `initial` (default the delta at 0), the backward factor through the
-    sorted horizon - s from ones.  Returns {s: (n, m) densities}, each
-    column integrating to 1.
+    to u_s(x) (T_{horizon-s} 1)(x).  u runs through the sorted s from
+    `initial` (default the delta at 0), the backward factor through the
+    sorted horizon - s from ones, one batched_evolve call from each time to
+    the next.  Returns {s: (n, m) densities}, each column integrating to 1.
     """
-    _check_schedule(schedule)       # the links check only what they run
     horizon = schedule[-1][0]
     if any(not (0 < s < horizon) for s in s_list):
         raise ValueError("marginal times must lie strictly inside (0, horizon)")
@@ -306,7 +290,9 @@ def time_marginal(grid: Grid, W_cols: np.ndarray, schedule, s_list,
     def fields_at(times, u):
         out, start = {}, 0.0
         for end in sorted(set(times)):
-            u = out[end] = _evolve_link(grid, W_cols, schedule, start, end, u)
+            u = out[end] = batched_evolve(
+                grid, W_cols, schedule, initial=u, start=start,
+                horizons=np.full(np.shape(W_cols)[1:], end))[0]
             start = end
         return out
 

@@ -11,20 +11,30 @@ slope.  --json writes all of it as one summary, with each record's
 estimates (value, ci_low, ci_high) seed by seed, among them each table row
 that states an estimate with its CI, such as the IDS's N(lambda).
 --compare reads such a summary from another sweep and prints, per scenario
-both hold, the largest change over their common seeds of each estimate,
-also as a fraction of the other sweep's half-CI, and of each judged
-statistic.  The sweep only reports, and its exit status is 0 whatever the
-records say.
+both hold, over their common seeds: the pass count on each side, with the
+one-sided Fisher exact p-value of the change (CHANGED marks any change);
+the largest change of each estimate, also as a fraction of the other
+sweep's half-CI; and that of each judged statistic.  The sweep only
+reports, and its exit status is 0 whatever the records say.
 
     PYTHONPATH=src python tests/seed_sweep.py tilted lemma5 --seeds 0-9 \\
         --json sweep.json
     PYTHONPATH=other/src python tests/seed_sweep.py tilted lemma5 \\
         --seeds 0-9 --compare sweep.json
 
-Scenarios go by CLI name or record name (`ou-check` or `ou_limit`).  With
-another checkout's src on PYTHONPATH the same script sweeps that checkout,
-so two sweeps compare record hashes seed by seed.  pytest does not collect
-this file; tests/test_seed_sweep.py runs it on `tilted` at two seeds.
+Scenarios go by CLI name or record name (`ou-check` or `ou_limit`), and
+`name:seeds` gives one scenario its own seeds (`ids:0-39`).  With another
+checkout's src on PYTHONPATH the same script sweeps that checkout, so two
+sweeps compare record hashes seed by seed.  tests/sweep_baseline.json is
+such a summary of this tree at its ARTIFACT_VERSION, written by
+
+    PYTHONPATH=src python tests/seed_sweep.py tilted:0-39 spectrum:0-39 \\
+        confinement:0-39 lemma5:0-39 ids:0-39 constants mgf laplace \\
+        localization occupation local_min_stats ou_limit --seeds 0-9 \\
+        --json tests/sweep_baseline.json
+
+pytest does not collect this file; tests/test_seed_sweep.py runs it on
+`tilted` at two seeds.
 """
 
 from __future__ import annotations
@@ -165,6 +175,27 @@ def changes(base_runs, runs) -> dict:
     return out
 
 
+def fisher_p(k1: int, n1: int, k2: int, n2: int) -> float:
+    """One-sided Fisher exact p-value of k2 passes in n2 runs against k1 in
+    n1: with the k1 + k2 passes of all n1 + n2 runs fixed, the
+    hypergeometric chance that the second sweep holds k2 passes or fewer,
+    or k2 or more if its pass rate is the higher."""
+    K, N = k1 + k2, n1 + n2
+    xs = range(k2 + 1) if k2 * n1 <= k1 * n2 else range(k2, min(K, n2) + 1)
+    return sum(math.comb(K, x) * math.comb(N - K, n2 - x) for x in xs) \
+        / math.comb(N, n2)
+
+
+def pass_change(base_runs, runs) -> dict:
+    """Over the seeds both lists of runs hold: their number n, the passes
+    among them in the base and in runs, and fisher_p of the change."""
+    base = {r["seed"]: r["status"] == "pass" for r in base_runs}
+    pairs = [(base[r["seed"]], r["status"] == "pass") for r in runs
+             if r["seed"] in base]
+    n, k1, k2 = len(pairs), sum(a for a, _ in pairs), sum(b for _, b in pairs)
+    return {"n": n, "base": k1, "passes": k2, "p": fisher_p(k1, n, k2, n)}
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("scenarios", nargs="+", metavar="scenario")
@@ -173,16 +204,17 @@ def main(argv=None) -> int:
     p.add_argument("--compare", metavar="SUMMARY",
                    help="another sweep's --json summary to compare against")
     args = p.parse_args(argv)
-    unknown = [n for n in args.scenarios if n not in SCENARIOS]
+    named = [arg.partition(":")[::2] for arg in args.scenarios]
+    unknown = [n for n, _ in named if n not in SCENARIOS]
     if unknown:
         p.error("unknown scenario: " + ", ".join(unknown))
     seeds = parse_seeds(args.seeds)
     summary = {"artifact_version": ARTIFACT_VERSION, "seeds": seeds,
                "scenarios": {}}
-    for name in args.scenarios:
+    for name, own in named:
         sc = SCENARIOS[name]
         runs = []
-        for seed in seeds:
+        for seed in parse_seeds(own) if own else seeds:
             run = run_one(sc, seed)
             runs.append(run)
             print(f"{sc.key} seed {seed}: {run['status']}  {run['wall_s']:.2f} s  "
@@ -201,8 +233,14 @@ def main(argv=None) -> int:
             if other is None:
                 print(f"  {args.compare} holds no {sc.key} runs")
                 continue
+            passes = pass_change(other["runs"], runs)
             rows = changes(other["runs"], runs)
-            summary["scenarios"][sc.key]["changes"] = rows
+            summary["scenarios"][sc.key].update(pass_change=passes, changes=rows)
+            print(f"  passes: {passes['base']} -> {passes['passes']} of "
+                  f"{passes['n']} common seeds "
+                  f"({passes['passes'] - passes['base']:+d}), one-sided Fisher "
+                  f"p = {passes['p']:.3g}"
+                  + ("  CHANGED" if passes["passes"] != passes["base"] else ""))
             for name, row in rows.items():
                 tail = (f"  {row['of_half_ci']:+.3g} of half-CI (seed "
                         f"{row['of_half_ci_seed']})" if "of_half_ci" in row else "")

@@ -13,7 +13,7 @@ import pytest
 from fklab.cli import _EXECUTION_KEYS, _KEYS, _PARAM, ConfigError, _coerce, _load_config, main
 from fklab.experiments import DECLARED, SCENARIOS, _chk, _record, config_hash
 from fklab.laplace import QuadratureError, QuadratureSpec
-from fklab.semigroup import FKInstabilityError
+from fklab.semigroup import FKInstabilityError, FKStepper
 from fklab.spectral import EigenSolveError
 
 
@@ -255,6 +255,26 @@ def test_step_off_the_lattice_is_a_failed_record(tmp_path, capsys):
     assert rec["status"] == "fail"
     assert rec["params"] == {"d": 1, "alpha": 2.0, "t": None}
     assert rec["checks"][0]["note"].startswith("ValueError: ")
+
+
+@pytest.mark.parametrize("scenario, h, width", [
+    ("localization", "0.3", "2"), ("lemma5", "3", "4")])
+def test_h_that_snaps_a_stated_half_width_is_a_failed_record(
+        tmp_path, capsys, monkeypatch, scenario, h, width):
+    # the runner refuses it before any FK step; the CLI writes a failed
+    # record with the reason and exits 1
+    steps = []
+    plain_step = FKStepper.step
+    monkeypatch.setattr(FKStepper, "step",
+                        lambda self, u: steps.append(1) or plain_step(self, u))
+    assert run_cli(tmp_path, scenario, "--h", h, "--samples", "2") == 1
+    err = capsys.readouterr().err
+    message = f"ValueError: h = {h} does not divide the stated half-width {width}"
+    assert message in err and "Traceback" not in err
+    rec = json.loads((tmp_path / f"{scenario}.json").read_text())
+    assert rec["status"] == "fail"
+    assert rec["checks"][0]["note"] == message
+    assert steps == []
 
 
 def test_unknown_scenario_is_a_usage_error(tmp_path, capsys):

@@ -28,9 +28,8 @@ from fklab.experiments import (
     run_tilted,
 )
 from fklab.model import ModelParams, quadratic_profile
-from fklab.semigroup import (FKStepper, _evolve_link,
-                             batched_evolve, check_on_lattice, column_masses,
-                             default_schedule, default_step, time_marginal)
+from fklab.semigroup import (FKStepper, batched_evolve, check_on_lattice,
+                             column_masses, default_schedule, time_marginal)
 from fklab.spectral import make_grid
 
 import refine_sweep
@@ -137,9 +136,6 @@ def test_default_schedule_shapes():
                                        (100.0, 1.0))
     assert default_schedule(10.0) == ((4.0, 0.1), (10.0, 0.2))
     assert default_schedule(2.0) == ((2.0, 0.1),)
-    assert [default_step(t) for t in (2.0, 4.0, 10.0, 64.0, 64.5, 256.0,
-                                      257.0, 1024.0)] \
-        == [0.1, 0.1, 0.2, 0.5, 1.0, 1.0, 2.0, 2.0]
 
 
 def test_step_lattice_at_the_last_segment_end():
@@ -179,10 +175,11 @@ def test_batched_evolve_columns_are_independent():
     V2 = np.stack([V, 2.0 * V], axis=1)
     out, _ = batched_evolve(grid, V2, ((4.0, 0.02),))
     assert np.max(np.abs(out[:, 0] - ref)) <= 1e-12 * np.max(ref)
-    # and a run in links ends on the bits of the one-shot run
+    # and a chain of calls through 2 ends on the bits of the one-shot run
     fields, u, start = {}, None, 0.0
     for end in (2.0, 4.0):
-        u = fields[end] = _evolve_link(grid, V2, ((4.0, 0.02),), start, end, u)
+        u = fields[end] = batched_evolve(grid, V2, ((4.0, 0.02),), initial=u,
+                                         start=start, horizons=(end, end))[0]
         start = end
     assert set(fields) == {2.0, 4.0}
     assert np.array_equal(fields[4.0], out)
@@ -205,7 +202,7 @@ def test_batched_evolve_rejects_bad_schedules():
         batched_evolve(grid, V, ((4.0, 0.02), (16.0, 0.07)))
     with pytest.raises(ValueError):   # a time off the step lattice
         time_marginal(grid, V, ((4.0, 0.02),), [0.03])
-    with pytest.raises(ValueError):   # the links, to 14.5 and to 1.5, divide
+    with pytest.raises(ValueError):   # the runs to 14.5 and to 1.5 divide
         time_marginal(grid, V, ((4.0, 0.02), (16.0, 0.07)), [14.5])
     with pytest.raises(ValueError):
         batched_evolve(grid, V, ((4.0, -0.1),))
@@ -271,20 +268,31 @@ def test_retired_control_rejects_a_horizon_off_the_step_lattice():
     with pytest.raises(ValueError, match=r"ending at 33\.03"):
         batched_evolve(grid, V, default_schedule(33.03), horizons=(16.0, 33.03))
     # a valid schedule, and a horizon off its lattice inside it
-    with pytest.raises(ValueError, match=r"ending at 33\.03"):
+    with pytest.raises(ValueError, match=r"^horizon 33\.03 is not a multiple "
+                                         r"of dt = 0\.5, "):
         batched_evolve(grid, np.zeros((grid.n, 3)), default_schedule(64.0),
                        horizons=(16.0, 33.03, 64.0))
 
 
 def test_batched_evolve_rejects_bad_horizons():
     grid = make_grid(4.0, 0.25)
-    V = np.zeros((grid.n, 2))
+    x = grid.nodes()
+    V = np.stack([0.1 * x ** 2, np.abs(np.sin(x))], axis=1)
     schedule = default_schedule(64.0)
     with pytest.raises(ValueError, match="fs"):
         batched_evolve(grid, V, schedule, fs=(np.ones_like(V),), horizons=(16.0, 64.0))
-    for horizons in ((16.0, 32.0), (16.0, 64.0, 64.0), (16.0, 66.0)):
+    # a wrong count, a horizon past the schedule's end, and horizons at or
+    # before start
+    for horizons, start in (((16.0, 64.0, 64.0), 0.0), ((16.0, 66.0), 0.0),
+                            ((16.0, 32.0), 16.0), ((16.0, 32.0), 20.0)):
         with pytest.raises(ValueError, match="horizons"):
-            batched_evolve(grid, V, schedule, horizons=horizons)
+            batched_evolve(grid, V, schedule, start=start, horizons=horizons)
+    # horizons that end before the schedule does: each column as a one-shot
+    # run to its horizon leaves it, bit for bit
+    out, _ = batched_evolve(grid, V, schedule, horizons=(16.0, 32.0))
+    for k, t in enumerate((16.0, 32.0)):
+        assert np.array_equal(out[:, k],
+                              batched_evolve(grid, V, default_schedule(t))[0][:, k])
 
 
 @pytest.mark.parametrize("runner, ladder", [
@@ -304,6 +312,35 @@ def test_runner_refuses_a_horizon_off_the_step_lattice(monkeypatch, runner, ladd
     monkeypatch.setattr(FKStepper, "step", counted_step)
     with pytest.raises(ValueError, match=r"horizon 64\.1 is not a multiple of dt = 1,"):
         runner(t_ladder=ladder, n_samples=2)
+    assert calls == []
+
+
+@pytest.mark.parametrize("runner, kw, width", [
+    # sub-boxes of 2.1 ... 63.9 under an L column of 2 ... 64
+    (run_localization, {"h": 0.3}, "2"),
+    (run_localization, {"h": 0.7, "L_ladder": (2.1, 4.2)}, "96"),
+    # t = 4 would run on (-6, 6)
+    (run_lemma5, {"h": 3.0}, "4"),
+    # t = 4 is whole, and its draws would come before t = 6 snapped
+    (run_lemma5, {"h": 4.0 / 3.0, "t_values": (4.0, 6.0)}, "6"),
+], ids=["localization_L", "localization_full", "lemma5", "lemma5_second_t"])
+def test_runner_refuses_an_h_that_snaps_a_stated_half_width(monkeypatch, runner,
+                                                            kw, width):
+    calls = []
+    plain_step = FKStepper.step
+
+    def counted_step(self, u):
+        calls.append("step")
+        return plain_step(self, u)
+
+    monkeypatch.setattr(FKStepper, "step", counted_step)
+    for name in ("sample_tilted", "sample_homogeneous"):
+        monkeypatch.setattr(experiments, name,
+                            lambda *a, _name=name, **k: calls.append(_name))
+    h = kw["h"]
+    with pytest.raises(ValueError, match=rf"^h = {h:g} does not divide the "
+                                         rf"stated half-width {width}$"):
+        runner(n_samples=2, **kw)
     assert calls == []
 
 

@@ -5,6 +5,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from scipy.optimize import minimize_scalar
 
 from fklab import model
 from fklab.model import (
@@ -287,3 +288,34 @@ def test_groundstate_phi1_normalized_and_variance():
     assert nu_coordinate_variance(p) == pytest.approx(0.2168313, rel=1e-6)
     assert spectral_gap(p) == pytest.approx(math.sqrt(2.0 * c.C), rel=1e-12)
 
+
+
+def _concave_conjugate(a1, beta, a2, gamma, lam):
+    """sup_s [a1 s^beta + a2 s^gamma - s lam] over s > 0, maximised in
+    u = log s on a bracket about the one-term optimum (a1 beta / lam)^(1/(1 - beta))."""
+    u1 = math.log(a1 * beta / lam) / (1.0 - beta)
+    res = minimize_scalar(
+        lambda u: -(a1 * math.exp(beta * u) + a2 * math.exp(gamma * u) - lam * math.exp(u)),
+        bounds=(u1 - 3.0, u1 + 3.0), method="bounded", options={"xatol": 1e-12})
+    assert u1 - 3.0 < res.x < u1 + 3.0
+    return -res.fun
+
+
+@pytest.mark.parametrize("alpha", [1.5, 1.75, 2.0, 2.5])
+def test_l1_l2_are_the_two_term_legendre_transform(alpha):
+    # -log N(lambda) ~ l1 lambda^(-d/(alpha-d)) + l2 lambda^(-(alpha+d-2)/(2(alpha-d)))
+    # is the concave conjugate of a1 s^(d/alpha) + a2 s^((alpha+d-2)/(2 alpha))
+    # to second order.  The third-order remainder is not zero (it is about
+    # 0.047 at alpha = 2), so the gap is judged against the l2 term; it is
+    # 1.8e-6 of it at alpha = 1.5, lambda = 1e-2, and 4.9e-2 at 2.5, 0.1.
+    d = 1
+    c = constants(ModelParams(d=d, alpha=alpha, t=1.0))
+    beta, gamma = d / alpha, (alpha + d - 2.0) / (2.0 * alpha)
+    e1, e2 = -d / (alpha - d), -(alpha + d - 2.0) / (2.0 * (alpha - d))
+    for lam in (1e-2, 0.1):
+        sup = _concave_conjugate(c.a1, beta, c.a2, gamma, lam)
+        l2_term = c.l2 * lam ** e2
+        assert abs(sup - c.l1 * lam ** e1 - l2_term) <= 0.1 * l2_term
+        # a wrong l2 prefactor, or the exponent of s in place of lambda's
+        for wrong in (1.25 * l2_term, c.l2 * lam ** (-gamma)):
+            assert abs(sup - c.l1 * lam ** e1 - wrong) > 0.1 * l2_term

@@ -12,9 +12,11 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import seed_sweep
-from fklab.experiments import run_constants, run_tilted
+from fklab.experiments import ARTIFACT_VERSION, run_constants, run_tilted
+from scipy.stats import fisher_exact
 
 ROOT = Path(__file__).resolve().parents[1]
+BASELINE = ROOT / "tests" / "sweep_baseline.json"
 
 
 def test_sweep_of_tilted_at_two_seeds(tmp_path):
@@ -172,3 +174,56 @@ def test_table_rows_with_a_ci_are_estimates():
     # the base's half-CI is 0.75e-3
     assert abs(rows["estimate:ids:lambda=0.4"]["of_half_ci"] - 1.0 / 3.0) < 1e-12
     assert rows["estimate:ids:lambda=0.56"]["change"] == 0.0
+
+
+def test_compare_against_the_baseline_flags_a_pass_count_change(tmp_path, capsys):
+    # tilted at seeds 0 and 1 against the committed baseline: the same pass
+    # count and the same record hashes.  A copy of the baseline doctored to
+    # fail at seed 1 is flagged, with its one-sided Fisher p-value
+    baseline = json.loads(BASELINE.read_text())
+    assert baseline["artifact_version"] == ARTIFACT_VERSION
+    out = tmp_path / "sweep.json"
+    assert seed_sweep.main(["tilted", "--seeds", "0-1", "--compare", str(BASELINE),
+                            "--json", str(out)]) == 0
+    text = capsys.readouterr().out
+    assert "  passes: 2 -> 2 of 2 common seeds (+0), one-sided Fisher p = 1\n" in text
+    assert "CHANGED" not in text
+    tilted = json.loads(out.read_text())["scenarios"]["tilted"]
+    assert tilted["pass_change"] == {"n": 2, "base": 2, "passes": 2, "p": 1.0}
+    base_runs = {r["seed"]: r for r in baseline["scenarios"]["tilted"]["runs"]}
+    assert [r["sha256"] for r in tilted["runs"]] == [base_runs[s]["sha256"]
+                                                    for s in (0, 1)]
+    base_runs[1]["status"] = "fail"
+    doctored = tmp_path / "doctored.json"
+    doctored.write_text(json.dumps(baseline))
+    assert seed_sweep.main(["tilted", "--seeds", "0-1", "--compare",
+                            str(doctored)]) == 0
+    assert ("  passes: 1 -> 2 of 2 common seeds (+1), one-sided Fisher p = 0.5"
+            "  CHANGED\n") in capsys.readouterr().out
+
+
+def test_baseline_holds_the_stated_seeds():
+    scenarios = json.loads(BASELINE.read_text())["scenarios"]
+    forty = {"tilted", "spectrum", "confinement", "lemma5", "ids"}
+    assert set(scenarios) == set(seed_sweep.SCENARIOS[k].key
+                                 for k in seed_sweep.SCENARIOS)
+    for key, sc in scenarios.items():
+        want = range(40) if key in forty else range(10)
+        assert [r["seed"] for r in sc["runs"]] == list(want), key
+
+
+def test_pass_change_over_common_seeds_and_its_fisher_p():
+    def runs(statuses, first=0):
+        return [{"seed": first + i, "status": st} for i, st in enumerate(statuses)]
+
+    base = runs(["pass"] * 9 + ["fail"])
+    new = runs(["pass"] * 6 + ["fail"] * 4 + ["pass"] * 3)    # seeds 10-12 unshared
+    got = seed_sweep.pass_change(base, new)
+    assert (got["n"], got["base"], got["passes"]) == (10, 9, 6)
+    assert abs(got["p"] - fisher_exact([[6, 4], [9, 1]], alternative="less")[1]) < 1e-12
+    for k1, n1, k2, n2 in ((9, 10, 6, 10), (40, 40, 36, 40), (3, 10, 8, 10),
+                           (2, 2, 2, 2), (0, 5, 0, 5), (1, 2, 2, 2)):
+        lower = k2 * n1 <= k1 * n2
+        want = fisher_exact([[k2, n2 - k2], [k1, n1 - k1]],
+                            alternative="less" if lower else "greater")[1]
+        assert abs(seed_sweep.fisher_p(k1, n1, k2, n2) - want) < 1e-12

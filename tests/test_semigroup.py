@@ -20,7 +20,6 @@ from fklab.semigroup import (
     FKStepper,
     GroundstateReport,
     _dirichlet_eigenvalues,
-    _evolve_link,
     batched_evolve,
     column_masses,
     default_schedule,
@@ -47,12 +46,14 @@ def evolve(g, V, t, dt, initial=None, **kw):
 
 
 def evolve_links(g, V, t, dt, times, initial=None):
-    """One problem run in links on ((t, dt),) through the sorted times:
-    {time: u}, the column axis dropped."""
+    """One problem run on ((t, dt),) through the sorted times, one
+    batched_evolve call from each time to the next: {time: u}, the column
+    axis dropped."""
     u = None if initial is None else np.asarray(initial)[:, None]
     out, start = {}, 0.0
     for end in sorted(times):
-        u = _evolve_link(g, np.asarray(V)[:, None], ((t, dt),), start, end, u)
+        u = batched_evolve(g, np.asarray(V)[:, None], ((t, dt),), initial=u,
+                           start=start, horizons=(end,))[0]
         out[end], start = u[:, 0], end
     return out
 
@@ -243,6 +244,36 @@ def test_instability_in_a_later_link_names_absolute_time(monkeypatch):
     with pytest.raises(FKInstabilityError, match=r"column 2: .* by t = 1\.6 ") as e:
         batched_evolve(g, V_cols, default_schedule(3.0), horizons=(1.0, 3.0, 3.0))
     assert (e.value.column, e.value.t) == (2, pytest.approx(1.6))
+
+
+def test_a_chain_of_calls_from_start_ends_on_the_one_call_bits(monkeypatch):
+    # 0 -> 6 -> 18 on default_schedule(20), whose dt is 0.1 to t = 4, 0.2
+    # to 16 and 0.5 to 20: the second call starts past a segment end and
+    # crosses another, and leaves the bits of one call to 18
+    g = Grid(4.0, 0.05)
+    x = g.nodes()
+    V = np.stack([0.1 * x ** 2, np.abs(np.sin(3.0 * x)), 0.5 + 0.0 * x], axis=1)
+    schedule = default_schedule(20.0)
+    one = batched_evolve(g, V, schedule, horizons=(18.0,) * 3)[0]
+    u = batched_evolve(g, V, schedule, horizons=(6.0,) * 3)[0]
+    assert np.array_equal(
+        batched_evolve(g, V, schedule, initial=u, start=6.0, horizons=(18.0,) * 3)[0],
+        one)
+    with pytest.raises(ValueError, match=r"^start 6\.1 is not a multiple of dt = 0\.2,"):
+        batched_evolve(g, V, schedule, initial=u, start=6.1, horizons=(18.0,) * 3)
+    # column 1 grows 20% a step in the second call; the check at its 16th
+    # step names the time since 0, 9.2, not 3.2 since start
+    plain_step = FKStepper.step
+
+    def leaky_step(self, w):
+        out = plain_step(self, w)
+        out[:, 1] *= 1.2
+        return out
+
+    monkeypatch.setattr(FKStepper, "step", leaky_step)
+    with pytest.raises(FKInstabilityError, match=r"column 1: .* by t = 9\.2 ") as e:
+        batched_evolve(g, V, schedule, initial=u, start=6.0, horizons=(18.0,) * 3)
+    assert (e.value.column, e.value.t) == (1, pytest.approx(9.2))
 
 
 def test_round_off_floor_is_reset_at_a_horizon(monkeypatch):
